@@ -253,15 +253,6 @@ var (
 	DefaultMonteCarloConfig = montecarlo.DefaultConfig
 )
 
-// RunMonteCarlo executes the Fig. 7 experiment with background context.
-//
-// Deprecated: use RunMonteCarloContext or Runner.RunMonteCarlo, which add
-// cancellation, an explicit worker bound and progress reporting. This shim
-// runs on all available cores and produces identical results.
-func RunMonteCarlo(cfg MonteCarloConfig) (*MonteCarloResults, error) {
-	return montecarlo.Run(cfg)
-}
-
 // Extensions beyond the paper.
 type (
 	// BandwidthAwarePolicy allocates by miss *cost* using DRAM-queueing

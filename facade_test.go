@@ -67,7 +67,7 @@ func TestFacadeCatalog(t *testing.T) {
 func TestFacadeMonteCarlo(t *testing.T) {
 	cfg := bankaware.DefaultMonteCarloConfig()
 	cfg.Trials = 20
-	res, err := bankaware.RunMonteCarlo(cfg)
+	res, err := bankaware.NewRunner().RunMonteCarlo(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

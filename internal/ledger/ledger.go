@@ -8,24 +8,23 @@
 // proofs let a client verify a fetched report end-to-end without trusting
 // the store.
 //
-// Durability follows the repository's WAL conventions: entries append as
-// JSON lines; a crash mid-append leaves an unterminated tail that replay
-// truncates (the entry was never acknowledged). Any complete line that
-// fails to parse, breaks the chain, or does not re-hash to its recorded
-// leaf is corruption — Open fails closed with ErrCorrupt so the caller can
+// Entries are stored as an atomicio.Log: a crash mid-append leaves a torn
+// tail that replay truncates (the entry was never acknowledged). Any
+// complete line that fails its checksum or parse, breaks the chain, or does
+// not re-hash to its leaf (which covers the entry JSON, not its frame) is
+// corruption — Open fails closed with ErrCorrupt so the caller can
 // quarantine the log and rebuild it from the store (the root is
 // reproducible from the stored records and report bytes).
 package ledger
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
+
+	"bankaware/internal/atomicio"
 )
 
 // Version tags every entry's on-disk encoding.
@@ -42,9 +41,9 @@ const (
 )
 
 // ErrCorrupt reports a ledger whose synced contents fail verification: a
-// complete line that does not parse, an index or chain break, or a leaf
-// hash that does not recompute. It is distinct from a torn tail, which
-// replay tolerates silently.
+// complete line whose checksum fails or that does not parse, an index or
+// chain break, or a leaf hash that does not recompute. It is distinct from
+// a torn tail, which replay tolerates silently.
 var ErrCorrupt = errors.New("ledger: corrupt")
 
 // Record is the caller-supplied content of one entry.
@@ -104,9 +103,9 @@ func LeafHash(e Entry) ([32]byte, error) {
 // Ledger is the open log. Safe for concurrent use.
 type Ledger struct {
 	mu      sync.Mutex
-	path    string
-	f       *os.File
+	log     *atomicio.Log
 	entries []Entry
+	leaves  [][32]byte // decoded Entry.Leaf, by index
 	tree    tree
 	// latestReport maps job ID -> index of its most recent TypeReport
 	// entry (a re-run after quarantine appends a fresh one; proofs serve
@@ -114,109 +113,53 @@ type Ledger struct {
 	latestReport map[string]int
 }
 
-// Open loads (or initialises) the ledger at path. An unterminated final
-// line is a torn tail from a crash mid-append: it is dropped and the file
-// truncated to the verified prefix. Any other verification failure —
-// unparseable complete line, index gap, chain break, leaf mismatch —
-// returns ErrCorrupt with the failing index, leaving the file untouched as
-// evidence.
+// Open loads (or initialises) the ledger at path. A torn tail from a crash
+// mid-append is truncated (the entry was never acknowledged). Any other
+// verification failure — a line whose checksum fails, an index gap, a
+// chain break, a leaf mismatch — returns ErrCorrupt naming the failing
+// lines, leaving the file untouched as evidence.
 func Open(path string) (*Ledger, error) {
-	l := &Ledger{path: path, latestReport: make(map[string]int)}
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, fmt.Errorf("ledger: reading %s: %w", path, err)
-	}
-	valid := 0 // byte length of the verified prefix
-	for len(data) > 0 {
-		nl := bytes.IndexByte(data, '\n')
-		if nl < 0 {
-			// Torn tail: the append was interrupted before its newline (and
-			// so before its sync); it was never acknowledged.
-			break
-		}
-		line := data[:nl]
-		data = data[nl+1:]
-		if len(bytes.TrimSpace(line)) == 0 {
-			valid += nl + 1
-			continue
-		}
+	l := &Ledger{latestReport: make(map[string]int)}
+	log, err := atomicio.OpenLog(path, func(line []byte) error {
 		var e Entry
-		if err := json.Unmarshal(line, &e); err != nil {
-			return nil, fmt.Errorf("%w: entry %d does not parse: %v", ErrCorrupt, len(l.entries), err)
-		}
-		if err := l.verifyNext(e); err != nil {
-			return nil, err
+		if json.Unmarshal(line, &e) != nil || !l.follows(e) {
+			return ErrCorrupt
 		}
 		l.admit(e)
-		valid += nl + 1
+		return nil
+	})
+	if errors.Is(err, atomicio.ErrCorrupt) {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	if truncated := len(data); truncated > 0 {
-		if err := os.Truncate(path, int64(valid)); err != nil {
-			return nil, fmt.Errorf("ledger: truncating torn tail of %s: %w", path, err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("ledger: opening %s: %w", path, err)
 	}
-	l.f = f
+	l.log = log
 	return l, nil
 }
 
-// verifyNext checks that e is the valid successor of the loaded prefix.
-func (l *Ledger) verifyNext(e Entry) error {
-	i := len(l.entries)
-	if e.Version != Version {
-		return fmt.Errorf("%w: entry %d has version %q", ErrCorrupt, i, e.Version)
-	}
-	if e.Index != i {
-		return fmt.Errorf("%w: entry at position %d carries index %d", ErrCorrupt, i, e.Index)
-	}
+// follows reports whether e is the valid successor of the loaded prefix:
+// the right version and index, the chain link, and a leaf that recomputes.
+func (l *Ledger) follows(e Entry) bool {
 	prev := ""
-	if i > 0 {
-		prev = l.entries[i-1].Leaf
-	}
-	if e.Prev != prev {
-		return fmt.Errorf("%w: entry %d breaks the hash chain", ErrCorrupt, i)
+	if n := len(l.entries); n > 0 {
+		prev = l.entries[n-1].Leaf
 	}
 	leaf, err := LeafHash(e)
-	if err != nil {
-		return fmt.Errorf("ledger: hashing entry %d: %w", i, err)
-	}
-	if hex.EncodeToString(leaf[:]) != e.Leaf {
-		return fmt.Errorf("%w: entry %d leaf hash does not recompute", ErrCorrupt, i)
-	}
-	return nil
+	return err == nil && e.Version == Version && e.Index == len(l.entries) &&
+		e.Prev == prev && hex.EncodeToString(leaf[:]) == e.Leaf
 }
 
 // admit folds a verified entry into the in-memory state.
 func (l *Ledger) admit(e Entry) {
-	leaf, _ := hex.DecodeString(e.Leaf)
 	var h [32]byte
-	copy(h[:], leaf)
+	_, _ = hex.Decode(h[:], []byte(e.Leaf)) // verified or just sealed: 64 hex digits
 	l.entries = append(l.entries, e)
+	l.leaves = append(l.leaves, h)
 	l.tree.push(h)
 	if e.Type == TypeReport {
 		l.latestReport[e.Job] = e.Index
 	}
-}
-
-// seal builds the next entry for rec and its serialised line.
-func (l *Ledger) seal(rec Record) (Entry, []byte, error) {
-	e := Entry{Version: Version, Index: len(l.entries), Record: rec}
-	if n := len(l.entries); n > 0 {
-		e.Prev = l.entries[n-1].Leaf
-	}
-	leaf, err := LeafHash(e)
-	if err != nil {
-		return Entry{}, nil, err
-	}
-	e.Leaf = hex.EncodeToString(leaf[:])
-	line, err := json.Marshal(e)
-	if err != nil {
-		return Entry{}, nil, err
-	}
-	return e, append(line, '\n'), nil
 }
 
 // Append seals rec as the next entry and persists it. sync forces an fsync
@@ -238,7 +181,7 @@ func (l *Ledger) Append(rec Record, sync bool) (Entry, error) {
 func (l *Ledger) AppendBatch(recs []Record, sync bool) ([]Entry, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	var buf bytes.Buffer
+	lines := make([][]byte, 0, len(recs))
 	entries := make([]Entry, 0, len(recs))
 	// Seal against the would-be state: entries only admit after the write
 	// succeeds, so a failed batch leaves the chain untouched.
@@ -258,18 +201,12 @@ func (l *Ledger) AppendBatch(recs []Record, sync bool) ([]Entry, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ledger: encoding entry %d: %w", e.Index, err)
 		}
-		buf.Write(line)
-		buf.WriteByte('\n')
+		lines = append(lines, line)
 		entries = append(entries, e)
 		prev = e.Leaf
 	}
-	if _, err := l.f.Write(buf.Bytes()); err != nil {
+	if err := l.log.Append(lines, sync); err != nil {
 		return nil, fmt.Errorf("ledger: appending: %w", err)
-	}
-	if sync {
-		if err := l.f.Sync(); err != nil {
-			return nil, fmt.Errorf("ledger: syncing: %w", err)
-		}
 	}
 	for _, e := range entries {
 		l.admit(e)
@@ -322,15 +259,7 @@ func (l *Ledger) Prove(i int) (*Proof, error) {
 	if i < 0 || i >= len(l.entries) {
 		return nil, fmt.Errorf("ledger: no entry %d (ledger has %d)", i, len(l.entries))
 	}
-	leaves := make([][32]byte, len(l.entries))
-	for k, e := range l.entries {
-		raw, err := hex.DecodeString(e.Leaf)
-		if err != nil || len(raw) != sha256.Size {
-			return nil, fmt.Errorf("%w: entry %d leaf is not a hash", ErrCorrupt, k)
-		}
-		copy(leaves[k][:], raw)
-	}
-	path := inclusionPath(i, leaves)
+	path := inclusionPath(i, l.leaves)
 	hexPath := make([]string, len(path))
 	for k, h := range path {
 		hexPath[k] = hex.EncodeToString(h[:])
@@ -345,30 +274,9 @@ func (l *Ledger) Prove(i int) (*Proof, error) {
 	}, nil
 }
 
-// Sync forces any buffered appends to disk.
-func (l *Ledger) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	return l.f.Sync()
-}
-
-// Close syncs and releases the file handle.
+// Close syncs the entries appended without sync and releases the file.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
-	}
-	err := l.f.Sync()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f = nil
-	return err
+	return errors.Join(l.log.Append(nil, true), l.log.Close())
 }
-
-// Path returns the on-disk location of the log.
-func (l *Ledger) Path() string { return l.path }

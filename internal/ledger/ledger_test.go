@@ -167,25 +167,113 @@ func TestTornTailTruncates(t *testing.T) {
 }
 
 func TestFlippedByteIsCorrupt(t *testing.T) {
-	_, path := openTestLedger(t, 8)
-	data, err := os.ReadFile(path)
+	for _, tc := range []struct {
+		name string
+		at   func(data []byte) int
+	}{
+		// A byte inside a middle entry's content hash: still valid JSON, still
+		// a complete line — only the checksum and the hashes can catch it.
+		{"content hash", func(data []byte) int {
+			return bytes.Index(data, []byte(`"hash":"`)) + len(`"hash":"`)
+		}},
+		// The final newline: the synced last entry must not pass for a torn
+		// tail and be truncated away.
+		{"final newline", func(data []byte) int { return len(data) - 1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, path := openTestLedger(t, 8)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data[tc.at(data)] ^= 0x01
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("flipped byte: got %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// TestEveryByteFlipIsDetected flips every byte of a 3-entry ledger, by XOR
+// 0x01 and by overwriting it with a newline. Each reopen must either load
+// all 3 entries under the original root or fail closed with ErrCorrupt —
+// never load fewer entries silently.
+func TestEveryByteFlipIsDetected(t *testing.T) {
+	l, path := openTestLedger(t, 3)
+	root := l.Root()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	orig, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flip one byte inside a middle entry's content hash (still valid
-	// JSON, still a complete line — only the hashes can catch it).
-	idx := bytes.Index(data, []byte(`"hash":"`)) + len(`"hash":"`)
-	flipped := append([]byte{}, data...)
-	if flipped[idx] != 'f' {
-		flipped[idx] = 'f'
-	} else {
-		flipped[idx] = '0'
+	for _, sub := range []struct {
+		name string
+		fn   func(byte) byte
+	}{
+		{"xor01", func(b byte) byte { return b ^ 0x01 }},
+		{"newline", func(byte) byte { return '\n' }},
+	} {
+		for off := range orig {
+			data := append([]byte{}, orig...)
+			data[off] = sub.fn(data[off])
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(path)
+			if errors.Is(err, ErrCorrupt) {
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s@%d: %v", sub.name, off, err)
+			}
+			if re.Len() != 3 || re.Root() != root {
+				t.Fatalf("%s@%d: silently loaded %d entries, root %s", sub.name, off, re.Len(), re.Root())
+			}
+			re.Close()
+		}
 	}
-	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+}
+
+// TestLegacyLedgerUpgrade opens a ledger written in the unframed encoding
+// that predates bankaware.log/v1: the entries and the root are unchanged,
+// and the file is framed afterwards.
+func TestLegacyLedgerUpgrade(t *testing.T) {
+	legacy, err := os.ReadFile("testdata/legacy-ledger.log")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(path); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("flipped byte: got %v, want ErrCorrupt", err)
+	path := filepath.Join(t.TempDir(), "ledger.log")
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	// The root the unframed ledger had when it was written.
+	const root = "fc2d92c97e499fd32719e9833c6b0f43a2ce15116b7e297ec1454d718b944356"
+	if l.Len() != 3 || l.Root() != root {
+		t.Fatalf("upgraded ledger: (%d, %s), want (3, %s)", l.Len(), l.Root(), root)
+	}
+	framed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldLines := bytes.SplitAfter(legacy, []byte("\n"))
+	newLines := bytes.SplitAfter(framed, []byte("\n"))
+	if len(newLines) != len(oldLines) {
+		t.Fatalf("upgraded file has %d lines, want %d", len(newLines), len(oldLines))
+	}
+	for i, line := range newLines[:3] {
+		if len(line) < 9 || line[8] != ' ' || !bytes.Equal(line[9:], oldLines[i]) {
+			t.Fatalf("line %d not framed around the original entry: %q", i, line)
+		}
 	}
 }
 

@@ -1,27 +1,29 @@
 package runner
 
 import (
-	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
 	"sync"
+
+	"bankaware/internal/atomicio"
 )
 
 // Journal is a lightweight checkpoint for one fan-out: every completed
-// job's index and JSON-encoded result, appended line by line to a file. A
-// campaign killed mid-run reopens the journal and Map restores the recorded
-// jobs instead of recomputing them; since results are stored as JSON and
-// Go's encoder round-trips float64 exactly, a resumed campaign emits
-// reports byte-identical to an uninterrupted one.
+// job's index and JSON-encoded result, appended record by record to a log.
+// A campaign killed mid-run reopens the journal and Map restores the
+// recorded jobs instead of recomputing them; since results are stored as
+// JSON and Go's encoder round-trips float64 exactly, a resumed campaign
+// emits reports byte-identical to an uninterrupted one.
 //
-// The format is JSON lines: {"job":17,"result":{...}}. Loading tolerates a
-// truncated final line (the crash may have interrupted a write mid-record);
-// the affected job is simply recomputed. Result types must round-trip
-// through encoding/json — exported fields only.
+// Records are {"job":17,"result":{...}} in atomicio's checksummed log
+// format. A torn final record (the crash interrupted an append) is
+// truncated and a corrupt one skipped; either way the affected job is
+// simply recomputed. Result types must round-trip through encoding/json —
+// exported fields only.
 type Journal struct {
 	mu   sync.Mutex
-	f    *os.File
+	log  *atomicio.Log
 	done map[int]json.RawMessage
 }
 
@@ -31,27 +33,26 @@ type journalRecord struct {
 }
 
 // OpenJournal opens (or creates) the checkpoint file at path and loads the
-// completed-job records already in it.
+// completed-job records already in it. A corrupt journal is moved aside to
+// path+".quarantine" and rewritten from the records that verified.
 func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	j := &Journal{f: f, done: make(map[int]json.RawMessage)}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<26)
-	for sc.Scan() {
+	j := &Journal{done: make(map[int]json.RawMessage)}
+	var kept [][]byte
+	var err error
+	j.log, err = atomicio.OpenLog(path, func(line []byte) error {
 		var rec journalRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			// Truncated or corrupt tail record: stop here, the job will be
-			// recomputed and re-appended.
-			break
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
 		}
 		j.done[rec.Job] = rec.Result
+		kept = append(kept, line)
+		return nil
+	})
+	if errors.Is(err, atomicio.ErrCorrupt) {
+		err = j.log.Rewrite(kept)
 	}
-	if err := sc.Err(); err != nil && err != bufio.ErrTooLong {
-		f.Close()
-		return nil, fmt.Errorf("runner: reading journal %s: %w", path, err)
+	if err != nil {
+		return nil, fmt.Errorf("runner: opening journal %s: %w", path, err)
 	}
 	return j, nil
 }
@@ -67,7 +68,7 @@ func (j *Journal) Len() int {
 func (j *Journal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.f.Close()
+	return j.log.Close()
 }
 
 // Restore decodes job's recorded result into out. It returns false when the
@@ -86,7 +87,7 @@ func (j *Journal) Restore(job int, out any) (bool, error) {
 	return true, nil
 }
 
-// Record appends job's result to the journal. The line is written and
+// Record appends job's result to the journal. The record is written and
 // synced before Record returns, so a crash immediately after cannot lose
 // the job.
 func (j *Journal) Record(job int, result any) error {
@@ -98,14 +99,10 @@ func (j *Journal) Record(job int, result any) error {
 	if err != nil {
 		return fmt.Errorf("runner: encoding journal record for job %d: %w", job, err)
 	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Write(line); err != nil {
+	if err := j.log.Append([][]byte{line}, true); err != nil {
 		return fmt.Errorf("runner: appending journal record for job %d: %w", job, err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("runner: syncing journal: %w", err)
 	}
 	j.done[job] = raw
 	return nil

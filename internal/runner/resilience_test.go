@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -236,6 +237,137 @@ func TestJournalToleratesTruncatedTail(t *testing.T) {
 	// The affected job is recomputed and re-appended cleanly.
 	if err := j2.Record(1, trialResult{Job: 1, Value: 2}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestJournalReopenAfterTornTail: records appended after a torn tail must
+// survive the next reopen, not sit behind a line that never parses.
+func TestJournalReopenAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "torn.journal")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for job := 0; job < 2; job++ {
+		if err := j.Record(job, trialResult{Job: job, Value: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data[:len(data)-7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for job := 1; job < 3; job++ {
+		if err := j2.Record(job, trialResult{Job: job, Value: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j2.Close()
+	j3, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
+	if j3.Len() != 3 {
+		t.Fatalf("reopened journal holds %d records, want 3", j3.Len())
+	}
+}
+
+// TestJournalEveryByteFlip flips every byte of a 3-record journal, by XOR
+// 0x01 and by overwriting it with a newline. Each reopen must either
+// restore all 3 records or quarantine the damaged file and keep exactly the
+// records that restore correctly (the rest are recomputed) — never lose a
+// record with nothing moved aside.
+func TestJournalEveryByteFlip(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "flip.journal")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for job := 0; job < 3; job++ {
+		if err := j.Record(job, trialResult{Job: job, Value: float64(job) + 0.5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	j.Close()
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sub := range []struct {
+		name string
+		fn   func(byte) byte
+	}{
+		{"xor01", func(b byte) byte { return b ^ 0x01 }},
+		{"newline", func(byte) byte { return '\n' }},
+	} {
+		for off := range orig {
+			os.Remove(path + ".quarantine")
+			data := append([]byte{}, orig...)
+			data[off] = sub.fn(data[off])
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			re, err := OpenJournal(path)
+			if err != nil {
+				t.Fatalf("%s@%d: %v", sub.name, off, err)
+			}
+			for job := 0; job < 3; job++ {
+				var res trialResult
+				ok, err := re.Restore(job, &res)
+				if err != nil || (ok && res != (trialResult{Job: job, Value: float64(job) + 0.5})) {
+					t.Fatalf("%s@%d: job %d restored as %+v (%v)", sub.name, off, job, res, err)
+				}
+			}
+			if re.Len() < 3 {
+				if q, err := os.ReadFile(path + ".quarantine"); err != nil || !bytes.Equal(q, data) {
+					t.Fatalf("%s@%d: %d of 3 records kept and the damaged journal not quarantined",
+						sub.name, off, re.Len())
+				}
+			}
+			re.Close()
+		}
+	}
+}
+
+// TestLegacyJournalUpgrade opens a journal in the unframed encoding that
+// predates bankaware.log/v1: every record restores, and the file is framed
+// afterwards.
+func TestLegacyJournalUpgrade(t *testing.T) {
+	legacy, err := os.ReadFile("testdata/legacy.journal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "legacy.journal")
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for job, want := range []float64{0.25, 0.5, 0.75} {
+		var res trialResult
+		if ok, err := j.Restore(job, &res); !ok || err != nil || res != (trialResult{Job: job, Value: want}) {
+			t.Fatalf("job %d: ok=%v err=%v res=%+v", job, ok, err, res)
+		}
+	}
+	j.Close()
+	framed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(framed) <= len(legacy) || framed[0] == '{' || !bytes.Contains(framed, bytes.SplitAfter(legacy, []byte("\n"))[0]) {
+		t.Fatalf("journal not framed after upgrade: %q", framed)
 	}
 }
 

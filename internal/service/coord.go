@@ -179,7 +179,7 @@ func (s *Service) runDistributed(ctx context.Context, jb *job) (*metrics.Report,
 			return rep, nil
 		case <-ctx.Done():
 			// Keep the shard dir: completed partials survive for the resume.
-			dir.close()
+			dir.wal.Close()
 			return nil, ctx.Err()
 		case <-ticker.C:
 			c.expireOverdue(set, time.Now())

@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -360,20 +361,42 @@ func TestCorruptLedgerQuarantinedAndRebuilt(t *testing.T) {
 	}
 }
 
-// TestCorruptIntakeWALStopsReplayCleanly pins the intake WAL's failure
-// mode under a flipped byte that breaks the JSON structure: replay treats
-// it as the start of an unacked batch and stops, the store still opens,
-// and jobs materialised in per-job files are unaffected.
-func TestCorruptIntakeWALStopsReplayCleanly(t *testing.T) {
+// byteSubs are the two single-byte faults the every-byte flip tests inject
+// at each offset of a durable log.
+var byteSubs = []struct {
+	name string
+	fn   func(byte) byte
+}{
+	{"xor01", func(b byte) byte { return b ^ 0x01 }},
+	{"newline", func(byte) byte { return '\n' }},
+}
+
+// writeFiles writes name -> contents under dir.
+func writeFiles(t *testing.T, dir string, files map[string][]byte) {
+	t.Helper()
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestIntakeWALEveryByteFlip flips every byte of a 3-record intake WAL, by
+// XOR 0x01 and by overwriting it with a newline. Each reopen must either
+// keep all 3 queued records intact or quarantine the damaged WAL and
+// answer for every lost record as a failed job — never lose a record
+// silently. A lost job's ID is never handed out again, and the daemon
+// serves its failed record.
+func TestIntakeWALEveryByteFlip(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Two intake records, no state transitions — both live only in the WAL.
-	recs := []JobRecord{
-		st.AllocRecord(mcSpec(4, 0), SpecHash(mcSpec(4, 0)), "", time.Now()),
-		st.AllocRecord(mcSpec(6, 0), SpecHash(mcSpec(6, 0)), "", time.Now()),
+	var recs []JobRecord
+	for _, trials := range []int{4, 6, 8} {
+		spec := mcSpec(trials, 0)
+		recs = append(recs, st.AllocRecord(spec, SpecHash(spec), "", time.Now()))
 	}
 	if err := st.AppendIntake(recs); err != nil {
 		t.Fatal(err)
@@ -381,28 +404,231 @@ func TestCorruptIntakeWALStopsReplayCleanly(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Break the second record's structure (flip its opening brace).
-	data, err := os.ReadFile(dir + "/intake.wal")
+	wal, err := os.ReadFile(filepath.Join(dir, intakeWALName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	second := bytes.Index(data, []byte("\n")) + 1
-	data[second] = 'X'
-	if err := os.WriteFile(dir+"/intake.wal", data, 0o644); err != nil {
+	led, err := os.ReadFile(filepath.Join(dir, "ledger.log"))
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	re, err := OpenStore(dir)
+	// reopen opens a fresh store holding the original ledger and the given
+	// WAL bytes, and returns how many records it lost.
+	reopen := func(t *testing.T, data []byte) (string, int) {
+		t.Helper()
+		d := t.TempDir()
+		writeFiles(t, d, map[string][]byte{intakeWALName: data, "ledger.log": led})
+		re, err := OpenStore(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		lost := 0
+		for _, want := range recs {
+			got, ok := re.Get(want.ID)
+			switch {
+			case !ok:
+				t.Fatalf("job %s vanished", want.ID)
+			case got.State == StateFailed && got.Error == lostIntakeError && got.Seq == want.Seq:
+				lost++
+			case got.State != StateQueued || got.SpecHash != want.SpecHash || got.Spec.MonteCarlo.Trials != want.Spec.MonteCarlo.Trials:
+				t.Fatalf("job %s reloaded as %+v", want.ID, got)
+			}
+		}
+		if next := re.AllocRecord(mcSpec(1, 0), "", "", time.Now()); next.Seq != len(recs)+1 {
+			t.Fatalf("next job would be %s", next.ID)
+		}
+		return d, lost
+	}
+	for _, sub := range byteSubs {
+		for off := range wal {
+			data := append([]byte{}, wal...)
+			data[off] = sub.fn(data[off])
+			d, lost := reopen(t, data)
+			if lost == 0 {
+				continue
+			}
+			if q, err := os.ReadFile(filepath.Join(d, intakeWALName+".quarantine")); err != nil || !bytes.Equal(q, data) {
+				t.Fatalf("%s@%d: %d records lost and the damaged WAL not quarantined", sub.name, off, lost)
+			}
+		}
+	}
+
+	// One damaged record, served: GET answers with the failed job.
+	data := append([]byte{}, wal...)
+	data[bytes.IndexByte(data, '\n')+20] ^= 0x01
+	d, lost := reopen(t, data)
+	if lost != 1 {
+		t.Fatalf("flip inside record 2 lost %d records, want 1", lost)
+	}
+	_, ts := startHTTP(t, Config{Dir: d}, false)
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + recs[1].ID)
 	if err != nil {
-		t.Fatalf("store must open past a torn WAL record: %v", err)
+		t.Fatal(err)
 	}
-	defer re.Close()
-	if _, ok := re.Get(recs[0].ID); !ok {
-		t.Fatal("record before the torn line was lost")
+	defer resp.Body.Close()
+	var got JobRecord
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET lost job: status %d, %v", resp.StatusCode, err)
 	}
-	if _, ok := re.Get(recs[1].ID); ok {
-		t.Fatal("record after the torn line was resurrected")
+	if got.State != StateFailed || got.Error != lostIntakeError {
+		t.Fatalf("GET lost job: %+v", got)
 	}
+}
+
+// TestShardWALEveryByteFlip flips every byte of a 3-record shard WAL, by
+// XOR 0x01 and by overwriting it with a newline. Each reopen must either
+// keep all 3 shard states or quarantine the damaged WAL, keep every state
+// that verified, and send each shard that lost its state back to pending —
+// except a shard whose partial file proves it done.
+func TestShardWALEveryByteFlip(t *testing.T) {
+	dir := t.TempDir()
+	mkplan := func() shardPlan {
+		return shardPlan{Version: shardPlanVersion, Job: "job-000001", Units: 6,
+			Shards: []shardSpan{{0, 0, 2}, {1, 2, 4}, {2, 4, 6}}}
+	}
+	d, err := openShardDir(dir, mkplan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := leaseDeadline(time.Now(), time.Hour)
+	if err := d.log(shardWALRecord{Shard: 0, State: ShardLeased, Worker: "w1", Lease: "l-1",
+		DeadlineNS: deadline, Attempts: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.savePartial(1, []json.RawMessage{json.RawMessage(`{"u":2}`), json.RawMessage(`{"u":3}`)}, "w2", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.log(shardWALRecord{Shard: 2, State: ShardPending, Attempts: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files := make(map[string][]byte)
+	for _, name := range []string{"plan.json", "partial-1.json", "state.wal"} {
+		if files[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wal := files["state.wal"]
+	// The states an undamaged reopen loads.
+	clean, err := openShardDir(dir, mkplan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []shardWALRecord{clean.state(0), clean.state(1), clean.state(2)}
+	clean.wal.Close()
+	for _, sub := range byteSubs {
+		for off := range wal {
+			data := append([]byte{}, wal...)
+			data[off] = sub.fn(data[off])
+			files["state.wal"] = data
+			rd := t.TempDir()
+			writeFiles(t, rd, files)
+			re, err := openShardDir(rd, func() shardPlan { t.Fatal("plan rebuilt"); return shardPlan{} })
+			if err != nil {
+				t.Fatalf("%s@%d: %v", sub.name, off, err)
+			}
+			lost := 0
+			for idx, w := range want {
+				got := re.state(idx)
+				switch {
+				case got == w:
+				case idx == 1 && got.State == ShardDone:
+					lost++ // the partial still proves it done
+				case got.State == ShardPending && got.Lease == "":
+					lost++
+				default:
+					t.Fatalf("%s@%d: shard %d reloaded as %+v, want %+v or pending", sub.name, off, idx, got, w)
+				}
+			}
+			re.wal.Close()
+			if lost == 0 {
+				continue
+			}
+			if q, err := os.ReadFile(filepath.Join(rd, "state.wal.quarantine")); err != nil || !bytes.Equal(q, data) {
+				t.Fatalf("%s@%d: %d states lost and the damaged WAL not quarantined", sub.name, off, lost)
+			}
+		}
+	}
+}
+
+// TestLegacyLogsUpgrade opens an intake WAL, run ledger and shard WAL
+// written in the unframed encoding that predates bankaware.log/v1: the
+// records load unchanged, the ledger root is unchanged, and every log is
+// framed afterwards.
+func TestLegacyLogsUpgrade(t *testing.T) {
+	copyFixture := func(t *testing.T, src string, names ...string) string {
+		t.Helper()
+		dir := t.TempDir()
+		for _, name := range names {
+			data, err := os.ReadFile(filepath.Join("testdata", src, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			writeFiles(t, dir, map[string][]byte{name: data})
+		}
+		return dir
+	}
+	framed := func(t *testing.T, path string) {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) == 0 || data[0] == '{' || data[8] != ' ' {
+			t.Fatalf("%s not framed after upgrade: %.40q", path, data)
+		}
+	}
+
+	t.Run("intake", func(t *testing.T) {
+		dir := copyFixture(t, "legacy-intake", intakeWALName, "ledger.log")
+		st, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		// The root the unframed ledger had when it was written.
+		const root = "5f241a0296685b45f68340c7706fb9906e9b79d85968933f7c65774f0e1ecceb"
+		if got := st.Ledger().Root(); got != root {
+			t.Fatalf("ledger root %s after upgrade, want %s", got, root)
+		}
+		jobs := st.Jobs()
+		if len(jobs) != 3 {
+			t.Fatalf("%d jobs after upgrade, want 3", len(jobs))
+		}
+		for i, rec := range jobs {
+			spec := mcSpec([]int{4, 6, 8}[i], i)
+			if rec.ID != fmt.Sprintf("job-%06d", i+1) || rec.State != StateQueued || rec.SpecHash != SpecHash(spec) {
+				t.Fatalf("job %d after upgrade: %+v", i, rec)
+			}
+		}
+		framed(t, filepath.Join(dir, intakeWALName))
+		framed(t, filepath.Join(dir, "ledger.log"))
+	})
+
+	t.Run("shard", func(t *testing.T) {
+		dir := copyFixture(t, "legacy-shard", "plan.json", "state.wal")
+		d, err := openShardDir(dir, func() shardPlan { t.Fatal("plan rebuilt"); return shardPlan{} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer d.wal.Close()
+		const deadline = 1767323045000000000
+		want := []shardWALRecord{
+			{Shard: 0, State: ShardLeased, Worker: "w1", Lease: "l-1", DeadlineNS: deadline, Attempts: 1},
+			{Shard: 1, State: ShardLeased, Worker: "w2", Lease: "l-2", DeadlineNS: deadline, Attempts: 1},
+			{Shard: 2, State: ShardPending, Attempts: 2},
+		}
+		for idx, w := range want {
+			if got := d.state(idx); got != w {
+				t.Fatalf("shard %d after upgrade: %+v, want %+v", idx, got, w)
+			}
+		}
+		framed(t, filepath.Join(dir, "state.wal"))
+	})
 }
 
 // TestWorkerPostRetryBacksOffOn5xx pins the transport-hardening policy:

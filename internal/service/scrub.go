@@ -1,17 +1,18 @@
 package service
 
 import (
-	"bufio"
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"time"
+
+	"bankaware/internal/atomicio"
 )
 
 // This file is the store scrubber: the proactive half of the integrity
@@ -173,7 +174,10 @@ func (s *Store) scrubPartials(skip map[string]bool, stats *ScrubStats) {
 			continue
 		}
 		dir := filepath.Join(shardsRoot, job)
-		sums := readShardSums(dir)
+		// Read-only: a corrupt WAL line costs only its own upload sum; the
+		// coordinator quarantines the WAL when it next opens the dir.
+		d := &shardDir{dir: dir, states: make(map[int]shardWALRecord)}
+		_ = atomicio.Replay(d.walPath(), d.fold)
 		parts, err := filepath.Glob(filepath.Join(dir, "partial-*.json"))
 		if err != nil {
 			continue
@@ -184,60 +188,20 @@ func (s *Store) scrubPartials(skip map[string]bool, stats *ScrubStats) {
 			if _, err := fmt.Sscanf(filepath.Base(path), "partial-%d.json", &idx); err != nil {
 				continue
 			}
-			want, ok := sums[idx]
-			if !ok || want == "" {
+			if d.state(idx).Sum == "" {
 				continue // pre-hashing partial: nothing to verify against
 			}
 			stats.Checked++
-			data, err := os.ReadFile(path)
-			if err != nil {
+			var corrupt *corruptPartialError
+			if _, err := d.loadPartial(idx); errors.As(err, &corrupt) {
+				stats.Corrupt++
+				rel, _ := filepath.Rel(s.dir, path)
+				stats.Quarantined = append(stats.Quarantined, rel)
+			} else if err != nil {
 				stats.Errors = append(stats.Errors, fmt.Sprintf("partial %s/%d: %v", job, idx, err))
-				continue
 			}
-			var p shardPartial
-			bad := json.Unmarshal(data, &p) != nil || p.Shard != idx || unitsSum(p.Units) != want
-			if !bad {
-				continue
-			}
-			stats.Corrupt++
-			if qerr := quarantineFile(path); qerr != nil {
-				stats.Errors = append(stats.Errors, fmt.Sprintf("partial %s/%d: quarantine: %v", job, idx, qerr))
-				continue
-			}
-			rel, _ := filepath.Rel(s.dir, path)
-			stats.Quarantined = append(stats.Quarantined, rel)
 		}
 	}
-}
-
-// readShardSums tolerantly folds a shard dir's state.wal into the last
-// known upload hash per shard (same replay rules as shardDir.replayWAL,
-// read-only).
-func readShardSums(dir string) map[int]string {
-	sums := make(map[int]string)
-	f, err := os.Open(filepath.Join(dir, "state.wal"))
-	if err != nil {
-		return sums
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var rec shardWALRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			break
-		}
-		if rec.State == ShardDone {
-			sums[rec.Shard] = rec.Sum
-		} else {
-			delete(sums, rec.Shard)
-		}
-	}
-	return sums
 }
 
 // Scrub runs one scrub pass over the daemon's store, skipping live jobs,

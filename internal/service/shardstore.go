@@ -1,9 +1,8 @@
 package service
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -26,13 +25,11 @@ const (
 	ShardDone    = "done"
 )
 
-// shardWALCompactBytes triggers a shard-WAL compaction once the log grows
-// past it. Lease grants and renewals append one line each, so a
+// shardWALCompactBytes is the floor of a shard WAL's compaction threshold
+// (atomicio.Log.Due). Lease grants and renewals append one line each, so a
 // long-running campaign's WAL is dominated by renewals; compaction keeps
-// one line per shard (its current state). Like the intake WAL, the next
-// threshold doubles from the compacted size so steady renewal traffic
-// cannot turn O(1) appends into O(n) rewrites. A variable only so tests
-// can shrink it.
+// one line per shard (its current state). A variable only so tests can
+// shrink it.
 var shardWALCompactBytes int64 = 256 << 10
 
 // shardPlan is the durable decomposition of one campaign job into shards.
@@ -79,10 +76,8 @@ type shardDir struct {
 
 	// Unsynchronised: the coordinator serialises all access behind its own
 	// lock, so the shardDir only guards its file handles' lifecycle.
-	wal       *os.File
-	walBytes  int64
-	compactAt int64
-	states    map[int]shardWALRecord
+	wal    *atomicio.Log
+	states map[int]shardWALRecord
 }
 
 // shardDirPath returns where job's shard state lives under the store root.
@@ -120,8 +115,11 @@ func openShardDir(dir string, mkplan func() shardPlan) (*shardDir, error) {
 	default:
 		return nil, fmt.Errorf("service: reading shard plan: %w", err)
 	}
-	if err := d.replayWAL(); err != nil {
-		return nil, err
+	// A corrupt WAL keeps its verified states (a shard whose state was lost
+	// is pending); compaction below quarantines the damaged file.
+	d.wal, err = atomicio.OpenLog(d.walPath(), d.fold)
+	if err != nil && !errors.Is(err, atomicio.ErrCorrupt) {
+		return nil, fmt.Errorf("service: opening shard WAL: %w", err)
 	}
 	// Partial files are the durable truth for completion: a partial written
 	// after the last WAL sync still counts, and a WAL "done" without its
@@ -143,32 +141,15 @@ func openShardDir(dir string, mkplan func() shardPlan) (*shardDir, error) {
 	return d, nil
 }
 
-// replayWAL folds state.wal into d.states, last record per shard winning.
-// A torn tail (crash mid-append) ends the replay; the affected transition
-// was never acknowledged to a worker whose next renew re-establishes it.
-func (d *shardDir) replayWAL() error {
-	f, err := os.Open(d.walPath())
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("service: opening shard WAL: %w", err)
+// fold applies one state.wal record to d.states: the last record per shard
+// wins.
+func (d *shardDir) fold(line []byte) error {
+	var rec shardWALRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return err
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var rec shardWALRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			return nil
-		}
-		d.states[rec.Shard] = rec
-	}
-	return sc.Err()
+	d.states[rec.Shard] = rec
+	return nil
 }
 
 func (d *shardDir) walPath() string { return filepath.Join(d.dir, "state.wal") }
@@ -195,27 +176,13 @@ func (d *shardDir) log(rec shardWALRecord) error {
 	if err != nil {
 		return fmt.Errorf("service: encoding shard WAL record: %w", err)
 	}
-	line = append(line, '\n')
-	if d.wal == nil {
-		f, err := os.OpenFile(d.walPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("service: opening shard WAL: %w", err)
-		}
-		d.wal = f
-	}
-	if _, err := d.wal.Write(line); err != nil {
+	if err := d.wal.Append([][]byte{line}, true); err != nil {
 		return fmt.Errorf("service: appending shard WAL: %w", err)
 	}
-	if err := d.wal.Sync(); err != nil {
-		return fmt.Errorf("service: syncing shard WAL: %w", err)
-	}
-	d.walBytes += int64(len(line))
 	d.states[rec.Shard] = rec
-	if d.walBytes > d.compactAt {
-		if err := d.compact(); err != nil {
-			// The transition is durable; a failed compaction only costs space.
-			return nil
-		}
+	if d.wal.Due(shardWALCompactBytes) {
+		// The transition is durable; a failed compaction only costs space.
+		_ = d.compact()
 	}
 	return nil
 }
@@ -227,26 +194,16 @@ func (d *shardDir) compact() error {
 		idxs = append(idxs, idx)
 	}
 	sort.Ints(idxs)
-	var buf bytes.Buffer
+	lines := make([][]byte, 0, len(idxs))
 	for _, idx := range idxs {
 		line, err := json.Marshal(d.states[idx])
 		if err != nil {
 			return err
 		}
-		buf.Write(line)
-		buf.WriteByte('\n')
+		lines = append(lines, line)
 	}
-	if d.wal != nil {
-		d.wal.Close()
-		d.wal = nil
-	}
-	if err := atomicio.WriteFileBytes(d.walPath(), buf.Bytes()); err != nil {
+	if err := d.wal.Rewrite(lines); err != nil {
 		return fmt.Errorf("service: compacting shard WAL: %w", err)
-	}
-	d.walBytes = int64(buf.Len())
-	d.compactAt = shardWALCompactBytes
-	if min := 2 * d.walBytes; min > d.compactAt {
-		d.compactAt = min
 	}
 	return nil
 }
@@ -319,20 +276,10 @@ func (d *shardDir) loadPartial(idx int) ([]json.RawMessage, error) {
 	return p.Units, nil
 }
 
-// close releases the WAL handle.
-func (d *shardDir) close() error {
-	if d.wal != nil {
-		err := d.wal.Close()
-		d.wal = nil
-		return err
-	}
-	return nil
-}
-
 // remove deletes the whole shard dir (terminal cleanup after merge or
 // cancel).
 func (d *shardDir) remove() error {
-	d.close()
+	d.wal.Close()
 	return os.RemoveAll(d.dir)
 }
 

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bufio"
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
@@ -87,15 +86,11 @@ func (r *JobRecord) dedupable() bool {
 // jobs, relative to the store root.
 const intakeWALName = "intake.wal"
 
-// walCompactBytes triggers an in-flight WAL compaction once the log grows
-// past it. Entries for jobs that have since been materialised as per-job
-// files are dropped; it is a variable only so tests can shrink it.
-//
-// Compaction cannot shrink the WAL below its live set (records not yet
-// materialised), so after each compaction the next trigger is deferred
-// until the log doubles from its compacted size — without that, a deep
-// backlog of queued-only jobs would rewrite the whole log on every batch
-// past the threshold, turning O(1) appends into O(n) rewrites.
+// walCompactBytes is the floor of the intake WAL's compaction threshold
+// (atomicio.Log.Due doubles it from the compacted size, so a deep backlog
+// of queued-only jobs cannot turn O(1) appends into O(n) rewrites).
+// Compaction drops entries for jobs that have since been materialised as
+// per-job files; it is a variable only so tests can shrink it.
 var walCompactBytes int64 = 4 << 20
 
 // Store is the daemon's durable result store: one JSON record per job under
@@ -126,10 +121,8 @@ type Store struct {
 	etags        map[string]string // memoized report ETags, by job ID
 	seq          int
 
-	wal          *os.File
-	walBytes     int64
-	walCompactAt int64 // next compaction threshold (see walCompactBytes)
-	syncs        int
+	wal   *atomicio.Log
+	syncs int
 }
 
 // orderRef is one entry of the seq-ordered job index.
@@ -139,9 +132,10 @@ type orderRef struct {
 }
 
 // OpenStore opens (or initialises) the store rooted at dir: it loads every
-// per-job record, replays the intake WAL on top (ignoring a torn tail — an
-// entry without its final newline was never acked), and compacts the WAL
-// down to the entries that still lack per-job files.
+// per-job record, replays the intake WAL on top (truncating a torn tail —
+// an append that never synced was never acked), and compacts the WAL down
+// to the entries that still lack per-job files. A corrupt WAL keeps its
+// verified records and quarantines the rest (see failLostIntake).
 func OpenStore(dir string) (*Store, error) {
 	for _, sub := range []string{"jobs", "reports", "journals"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
@@ -171,14 +165,16 @@ func OpenStore(dir string) (*Store, error) {
 		if err := json.Unmarshal(data, &rec); err != nil {
 			return nil, fmt.Errorf("service: decoding job record %s: %w", e.Name(), err)
 		}
-		if err := rec.Spec.Validate(); err != nil {
+		// A job failed by failLostIntake has no spec.
+		if err := rec.Spec.Validate(); err != nil && rec.Error != lostIntakeError {
 			return nil, fmt.Errorf("service: job record %s: %w", e.Name(), err)
 		}
 		st.jobs[rec.ID] = rec
 		st.materialized[rec.ID] = true
 	}
-	if err := st.replayWAL(); err != nil {
-		return nil, err
+	walErr := st.replayWAL()
+	if walErr != nil && !errors.Is(walErr, atomicio.ErrCorrupt) {
+		return nil, walErr
 	}
 	for id, rec := range st.jobs {
 		// The hash is canonical, not archival: recompute so records written
@@ -201,7 +197,41 @@ func OpenStore(dir string) (*Store, error) {
 	if err := st.openLedger(); err != nil {
 		return nil, err
 	}
+	if walErr != nil {
+		if err := st.failLostIntake(); err != nil {
+			return nil, err
+		}
+	}
 	return st, nil
+}
+
+// lostIntakeError is the failure recorded for a job whose intake record was
+// lost to WAL corruption.
+const lostIntakeError = "intake record corrupt; resubmit"
+
+// failLostIntake runs after intake WAL corruption. It persists as failed
+// every job the ledger witnessed being queued that neither a per-job file
+// nor a verified intake record holds: its spec is gone, but its ID keeps
+// answering instead of returning 404.
+func (s *Store) failLostIntake() error {
+	for i, n := 0, s.led.Len(); i < n; i++ {
+		e, _ := s.led.Entry(i)
+		_, known := s.Get(e.Job)
+		var seq int // IDs are job-<seq> (AllocRecord)
+		if known || e.Type != ledger.TypeJob || e.Data != StateQueued {
+			continue
+		}
+		if _, err := fmt.Sscanf(e.Job, "job-%d", &seq); err != nil {
+			continue
+		}
+		if err := s.Put(JobRecord{ID: e.Job, Seq: seq, State: StateFailed,
+			Error: lostIntakeError, SpecHash: e.Hash, FinishedAt: time.Now().UTC()}); err != nil {
+			return err
+		}
+		// Never hand the lost job's ID to a new submission.
+		s.seq = max(s.seq, seq)
+	}
+	return nil
 }
 
 // ledgerPath returns where the run ledger lives.
@@ -262,40 +292,24 @@ func (s *Store) Ledger() *ledger.Ledger { return s.led }
 // replayWAL folds the intake WAL into the in-memory map. A WAL entry is
 // authoritative only while its job has no per-job file: the first Put
 // (running, canceled, re-queued after drain, ...) moves the truth there.
-func (s *Store) replayWAL() error {
-	f, err := os.Open(s.walPath())
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("service: opening intake WAL: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 64*1024), maxSpecBytes*2)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
+// A corrupt WAL keeps every record that verified and returns its
+// *atomicio.CorruptError.
+func (s *Store) replayWAL() (err error) {
+	s.wal, err = atomicio.OpenLog(filepath.Join(s.dir, intakeWALName), func(line []byte) error {
 		var rec JobRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			// A torn tail from a crash mid-append: the batch was never
-			// synced, so none of its submissions were acked. Stop replaying
-			// — everything after a torn line is the same unacked batch.
-			return nil
-		}
-		if rec.ID == "" || rec.Spec.Validate() != nil {
-			return nil
+		if json.Unmarshal(line, &rec) != nil || rec.ID == "" || rec.Spec.Validate() != nil {
+			return atomicio.ErrCorrupt
 		}
 		if !s.materialized[rec.ID] {
 			s.jobs[rec.ID] = rec
 		}
+		return nil
+	})
+	if err != nil && !errors.Is(err, atomicio.ErrCorrupt) {
+		return fmt.Errorf("service: opening intake WAL: %w", err)
 	}
-	return sc.Err()
+	return err
 }
-
-func (s *Store) walPath() string { return filepath.Join(s.dir, intakeWALName) }
 
 // indexLocked folds one record into the dedup index. Callers hold s.mu and
 // present records in ascending seq order on rebuild. A done job always wins
@@ -368,39 +382,27 @@ func (s *Store) AllocRecord(spec JobSpec, specHash, idemKey string, now time.Tim
 }
 
 // AppendIntake durably commits a batch of freshly queued records: every
-// record is appended to the intake WAL as one JSON line and the batch is
+// record is appended to the intake WAL as one log record and the batch is
 // synced with a single fsync — the group-commit write the batcher
 // amortises across concurrent submissions. On success the records are
 // registered in the in-memory view and the dedup index; on failure none
 // are (the WAL may hold unsynced bytes, which recovery treats as a torn,
 // unacked tail).
 func (s *Store) AppendIntake(recs []JobRecord) error {
-	var buf bytes.Buffer
-	for _, rec := range recs {
+	lines := make([][]byte, len(recs))
+	for i, rec := range recs {
 		line, err := json.Marshal(rec)
 		if err != nil {
 			return fmt.Errorf("service: encoding intake record %s: %w", rec.ID, err)
 		}
-		buf.Write(line)
-		buf.WriteByte('\n')
+		lines[i] = line
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.wal == nil {
-		f, err := os.OpenFile(s.walPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("service: opening intake WAL: %w", err)
-		}
-		s.wal = f
-	}
-	if _, err := s.wal.Write(buf.Bytes()); err != nil {
+	if err := s.wal.Append(lines, true); err != nil {
 		return fmt.Errorf("service: appending intake batch: %w", err)
 	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("service: syncing intake batch: %w", err)
-	}
 	s.syncs++
-	s.walBytes += int64(buf.Len())
 	// Ledger the queued transitions as one batch write. No fsync here: the
 	// intake WAL is the durability of the ack; these observational entries
 	// ride along on the next synced append (a crash can drop the tail,
@@ -417,11 +419,9 @@ func (s *Store) AppendIntake(recs []JobRecord) error {
 		s.orderInsertLocked(rec.Seq, rec.ID)
 		s.indexLocked(rec)
 	}
-	if s.walBytes > s.walCompactAt {
-		if err := s.compactWALLocked(); err != nil {
-			// The batch is durable; a failed compaction only costs space.
-			return nil
-		}
+	if s.wal.Due(walCompactBytes) {
+		// The batch is durable; a failed compaction only costs space.
+		_ = s.compactWALLocked()
 	}
 	return nil
 }
@@ -429,7 +429,7 @@ func (s *Store) AppendIntake(recs []JobRecord) error {
 // compactWALLocked rewrites the intake WAL keeping only records whose truth
 // still lives there (no per-job file yet). Callers hold s.mu.
 func (s *Store) compactWALLocked() error {
-	var buf bytes.Buffer
+	var live [][]byte
 	for _, ref := range s.order {
 		if s.materialized[ref.id] {
 			continue
@@ -438,20 +438,10 @@ func (s *Store) compactWALLocked() error {
 		if err != nil {
 			return err
 		}
-		buf.Write(line)
-		buf.WriteByte('\n')
+		live = append(live, line)
 	}
-	if s.wal != nil {
-		s.wal.Close()
-		s.wal = nil
-	}
-	if err := atomicio.WriteFileBytes(s.walPath(), buf.Bytes()); err != nil {
+	if err := s.wal.Rewrite(live); err != nil {
 		return fmt.Errorf("service: compacting intake WAL: %w", err)
-	}
-	s.walBytes = int64(buf.Len())
-	s.walCompactAt = walCompactBytes
-	if min := 2 * s.walBytes; min > s.walCompactAt {
-		s.walCompactAt = min
 	}
 	return nil
 }
@@ -667,15 +657,9 @@ func reportETag(hash string) string { return `"sha256-` + hash + `"` }
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var err error
-	if s.wal != nil {
-		err = s.wal.Close()
-		s.wal = nil
-	}
-	if s.led != nil {
-		if lerr := s.led.Close(); err == nil {
-			err = lerr
-		}
+	err := s.wal.Close()
+	if lerr := s.led.Close(); err == nil {
+		err = lerr
 	}
 	return err
 }

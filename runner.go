@@ -343,12 +343,3 @@ func RunMonteCarloContext(ctx context.Context, cfg MonteCarloConfig, opts ...Run
 func RunExperimentsContext(ctx context.Context, scale ExperimentScale, instructions uint64, opts ...RunnerOption) (*ExperimentsResult, error) {
 	return NewRunner(append([]RunnerOption{WithContext(ctx)}, opts...)...).RunExperiments(scale, instructions)
 }
-
-// RunFig8Fig9 executes the Figs. 8/9 campaign serially with background
-// context.
-//
-// Deprecated: use RunExperimentsContext or Runner.RunExperiments, which add
-// cancellation, parallel execution and progress reporting.
-func RunFig8Fig9(scale ExperimentScale, instructions uint64) (*ExperimentsResult, error) {
-	return experiments.RunFig8Fig9(scale, instructions)
-}

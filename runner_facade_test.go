@@ -9,28 +9,6 @@ import (
 	"bankaware"
 )
 
-func TestRunnerMonteCarloMatchesDeprecatedShim(t *testing.T) {
-	cfg := bankaware.DefaultMonteCarloConfig()
-	cfg.Trials = 60
-	old, err := bankaware.RunMonteCarlo(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := bankaware.NewRunner(bankaware.WithWorkers(4))
-	res, err := r.RunMonteCarlo(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trials) != len(old.Trials) {
-		t.Fatalf("trial counts differ: %d vs %d", len(res.Trials), len(old.Trials))
-	}
-	for i := range old.Trials {
-		if old.Trials[i] != res.Trials[i] {
-			t.Fatalf("trial %d differs between deprecated shim and Runner", i)
-		}
-	}
-}
-
 func TestRunnerWithSeedOverridesConfig(t *testing.T) {
 	cfg := bankaware.DefaultMonteCarloConfig()
 	cfg.Trials = 40
