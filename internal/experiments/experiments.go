@@ -281,12 +281,14 @@ func RunSetPolicyContext(ctx context.Context, cfg sim.Config, workloads []string
 
 // AssembleSetResult folds the three policy units (in evaluation order) into
 // a SetResult, exactly as RunSetContext does in-process. Reports are
-// retained only when observe is set, mirroring Options.Observe.
-func AssembleSetResult(set int, workloads []string, runs []PolicyRun, observe bool) (*SetResult, error) {
+// retained only when observe is set, mirroring Options.Observe, and the
+// result is stamped with the fidelity the units ran under.
+func AssembleSetResult(set int, workloads []string, runs []PolicyRun, observe bool, fidelity Fidelity) (*SetResult, error) {
 	if len(runs) != SetPolicies {
 		return nil, fmt.Errorf("experiments: set assembly needs %d policy runs, got %d", SetPolicies, len(runs))
 	}
 	r := newSetResult(set, workloads, runs[0].Result, runs[1].Result, runs[2].Result)
+	r.Fidelity = fidelityTag(fidelity)
 	// Reports are retained only under explicit Observe: a Sample hook alone
 	// attaches the recorder for its live tap but leaves the campaign result
 	// — and so the emitted report bytes — exactly as an unobserved run.
@@ -308,12 +310,7 @@ func RunSetContext(ctx context.Context, cfg sim.Config, set int, workloads []str
 	if err != nil {
 		return nil, err
 	}
-	res, err := AssembleSetResult(set, workloads, runs, opt.Observe)
-	if err != nil {
-		return nil, err
-	}
-	res.Fidelity = fidelityTag(opt.Fidelity)
-	return res, nil
+	return AssembleSetResult(set, workloads, runs, opt.Observe, opt.Fidelity)
 }
 
 // Fig8Fig9 runs all eight Table III sets and returns the per-set results
@@ -373,12 +370,12 @@ func RunCampaignUnitContext(ctx context.Context, scale Scale, instructions uint6
 
 // AssembleFig8Fig9 folds the campaign's flattened units (in unit order)
 // into the Figs. 8/9 result, exactly as RunFig8Fig9Context does
-// in-process.
-func AssembleFig8Fig9(runs []PolicyRun, observe bool) (*Fig8Fig9Result, error) {
+// in-process, stamped with the fidelity the units ran under.
+func AssembleFig8Fig9(runs []PolicyRun, observe bool, fidelity Fidelity) (*Fig8Fig9Result, error) {
 	if len(runs) != CampaignUnits {
 		return nil, fmt.Errorf("experiments: campaign assembly needs %d units, got %d", CampaignUnits, len(runs))
 	}
-	out := &Fig8Fig9Result{}
+	out := &Fig8Fig9Result{Fidelity: fidelityTag(fidelity)}
 	var me, mb, ce, cb []float64
 	for i := range TableIIISets {
 		r := newSetResult(i+1, TableIIISets[i][:],
@@ -416,12 +413,7 @@ func RunFig8Fig9Context(ctx context.Context, scale Scale, instructions uint64, o
 	if err != nil {
 		return nil, err
 	}
-	res, err := AssembleFig8Fig9(runs, opt.Observe)
-	if err != nil {
-		return nil, err
-	}
-	res.Fidelity = fidelityTag(opt.Fidelity)
-	return res, nil
+	return AssembleFig8Fig9(runs, opt.Observe, opt.Fidelity)
 }
 
 // String renders the Fig. 8 + Fig. 9 rows.

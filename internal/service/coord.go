@@ -110,18 +110,13 @@ func (c Config) leaseTTL() time.Duration {
 	return 15 * time.Second
 }
 
-// maxShardAttempts resolves how many lease grants a shard gets before the
-// job fails permanently.
-func (c Config) maxShardAttempts() int {
-	if c.MaxShardAttempts > 0 {
-		return c.MaxShardAttempts
-	}
-	return 5
-}
+// maxShardAttempts bounds lease grants per shard before the job fails
+// permanently (a shard that crashes every worker it lands on).
+const maxShardAttempts = 5
 
 // runDistributed executes one job in coordinator mode: shard the campaign,
 // serve leases to pulling workers, wait for every partial, merge. It
-// replaces the local runJob kinds dispatch — the coordinator itself never
+// replaces runJob's local unit execution — the coordinator itself never
 // simulates. The job context governs the wait: cancellation (drain, user
 // cancel, timeout) detaches the job with its shard dir intact, so a
 // restarted coordinator resumes from the completed partials.
@@ -238,7 +233,7 @@ func (c *coordinator) expireOverdue(set *shardSet, now time.Time) {
 			continue
 		}
 		c.expired.Inc()
-		if st.Attempts >= c.s.cfg.maxShardAttempts() {
+		if st.Attempts >= maxShardAttempts {
 			c.failLocked(set, fmt.Errorf(
 				"service: shard %d failed %d lease attempts (last worker %q)",
 				span.Index, st.Attempts, st.Worker))
@@ -301,7 +296,7 @@ func (s *Service) Lease(worker string) (*ShardGrant, bool, error) {
 				continue
 			}
 			attempts := st.Attempts + 1
-			if attempts > c.s.cfg.maxShardAttempts() {
+			if attempts > maxShardAttempts {
 				c.failLocked(set, fmt.Errorf(
 					"service: shard %d failed %d lease attempts (last worker %q)",
 					span.Index, st.Attempts, st.Worker))
@@ -379,7 +374,7 @@ func (s *Service) FailShard(a *ShardAck) error {
 	if err != nil {
 		return err
 	}
-	if st.Attempts >= s.cfg.maxShardAttempts() {
+	if st.Attempts >= maxShardAttempts {
 		c.failLocked(set, fmt.Errorf(
 			"service: shard %d failed %d attempts: %s", a.Shard, st.Attempts, a.Error))
 		return nil
@@ -463,7 +458,7 @@ func (s *Service) CompleteShard(u *ShardUpload) error {
 }
 
 // merge loads every partial in shard order, concatenates the units and
-// folds them into the job report with the single-node assemblers.
+// folds them into the job report through mergeUnits.
 func (c *coordinator) merge(set *shardSet) (*metrics.Report, error) {
 	spans := append([]shardSpan(nil), set.dir.plan.Shards...)
 	sort.Slice(spans, func(i, j int) bool { return spans[i].From < spans[j].From })

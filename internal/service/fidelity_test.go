@@ -70,7 +70,7 @@ func TestHTTPFastJobServiceVsDirect(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full set evaluation in -short mode")
 	}
-	// Direct run, mirroring runSet's parameter resolution for the spec below.
+	// Direct run, mirroring resolveSet's parameter resolution for the spec below.
 	cfg := experiments.ScaleModel.Config()
 	cfg.EpochCycles = 200_000
 	res, err := experiments.RunSetContext(context.Background(), cfg, 1,

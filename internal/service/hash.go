@@ -7,6 +7,7 @@ import (
 
 	"bankaware/internal/experiments"
 	"bankaware/internal/montecarlo"
+	"bankaware/internal/sim"
 )
 
 // specHashVersion versions the canonical encoding below. Any change to the
@@ -22,12 +23,14 @@ const specHashVersion = "bankaware.spec-hash/v1"
 // a job runs, never what it computes — so two submissions that differ only
 // in those knobs are the same cache entry.
 //
-// Canonicalization is conservative: a default is folded into its explicit
-// value only where run.go provably applies that value (scale "" is "model"
-// everywhere; a set job's zero instruction budget is the model default; a
-// Monte Carlo's zero trials/seed are the paper's 1000/2009). Everything
-// else hashes as submitted — a missed fold costs a cache miss, a wrong fold
-// would serve the wrong report.
+// The kind sub-specs are the resolved specs below, the very values the unit
+// executor runs from, so a folded default cannot drift from the default
+// that executes. Canonicalization stays conservative: a default is folded
+// only where the resolver applies it (scale "" is "model" everywhere; a set
+// job's zero instruction budget is the model default; a Monte Carlo's zero
+// trials/seed are the paper's 1000/2009). Everything else hashes as
+// submitted — a missed fold costs a cache miss, a wrong fold would serve
+// the wrong report.
 type canonicalSpec struct {
 	Kind    string `json:"kind"`
 	Seed    uint64 `json:"seed"`
@@ -68,6 +71,13 @@ func canonicalScale(scale string) string {
 	return scale
 }
 
+func scaleFor(name string) experiments.Scale {
+	if name == "full" {
+		return experiments.ScaleFull
+	}
+	return experiments.ScaleModel
+}
+
 // canonicalFidelity folds "" and "detailed" to the empty string (omitted
 // from the canonical JSON — the pre-fidelity encoding) and keeps "fast".
 func canonicalFidelity(fidelity string) string {
@@ -77,46 +87,86 @@ func canonicalFidelity(fidelity string) string {
 	return ""
 }
 
+// resolveSet applies a validated set spec's defaults: the scale, the
+// instruction budget and, through the methods below, the epoch override
+// and the Table III workloads.
+func resolveSet(spec JobSpec) canonicalSet {
+	sub := spec.Set
+	c := canonicalSet{
+		Set:          sub.Set,
+		Scale:        canonicalScale(sub.Scale),
+		Instructions: sub.Instructions,
+		EpochCycles:  sub.EpochCycles,
+		Fidelity:     canonicalFidelity(spec.Fidelity),
+	}
+	if c.Instructions == 0 {
+		// A zero budget selects the model-scale default at either scale.
+		c.Instructions = experiments.ScaleModel.DefaultInstructions()
+	}
+	if c.Set == 0 {
+		// A set number and an explicit workload list are not folded into
+		// each other: the report labels the two differently, so they are
+		// different byte streams even when the workloads coincide.
+		c.Workloads = append([]string(nil), sub.Workloads...)
+	}
+	return c
+}
+
+// workloads returns the set's eight workloads, core 0 first.
+func (c canonicalSet) workloads() []string {
+	if c.Set != 0 {
+		return experiments.TableIIISets[c.Set-1][:]
+	}
+	return c.Workloads
+}
+
+// config returns the simulator configuration the set runs under.
+func (c canonicalSet) config() sim.Config {
+	cfg := scaleFor(c.Scale).Config()
+	if c.EpochCycles > 0 {
+		cfg.EpochCycles = c.EpochCycles
+	}
+	return cfg
+}
+
+// resolveExperiments applies a validated experiments spec's defaults. A
+// zero budget stays zero: experiments.RunCampaignUnitContext resolves it
+// per scale, and folding it here would move every zero-budget spec's
+// cache key.
+func resolveExperiments(spec JobSpec) canonicalExperiments {
+	return canonicalExperiments{
+		Scale:        canonicalScale(spec.Experiments.Scale),
+		Instructions: spec.Experiments.Instructions,
+		Fidelity:     canonicalFidelity(spec.Fidelity),
+	}
+}
+
+// resolveMonteCarlo applies a validated Monte Carlo spec's defaults: the
+// paper's configuration, then the Trials and Seed overrides.
+func resolveMonteCarlo(spec JobSpec) montecarlo.Config {
+	cfg := montecarlo.DefaultConfig()
+	if spec.MonteCarlo.Trials > 0 {
+		cfg.Trials = spec.MonteCarlo.Trials
+	}
+	if spec.Seed != 0 {
+		cfg.Seed = spec.Seed
+	}
+	return cfg
+}
+
 // canonicalize projects a validated spec onto its canonical form.
 func canonicalize(spec JobSpec) canonicalSpec {
 	c := canonicalSpec{Kind: spec.Kind, Seed: spec.Seed, Observe: spec.Observe}
 	switch {
 	case spec.Set != nil:
-		sub := canonicalSet{
-			Set:          spec.Set.Set,
-			Scale:        canonicalScale(spec.Set.Scale),
-			Instructions: spec.Set.Instructions,
-			EpochCycles:  spec.Set.EpochCycles,
-			Fidelity:     canonicalFidelity(spec.Fidelity),
-		}
-		if sub.Instructions == 0 {
-			// Mirror runSet: a zero budget always selects the model-scale
-			// default, regardless of the chosen scale.
-			sub.Instructions = experiments.ScaleModel.DefaultInstructions()
-		}
-		if sub.Set == 0 {
-			// A set number and an explicit workload list are not folded into
-			// each other: the report labels the two differently, so they are
-			// different byte streams even when the workloads coincide.
-			sub.Workloads = append([]string(nil), spec.Set.Workloads...)
-		}
+		sub := resolveSet(spec)
 		c.Set = &sub
 	case spec.Experiments != nil:
-		c.Experiments = &canonicalExperiments{
-			Scale:        canonicalScale(spec.Experiments.Scale),
-			Instructions: spec.Experiments.Instructions,
-			Fidelity:     canonicalFidelity(spec.Fidelity),
-		}
+		sub := resolveExperiments(spec)
+		c.Experiments = &sub
 	case spec.MonteCarlo != nil:
-		def := montecarlo.DefaultConfig()
-		sub := canonicalMonteCarlo{Trials: spec.MonteCarlo.Trials, Seed: spec.Seed}
-		if sub.Trials == 0 {
-			sub.Trials = def.Trials
-		}
-		if sub.Seed == 0 {
-			sub.Seed = def.Seed
-		}
-		c.MonteCarlo = &sub
+		cfg := resolveMonteCarlo(spec)
+		c.MonteCarlo = &canonicalMonteCarlo{Trials: cfg.Trials, Seed: cfg.Seed}
 		// The campaign seed lives in the sub-spec after defaulting; zero the
 		// top-level copy so "seed omitted" and "seed": 2009 hash equal.
 		c.Seed = 0

@@ -15,8 +15,8 @@ func mustHash(t *testing.T, spec JobSpec) string {
 }
 
 // TestSpecHashFoldsDefaults pins the canonicalization rules: every folded
-// default must hash identically to its explicit value, because run.go
-// provably executes the two the same way.
+// default must hash identically to its explicit value, because the
+// resolvers the unit executor runs from map the two to the same values.
 func TestSpecHashFoldsDefaults(t *testing.T) {
 	cases := []struct {
 		name string
@@ -134,14 +134,56 @@ func TestSpecHashSeparatesResults(t *testing.T) {
 	}
 }
 
-// TestSpecHashPinned pins one literal hash. If this test fails, the
-// canonical encoding changed: bump specHashVersion, because old and new
-// daemons would otherwise split one store's cache between two keyings.
+// TestSpecHashPinned pins literal hashes, one per kind and defaulting
+// shape. If this test fails, the canonical encoding changed: bump
+// specHashVersion, because old and new daemons would otherwise split one
+// store's cache between two keyings.
 func TestSpecHashPinned(t *testing.T) {
-	spec := JobSpec{Kind: KindMonteCarlo, Seed: 2009, MonteCarlo: &MonteCarloSpec{Trials: 25}}
-	const want = "3bbaf6c5039004b29e44492a30e00cc2f5c4e88b237a67dd859252fcb2124931"
-	if got := mustHash(t, spec); got != want {
-		t.Fatalf("SpecHash = %s, want %s (canonical encoding changed? bump specHashVersion)", got, want)
+	cases := []struct {
+		name string
+		spec JobSpec
+		want string
+	}{
+		{
+			"montecarlo",
+			JobSpec{Kind: KindMonteCarlo, Seed: 2009, MonteCarlo: &MonteCarloSpec{Trials: 25}},
+			"3bbaf6c5039004b29e44492a30e00cc2f5c4e88b237a67dd859252fcb2124931",
+		},
+		{
+			"set by number, scale and instructions defaulted",
+			JobSpec{Kind: KindSet, Set: &SetSpec{Set: 1}},
+			"893233914fe22a0b75c0f0a29cfc6cc3da59f5d4227ab6a7d98e0fdeaaba74eb",
+		},
+		{
+			"set as a workload list",
+			JobSpec{Kind: KindSet, Set: &SetSpec{Workloads: experiments.TableIIISets[1][:]}},
+			"7110235fc5eb0cfa0c03cf0cb265f2970d8a082c8986322e392766a43a235cce",
+		},
+		{
+			"fast set",
+			JobSpec{Kind: KindSet, Fidelity: "fast", Set: &SetSpec{Set: 3, Instructions: 300_000, EpochCycles: 200_000}},
+			"ed640b8d3a4e02e14328479bd9e8954a92a08d04c46113c5d4dd3faa2469cc95",
+		},
+		{
+			"experiments, instructions defaulted",
+			JobSpec{Kind: KindExperiments, Experiments: &ExperimentsSpec{}},
+			"8a93a9ca9706653f63daa4baa683d23f50e090b7ae0056141f3b620160e85f70",
+		},
+		{
+			"experiments, explicit budget",
+			JobSpec{Kind: KindExperiments, Experiments: &ExperimentsSpec{Instructions: 60_000}},
+			"e0086641f3e1b0f29e38cfed44610f37c22835629fc5e9ec0da677031ecfe3b5",
+		},
+		{
+			"fast experiments",
+			JobSpec{Kind: KindExperiments, Fidelity: "fast", Experiments: &ExperimentsSpec{}},
+			"183b1288eb8cf077f645f5f3e0a6cea104dcd5fdd6516c07b41f31fc83bb0d9e",
+		},
+	}
+	for _, c := range cases {
+		if got := mustHash(t, c.spec); got != c.want {
+			t.Errorf("%s: SpecHash = %s, want %s (canonical encoding changed? bump specHashVersion)", c.name, got, c.want)
+		}
 	}
 }
 

@@ -21,7 +21,9 @@ import (
 //	         200 JobRecord      duplicate: an existing job already serves
 //	                            this submission (in-flight coalesce or
 //	                            content-addressed cache hit on its report)
-//	         400                malformed or invalid spec
+//	         400                malformed body or structurally invalid spec
+//	         422                well-formed spec naming an impossible job
+//	                            (unknown fidelity, fast Monte Carlo)
 //	         429                queue full (backpressure; nothing stored)
 //	         503                draining (shutdown; nothing stored)
 //	         500                store/commit failure
@@ -73,7 +75,9 @@ import (
 //	                           409 lease lost (already expired/stolen)
 //	POST /v1/work/complete     upload a shard's unit results -> 204
 //	                           (idempotent); 404 job not distributing;
-//	                           409 unit count does not match the shard
+//	                           409 unit count does not match the shard;
+//	                           422 payload does not hash to its declared
+//	                           sum (corrupt upload; the shard re-leases)
 //	GET  /v1/jobs/{id}/shards  live shard table -> 200 [ShardStatus];
 //	                           404 job not currently distributing
 func (s *Service) Handler() http.Handler {

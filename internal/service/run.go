@@ -4,9 +4,7 @@ import (
 	"context"
 	"os"
 
-	"bankaware/internal/experiments"
 	"bankaware/internal/metrics"
-	"bankaware/internal/montecarlo"
 	"bankaware/internal/runner"
 )
 
@@ -66,106 +64,39 @@ func (s *Service) workersFor(spec JobSpec) int {
 	return s.cfg.Workers
 }
 
-func scaleFor(name string) experiments.Scale {
-	if name == "full" {
-		return experiments.ScaleFull
-	}
-	return experiments.ScaleModel
-}
-
-// runJob executes the job's campaign through the same internal entry points
-// bankaware.Runner uses and builds the report with the same builders — the
-// stored report bytes are exactly what a direct Runner run with the same
-// parameters would have written.
+// runJob executes the job's campaign and returns its report. A
+// coordinator shards the units out to pulling workers; a single-node daemon
+// computes the whole unit range itself. Either way the units go through
+// executeShardUnits and mergeUnits, the same library entry points and
+// assemblers bankaware.Runner uses, so the stored report bytes are exactly
+// what a direct Runner run with the same parameters would have written.
 func (s *Service) runJob(ctx context.Context, jb *job) (*metrics.Report, error) {
 	if s.coord != nil {
-		// Coordinator mode: the campaign executes on pulling workers, and
-		// the merged report is byte-identical to the local paths below.
 		return s.runDistributed(ctx, jb)
 	}
-	spec := jb.spec
-	switch spec.Kind {
-	case KindSet:
-		return s.runSet(ctx, jb)
-	case KindExperiments:
-		return s.runExperiments(ctx, jb)
-	default: // KindMonteCarlo; Validate admits nothing else
-		return s.runMonteCarlo(ctx, jb)
+	opt := shardOptions{Workers: s.workersFor(jb.spec), Progress: s.progressFor(jb), Sample: s.sampleFor(jb)}
+	if jb.spec.Kind == KindMonteCarlo {
+		// Every Monte Carlo job keeps a checkpoint journal: completed trials
+		// survive a drain or crash, and the resumed campaign's report is
+		// byte-identical to an uninterrupted one (montecarlo's contract).
+		journal, err := runner.OpenJournal(s.store.JournalPath(jb.id))
+		if err != nil {
+			return nil, err
+		}
+		opt.Journal = journal
 	}
-}
-
-func (s *Service) experimentOptions(jb *job) experiments.Options {
-	return experiments.Options{
-		Workers:    s.workersFor(jb.spec),
-		Progress:   s.progressFor(jb),
-		Sample:     s.sampleFor(jb),
-		Seed:       jb.spec.Seed,
-		Observe:    jb.spec.Observe,
-		SimWorkers: jb.spec.SimWorkers,
-		Fidelity:   fidelityFor(jb.spec),
+	units, err := executeShardUnits(ctx, jb.spec, 0, campaignUnits(jb.spec), opt)
+	if opt.Journal != nil {
+		if closeErr := opt.Journal.Close(); err == nil {
+			err = closeErr
+		}
+		if err == nil {
+			// The campaign finished; the journal has served its purpose.
+			os.Remove(s.store.JournalPath(jb.id))
+		}
 	}
-}
-
-func (s *Service) runSet(ctx context.Context, jb *job) (*metrics.Report, error) {
-	sub := jb.spec.Set
-	cfg := scaleFor(sub.Scale).Config()
-	if sub.EpochCycles > 0 {
-		cfg.EpochCycles = sub.EpochCycles
-	}
-	instructions := sub.Instructions
-	if instructions == 0 {
-		// Mirror Runner.RunSet: zero selects the model-scale default.
-		instructions = experiments.ScaleModel.DefaultInstructions()
-	}
-	workloads := sub.Workloads
-	if sub.Set != 0 {
-		workloads = experiments.TableIIISets[sub.Set-1][:]
-	}
-	res, err := experiments.RunSetContext(ctx, cfg, sub.Set, workloads, instructions, s.experimentOptions(jb))
 	if err != nil {
 		return nil, err
 	}
-	return res.Report(), nil
-}
-
-func (s *Service) runExperiments(ctx context.Context, jb *job) (*metrics.Report, error) {
-	sub := jb.spec.Experiments
-	res, err := experiments.RunFig8Fig9Context(ctx, scaleFor(sub.Scale), sub.Instructions, s.experimentOptions(jb))
-	if err != nil {
-		return nil, err
-	}
-	return res.Report(), nil
-}
-
-func (s *Service) runMonteCarlo(ctx context.Context, jb *job) (*metrics.Report, error) {
-	cfg := montecarlo.DefaultConfig()
-	if jb.spec.MonteCarlo.Trials > 0 {
-		cfg.Trials = jb.spec.MonteCarlo.Trials
-	}
-	if jb.spec.Seed != 0 {
-		cfg.Seed = jb.spec.Seed
-	}
-	// Every Monte Carlo job keeps a checkpoint journal: completed trials
-	// survive a drain or crash, and the resumed campaign's report is
-	// byte-identical to an uninterrupted one (montecarlo's contract).
-	journal, err := runner.OpenJournal(s.store.JournalPath(jb.id))
-	if err != nil {
-		return nil, err
-	}
-	opt := montecarlo.Options{
-		Workers:  s.workersFor(jb.spec),
-		Progress: s.progressFor(jb),
-		Journal:  journal,
-	}
-	res, err := montecarlo.RunContext(ctx, cfg, opt)
-	closeErr := journal.Close()
-	if err != nil {
-		return nil, err
-	}
-	if closeErr != nil {
-		return nil, closeErr
-	}
-	// The campaign finished; the journal has served its purpose.
-	os.Remove(s.store.JournalPath(jb.id))
-	return res.Report(), nil
+	return mergeUnits(jb.spec, units)
 }

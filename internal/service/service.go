@@ -65,9 +65,6 @@ type Config struct {
 	// ShardUnits caps how many campaign units one shard carries; zero
 	// selects units/16 (at least 1).
 	ShardUnits int
-	// MaxShardAttempts bounds lease grants per shard before the job fails
-	// permanently (a shard that crashes every worker it lands on). Default 5.
-	MaxShardAttempts int
 	// ScrubEvery, when positive, runs a background integrity scrub over the
 	// store at that interval: every stored report and shard partial is
 	// re-hashed against the run ledger, mismatches are quarantined and the

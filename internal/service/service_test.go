@@ -146,6 +146,49 @@ func TestSimWorkersIsExecutionKnob(t *testing.T) {
 	}
 }
 
+// TestExperimentsJobServiceVsDirect serves an observed, seeded Figs. 8/9
+// campaign on a plain daemon and on a coordinator whose 5-unit shards
+// straddle Table III set boundaries: both stored reports must be
+// byte-identical to the direct library run.
+func TestExperimentsJobServiceVsDirect(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full Figs. 8/9 campaign in -short mode")
+	}
+	const budget, seed = 20_000, 7
+	res, err := experiments.RunFig8Fig9Context(context.Background(), experiments.ScaleModel, budget,
+		experiments.Options{Observe: true, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := res.Report().WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Kind: KindExperiments, Seed: seed, Observe: true, Experiments: &ExperimentsSpec{Instructions: budget}}
+
+	serve := func(t *testing.T, svc *Service) {
+		t.Helper()
+		rec, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitState(t, svc, rec.ID, StateDone)
+		if got := reportBytes(t, svc, rec.ID); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("served experiments report differs from the direct library run (%d vs %d bytes)", len(got), want.Len())
+		}
+	}
+	t.Run("single-node", func(t *testing.T) {
+		svc, _ := startHTTP(t, Config{Workers: 2}, true)
+		serve(t, svc)
+	})
+	t.Run("coordinator", func(t *testing.T) {
+		svc, ts := startHTTP(t, Config{Coordinator: true, LeaseTTL: 5 * time.Second, ShardUnits: 5}, true)
+		startWorker(t, ts, "w0", nil)
+		startWorker(t, ts, "w1", nil)
+		serve(t, svc)
+	})
+}
+
 func TestQueueBackpressure(t *testing.T) {
 	// No Start: nothing dequeues, so the queue fills deterministically.
 	svc, err := New(Config{Dir: t.TempDir(), QueueCap: 2})

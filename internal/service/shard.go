@@ -12,26 +12,13 @@ import (
 )
 
 // This file maps job kinds onto campaign units — the indivisible pieces a
-// distributed job shards into — and implements both sides of the shard
-// contract: executeShardUnits (what a worker computes for units [from, to))
-// and mergeUnits (how a coordinator folds every unit back into the report).
-// The invariant both sides rely on: unit u of spec S is a pure function of
-// (S, u), with identical defaulting to the single-node paths in run.go, so
-// any worker computes the same bytes and the merge reproduces the
-// single-node report exactly.
-
-// effectiveMonteCarloConfig resolves a Monte Carlo spec exactly as
-// runMonteCarlo does: defaults, then Trials and Seed overrides.
-func effectiveMonteCarloConfig(spec JobSpec) montecarlo.Config {
-	cfg := montecarlo.DefaultConfig()
-	if spec.MonteCarlo.Trials > 0 {
-		cfg.Trials = spec.MonteCarlo.Trials
-	}
-	if spec.Seed != 0 {
-		cfg.Seed = spec.Seed
-	}
-	return cfg
-}
+// job decomposes into — and implements both sides of the unit contract:
+// executeShardUnits (what a worker computes for units [from, to), and what
+// a single-node daemon computes for the whole range) and mergeUnits (how
+// every unit folds back into the report). Both execution modes run this one
+// path, reading the spec through the resolvers in hash.go, so unit u of
+// spec S is a pure function of (S, u) and a distributed job's merged report
+// is byte-identical to a single-node one by construction.
 
 // campaignUnits returns how many units spec's campaign decomposes into:
 // one per Monte Carlo trial, one per policy simulation of a set run, one
@@ -43,19 +30,22 @@ func campaignUnits(spec JobSpec) int {
 	case KindExperiments:
 		return experiments.CampaignUnits
 	default: // KindMonteCarlo; Validate admits nothing else
-		return effectiveMonteCarloConfig(spec).Trials
+		return resolveMonteCarlo(spec).Trials
 	}
 }
 
-// shardOptions tunes the execution of one shard on a worker.
+// shardOptions tunes the execution of a unit range.
 type shardOptions struct {
-	// Workers bounds the fan-out within the shard.
+	// Workers bounds the fan-out within the range.
 	Workers int
-	// Progress receives engine events (the worker daemon's own registry and
-	// event hub, not the coordinator's).
+	// Progress receives engine events (the executing daemon's own registry
+	// and event hub).
 	Progress runner.ProgressFunc
+	// Sample, when non-nil, receives the detailed simulations' live epoch
+	// samples (a single-node job's SSE stream; workers pass nil).
+	Sample func(run string, s metrics.EpochSample)
 	// Journal checkpoints completed units keyed by their offset within the
-	// shard, so a worker resuming a re-leased shard skips finished units.
+	// range, so a resumed range skips finished units.
 	Journal *runner.Journal
 }
 
@@ -69,53 +59,41 @@ func executeShardUnits(ctx context.Context, spec JobSpec, from, to int, opt shar
 	if from < 0 || to > total || from >= to {
 		return nil, fmt.Errorf("service: shard [%d, %d) out of range for %d units", from, to, total)
 	}
-	switch spec.Kind {
-	case KindMonteCarlo:
-		cfg := effectiveMonteCarloConfig(spec)
-		trials, err := montecarlo.RunShardContext(ctx, cfg, from, to, montecarlo.Options{
+	if spec.Kind == KindMonteCarlo {
+		trials, err := montecarlo.RunShardContext(ctx, resolveMonteCarlo(spec), from, to, montecarlo.Options{
 			Workers: opt.Workers, Progress: opt.Progress, Journal: opt.Journal,
 		})
 		if err != nil {
 			return nil, err
 		}
 		return encodeUnits(trials)
-	case KindSet:
-		sub := spec.Set
-		cfg := scaleFor(sub.Scale).Config()
-		if sub.EpochCycles > 0 {
-			cfg.EpochCycles = sub.EpochCycles
-		}
-		instructions := sub.Instructions
-		if instructions == 0 {
-			instructions = experiments.ScaleModel.DefaultInstructions()
-		}
-		workloads := sub.Workloads
-		if sub.Set != 0 {
-			workloads = experiments.TableIIISets[sub.Set-1][:]
-		}
-		eopt := experiments.Options{Observe: spec.Observe, SimWorkers: spec.SimWorkers, Fidelity: fidelityFor(spec)}
-		runs, err := runner.Map(ctx, runner.Config{
-			Workers: opt.Workers, Progress: opt.Progress, Journal: opt.Journal,
-		}, to-from, func(ctx context.Context, u int) (experiments.PolicyRun, error) {
-			return experiments.RunSetPolicyContext(ctx, cfg, workloads, instructions, from+u, eopt)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return encodeUnits(runs)
-	default: // KindExperiments
-		sub := spec.Experiments
-		eopt := experiments.Options{Observe: spec.Observe, SimWorkers: spec.SimWorkers, Fidelity: fidelityFor(spec)}
-		runs, err := runner.Map(ctx, runner.Config{
-			Workers: opt.Workers, Progress: opt.Progress, Journal: opt.Journal,
-		}, to-from, func(ctx context.Context, u int) (experiments.PolicyRun, error) {
-			return experiments.RunCampaignUnitContext(ctx, scaleFor(sub.Scale), sub.Instructions, from+u, eopt)
-		})
-		if err != nil {
-			return nil, err
-		}
-		return encodeUnits(runs)
 	}
+	eopt := experiments.Options{
+		Seed: spec.Seed, Observe: spec.Observe, Sample: opt.Sample,
+		SimWorkers: spec.SimWorkers, Fidelity: fidelityFor(spec),
+	}
+	var unit func(ctx context.Context, u int) (experiments.PolicyRun, error)
+	if spec.Kind == KindSet {
+		set := resolveSet(spec)
+		cfg, workloads := set.config(), set.workloads()
+		unit = func(ctx context.Context, u int) (experiments.PolicyRun, error) {
+			return experiments.RunSetPolicyContext(ctx, cfg, workloads, set.Instructions, u, eopt)
+		}
+	} else { // KindExperiments
+		exp := resolveExperiments(spec)
+		unit = func(ctx context.Context, u int) (experiments.PolicyRun, error) {
+			return experiments.RunCampaignUnitContext(ctx, scaleFor(exp.Scale), exp.Instructions, u, eopt)
+		}
+	}
+	runs, err := runner.Map(ctx, runner.Config{
+		Workers: opt.Workers, Progress: opt.Progress, Journal: opt.Journal,
+	}, to-from, func(ctx context.Context, u int) (experiments.PolicyRun, error) {
+		return unit(ctx, from+u)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return encodeUnits(runs)
 }
 
 // encodeUnits marshals each unit result to its wire form.
@@ -144,48 +122,37 @@ func decodeUnits[T any](units []json.RawMessage) ([]T, error) {
 }
 
 // mergeUnits folds a complete campaign's units (all of them, in unit
-// order) into the job report, using the same assemblers and report
-// builders the single-node paths use — so the merged bytes match a
-// single-node run of the same spec exactly.
+// order) into the job report with the library's own assemblers — the ones
+// behind experiments.RunSetContext, RunFig8Fig9Context and
+// montecarlo.RunContext — so the bytes match a direct library run.
 func mergeUnits(spec JobSpec, units []json.RawMessage) (*metrics.Report, error) {
 	if got, want := len(units), campaignUnits(spec); got != want {
 		return nil, fmt.Errorf("service: merge needs %d units, got %d", want, got)
 	}
-	switch spec.Kind {
-	case KindMonteCarlo:
+	if spec.Kind == KindMonteCarlo {
 		trials, err := decodeUnits[montecarlo.Trial](units)
 		if err != nil {
 			return nil, err
 		}
 		return montecarlo.Assemble(trials).Report(), nil
-	case KindSet:
-		runs, err := decodeUnits[experiments.PolicyRun](units)
+	}
+	runs, err := decodeUnits[experiments.PolicyRun](units)
+	if err != nil {
+		return nil, err
+	}
+	if spec.Kind == KindSet {
+		set := resolveSet(spec)
+		res, err := experiments.AssembleSetResult(set.Set, set.workloads(), runs, spec.Observe, fidelityFor(spec))
 		if err != nil {
 			return nil, err
 		}
-		sub := spec.Set
-		workloads := sub.Workloads
-		if sub.Set != 0 {
-			workloads = experiments.TableIIISets[sub.Set-1][:]
-		}
-		res, err := experiments.AssembleSetResult(sub.Set, workloads, runs, spec.Observe)
-		if err != nil {
-			return nil, err
-		}
-		res.Fidelity = fidelityStamp(spec)
-		return res.Report(), nil
-	default: // KindExperiments
-		runs, err := decodeUnits[experiments.PolicyRun](units)
-		if err != nil {
-			return nil, err
-		}
-		res, err := experiments.AssembleFig8Fig9(runs, spec.Observe)
-		if err != nil {
-			return nil, err
-		}
-		res.Fidelity = fidelityStamp(spec)
 		return res.Report(), nil
 	}
+	res, err := experiments.AssembleFig8Fig9(runs, spec.Observe, fidelityFor(spec))
+	if err != nil {
+		return nil, err
+	}
+	return res.Report(), nil
 }
 
 // planShards splits n units into contiguous shards of at most size units.

@@ -249,12 +249,3 @@ func fidelityFor(spec JobSpec) experiments.Fidelity {
 	}
 	return f
 }
-
-// fidelityStamp is the result/report fidelity tag of a spec: "fast" for
-// fast jobs, empty for detailed ones (whose bytes predate the field).
-func fidelityStamp(spec JobSpec) string {
-	if fidelityFor(spec) == experiments.FidelityFast {
-		return string(experiments.FidelityFast)
-	}
-	return ""
-}

@@ -48,8 +48,6 @@ type WorkerConfig struct {
 	// Poll is the idle sleep between lease attempts when the coordinator
 	// has no work. Default 250ms.
 	Poll time.Duration
-	// Client is the HTTP client; nil selects a default with sane timeouts.
-	Client *http.Client
 	// OnShard, when non-nil, observes shard lifecycle stages (logging,
 	// chaos-test instrumentation: the e2e kill test uses the start stage to
 	// SIGKILL a worker mid-shard).
@@ -65,12 +63,8 @@ func (c WorkerConfig) poll() time.Duration {
 	return 250 * time.Millisecond
 }
 
-func (c WorkerConfig) client() *http.Client {
-	if c.Client != nil {
-		return c.Client
-	}
-	return &http.Client{Timeout: 5 * time.Minute}
-}
+// workerClient carries every worker request to the coordinator.
+var workerClient = &http.Client{Timeout: 5 * time.Minute}
 
 // Worker is one pulling execution daemon: it leases shards from a
 // coordinator, executes them unit by unit with a checkpoint journal,
@@ -348,7 +342,7 @@ func (w *Worker) post(path string, body any, out io.Writer) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.cfg.client().Do(req)
+	resp, err := workerClient.Do(req)
 	if err != nil {
 		return &transportError{err}
 	}
@@ -413,7 +407,7 @@ func (w *Worker) fail(g *ShardGrant, cause error) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := w.cfg.client().Do(req)
+	resp, err := workerClient.Do(req)
 	if err != nil {
 		return &transportError{err}
 	}
