@@ -27,11 +27,9 @@ import (
 
 	"bankaware/internal/core"
 	"bankaware/internal/experiments"
-	"bankaware/internal/fastsim"
 	"bankaware/internal/faults"
 	"bankaware/internal/metrics"
 	"bankaware/internal/runner"
-	"bankaware/internal/sim"
 	"bankaware/internal/trace"
 )
 
@@ -124,16 +122,11 @@ func main() {
 				fatal(err)
 			}
 		}
-		sys, err := newSystem(runFid, cfg, p, specs)
+		sys, err := experiments.NewEngine(runFid, cfg, p, specs)
 		if err != nil {
 			fatal(err)
 		}
-		runSystem(ctx, sys, budget, *report, debugReg, rc.Workloads, runFid)
-		fmt.Print(sys.Result(rc.Workloads).String())
-		if *showAlloc {
-			fmt.Println("\nfinal allocation:")
-			fmt.Print(sys.Allocation().String())
-		}
+		runSystem(ctx, sys, budget, *simWork, *report, debugReg, rc.Workloads, runFid, *showAlloc)
 		return
 	}
 
@@ -212,43 +205,20 @@ func main() {
 	if plan != nil {
 		simCfg.Faults = plan
 	}
-	sys, err := newSystem(fidelity, simCfg, p, specs)
+	sys, err := experiments.NewEngine(fidelity, simCfg, p, specs)
 	if err != nil {
 		fatal(err)
 	}
-	runSystem(ctx, sys, budget, *report, debugReg, names, fidelity)
-	fmt.Print(sys.Result(names).String())
-	if *showAlloc {
-		fmt.Println("\nfinal allocation:")
-		fmt.Print(sys.Allocation().String())
-	}
+	runSystem(ctx, sys, budget, *simWork, *report, debugReg, names, fidelity, *showAlloc)
 }
 
-// system is the engine surface the CLI drives — sim.System and
-// fastsim.System both satisfy it.
-type system interface {
-	EnableMetrics(rec *metrics.Recorder) *metrics.Recorder
-	RunContext(ctx context.Context, instructions uint64) error
-	ResetStats()
-	Policy() core.Policy
-	Result(workloads []string) sim.Result
-	RunReport(name string, workloads []string) metrics.RunReport
-	Allocation() *core.Allocation
-}
-
-// newSystem constructs the engine for the chosen fidelity.
-func newSystem(f experiments.Fidelity, cfg sim.Config, p core.Policy, specs []trace.Spec) (system, error) {
-	if f == experiments.FidelityFast {
-		return fastsim.New(cfg, p, specs)
-	}
-	return sim.New(cfg, p, specs)
-}
-
-// runSystem executes one simulation under the standard protocol (warm-up,
-// stats reset, measured phase), attaching the observation layer when a
-// report is requested or a debug registry is being served, and writes the
-// single-run report if asked for.
-func runSystem(ctx context.Context, sys system, budget uint64, reportPath string, debugReg *metrics.Registry, workloads []string, fidelity experiments.Fidelity) {
+// runSystem executes one simulation with simWorkers execution lanes under
+// the standard protocol (warm-up, stats reset, measured phase), attaching
+// the observation layer when a report is requested or a debug registry is
+// being served. It writes the single-run report if asked for and prints
+// the result, plus the final allocation with showAlloc.
+func runSystem(ctx context.Context, sys experiments.Engine, budget uint64, simWorkers int, reportPath string, debugReg *metrics.Registry, workloads []string, fidelity experiments.Fidelity, showAlloc bool) {
+	sys.SetSimWorkers(simWorkers)
 	observe := reportPath != "" || debugReg != nil
 	if observe {
 		var rec *metrics.Recorder
@@ -267,14 +237,17 @@ func runSystem(ctx context.Context, sys system, budget uint64, reportPath string
 	if reportPath != "" {
 		rep := metrics.NewReport("simulation")
 		rep.Label = sys.Policy().Name()
-		if fidelity == experiments.FidelityFast {
-			rep.Fidelity = string(experiments.FidelityFast)
-		}
+		rep.Fidelity = experiments.FidelityTag(fidelity)
 		rep.Runs = append(rep.Runs, sys.RunReport("", workloads))
 		if err := rep.WriteFile(reportPath); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("wrote run report to %s\n", reportPath)
+	}
+	fmt.Print(sys.Result(workloads).String())
+	if showAlloc {
+		fmt.Println("\nfinal allocation:")
+		fmt.Print(sys.Allocation().String())
 	}
 }
 

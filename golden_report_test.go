@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"bankaware"
@@ -31,18 +32,40 @@ func goldenReport(t *testing.T, workers int, opts ...bankaware.RunnerOption) []b
 	return buf.Bytes()
 }
 
-// TestGoldenRunReport pins the run-report JSON end to end: schema, field
-// layout, and every value of a fixed-seed campaign. A deliberate schema or
-// behaviour change regenerates the file with `go test -run Golden -update`;
-// anything else failing here is an unintended drift in either the simulator
-// or the report encoding.
+// goldenFiles pins one report per engine: the same fixed-seed campaign run
+// by the detailed simulator and by the interval-model fast tier.
+var goldenFiles = []struct {
+	fidelity bankaware.Fidelity
+	file     string
+}{
+	{bankaware.FidelityDetailed, "golden-set1-report.json"},
+	{bankaware.FidelityFast, "golden-set1-fast-report.json"},
+}
+
+// TestGoldenRunReport pins the run-report JSON end to end for each engine:
+// schema, field layout, and every value of a fixed-seed campaign. A
+// deliberate schema or behaviour change regenerates the files with
+// `go test -run Golden -update`; anything else failing here is an
+// unintended drift in either engine or the report encoding.
 func TestGoldenRunReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full set evaluation in -short mode")
 	}
-	got := goldenReport(t, 1)
+	for _, g := range goldenFiles {
+		t.Run(string(g.fidelity), func(t *testing.T) {
+			if g.fidelity == bankaware.FidelityFast && runtime.GOARCH != "amd64" {
+				t.Skipf("fast golden bytes are pinned on amd64: the Go spec lets %s fuse floating-point multiply-adds, and the fast tier's trajectories are built from them", runtime.GOARCH)
+			}
+			checkGoldenReport(t, goldenReport(t, 1, bankaware.WithFidelity(g.fidelity)), g.file)
+		})
+	}
+}
 
-	path := filepath.Join("testdata", "golden-set1-report.json")
+// checkGoldenReport compares a report against its golden file (rewriting
+// the file first under -update) and checks the acceptance shape.
+func checkGoldenReport(t *testing.T, got []byte, file string) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)

@@ -209,7 +209,7 @@ type PolicyRun struct {
 // measurement window; sample, when non-nil, taps the measured phase's epoch
 // samples live.
 func runPolicy(ctx context.Context, cfg sim.Config, specs []trace.Spec, proto core.Policy, workloads []string, instructions uint64, fidelity Fidelity, simWorkers int, observe bool, sample func(metrics.EpochSample)) (PolicyRun, error) {
-	sys, err := newEngine(fidelity, cfg, core.ClonePolicy(proto), specs)
+	sys, err := NewEngine(fidelity, cfg, core.ClonePolicy(proto), specs)
 	if err != nil {
 		return PolicyRun{}, err
 	}
@@ -288,7 +288,7 @@ func AssembleSetResult(set int, workloads []string, runs []PolicyRun, observe bo
 		return nil, fmt.Errorf("experiments: set assembly needs %d policy runs, got %d", SetPolicies, len(runs))
 	}
 	r := newSetResult(set, workloads, runs[0].Result, runs[1].Result, runs[2].Result)
-	r.Fidelity = fidelityTag(fidelity)
+	r.Fidelity = FidelityTag(fidelity)
 	// Reports are retained only under explicit Observe: a Sample hook alone
 	// attaches the recorder for its live tap but leaves the campaign result
 	// — and so the emitted report bytes — exactly as an unobserved run.
@@ -375,7 +375,7 @@ func AssembleFig8Fig9(runs []PolicyRun, observe bool, fidelity Fidelity) (*Fig8F
 	if len(runs) != CampaignUnits {
 		return nil, fmt.Errorf("experiments: campaign assembly needs %d units, got %d", CampaignUnits, len(runs))
 	}
-	out := &Fig8Fig9Result{Fidelity: fidelityTag(fidelity)}
+	out := &Fig8Fig9Result{Fidelity: FidelityTag(fidelity)}
 	var me, mb, ce, cb []float64
 	for i := range TableIIISets {
 		r := newSetResult(i+1, TableIIISets[i][:],

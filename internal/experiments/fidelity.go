@@ -51,35 +51,38 @@ func Fidelities() []string {
 	return []string{string(FidelityDetailed), string(FidelityFast)}
 }
 
-// engine is the simulation surface runPolicy drives. sim.System and
-// fastsim.System both implement it; which one backs a run is decided by
-// Options.Fidelity.
-type engine interface {
+// Engine is the simulation surface one run drives. sim.System and
+// fastsim.System both implement it, serving everything but RunContext and
+// SetSimWorkers from their shared sim.Accounting; which one backs a run is
+// decided by its fidelity.
+type Engine interface {
 	SetSimWorkers(int)
 	EnableMetrics(rec *metrics.Recorder) *metrics.Recorder
 	RunContext(ctx context.Context, instructions uint64) error
 	ResetStats()
+	Policy() core.Policy
+	Allocation() *core.Allocation
 	Result(workloads []string) sim.Result
 	RunReport(name string, workloads []string) metrics.RunReport
 }
 
-// newEngine constructs the engine for one run at the given fidelity.
-func newEngine(f Fidelity, cfg sim.Config, policy core.Policy, specs []trace.Spec) (engine, error) {
+// NewEngine constructs the engine for one run at the given fidelity.
+func NewEngine(f Fidelity, cfg sim.Config, policy core.Policy, specs []trace.Spec) (Engine, error) {
 	if f == FidelityFast {
 		return fastsim.New(cfg, policy, specs)
 	}
 	return sim.New(cfg, policy, specs)
 }
 
-// fidelityTag is the result/report stamp for a fidelity: detailed runs
+// FidelityTag is the result/report stamp for a fidelity: detailed runs
 // stamp nothing (their result and report bytes predate the fidelity field
 // and must not change), fast runs stamp "fast".
-func fidelityTag(f Fidelity) string {
+func FidelityTag(f Fidelity) string {
 	if f == FidelityFast {
 		return string(FidelityFast)
 	}
 	return ""
 }
 
-var _ engine = (*sim.System)(nil)
-var _ engine = (*fastsim.System)(nil)
+var _ Engine = (*sim.System)(nil)
+var _ Engine = (*fastsim.System)(nil)

@@ -19,12 +19,13 @@ import (
 
 // System is the fast-path counterpart of sim.System: same construction
 // inputs, same run protocol (cumulative instruction targets, stats reset,
-// metrics recording), same Result/RunReport shapes — but cores advance in
-// closed form between epoch events instead of event by event. See the
-// package comment for the model.
+// metrics recording) — but cores advance in closed form between epoch
+// events instead of event by event. See the package comment for the model.
+// The embedded sim.Accounting turns the modelled trajectories into results
+// and run reports, exactly as it does the detailed engine's counters.
 type System struct {
-	cfg    sim.Config
-	policy core.Policy
+	*sim.Accounting
+	cfg sim.Config
 
 	profs []*profile
 	// actN[c][i] is the activation threshold of depth atom i of core c: the
@@ -45,7 +46,6 @@ type System struct {
 	capSolves map[solveKey]*capSolve
 	replays   map[uint64]*windowResult
 
-	alloc   *core.Allocation
 	allocFP uint64
 	rings   [nuca.NumCores][]int
 
@@ -53,7 +53,7 @@ type System struct {
 	// time (cores cluster after the resume snap; a finished core freezes),
 	// instr the cumulative retired instructions (exactly integral at run
 	// ends: finishes set the target exactly). The l1Acc/l2Acc/l2Miss
-	// accumulators are expectations, rounded only at reporting time.
+	// accumulators are expectations, rounded only by counters.
 	clock, instr             [nuca.NumCores]float64
 	l1Acc, l2Acc, l2Miss     [nuca.NumCores]float64
 	profA                    [nuca.NumCores]float64
@@ -62,22 +62,9 @@ type System struct {
 	finished                 [nuca.NumCores]bool
 
 	nextEpoch float64
-	epochs    int
-
-	// Measurement-window baselines (rounded snapshots from ResetStats).
-	baseInstr, baseL1, baseL2, baseMiss [nuca.NumCores]uint64
-	baseCycles                          [nuca.NumCores]int64
-
-	// Observation layer, mirroring sim.System's.
-	rec       *metrics.Recorder
-	winInstr  [nuca.NumCores]uint64
-	winCycles [nuca.NumCores]int64
-	winL2     [nuca.NumCores]uint64
-	winMiss   [nuca.NumCores]uint64
 
 	curves   []core.MissCurve
 	curveBuf [nuca.NumCores][]float64
-	weights  [nuca.NumCores]float64
 }
 
 // solveKey identifies one steady capacity state: the installed allocation
@@ -208,10 +195,14 @@ func New(cfg sim.Config, policy core.Policy, specs []trace.Spec) (*System, error
 	}
 	s := &System{
 		cfg:       cfg,
-		policy:    policy,
 		capSolves: map[solveKey]*capSolve{},
 		replays:   map[uint64]*windowResult{},
 	}
+	s.Accounting = sim.NewAccounting(policy, nil, sim.Probes{
+		Counters:  s.counters,
+		Occupancy: s.bankOccupancy,
+		Register:  s.registerGauges,
+	})
 	// Profile passes are independent fixed-seed measurements, so build
 	// them concurrently; profileFor single-flights duplicates. The derived
 	// curves below stay sequential — their arithmetic order is part of the
@@ -263,16 +254,6 @@ func New(cfg sim.Config, policy core.Policy, specs []trace.Spec) (*System, error
 	return s, nil
 }
 
-// Policy returns the active policy.
-func (s *System) Policy() core.Policy { return s.policy }
-
-// Allocation returns the current physical allocation.
-func (s *System) Allocation() *core.Allocation { return s.alloc }
-
-// Epochs returns how many repartitionings have run (including the initial
-// one).
-func (s *System) Epochs() int { return s.epochs }
-
 // SetSimWorkers mirrors sim.System.SetSimWorkers. The interval model has
 // no intra-run event loop to parallelise, so every lane count runs the same
 // closed-form advancement; the knob is accepted (and ignored) so callers
@@ -302,10 +283,9 @@ func allocFingerprint(a *core.Allocation) uint64 {
 	return h.Sum64()
 }
 
-// repartition mirrors sim.System.repartition: read the (modelled) profiler
+// repartition follows sim.System.repartition: read the (modelled) profiler
 // curves, feed miss-cost weights to feedback policies, run the policy,
-// validate and install the allocation, sample the closing window, decay the
-// profiler accumulators.
+// validate and install the allocation, decay the profiler accumulators.
 func (s *System) repartition(now float64) error {
 	if s.curves == nil {
 		s.curves = make([]core.MissCurve, nuca.NumCores)
@@ -332,21 +312,20 @@ func (s *System) repartition(now float64) error {
 		s.curves[c] = core.MissCurve(buf)
 		s.lastRepartN[c] = s.l2Acc[c]
 	}
-	if fp, ok := s.policy.(core.FeedbackPolicy); ok {
-		fp.SetFeedback(s.missCostWeights())
+	policy := s.Policy()
+	if fp, ok := policy.(core.FeedbackPolicy); ok {
+		fp.SetFeedback(s.MissCostWeights(func(c int) (float64, float64) {
+			return s.epochMissCyc[c], s.epochMissN[c]
+		}))
 	}
-	alloc, err := s.policy.Allocate(s.curves)
+	alloc, err := policy.Allocate(s.curves)
 	if err != nil {
-		return fmt.Errorf("fastsim: %s allocation failed: %w", s.policy.Name(), err)
+		return fmt.Errorf("fastsim: %s allocation failed: %w", policy.Name(), err)
 	}
 	if err := alloc.Validate(); err != nil {
-		return fmt.Errorf("fastsim: %s produced invalid allocation: %w", s.policy.Name(), err)
+		return fmt.Errorf("fastsim: %s produced invalid allocation: %w", policy.Name(), err)
 	}
-	if s.rec != nil && s.alloc != nil {
-		s.sampleWindow(int64(math.Round(now)))
-		s.recordAllocEvents(alloc, s.alloc, len(s.rec.Samples), int64(math.Round(now)))
-	}
-	s.alloc = alloc
+	s.Install(alloc, int64(math.Round(now)))
 	s.allocFP = allocFingerprint(alloc)
 	for c := 0; c < nuca.NumCores; c++ {
 		ring := s.rings[c][:0]
@@ -361,36 +340,7 @@ func (s *System) repartition(now float64) error {
 		s.profA[c] *= 0.5
 		s.epochMissCyc[c], s.epochMissN[c] = 0, 0
 	}
-	s.epochs++
 	return nil
-}
-
-// missCostWeights mirrors sim.System.missCostWeights: per-core average miss
-// latency relative to the across-core mean; zero for cores with no misses.
-func (s *System) missCostWeights() []float64 {
-	avg := s.weights[:]
-	for c := range avg {
-		avg[c] = 0
-	}
-	var sum float64
-	var n int
-	for c := range avg {
-		if s.epochMissN[c] > 0 {
-			avg[c] = s.epochMissCyc[c] / s.epochMissN[c]
-			sum += avg[c]
-			n++
-		}
-	}
-	if n == 0 {
-		return avg
-	}
-	mean := sum / float64(n)
-	for c := range avg {
-		if avg[c] > 0 {
-			avg[c] /= mean
-		}
-	}
-	return avg
 }
 
 // capacityFor computes (or returns the cached) capacity state for the
@@ -408,7 +358,8 @@ func (s *System) capacityFor(active [nuca.NumCores]bool) *capSolve {
 		return cs
 	}
 	cs := &capSolve{}
-	if !s.alloc.Hashed {
+	alloc := s.Allocation()
+	if !alloc.Hashed {
 		for c := 0; c < nuca.NumCores; c++ {
 			if !active[c] {
 				continue
@@ -416,7 +367,7 @@ func (s *System) capacityFor(active [nuca.NumCores]bool) *capSolve {
 			var groups []int
 			total := 0
 			for b := 0; b < nuca.NumBanks; b++ {
-				if k := s.alloc.WaysIn(c, b); k > 0 {
+				if k := alloc.WaysIn(c, b); k > 0 {
 					groups = append(groups, k)
 					total += k
 				}
@@ -501,7 +452,7 @@ func (s *System) replayFor(m2 [nuca.NumCores]float64, active [nuca.NumCores]bool
 	if r, ok := s.replays[key]; ok {
 		return r
 	}
-	p := windowParams{active: active, m2: q, hashed: s.alloc.Hashed}
+	p := windowParams{active: active, m2: q, hashed: s.Allocation().Hashed}
 	for c := 0; c < nuca.NumCores; c++ {
 		p.rings[c] = s.rings[c]
 		p.wbFrac[c] = s.profs[c].effWbFrac()
@@ -650,11 +601,6 @@ func (s *System) RunContext(ctx context.Context, instructions uint64) error {
 	}
 }
 
-// Run is RunContext without cancellation.
-func (s *System) Run(instructions uint64) error {
-	return s.RunContext(context.Background(), instructions)
-}
-
 func roundU(x float64) uint64 {
 	if x <= 0 {
 		return 0
@@ -662,121 +608,45 @@ func roundU(x float64) uint64 {
 	return uint64(math.Round(x))
 }
 
-// ResetStats mirrors sim.System.ResetStats: snapshot the measurement-window
-// baselines and realign the observation layer.
-func (s *System) ResetStats() {
-	for c := 0; c < nuca.NumCores; c++ {
-		s.baseInstr[c] = roundU(s.instr[c])
-		s.baseCycles[c] = int64(math.Round(s.clock[c]))
-		s.baseL1[c] = roundU(s.l1Acc[c])
-		s.baseL2[c] = roundU(s.l2Acc[c])
-		s.baseMiss[c] = roundU(s.l2Miss[c])
-	}
-	if s.rec != nil {
-		s.rec.ResetSeries()
-		s.seedWindowBaselines()
-		s.recordAllocEvents(s.alloc, nil, 0, s.maxNow())
+// counters is core c's sim.Accounting probe: the modelled trajectories,
+// rounded to integers.
+func (s *System) counters(c int) sim.Counters {
+	return sim.Counters{
+		Instructions: roundU(s.instr[c]),
+		Cycles:       int64(math.Round(s.clock[c])),
+		L1Accesses:   roundU(s.l1Acc[c]),
+		L2Accesses:   roundU(s.l2Acc[c]),
+		L2Misses:     roundU(s.l2Miss[c]),
 	}
 }
 
-// EnableMetrics mirrors sim.System.EnableMetrics. The fast engine has no
-// per-component counters to register — its report's Metrics section carries
-// the engine-level gauges only, which is part of why fast reports are
-// distinct artifacts from detailed ones.
-func (s *System) EnableMetrics(rec *metrics.Recorder) *metrics.Recorder {
-	if rec == nil {
-		rec = metrics.NewRecorder()
-	}
-	s.rec = rec
-	rec.Registry.RegisterFunc("sim.epochs", func() float64 { return float64(s.epochs) })
-	rec.Registry.RegisterFunc("fastsim.capacity_solves", func() float64 { return float64(len(s.capSolves)) })
-	rec.Registry.RegisterFunc("fastsim.replays", func() float64 { return float64(len(s.replays)) })
-	s.seedWindowBaselines()
-	s.recordAllocEvents(s.alloc, nil, 0, s.maxNow())
-	return rec
+// registerGauges is the sim.Accounting registry probe. The fast engine has
+// no per-component counters to register — its report's Metrics section
+// carries the engine-level gauges only, which is part of why fast reports
+// are distinct artifacts from detailed ones.
+func (s *System) registerGauges(reg *metrics.Registry) {
+	reg.RegisterFunc("fastsim.capacity_solves", func() float64 { return float64(len(s.capSolves)) })
+	reg.RegisterFunc("fastsim.replays", func() float64 { return float64(len(s.replays)) })
 }
 
-// Observed returns the attached recorder (nil unless EnableMetrics ran).
-func (s *System) Observed() *metrics.Recorder { return s.rec }
-
-func (s *System) maxNow() int64 {
-	var t float64
-	for c := range s.clock {
-		if s.clock[c] > t {
-			t = s.clock[c]
-		}
-	}
-	return int64(math.Round(t))
-}
-
-func (s *System) seedWindowBaselines() {
-	for c := 0; c < nuca.NumCores; c++ {
-		s.winInstr[c] = roundU(s.instr[c])
-		s.winCycles[c] = int64(math.Round(s.clock[c]))
-		s.winL2[c] = roundU(s.l2Acc[c])
-		s.winMiss[c] = roundU(s.l2Miss[c])
-	}
-}
-
-// sampleWindow mirrors sim.System.sampleWindow.
-func (s *System) sampleWindow(now int64) {
-	cores := make([]metrics.CoreSample, nuca.NumCores)
-	active := false
-	for c := 0; c < nuca.NumCores; c++ {
-		instr := roundU(s.instr[c]) - s.winInstr[c]
-		cyc := int64(math.Round(s.clock[c])) - s.winCycles[c]
-		acc := roundU(s.l2Acc[c]) - s.winL2[c]
-		miss := roundU(s.l2Miss[c]) - s.winMiss[c]
-		cs := metrics.CoreSample{
-			Instructions: instr,
-			Cycles:       cyc,
-			L2Accesses:   acc,
-			L2Misses:     miss,
-			Ways:         s.alloc.Ways[c],
-		}
-		if acc > 0 {
-			cs.MissRate = float64(miss) / float64(acc)
-		}
-		if cyc > 0 {
-			cs.IPC = float64(instr) / float64(cyc)
-		}
-		if instr > 0 || acc > 0 {
-			active = true
-		}
-		cores[c] = cs
-	}
-	if !active {
-		return
-	}
-	s.seedWindowBaselines()
-	sample := metrics.EpochSample{
-		Epoch:         len(s.rec.Samples) + 1,
-		EndCycle:      now,
-		Cores:         cores,
-		BankOccupancy: s.bankOccupancy(),
-	}
-	s.rec.Samples = append(s.rec.Samples, sample)
-	if s.rec.OnSample != nil {
-		s.rec.OnSample(sample)
-	}
-}
-
-// bankOccupancy estimates resident lines per bank from each workload's
-// working-set function: a core's touched-block count, capped at its
-// partition capacity and spread over its banks proportionally to its ways.
+// bankOccupancy is the sim.Accounting occupancy probe. It estimates
+// resident lines per bank from each workload's working-set function: a
+// core's touched-block count, capped at its partition capacity and spread
+// over its banks proportionally to its ways.
 func (s *System) bankOccupancy() []int {
+	alloc := s.Allocation()
 	occ := make([]float64, nuca.NumBanks)
 	bankCap := float64(s.cfg.BankSets * nuca.WaysPerBank)
 	for c := 0; c < nuca.NumCores; c++ {
 		foot := s.profs[c].distinctAfter(s.l2Acc[c])
-		if s.alloc.Hashed {
+		if alloc.Hashed {
 			share := foot / nuca.NumBanks
 			for b := range occ {
 				occ[b] += share
 			}
 			continue
 		}
-		ways := s.alloc.Ways[c]
+		ways := alloc.Ways[c]
 		if ways == 0 {
 			continue
 		}
@@ -785,7 +655,7 @@ func (s *System) bankOccupancy() []int {
 			foot = partCap
 		}
 		for b := 0; b < nuca.NumBanks; b++ {
-			if k := s.alloc.WaysIn(c, b); k > 0 {
+			if k := alloc.WaysIn(c, b); k > 0 {
 				occ[b] += foot * float64(k) / float64(ways)
 			}
 		}
@@ -798,106 +668,4 @@ func (s *System) bankOccupancy() []int {
 		out[b] = int(math.Round(occ[b]))
 	}
 	return out
-}
-
-func (s *System) recordAllocEvents(next, old *core.Allocation, epoch int, cycle int64) {
-	for _, ch := range next.DiffFrom(old) {
-		s.rec.Events = append(s.rec.Events, metrics.PartitionEvent{
-			Epoch:    epoch,
-			Cycle:    cycle,
-			Policy:   s.policy.Name(),
-			Core:     ch.Core,
-			OldWays:  ch.OldWays,
-			NewWays:  ch.NewWays,
-			OldBanks: ch.OldBanks,
-			NewBanks: ch.NewBanks,
-		})
-	}
-}
-
-// Result mirrors sim.System.Result over the modelled trajectories.
-func (s *System) Result(workloads []string) sim.Result {
-	r := sim.Result{Policy: s.policy.Name(), Epochs: s.epochs}
-	var cpis []float64
-	for c := 0; c < nuca.NumCores; c++ {
-		inst := roundU(s.instr[c]) - s.baseInstr[c]
-		cyc := int64(math.Round(s.clock[c])) - s.baseCycles[c]
-		cr := sim.CoreResult{
-			Instructions: inst,
-			Cycles:       cyc,
-			L1Accesses:   roundU(s.l1Acc[c]) - s.baseL1[c],
-			L2Accesses:   roundU(s.l2Acc[c]) - s.baseL2[c],
-			L2Misses:     roundU(s.l2Miss[c]) - s.baseMiss[c],
-			Ways:         s.alloc.Ways[c],
-		}
-		if len(workloads) == nuca.NumCores {
-			cr.Workload = workloads[c]
-		}
-		if inst > 0 {
-			cr.CPI = float64(cyc) / float64(inst)
-			cpis = append(cpis, cr.CPI)
-		}
-		r.Cores[c] = cr
-		r.TotalL2Accesses += cr.L2Accesses
-		r.TotalL2Misses += cr.L2Misses
-	}
-	if r.TotalL2Accesses > 0 {
-		r.MissRatio = float64(r.TotalL2Misses) / float64(r.TotalL2Accesses)
-	}
-	var sum float64
-	for _, v := range cpis {
-		sum += v
-	}
-	if len(cpis) > 0 {
-		r.MeanCPI = sum / float64(len(cpis))
-	}
-	return r
-}
-
-// RunReport mirrors sim.System.RunReport.
-func (s *System) RunReport(name string, workloads []string) metrics.RunReport {
-	res := s.Result(workloads)
-	if name == "" {
-		name = res.Policy
-	}
-	rr := metrics.RunReport{
-		Name:      name,
-		Policy:    res.Policy,
-		Workloads: append([]string(nil), workloads...),
-		Epochs:    res.Epochs,
-		Totals: metrics.RunTotals{
-			L2Accesses: res.TotalL2Accesses,
-			L2Misses:   res.TotalL2Misses,
-			MissRatio:  res.MissRatio,
-			MeanCPI:    res.MeanCPI,
-		},
-	}
-	for c := 0; c < nuca.NumCores; c++ {
-		cr := res.Cores[c]
-		ct := metrics.CoreTotals{
-			Workload:     cr.Workload,
-			Instructions: cr.Instructions,
-			Cycles:       cr.Cycles,
-			L1Accesses:   cr.L1Accesses,
-			L2Accesses:   cr.L2Accesses,
-			L2Misses:     cr.L2Misses,
-			CPI:          cr.CPI,
-			Ways:         cr.Ways,
-		}
-		if cr.L2Accesses > 0 {
-			ct.MissRate = float64(cr.L2Misses) / float64(cr.L2Accesses)
-		}
-		if cr.Cycles > 0 {
-			ct.IPC = float64(cr.Instructions) / float64(cr.Cycles)
-		}
-		rr.Cores = append(rr.Cores, ct)
-	}
-	if s.rec != nil {
-		s.sampleWindow(s.maxNow())
-		rr.EpochSeries = append([]metrics.EpochSample(nil), s.rec.Samples...)
-		rr.PartitionEvents = append([]metrics.PartitionEvent(nil), s.rec.Events...)
-		rr.FaultEvents = append([]metrics.FaultEvent(nil), s.rec.Faults...)
-		rr.Metrics = s.rec.Registry.Snapshot()
-	}
-	return rr
 }

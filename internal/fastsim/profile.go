@@ -21,11 +21,12 @@
 //     and bank timelines, which turns miss ratios into CPI with the same
 //     queueing/overlap mechanics as the detailed engine.
 //
-// fastsim.System mirrors sim.System's run semantics (cumulative
+// fastsim.System follows sim.System's run semantics (cumulative
 // instruction targets, epoch repartitioning through the real policy
-// objects, stats reset, metrics recording) so experiments can swap one
-// for the other behind the Fidelity option. All arithmetic is fixed-order
-// float64 with no wall-clock or map-iteration dependence, so reports are
+// objects) and embeds the same sim.Accounting for stats reset, metrics
+// recording, results and reports, so experiments can swap one for the
+// other behind the Fidelity option. All arithmetic is fixed-order float64
+// with no wall-clock or map-iteration dependence, so reports are
 // byte-stable for any worker count.
 package fastsim
 

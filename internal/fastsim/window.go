@@ -332,7 +332,7 @@ func (s *System) replayWindow(p windowParams) windowResult {
 			}
 		}
 		router := nuca.RouterOf(bank)
-		drop := dropLatency(bank)
+		drop := nuca.DropLatency(bank)
 		reqArrive := net.Transfer(c, router, issueAt, s.cfg.ReqFlits) + drop
 		bankStart := reqArrive
 		if bankFree[bank] > bankStart {
@@ -382,13 +382,3 @@ func (s *System) replayWindow(p windowParams) windowResult {
 	}
 	return res
 }
-
-// dropLatency mirrors sim.dropLatency: the one-way extra hop of a Center
-// bank's drop link.
-func dropLatency(bank int) int64 {
-	if nuca.BankKind(bank) == nuca.Center {
-		return int64((nuca.MaxLatency - nuca.MinLatency) / (2 * 7))
-	}
-	return 0
-}
-

@@ -90,6 +90,17 @@ func RouterOf(b int) int {
 	return r
 }
 
+// DropLatency returns the extra one-way latency of bank b's drop link: a
+// Center bank's +1 hop is not part of the router chain, so it costs half a
+// per-hop round trip on top of the chain transfer to RouterOf(b). Local
+// banks sit on the chain and add nothing.
+func DropLatency(b int) int64 {
+	if BankKind(b) == Center {
+		return (MaxLatency - MinLatency) / (2 * maxHops)
+	}
+	return 0
+}
+
 // Hops returns the network distance between core c and bank b: the chain
 // hops to the bank's router, plus one for a Center bank's drop link.
 func Hops(core, bank int) int {

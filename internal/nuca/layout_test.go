@@ -160,3 +160,32 @@ func TestBoundsPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestDropLatencyCenterConstant pins the Center-bank drop-link latency to
+// the Table I derivation: half of the (MaxLatency-MinLatency)/7 per-hop
+// round trip, and zero for chain banks.
+func TestDropLatencyCenterConstant(t *testing.T) {
+	want := int64((MaxLatency - MinLatency) / (2 * 7))
+	if want <= 0 {
+		t.Fatalf("derived Center drop latency %d not positive; Table I constants changed?", want)
+	}
+	centers, chains := 0, 0
+	for b := 0; b < NumBanks; b++ {
+		got := DropLatency(b)
+		switch BankKind(b) {
+		case Center:
+			centers++
+			if got != want {
+				t.Fatalf("bank %d (Center): DropLatency %d, want %d", b, got, want)
+			}
+		default:
+			chains++
+			if got != 0 {
+				t.Fatalf("bank %d (%v): DropLatency %d, want 0", b, BankKind(b), got)
+			}
+		}
+	}
+	if centers == 0 || chains == 0 {
+		t.Fatalf("bank classification degenerate: %d center, %d chain", centers, chains)
+	}
+}

@@ -255,32 +255,3 @@ func TestHashBankDistribution(t *testing.T) {
 		}
 	}
 }
-
-// TestDropLatencyCenterConstant pins the Center-bank drop-link latency to
-// the Table I derivation: half of the (MaxLatency-MinLatency)/7 per-hop
-// round trip, and zero for chain banks.
-func TestDropLatencyCenterConstant(t *testing.T) {
-	want := int64((nuca.MaxLatency - nuca.MinLatency) / (2 * 7))
-	if want <= 0 {
-		t.Fatalf("derived Center drop latency %d not positive; Table I constants changed?", want)
-	}
-	centers, chains := 0, 0
-	for b := 0; b < nuca.NumBanks; b++ {
-		got := dropLatency(b)
-		switch nuca.BankKind(b) {
-		case nuca.Center:
-			centers++
-			if got != want {
-				t.Fatalf("bank %d (Center): dropLatency %d, want %d", b, got, want)
-			}
-		default:
-			chains++
-			if got != 0 {
-				t.Fatalf("bank %d (%v): dropLatency %d, want 0", b, nuca.BankKind(b), got)
-			}
-		}
-	}
-	if centers == 0 || chains == 0 {
-		t.Fatalf("bank classification degenerate: %d center, %d chain", centers, chains)
-	}
-}

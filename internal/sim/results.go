@@ -35,38 +35,6 @@ type Result struct {
 	Epochs  int
 }
 
-// Result snapshots the measurement window (everything since the last
-// ResetStats, or the whole run).
-func (s *System) Result(workloads []string) Result {
-	r := Result{Policy: s.policy.Name(), Epochs: s.epochs}
-	var cpis []float64
-	for c := 0; c < nuca.NumCores; c++ {
-		inst := s.cores[c].Instructions() - s.baseInstr[c]
-		cyc := s.cores[c].Now() - s.baseCycles[c]
-		cr := CoreResult{
-			Instructions: inst,
-			Cycles:       cyc,
-			L1Accesses:   s.l1Hits[c] + s.l1Misses[c],
-			L2Accesses:   s.l1Misses[c],
-			L2Misses:     s.l2Misses[c],
-			Ways:         s.alloc.Ways[c],
-		}
-		if len(workloads) == nuca.NumCores {
-			cr.Workload = workloads[c]
-		}
-		if inst > 0 {
-			cr.CPI = float64(cyc) / float64(inst)
-			cpis = append(cpis, cr.CPI)
-		}
-		r.Cores[c] = cr
-		r.TotalL2Accesses += cr.L2Accesses
-		r.TotalL2Misses += cr.L2Misses
-	}
-	r.MissRatio = stats.Ratio(float64(r.TotalL2Misses), float64(r.TotalL2Accesses))
-	r.MeanCPI = stats.Mean(cpis)
-	return r
-}
-
 // String renders a per-core table plus totals.
 func (r Result) String() string {
 	var b strings.Builder

@@ -151,10 +151,12 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// System is one simulated machine instance.
+// System is one simulated machine instance. Its embedded Accounting owns
+// the allocation in effect and turns the per-core counters into results
+// and run reports.
 type System struct {
-	cfg    Config
-	policy core.Policy
+	*Accounting
+	cfg Config
 
 	cores   []*cpu.Core
 	streams []trace.Stream
@@ -165,7 +167,6 @@ type System struct {
 	dram    *mem.Memory
 	profs   []*msa.Profiler
 
-	alloc     *core.Allocation
 	coreBanks [nuca.NumCores][]int // per-core placement ring (bank repeated per owned way)
 	bankList  [nuca.NumCores][]int // per-core owned banks, unique, in bank order
 	rr        [nuca.NumCores]int
@@ -175,12 +176,11 @@ type System struct {
 	// events so the steady-state step loop allocates nothing. Curve buffers
 	// come in two sets ping-ponged between epochs: lastCurves always refers
 	// to the set written one epoch ago, so the stale-profiler replay reads
-	// intact data while the other set is overwritten in place. weightBuf and
-	// ownerBuf are safe to reuse because SetFeedback and SetWayOwners copy.
+	// intact data while the other set is overwritten in place. ownerBuf is
+	// safe to reuse because SetWayOwners copies.
 	curveSets [2][]core.MissCurve
 	curveBufs [2][nuca.NumCores][]float64
 	curveFlip int
-	weightBuf [nuca.NumCores]float64
 	ownerBuf  [nuca.WaysPerBank]cache.OwnerMask
 	invalBuf  []int
 
@@ -206,10 +206,11 @@ type System struct {
 
 	nextEpoch int64
 	nextCheck int64
-	epochs    int
 	// quarter-window miss volumes for the adaptive-epoch phase detector.
 	quarterMisses, prevQuarter [nuca.NumCores]uint64
 
+	// Cumulative per-core access counters; Accounting reads them through
+	// counters and takes the measurement baseline.
 	l1Hits, l1Misses [nuca.NumCores]uint64
 	l2Hits, l2Misses [nuca.NumCores]uint64
 	finished         [nuca.NumCores]bool
@@ -219,21 +220,9 @@ type System struct {
 	epochMissCycles [nuca.NumCores]int64
 	epochMisses     [nuca.NumCores]uint64
 
-	// Measurement-window baselines, captured by ResetStats so warm-up
-	// activity is excluded from reported results.
-	baseInstr  [nuca.NumCores]uint64
-	baseCycles [nuca.NumCores]int64
-
-	// Observation layer (nil unless EnableMetrics was called): the
-	// recorder collecting epoch samples and partition events, the
-	// miss-latency histogram, and per-core baselines marking where the
-	// current epoch window started.
-	rec         *metrics.Recorder
-	missLat     *metrics.Histogram
-	winInstr    [nuca.NumCores]uint64
-	winCycles   [nuca.NumCores]int64
-	winL2Access [nuca.NumCores]uint64
-	winL2Miss   [nuca.NumCores]uint64
+	// missLat is the L2 miss-latency histogram (nil unless EnableMetrics
+	// was called).
+	missLat *metrics.Histogram
 }
 
 // New builds a system running the given workload specs (one per core) under
@@ -271,7 +260,6 @@ func NewWithStreams(cfg Config, policy core.Policy, streams []trace.Stream) (*Sy
 	}
 	s := &System{
 		cfg:     cfg,
-		policy:  policy,
 		streams: streams,
 		dir:     coherence.NewDirectory(),
 		// One-way per-hop wire latency: half of the paper's 60/7-cycle
@@ -304,6 +292,11 @@ func NewWithStreams(cfg Config, policy core.Policy, streams []trace.Stream) (*Sy
 		}
 		s.banks[b] = bank
 	}
+	s.Accounting = NewAccounting(policy, cfg.Faults, Probes{
+		Counters:  s.counters,
+		Occupancy: s.bankOccupancy,
+		Register:  s.registerMetrics,
+	})
 	s.nextEpoch = cfg.EpochCycles
 	s.nextCheck = cfg.EpochCycles / 4
 	if err := s.repartition(0); err != nil {
@@ -312,15 +305,47 @@ func NewWithStreams(cfg Config, policy core.Policy, streams []trace.Stream) (*Sy
 	return s, nil
 }
 
-// Policy returns the active policy.
-func (s *System) Policy() core.Policy { return s.policy }
+// counters is core c's Accounting probe. Every L1 miss goes on to the L2
+// within the same step, so L1 misses are the L2 accesses.
+func (s *System) counters(c int) Counters {
+	return Counters{
+		Instructions: s.cores[c].Instructions(),
+		Cycles:       s.cores[c].Now(),
+		L1Accesses:   s.l1Hits[c] + s.l1Misses[c],
+		L2Accesses:   s.l1Misses[c],
+		L2Misses:     s.l2Misses[c],
+	}
+}
 
-// Allocation returns the current physical allocation.
-func (s *System) Allocation() *core.Allocation { return s.alloc }
+// bankOccupancy is the Accounting probe for resident lines per L2 bank.
+func (s *System) bankOccupancy() []int {
+	occ := make([]int, nuca.NumBanks)
+	for b := range s.banks {
+		occ[b] = s.banks[b].ValidLines()
+	}
+	return occ
+}
 
-// Epochs returns how many repartitionings have run (including the initial
-// one).
-func (s *System) Epochs() int { return s.epochs }
+// missLatencyBounds bucket the end-to-end L2 miss latency (issue to fill)
+// around the 260-cycle DRAM access plus network and queueing.
+var missLatencyBounds = []float64{300, 400, 600, 1000, 2000, 5000}
+
+// registerMetrics is the Accounting probe that registers every component's
+// counters and starts the L2 miss-latency histogram.
+func (s *System) registerMetrics(reg *metrics.Registry) {
+	for c := 0; c < nuca.NumCores; c++ {
+		s.cores[c].RegisterMetrics(reg, fmt.Sprintf("cpu.core%d", c))
+		s.l1s[c].RegisterMetrics(reg, fmt.Sprintf("l1.core%d", c))
+		s.profs[c].RegisterMetrics(reg, fmt.Sprintf("msa.core%d", c))
+	}
+	for b := range s.banks {
+		s.banks[b].RegisterMetrics(reg, fmt.Sprintf("l2.bank%d", b))
+	}
+	s.dram.RegisterMetrics(reg, "dram")
+	s.net.RegisterMetrics(reg, "net")
+	s.dir.RegisterMetrics(reg, "coherence")
+	s.missLat = reg.Histogram("l2.miss_latency", missLatencyBounds)
+}
 
 // DirectoryStats returns the MOESI directory's protocol counters.
 func (s *System) DirectoryStats() coherence.Stats { return s.dir.Stats() }
@@ -338,9 +363,8 @@ func (s *System) DRAMStats() mem.Stats { return s.dram.Stats() }
 
 // repartition runs the policy on the profilers' current curves and installs
 // the resulting way masks. now is the cycle at which the boundary fired
-// (zero for the initial allocation); the observation layer samples the
-// closing epoch window and records the allocation diff before the new
-// masks take effect.
+// (zero for the initial allocation); Install samples the closing epoch
+// window and records the allocation diff before the new masks take effect.
 func (s *System) repartition(now int64) error {
 	// Parallel runs: settle every queued profiler access before the curves
 	// (and the decay below) read the profilers.
@@ -384,7 +408,9 @@ func (s *System) repartition(now int64) error {
 		s.lastCurves = curves
 	}
 	if fp, ok := s.policy.(core.FeedbackPolicy); ok {
-		fp.SetFeedback(s.missCostWeights())
+		fp.SetFeedback(s.MissCostWeights(func(c int) (float64, float64) {
+			return float64(s.epochMissCycles[c]), float64(s.epochMisses[c])
+		}))
 	}
 	var alloc *core.Allocation
 	var err error
@@ -408,14 +434,7 @@ func (s *System) repartition(now int64) error {
 	if err := alloc.Validate(); err != nil {
 		return fmt.Errorf("sim: %s produced invalid allocation: %w", s.policy.Name(), err)
 	}
-	if s.rec != nil && s.alloc != nil {
-		// Close the epoch window under the outgoing allocation, then log
-		// what the policy changed and which faults opened here.
-		s.sampleWindow(now)
-		s.recordAllocEvents(alloc, s.alloc, len(s.rec.Samples), now)
-		s.recordFaultEvents(s.cfg.Faults.StartingAt(epoch), len(s.rec.Samples), now)
-	}
-	s.alloc = alloc
+	s.Install(alloc, now)
 	for b := range s.banks {
 		owners := s.ownerBuf[:]
 		copy(owners, alloc.WayOwners[b][:])
@@ -460,38 +479,7 @@ func (s *System) repartition(now int64) error {
 	for c := range s.epochMissCycles {
 		s.epochMissCycles[c], s.epochMisses[c] = 0, 0
 	}
-	s.epochs++
 	return nil
-}
-
-// missCostWeights summarises the epoch's memory-subsystem pressure per
-// core: each core's average miss latency relative to the across-core mean.
-// Cores whose misses queued longest get weights above one. Cores with no
-// misses report zero (FeedbackPolicy keeps their previous weight).
-func (s *System) missCostWeights() []float64 {
-	avg := s.weightBuf[:]
-	for c := range avg {
-		avg[c] = 0
-	}
-	var sum float64
-	var n int
-	for c := range avg {
-		if s.epochMisses[c] > 0 {
-			avg[c] = float64(s.epochMissCycles[c]) / float64(s.epochMisses[c])
-			sum += avg[c]
-			n++
-		}
-	}
-	if n == 0 {
-		return avg
-	}
-	mean := sum / float64(n)
-	for c := range avg {
-		if avg[c] > 0 {
-			avg[c] /= mean
-		}
-	}
-	return avg
 }
 
 // hashBank statically maps a block address to one of n banks, mixing the
@@ -502,15 +490,6 @@ func hashBank(addr trace.Addr, n int) int {
 	blk *= 0x9e3779b97f4a7c15
 	blk ^= blk >> 29
 	return int(blk % uint64(n))
-}
-
-// dropLatency is the extra one-way latency of a Center bank's drop link
-// (its +1 hop is not part of the router chain).
-func dropLatency(bank int) int64 {
-	if nuca.BankKind(bank) == nuca.Center {
-		return int64((nuca.MaxLatency - nuca.MinLatency) / (2 * 7))
-	}
-	return 0
 }
 
 // step advances core c by one memory access. Returns the core's new local
@@ -640,7 +619,7 @@ func (s *System) l2Access(c int, addr trace.Addr, write bool, issueAt int64) int
 	}
 
 	// Request path.
-	reqArrive := s.net.Transfer(c, nuca.RouterOf(target), issueAt, s.cfg.ReqFlits) + dropLatency(target)
+	reqArrive := s.net.Transfer(c, nuca.RouterOf(target), issueAt, s.cfg.ReqFlits) + nuca.DropLatency(target)
 	bankStart := reqArrive
 	if s.bankFree[target] > bankStart {
 		bankStart = s.bankFree[target]
@@ -666,12 +645,12 @@ func (s *System) l2Access(c int, addr trace.Addr, write bool, issueAt int64) int
 
 	if hit {
 		s.l2Hits[c]++
-		start := dataReady + dropLatency(target)
+		start := dataReady + nuca.DropLatency(target)
 		return s.net.Transfer(nuca.RouterOf(target), c, start, s.cfg.DataFlits)
 	}
 	s.l2Misses[c]++
 	memDone := s.dram.Request(uint64(addr), dataReady)
-	start := memDone + dropLatency(target)
+	start := memDone + nuca.DropLatency(target)
 	done := s.net.Transfer(nuca.RouterOf(target), c, start, s.cfg.DataFlits)
 	s.epochMissCycles[c] += done - issueAt
 	s.epochMisses[c]++
@@ -768,33 +747,21 @@ func (s *System) phaseShifted() bool {
 	return shifted
 }
 
-// ResetStats zeroes the measurement counters after warm-up, keeping all
+// ResetStats opens the measurement window after warm-up, keeping all
 // cache, profiler and timing state. Every shared-resource counter resets
-// together — DRAM channels and the MOESI directory included — so
+// with it — banks, DRAM channels and the MOESI directory included — so
 // DRAMStats/DirectoryStats report the measurement window only, consistent
-// with Result. The observation layer realigns with the window: recorded
-// samples and events are dropped and the current allocation is re-logged
-// as the window's initial state.
+// with Result. The observation layer realigns with the window (see
+// Accounting.ResetStats).
 func (s *System) ResetStats() {
-	for c := 0; c < nuca.NumCores; c++ {
-		s.l1Hits[c], s.l1Misses[c] = 0, 0
-		s.l2Hits[c], s.l2Misses[c] = 0, 0
-		s.baseInstr[c] = s.cores[c].Instructions()
-		s.baseCycles[c] = s.cores[c].Now()
-	}
 	for b := range s.banks {
 		s.banks[b].ResetStats()
 	}
 	s.net.ResetStats()
 	s.dram.ResetStats()
 	s.dir.ResetStats()
-	if s.rec != nil {
-		s.rec.ResetSeries()
-		if s.missLat != nil {
-			s.missLat.Reset()
-		}
-		s.seedWindowBaselines()
-		s.recordAllocEvents(s.alloc, nil, 0, s.maxNow())
-		s.recordFaultEvents(s.cfg.Faults.ActiveAt(s.epochs-1), 0, s.maxNow())
+	if s.missLat != nil {
+		s.missLat.Reset()
 	}
+	s.Accounting.ResetStats()
 }
