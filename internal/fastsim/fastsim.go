@@ -41,6 +41,9 @@ type System struct {
 	curveSH [nuca.NumCores][][]float64
 	shapes  [nuca.NumCores][]float64 // steady missProjected at the profiler view
 
+	// streams are the micro-replay event streams, drawn as replays first
+	// read them; missFlags keeps each core's miss-flag storage from one
+	// replay to the next.
 	streams   []coreStream
 	missFlags [nuca.NumCores][]bool
 	capSolves map[solveKey]*capSolve
@@ -159,15 +162,6 @@ const hashedIterations = 3
 // less than the accuracy envelope and bounds the number of micro-replays
 // per run.
 const m2Quantum = 0.02
-
-// transientCPIDiscount scales the cold-start transient's contribution to
-// the miss ratio the *replay* sees (miss counting always uses the full
-// transient integral). Cold-start misses walk contiguous fresh blocks into
-// still-empty queues, so they pipeline through banks and DRAM far better
-// than steady-state conflict misses; charging them at full steady latency
-// overstates warm-up time and, through the resume snap, every light core's
-// measured CPI.
-const transientCPIDiscount = 1.0
 
 // New builds a fast-path system over the same inputs as sim.New. It
 // rejects configurations whose semantics the interval model does not
@@ -519,7 +513,7 @@ func (s *System) RunContext(ctx context.Context, instructions uint64) error {
 		var m2 [nuca.NumCores]float64
 		for c := range active {
 			if active[c] {
-				m2[c] = cs.m2[c] + transientCPIDiscount*cs.extraAt(c, s.l2Acc[c])
+				m2[c] = cs.m2[c] + cs.extraAt(c, s.l2Acc[c])
 			}
 		}
 		res := s.replayFor(m2, active)

@@ -2,7 +2,7 @@ package fastsim
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"bankaware/internal/cpu"
 	"bankaware/internal/interconnect"
@@ -17,16 +17,21 @@ import (
 // interconnect.Network (including its future-reservation link queueing,
 // which dominates hashed-mode latency), the real mem.Memory channels and
 // the per-bank busy timelines — but replaces the *state* machinery (cache
-// banks, MSA profiler, directory, trace generators) with pre-drawn
-// synthetic streams classified against the model's probabilities. The
-// generator emits i.i.d. category draws, so a Bernoulli hit/miss stream
-// with the right ratio is statistically faithful; stratified selection
-// (exact counts per block of consecutive L2 events) removes most sampling
-// noise while preserving the burstiness that drives MSHR/ROB overlap.
+// banks, MSA profiler, directory, trace generators) with synthetic
+// streams classified against the model's probabilities. The generator
+// emits i.i.d. category draws, so a Bernoulli hit/miss stream with the
+// right ratio is statistically faithful; stratified selection (exact
+// counts per block of consecutive L2 events) removes most sampling noise
+// while preserving the burstiness that drives MSHR/ROB overlap.
 //
-// All streams are drawn once per System from the run seed, so window CPI
-// is a smooth deterministic function of (allocation, active set, miss
-// ratios): byte-stable across runs and worker counts by construction.
+// Each System fixes every core's stream from the run seed at
+// construction: its generator and its length n. Events are drawn lazily,
+// a block at a time, as replays first read them, and kept for later
+// replays; a replay reads only a few percent of n. Because a block's
+// draws never depend on when it is drawn, the stream — and so window
+// CPI — is a smooth deterministic function of (allocation, active set,
+// miss ratios): byte-stable across runs and worker counts by
+// construction.
 const (
 	// windowCycles is the simulated span of one window; windowWarm is the
 	// prefix excluded from measurement (cold timelines, empty MSHRs).
@@ -37,7 +42,7 @@ const (
 	missStride = 64
 )
 
-// microEvent is one pre-drawn memory access of the synthetic stream.
+// microEvent is one memory access of the synthetic stream.
 type microEvent struct {
 	gap  int32   // non-memory instructions before this access
 	isL2 bool    // true when the access misses the L1 (stratified on h1)
@@ -47,151 +52,256 @@ type microEvent struct {
 	uC   float64 // DRAM channel spread draw
 }
 
-// coreStream is one core's pre-drawn event stream plus derived indexing.
+// coreStream is one core's event stream, drawn on demand in blocks of
+// missStride events, plus derived indexing over the drawn prefix.
 type coreStream struct {
-	events []microEvent
-	l2Idx  []int32 // indices of L2 events, in stream order
+	n        int // full length; a replay reads event idx % n
+	rng      *stats.RNG
+	gapP, h1 float64
+	carry    float64 // L1-split stratification carry into the next block
+	events   []microEvent
+	l2Idx    []int32 // indices of L2 events, in stream order
+	// order lists, per complete missStride-block of l2Idx, the block's
+	// offsets by ascending (u2, stream order): order[b+r] is the offset
+	// of the block's r-th smallest u2.
+	order    []uint8
+	blockBuf [missStride]float64
 }
 
-// buildStreams draws every core's window stream from the run seed. Stream
-// length is sized so a window never wraps in practice (wrapping is still
-// handled, deterministically, as a safety net).
+// buildStreams fixes every core's stream from the run seed: one generator
+// split per core, in core order, and the length. Length is sized so a
+// window never wraps in practice (wrapping is still handled,
+// deterministically, as a safety net). Nothing is drawn yet.
 func buildStreams(seed uint64, profs []*profile) []coreStream {
 	base := stats.NewRNG(seed^0x7a57f00dcafe, seed^0x1b873593517cc1b5)
 	streams := make([]coreStream, len(profs))
 	for c, p := range profs {
-		rng := base.Split(uint64(c))
 		// Worst-case event consumption: one event per (gap+1)/width
 		// cycles; add generous slack for latency-bound stretches where
 		// events are consumed faster than retirement would suggest.
 		gapMean := 1/p.gapP - 1
-		n := int(float64(windowCycles)*4/(gapMean+1)*2) + 512
-		st := coreStream{events: make([]microEvent, n)}
-		// Stratify the L1 hit/miss split: per block of missStride events
-		// the L2 count is exact (carry-accumulated), with the positions
-		// chosen by rank among the block's uniforms.
-		carry := 0.0
-		u1 := make([]float64, missStride)
-		for blk := 0; blk < n; blk += missStride {
-			end := blk + missStride
-			if end > n {
-				end = blk + (n - blk)
-			}
-			size := end - blk
-			want := float64(size)*(1-p.h1) + carry
-			k := int(want)
-			carry = want - float64(k)
-			for i := 0; i < size; i++ {
-				u1[i] = rng.Float64()
-			}
-			thresh := math.Inf(1)
-			if k < size {
-				sorted := append([]float64(nil), u1[:size]...)
-				sort.Float64s(sorted)
-				if k > 0 {
-					thresh = sorted[k-1]
-				} else {
-					thresh = math.Inf(-1)
-				}
-			}
-			for i := 0; i < size; i++ {
-				ev := &st.events[blk+i]
-				ev.gap = int32(rng.Geometric(p.gapP))
-				ev.isL2 = u1[i] <= thresh
-				ev.u2 = rng.Float64()
-				ev.uB = rng.Float64()
-				ev.uW = rng.Float64()
-				ev.uC = rng.Float64()
-			}
+		streams[c] = coreStream{
+			n:    int(float64(windowCycles)*4/(gapMean+1)*2) + 512,
+			rng:  base.Split(uint64(c)),
+			gapP: p.gapP,
+			h1:   p.h1,
 		}
-		for i, ev := range st.events {
-			if ev.isL2 {
-				st.l2Idx = append(st.l2Idx, int32(i))
-			}
-		}
-		streams[c] = st
 	}
 	return streams
 }
 
-// classifyMisses marks which L2 events of stream st miss, realising ratio
-// m2 exactly per stratification block of consecutive L2 accesses. Miss
-// *placement* within a block follows the workload's profiled clustering:
-// when the profiled mean run length runTarget is close to the i.i.d.
-// expectation 1/(1-m2), misses are chosen by rank among the block's
-// pre-drawn uniforms (statistically faithful placement — the geometric
+// at returns event i (i < n), drawing the blocks up to it first.
+func (st *coreStream) at(i int) microEvent {
+	for i >= len(st.events) {
+		st.drawBlock()
+	}
+	return st.events[i]
+}
+
+// drawBlock draws the stream's next missStride events (fewer at n). The
+// L1 hit/miss split is stratified: per block the L2 count is exact
+// (carry-accumulated), with the positions chosen by rank among the
+// block's u1 uniforms. Draw order is fixed: the block's u1 draws, then
+// per event its gap, u2, uB, uW and uC.
+func (st *coreStream) drawBlock() {
+	blk := len(st.events)
+	size := min(missStride, st.n-blk)
+	want := float64(size)*(1-st.h1) + st.carry
+	k := int(want)
+	st.carry = want - float64(k)
+	u1 := st.blockBuf[:size]
+	for i := range u1 {
+		u1[i] = st.rng.Float64()
+	}
+	thresh := math.Inf(1)
+	if k < size {
+		thresh = math.Inf(-1)
+		if k > 0 {
+			// The k-th smallest is one value however it is found, so
+			// selection gives the threshold a sort would.
+			var sel [missStride]float64
+			thresh = kthSmallest(append(sel[:0], u1...), k)
+		}
+	}
+	for i := range u1 {
+		ev := microEvent{isL2: u1[i] <= thresh}
+		ev.gap = int32(st.rng.Geometric(st.gapP))
+		ev.u2 = st.rng.Float64()
+		ev.uB = st.rng.Float64()
+		ev.uW = st.rng.Float64()
+		ev.uC = st.rng.Float64()
+		if ev.isL2 {
+			st.l2Idx = append(st.l2Idx, int32(blk+i))
+		}
+		st.events = append(st.events, ev)
+	}
+	done := len(st.events) == st.n
+	for len(st.l2Idx)-len(st.order) >= missStride || done && len(st.order) < len(st.l2Idx) {
+		st.orderBlock()
+	}
+}
+
+// orderBlock appends the u2 order of the next block of l2Idx, which is
+// complete: missStride L2 events long, or the stream's last. Insertion
+// keeps equal u2 in stream order.
+func (st *coreStream) orderBlock() {
+	blk := len(st.order)
+	u2 := st.blockBuf[:min(missStride, len(st.l2Idx)-blk)]
+	for i := range u2 {
+		u2[i] = st.events[st.l2Idx[blk+i]].u2
+		j := len(st.order)
+		st.order = append(st.order, 0)
+		for ; j > blk && u2[st.order[j-1]] > u2[i]; j-- {
+			st.order[j] = st.order[j-1]
+		}
+		st.order[j] = uint8(i)
+	}
+}
+
+// kthSmallest returns the k-th smallest (1-based) value of buf, reordering
+// buf in place (Hoare's selection).
+func kthSmallest(buf []float64, k int) float64 {
+	k--
+	lo, hi := 0, len(buf)-1
+	for lo < hi {
+		pivot := buf[(lo+hi)/2]
+		i, j := lo, hi
+		for i <= j {
+			for buf[i] < pivot {
+				i++
+			}
+			for buf[j] > pivot {
+				j--
+			}
+			if i <= j {
+				buf[i], buf[j] = buf[j], buf[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return buf[k]
+		}
+	}
+	return buf[k]
+}
+
+// missClassifier reads one core's stream for one replay and marks which
+// of its L2 events miss, realising ratio m2 exactly per stratification
+// block of consecutive L2 accesses. It classifies a block only when the
+// replay first reads one of its events, carrying the stratification
+// remainder from block to block.
+//
+// Miss *placement* within a block follows the workload's profiled
+// clustering: when the profiled mean run length runTarget is close to the
+// i.i.d. expectation 1/(1-m2), misses are chosen by rank among the
+// block's u2 draws (statistically faithful placement — the geometric
 // run-length tail that lets the ROB overlap dense misses survives). When
 // the workload misses in genuine bursts (loop-sweep wraps evict
 // consecutively, so runs far exceed the i.i.d. length at low miss
 // ratios), misses are packed into consecutive runs of the profiled mean
 // length instead; back-to-back misses share one ROB stall, which is the
-// dominant CPI effect at light miss ratios. The returned slice is
-// indexed by event position.
-func classifyMisses(st *coreStream, m2, runTarget float64, flags []bool) []bool {
-	if cap(flags) < len(st.events) {
-		flags = make([]bool, len(st.events))
-	}
-	flags = flags[:len(st.events)]
-	for i := range flags {
-		flags[i] = false
-	}
+// dominant CPI effect at light miss ratios.
+type missClassifier struct {
+	st            *coreStream
+	idx, l2n      int // events and L2 events read, L2 restarting with the stream
+	m2, runTarget float64
+	clustered     bool
+	stride        int
+	carry         float64
+	flags         []bool // by L2 position; len is the classified prefix
+}
+
+// newMissClassifier starts classifying st at miss ratio m2, reusing buf's
+// storage for the flags.
+func newMissClassifier(st *coreStream, m2, runTarget float64, buf []bool) missClassifier {
 	iid := math.Inf(1)
 	if m2 < 1 {
 		iid = 1 / (1 - m2)
 	}
-	clustered := m2 > 0 && runTarget > iid*1.15
-	stride := missStride
-	if clustered {
+	mc := missClassifier{st: st, m2: m2, runTarget: runTarget, stride: missStride, flags: buf[:0]}
+	mc.clustered = m2 > 0 && runTarget > iid*1.15
+	if mc.clustered {
 		// Size blocks so each holds roughly one run (light workloads), up
 		// to a cap that keeps stratification meaningful.
-		if b := int(runTarget / m2); b > stride {
-			stride = b
+		if b := int(runTarget / m2); b > mc.stride {
+			mc.stride = b
 		}
-		if stride > 2048 {
-			stride = 2048
+		if mc.stride > 2048 {
+			mc.stride = 2048
 		}
 	}
-	carry := 0.0
-	for blk := 0; blk < len(st.l2Idx); blk += stride {
-		end := blk + stride
-		if end > len(st.l2Idx) {
-			end = len(st.l2Idx)
+	return mc
+}
+
+// next returns the replay's next event, stream position idx % n, and
+// whether it misses (always false for an L1 hit).
+func (mc *missClassifier) next() (microEvent, bool) {
+	i := mc.idx % mc.st.n
+	mc.idx++
+	if i == 0 {
+		mc.l2n = 0
+	}
+	ev := mc.st.at(i)
+	if !ev.isL2 {
+		return ev, false
+	}
+	mc.l2n++
+	return ev, mc.missAt(mc.l2n - 1)
+}
+
+// missAt reports whether the stream's j-th L2 event misses.
+func (mc *missClassifier) missAt(j int) bool {
+	for j >= len(mc.flags) {
+		mc.classifyBlock()
+	}
+	return mc.flags[j]
+}
+
+// classifyBlock classifies the next block of L2 events, drawing the
+// stream until the block is complete: stride L2 events long, or the
+// stream's last.
+func (mc *missClassifier) classifyBlock() {
+	st := mc.st
+	blk := len(mc.flags)
+	for len(st.l2Idx) < blk+mc.stride && len(st.events) < st.n {
+		st.drawBlock()
+	}
+	size := min(mc.stride, len(st.l2Idx)-blk)
+	want := float64(size)*mc.m2 + mc.carry
+	k := int(want)
+	mc.carry = want - float64(k)
+	mc.flags = slices.Grow(mc.flags, size)[:blk+size]
+	flags := mc.flags[blk:]
+	clear(flags)
+	u2 := func(i int) float64 { return st.events[st.l2Idx[blk+i]].u2 }
+	switch {
+	case k <= 0:
+	case k >= size:
+		for i := range flags {
+			flags[i] = true
 		}
-		size := end - blk
-		want := float64(size)*m2 + carry
-		k := int(want)
-		carry = want - float64(k)
-		if k <= 0 {
-			continue
-		}
-		if k >= size {
-			for _, idx := range st.l2Idx[blk:end] {
-				flags[idx] = true
+	case !mc.clustered:
+		// Rank placement: the k smallest u2 of the block miss — all
+		// below the k-th smallest, then the first in stream order equal
+		// to it.
+		thresh := u2(int(st.order[blk+k-1]))
+		marked := 0
+		for i := 0; i < size && marked < k; i++ {
+			if u2(i) <= thresh {
+				flags[i] = true
+				marked++
 			}
-			continue
 		}
-		if !clustered {
-			// Rank placement: the k smallest u2 of the block miss.
-			buf := make([]float64, size)
-			for i := 0; i < size; i++ {
-				buf[i] = st.events[st.l2Idx[blk+i]].u2
-			}
-			tmp := append([]float64(nil), buf...)
-			sort.Float64s(tmp)
-			thresh := tmp[k-1]
-			marked := 0
-			for i := 0; i < size && marked < k; i++ {
-				idx := st.l2Idx[blk+i]
-				if st.events[idx].u2 <= thresh {
-					flags[idx] = true
-					marked++
-				}
-			}
-			continue
-		}
+	default:
 		// Burst placement: k misses in runs of mean runTarget, spread
 		// evenly with a u2-jittered start per run.
-		nRuns := int(float64(k)/runTarget + 0.5)
+		nRuns := int(float64(k)/mc.runTarget + 0.5)
 		if nRuns < 1 {
 			nRuns = 1
 		}
@@ -209,18 +319,17 @@ func classifyMisses(st *coreStream, m2, runTarget float64, flags []bool) []bool 
 			}
 			startAt := base
 			if slack > 0 {
-				startAt += int(st.events[st.l2Idx[blk+base]].u2 * float64(slack+1))
+				startAt += int(u2(base) * float64(slack+1))
 				if startAt > base+slack {
 					startAt = base + slack
 				}
 			}
 			for i := startAt; i < startAt+l && i < size; i++ {
-				flags[st.l2Idx[blk+i]] = true
+				flags[i] = true
 			}
 			rem -= l
 		}
 	}
-	return flags
 }
 
 // windowParams is everything a replay needs beyond the streams.
@@ -258,20 +367,19 @@ func (s *System) replayWindow(p windowParams) windowResult {
 		panic(err)
 	}
 	var bankFree [nuca.NumBanks]int64
-	var idx, rr [8]int
+	var rr [8]int
 	var warmInstr, measInstr [8]uint64
 	var warmNow, measNow [8]int64
 	var warmed [8]bool
 	var missN, missSum [8]int64
-	miss := s.missFlags
+	var streams [8]missClassifier
 	for c := 0; c < nuca.NumCores; c++ {
 		if !p.active[c] {
 			continue
 		}
 		cores[c] = cpu.MustNew(c, s.cfg.CPU)
-		miss[c] = classifyMisses(&s.streams[c], p.m2[c], p.runLen[c], miss[c])
+		streams[c] = newMissClassifier(&s.streams[c], p.m2[c], p.runLen[c], s.missFlags[c])
 	}
-	s.missFlags = miss
 
 	for {
 		c := -1
@@ -293,10 +401,7 @@ func (s *System) replayWindow(p windowParams) windowResult {
 			warmInstr[c] = core.Instructions()
 			warmNow[c] = core.Now()
 		}
-		st := &s.streams[c]
-		ev := st.events[idx[c]%len(st.events)]
-		isMiss := miss[c][idx[c]%len(st.events)]
-		idx[c]++
+		ev, isMiss := streams[c].next()
 		issueAt := core.BeginAccess(int(ev.gap))
 		if !ev.isL2 {
 			measInstr[c] = core.Instructions()
@@ -364,6 +469,7 @@ func (s *System) replayWindow(p windowParams) windowResult {
 		if cores[c] == nil {
 			continue
 		}
+		s.missFlags[c] = streams[c].flags // keep the storage for the next replay
 		di := float64(measInstr[c]) - float64(warmInstr[c])
 		dc := float64(measNow[c]) - float64(warmNow[c])
 		if !warmed[c] || di <= 0 {

@@ -444,6 +444,51 @@ func TestHTTPEventsStreamMonteCarlo(t *testing.T) {
 	}
 }
 
+// TestHTTPFinishedRuntimesBounded runs more jobs than the daemon keeps
+// finished runtimes for: the oldest jobs lose theirs, the newest keep
+// their full replayable stream, and an evicted job's stream still ends in
+// its terminal state, served from the store. The first job to finish is
+// withdrawn from the queue before Start, so that path retires too.
+func TestHTTPFinishedRuntimesBounded(t *testing.T) {
+	svc, ts := startHTTP(t, Config{Workers: 2}, false)
+	_, withdrawn := postJob(t, ts, `{"kind":"montecarlo","seed":99,"montecarlo":{"trials":1}}`)
+	if _, ok := svc.Cancel(withdrawn.ID); !ok {
+		t.Fatal("queued job not withdrawn")
+	}
+	if err := svc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	const extra = 3
+	ids := []string{withdrawn.ID}
+	for len(ids) < retainedFinished+extra {
+		_, rec := postJob(t, ts, fmt.Sprintf(`{"kind":"montecarlo","seed":%d,"montecarlo":{"trials":1}}`, 100+len(ids)))
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + rec.ID + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs := readSSE(t, resp)
+		if last := evs[len(evs)-1]; last.typ != EventState || !strings.Contains(last.data, StateDone) {
+			t.Fatalf("job %d stream ended with %s %q, want final state done", len(ids), last.typ, last.data)
+		}
+		ids = append(ids, rec.ID)
+	}
+	for i, id := range ids {
+		if kept := svc.runtime(id) != nil; kept != (i >= extra) {
+			t.Errorf("job %d of %d: runtime kept = %v", i, len(ids), kept)
+		}
+	}
+	for i, state := range []string{StateCanceled, StateDone} {
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + ids[i] + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		evs := readSSE(t, resp)
+		if len(evs) != 1 || evs[0].typ != EventState || !strings.Contains(evs[0].data, state) {
+			t.Fatalf("evicted job %d's stream = %+v, want the one terminal %s frame", i, evs, state)
+		}
+	}
+}
+
 func TestHTTPDiff(t *testing.T) {
 	svc, ts := startHTTP(t, Config{Workers: 2}, true)
 	same := `{"kind":"montecarlo","seed":2009,"montecarlo":{"trials":25}}`

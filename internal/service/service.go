@@ -87,6 +87,12 @@ func (c Config) queueCap() int {
 	return c.QueueCap
 }
 
+// retainedFinished bounds how many finished jobs keep their runtime, and
+// with it the event hub that replays their stream. Older finished jobs
+// are served from the store like jobs finished under a previous daemon:
+// their event stream is the one terminal-state frame.
+const retainedFinished = 64
+
 // job is the in-memory runtime of one queued or running job.
 type job struct {
 	id   string
@@ -130,10 +136,14 @@ type Service struct {
 	baseCancel context.CancelFunc
 
 	mu       sync.Mutex
-	jobs     map[string]*job // runtime state; terminal restored jobs absent
+	jobs     map[string]*job // runtime state; older finished jobs absent
 	running  map[string]*job
 	draining bool
 	started  bool
+	// finished is a ring of the most recently finished runtimes;
+	// finishedNext is the slot the next one takes.
+	finished     [retainedFinished]*job
+	finishedNext int
 
 	// healMu serialises integrity healing: scrub passes and read-path
 	// corruption re-queues check job state and then act on it, and two
@@ -276,8 +286,24 @@ func (s *Service) newRuntime(rec JobRecord) *job {
 	return jb
 }
 
+// retire closes a job's stream after its terminal frame and keeps its
+// runtime among the most recent finished ones, dropping the oldest beyond
+// retainedFinished. A runtime that a heal re-queued since is kept.
+func (s *Service) retire(jb *job) {
+	jb.hub.close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old := s.finished[s.finishedNext]
+	s.finished[s.finishedNext] = jb
+	s.finishedNext = (s.finishedNext + 1) % retainedFinished
+	if old != nil && s.jobs[old.id] == old {
+		delete(s.jobs, old.id)
+	}
+}
+
 // runtime returns the in-memory job for id, nil for jobs that reached a
-// terminal state before this daemon started.
+// terminal state before this daemon started or before the most recent
+// retainedFinished finished jobs.
 func (s *Service) runtime(id string) *job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -407,7 +433,7 @@ func (s *Service) Cancel(id string) (JobRecord, bool) {
 		s.store.Put(rec)
 		s.canceled.Inc()
 		jb.hub.publish(EventState, stateEvent{State: StateCanceled})
-		jb.hub.close()
+		s.retire(jb)
 		return rec, true
 	}
 	if !jb.markCancel("cancel") {
@@ -548,7 +574,7 @@ func (s *Service) execute(jb *job) {
 	s.store.Put(rec)
 	ev := stateEvent{State: rec.State, Detail: rec.Error}
 	jb.hub.publish(EventState, ev)
-	jb.hub.close()
+	s.retire(jb)
 }
 
 // finishCanceled finalises a job cancelled before execution began.
@@ -559,7 +585,7 @@ func (s *Service) finishCanceled(jb *job) {
 	s.store.Put(rec)
 	s.canceled.Inc()
 	jb.hub.publish(EventState, stateEvent{State: StateCanceled})
-	jb.hub.close()
+	s.retire(jb)
 }
 
 // stateEvent is the payload of EventState frames.

@@ -15,15 +15,23 @@ import "math/rand/v2"
 // generator and adds the derivation helpers the simulators need (splitting a
 // stream per core, bounded draws, probability tests).
 //
+// The hot draws (Uint64, Float64, Bool, Geometric, Split) call the PCG
+// directly instead of through rand.Rand's Source interface; IntN, Int64N
+// and Perm use the rand.Rand, which advances the same PCG state. Every
+// draw therefore equals the one rand.New(rand.NewPCG(seed1, seed2)) would
+// make at the same position.
+//
 // The zero value is not usable; construct with NewRNG.
 type RNG struct {
 	src *rand.Rand
+	pcg *rand.PCG
 }
 
 // NewRNG returns a generator seeded from the two seed words. Equal seeds
 // yield identical streams.
 func NewRNG(seed1, seed2 uint64) *RNG {
-	return &RNG{src: rand.New(rand.NewPCG(seed1, seed2))}
+	pcg := rand.NewPCG(seed1, seed2)
+	return &RNG{src: rand.New(pcg), pcg: pcg}
 }
 
 // Split derives an independent generator from this one, identified by id.
@@ -32,8 +40,8 @@ func NewRNG(seed1, seed2 uint64) *RNG {
 // the parent.
 func (r *RNG) Split(id uint64) *RNG {
 	// Mix the id through two draws so adjacent ids decorrelate.
-	a := r.src.Uint64() ^ (id * 0x9e3779b97f4a7c15)
-	b := r.src.Uint64() ^ (id*0xbf58476d1ce4e5b9 + 0x94d049bb133111eb)
+	a := r.pcg.Uint64() ^ (id * 0x9e3779b97f4a7c15)
+	b := r.pcg.Uint64() ^ (id*0xbf58476d1ce4e5b9 + 0x94d049bb133111eb)
 	return NewRNG(a, b)
 }
 
@@ -50,7 +58,7 @@ func (r *RNG) SplitN(n int) []*RNG {
 }
 
 // Uint64 returns a uniformly distributed 64-bit value.
-func (r *RNG) Uint64() uint64 { return r.src.Uint64() }
+func (r *RNG) Uint64() uint64 { return r.pcg.Uint64() }
 
 // IntN returns a uniform value in [0, n). It panics if n <= 0.
 func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
@@ -59,7 +67,11 @@ func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
 func (r *RNG) Int64N(n int64) int64 { return r.src.Int64N(n) }
 
 // Float64 returns a uniform value in [0, 1).
-func (r *RNG) Float64() float64 { return r.src.Float64() }
+func (r *RNG) Float64() float64 { return unit(r.pcg.Uint64()) }
+
+// unit maps one 64-bit draw to [0, 1) by rand.Rand.Float64's formula: the
+// low 53 bits, scaled.
+func unit(x uint64) float64 { return float64(x<<11>>11) / (1 << 53) }
 
 // Bool returns true with probability p (clamped to [0, 1]).
 func (r *RNG) Bool(p float64) bool {
@@ -69,7 +81,7 @@ func (r *RNG) Bool(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return r.src.Float64() < p
+	return r.Float64() < p
 }
 
 // Perm returns a random permutation of [0, n).
@@ -86,9 +98,10 @@ func (r *RNG) Geometric(p float64) int {
 	if p <= 0 {
 		panic("stats: Geometric requires p in (0,1]")
 	}
-	// Inverse-CDF sampling, capped to keep pathological draws bounded.
+	// One Bernoulli trial per draw, capped to keep pathological draws
+	// bounded.
 	n := 0
-	for !r.Bool(p) {
+	for !(unit(r.pcg.Uint64()) < p) {
 		n++
 		if n >= 1<<20 {
 			break

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -12,6 +14,71 @@ func TestRNGDeterminism(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatalf("streams diverged at draw %d", i)
+		}
+	}
+}
+
+// TestRNGMatchesStdlib pins RNG to the stdlib: every draw, whether it
+// calls the PCG directly or goes through rand.Rand, must be bit-equal to
+// the same operation on rand.New(rand.NewPCG(seed1, seed2)), for
+// interleaved sequences of every method, across Split children too.
+func TestRNGMatchesStdlib(t *testing.T) {
+	for _, seed := range [][2]uint64{{1, 2}, {0, 0}, {2009, 7}, {0x7a57f00dcafe, 0x1b873593517cc1b5}} {
+		got := NewRNG(seed[0], seed[1])
+		want := rand.New(rand.NewPCG(seed[0], seed[1]))
+		// The operation schedule comes from its own generator so the
+		// interleaving is irregular but fixed.
+		sched := rand.New(rand.NewPCG(seed[1], seed[0]))
+		for i := 0; i < 4000; i++ {
+			switch op := sched.IntN(9); op {
+			case 0:
+				if g, w := got.Uint64(), want.Uint64(); g != w {
+					t.Fatalf("seed %v step %d: Uint64 = %#x, want %#x", seed, i, g, w)
+				}
+			case 1:
+				if g, w := got.Float64(), want.Float64(); math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("seed %v step %d: Float64 = %v, want %v", seed, i, g, w)
+				}
+			case 2:
+				n := 1 + sched.IntN(1000)
+				if g, w := got.IntN(n), want.IntN(n); g != w {
+					t.Fatalf("seed %v step %d: IntN(%d) = %d, want %d", seed, i, n, g, w)
+				}
+			case 3:
+				n := 1 + sched.Int64N(1<<40)
+				if g, w := got.Int64N(n), want.Int64N(n); g != w {
+					t.Fatalf("seed %v step %d: Int64N(%d) = %d, want %d", seed, i, n, g, w)
+				}
+			case 4:
+				p := sched.Float64()
+				if g, w := got.Bool(p), want.Float64() < p; g != w {
+					t.Fatalf("seed %v step %d: Bool(%v) = %v, want %v", seed, i, p, g, w)
+				}
+			case 5:
+				p := 0.05 + 0.9*sched.Float64()
+				w := 0
+				for !(want.Float64() < p) {
+					w++
+				}
+				if g := got.Geometric(p); g != w {
+					t.Fatalf("seed %v step %d: Geometric(%v) = %d, want %d", seed, i, p, g, w)
+				}
+			case 6:
+				n := sched.IntN(20)
+				if g, w := got.Perm(n), want.Perm(n); !slices.Equal(g, w) {
+					t.Fatalf("seed %v step %d: Perm(%d) = %v, want %v", seed, i, n, g, w)
+				}
+			case 7, 8:
+				id := sched.Uint64N(16)
+				a := want.Uint64() ^ (id * 0x9e3779b97f4a7c15)
+				b := want.Uint64() ^ (id*0xbf58476d1ce4e5b9 + 0x94d049bb133111eb)
+				gc, wc := got.Split(id), rand.New(rand.NewPCG(a, b))
+				for j := 0; j < 8; j++ {
+					if g, w := gc.Float64(), wc.Float64(); math.Float64bits(g) != math.Float64bits(w) {
+						t.Fatalf("seed %v step %d: Split(%d) draw %d = %v, want %v", seed, i, id, j, g, w)
+					}
+				}
+			}
 		}
 	}
 }
