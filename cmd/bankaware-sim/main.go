@@ -46,7 +46,6 @@ func main() {
 		showAlloc = flag.Bool("show-allocation", false, "print the final physical allocation (Fig. 5 style)")
 		list      = flag.Bool("list", false, "list catalog workloads")
 		csvPath   = flag.String("csv", "", "with -fig8: also write per-set rows to this CSV file")
-		markdown  = flag.Bool("markdown", false, "with -fig8: also print a Markdown table")
 		parallel  = flag.Int("parallel", 0, "worker bound (0 = all cores); results do not depend on it")
 		simWork   = flag.Int("sim-workers", 0, "execution lanes inside each simulation (0/1 = sequential); results do not depend on it")
 		timeout   = flag.Duration("timeout", 0, "abort the run after this duration (0 = none)")
@@ -178,12 +177,6 @@ func main() {
 				fatal(err)
 			}
 			fmt.Printf("wrote CSV to %s\n", *csvPath)
-		}
-		if *markdown {
-			fmt.Println()
-			if err := experiments.WriteFig8Markdown(os.Stdout, r); err != nil {
-				fatal(err)
-			}
 		}
 		return
 	}

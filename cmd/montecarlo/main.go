@@ -33,9 +33,10 @@ import (
 )
 
 func main() {
+	cfg := montecarlo.DefaultConfig()
 	var (
-		trials    = flag.Int("trials", 1000, "number of random workload mixes")
-		seed      = flag.Uint64("seed", 2009, "random seed")
+		trials    = flag.Int("trials", cfg.Trials, "number of random workload mixes")
+		seed      = flag.Uint64("seed", cfg.Seed, "random seed")
 		csvPath   = flag.String("csv", "", "write per-trial rows to this CSV file")
 		chart     = flag.Bool("chart", true, "render the sorted-ratio chart")
 		parallel  = flag.Int("parallel", 0, "worker bound (0 = all cores); results do not depend on it")
@@ -89,7 +90,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/pprof\n", srv.Addr())
 	}
 
-	cfg := montecarlo.DefaultConfig()
 	cfg.Trials = *trials
 	cfg.Seed = *seed
 	start := time.Now()

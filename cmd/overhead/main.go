@@ -3,7 +3,7 @@
 // reported values.
 //
 //	overhead
-//	overhead -tagbits 16 -samplelog2 4
+//	overhead -tagbits 16 -sampledsets 128
 //	overhead -report overhead.json
 package main
 
@@ -45,7 +45,7 @@ func main() {
 		rep.Label = "table2"
 	}
 
-	if isDefault() {
+	if isDefault(flag.CommandLine) {
 		rows, pct := experiments.TableII()
 		fmt.Println("MSA profiler hardware overhead (Table II):")
 		fmt.Printf("%-30s %10s %12s\n", "structure", "kbits", "paper kbits")
@@ -84,12 +84,12 @@ func main() {
 	}
 }
 
-// isDefault reports whether only the -report flag (if any) was passed, so
-// the Table II comparison is shown rather than a custom configuration.
-func isDefault() bool {
+// isDefault reports whether fs set no flag but -report and -pprof, so the
+// Table II comparison is shown rather than a custom configuration.
+func isDefault(fs *flag.FlagSet) bool {
 	custom := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name != "report" {
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name != "report" && f.Name != "pprof" {
 			custom = true
 		}
 	})

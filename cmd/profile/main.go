@@ -26,7 +26,7 @@ func main() {
 		fig2      = flag.Bool("fig2", false, "print the Fig. 2 MSA histogram example")
 		fig3      = flag.Bool("fig3", false, "print Fig. 3 cumulative miss-ratio curves")
 		workloads = flag.String("workloads", "", "comma-separated workloads for -fig3 (default: the paper's sixtrack,bzip2,applu)")
-		accesses  = flag.Int("accesses", 500_000, "profiled accesses per workload")
+		accesses  = flag.Int("accesses", experiments.ProfileAccesses, "profiled accesses per workload")
 		parallel  = flag.Int("parallel", 0, "worker bound for -fig3 (0 = all cores); results do not depend on it")
 		timeout   = flag.Duration("timeout", 0, "abort profiling after this duration (0 = none)")
 		progress  = flag.Bool("progress", false, "render a live progress line on stderr")

@@ -1,6 +1,6 @@
-// Command sweep runs the design-space studies: the Fig. 4 bank-aggregation
-// comparison and the ablations DESIGN.md calls out (profiler sampling and
-// tag width vs accuracy, epoch length, capacity cap).
+// Command sweep prints the design-space studies of internal/experiments:
+// the Fig. 4 bank-aggregation comparison and the ablations (profiler
+// budget, epoch length, capacity cap, L2 replacement, strict lookup).
 //
 //	sweep -aggregation
 //	sweep -ablation profiler
@@ -13,25 +13,19 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 
-	"bankaware/internal/cache"
 	"bankaware/internal/experiments"
 	"bankaware/internal/faults"
 	"bankaware/internal/metrics"
-	"bankaware/internal/montecarlo"
-	"bankaware/internal/msa"
 	"bankaware/internal/runner"
-	"bankaware/internal/stats"
-	"bankaware/internal/trace"
 )
 
 func main() {
 	var (
 		aggregation = flag.Bool("aggregation", false, "compare the Fig. 4 bank-aggregation schemes")
 		ablation    = flag.String("ablation", "", "run an ablation: profiler|epoch|cap|plru|strict")
-		accesses    = flag.Int("accesses", 200_000, "accesses for aggregation/profiler studies")
+		accesses    = flag.Int("accesses", experiments.SweepAccesses, "accesses for aggregation/profiler studies")
 		parallel    = flag.Int("parallel", 0, "worker bound (0 = all cores); results do not depend on it")
 		simWork     = flag.Int("sim-workers", 0, "execution lanes inside each simulation (0/1 = sequential); results do not depend on it")
 		timeout     = flag.Duration("timeout", 0, "abort the sweep after this duration (0 = none)")
@@ -105,15 +99,37 @@ func main() {
 	switch *ablation {
 	case "":
 	case "profiler":
-		profilerAblation(*accesses, rep)
+		rows := must(experiments.ProfilerAccuracy(ctx, *accesses))
+		fmt.Println("\nProfiler accuracy vs hardware budget (worst curve error vs exact):")
+		fmt.Printf("%-12s %-10s %-12s %-12s\n", "sampling", "tag bits", "max error", "kbits/profiler")
+		for _, r := range rows {
+			fmt.Printf("1-in-%-7d %-10d %-12.4f %-12.1f\n", r.Sampling, r.TagBits, r.MaxError, r.Kbits)
+			rep.AddSummary(fmt.Sprintf("profiler.s%d.t%d.max_error", r.Sampling, r.TagBits), r.MaxError)
+		}
 	case "epoch":
-		epochAblation(ctx, opt, rep)
+		rows := must(experiments.EpochAblation(ctx, opt))
+		fmt.Println("\nEpoch-length sweep (set 6, bank-aware, relative misses vs No-partitions):")
+		fmt.Printf("%-14s %-12s %-10s\n", "epoch cycles", "relMisses", "epochs")
+		for _, v := range rows {
+			fmt.Printf("%-14s %-12.3f %-10d\n", v.Label, v.Result.RelMissBank, v.Result.Bank.Epochs)
+			rep.AddSummary(fmt.Sprintf("epoch.%s.rel_miss_bank", v.Label), v.Result.RelMissBank)
+			rep.AddSummary(fmt.Sprintf("epoch.%s.epochs", v.Label), float64(v.Result.Bank.Epochs))
+		}
 	case "cap":
-		capAblation(ctx, opt, rep)
+		rows := must(experiments.CapAblation(ctx, opt))
+		fmt.Println("\nCapacity-cap sweep (Monte Carlo mean relative miss ratio vs equal):")
+		fmt.Printf("%-10s %-14s %-12s\n", "cap ways", "unrestricted", "bank-aware")
+		for _, r := range rows {
+			fmt.Printf("%-10d %-14.3f %-12.3f\n", r.Ways, r.MeanUnrestrictedRatio, r.MeanBankAwareRatio)
+			rep.AddSummary(fmt.Sprintf("cap.%d.mean_unrestricted_ratio", r.Ways), r.MeanUnrestrictedRatio)
+			rep.AddSummary(fmt.Sprintf("cap.%d.mean_bankaware_ratio", r.Ways), r.MeanBankAwareRatio)
+		}
 	case "plru":
-		plruAblation(ctx, opt, rep)
+		printVariants(rep, "plru", "Replacement-policy ablation (set 5, bank-aware, rel misses vs No-partitions):", "policy",
+			must(experiments.ReplacementAblation(ctx, opt)))
 	case "strict":
-		strictAblation(ctx, opt, rep)
+		printVariants(rep, "strict", "Enforcement ablation (set 1, bank-aware, rel misses vs No-partitions):", "lookup",
+			must(experiments.LookupAblation(ctx, opt)))
 	default:
 		fatal(fmt.Errorf("unknown ablation %q (want profiler|epoch|cap|plru|strict)", *ablation))
 	}
@@ -126,126 +142,22 @@ func main() {
 	}
 }
 
-// plruAblation compares true LRU banks against tree pseudo-LRU.
-func plruAblation(ctx context.Context, opt experiments.Options, rep *metrics.Report) {
-	fmt.Println("\nReplacement-policy ablation (set 5, bank-aware, rel misses vs No-partitions):")
-	fmt.Printf("%-10s %-12s\n", "policy", "relMisses")
-	for _, v := range []struct {
-		rep  cache.ReplacementPolicy
-		name string
-	}{{cache.LRU, "LRU"}, {cache.TreePLRU, "TreePLRU"}} {
-		cfg := experiments.ScaleModel.Config()
-		cfg.L2Replacement = v.rep
-		r, err := experiments.RunSetContext(ctx, cfg, 5, experiments.TableIIISets[4][:], 1_500_000, opt)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%-10s %-12.3f\n", v.name, r.RelMissBank)
-		rep.AddSummary(fmt.Sprintf("plru.%s.rel_miss_bank", v.name), r.RelMissBank)
+// printVariants prints a two-variant set ablation: bank-aware's relative
+// misses under each machine variant.
+func printVariants(rep *metrics.Report, key, title, labelCol string, rows []experiments.SetVariant) {
+	fmt.Println("\n" + title)
+	fmt.Printf("%-10s %-12s\n", labelCol, "relMisses")
+	for _, v := range rows {
+		fmt.Printf("%-10s %-12.3f\n", v.Label, v.Result.RelMissBank)
+		rep.AddSummary(fmt.Sprintf("%s.%s.rel_miss_bank", key, v.Label), v.Result.RelMissBank)
 	}
 }
 
-// strictAblation compares lazy vs strict way-ownership enforcement.
-func strictAblation(ctx context.Context, opt experiments.Options, rep *metrics.Report) {
-	fmt.Println("\nEnforcement ablation (set 1, bank-aware, rel misses vs No-partitions):")
-	fmt.Printf("%-10s %-12s\n", "lookup", "relMisses")
-	for _, v := range []struct {
-		strict bool
-		name   string
-	}{{false, "lazy"}, {true, "strict"}} {
-		cfg := experiments.ScaleModel.Config()
-		cfg.L2StrictLookup = v.strict
-		r, err := experiments.RunSetContext(ctx, cfg, 1, experiments.TableIIISets[0][:], 1_500_000, opt)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%-10s %-12.3f\n", v.name, r.RelMissBank)
-		rep.AddSummary(fmt.Sprintf("strict.%s.rel_miss_bank", v.name), r.RelMissBank)
+func must[T any](v T, err error) T {
+	if err != nil {
+		fatal(err)
 	}
-}
-
-// profilerAblation sweeps set sampling and partial tag width against the
-// exact full-tag profile, reporting the worst-case miss-ratio-curve error —
-// the paper's "within 5% with 12-bit tags and 1-in-32 sampling" claim.
-func profilerAblation(accesses int, rep *metrics.Report) {
-	fmt.Println("\nProfiler accuracy vs hardware budget (worst curve error vs exact):")
-	fmt.Printf("%-12s %-10s %-12s %-12s\n", "sampling", "tag bits", "max error", "kbits/profiler")
-	spec := trace.MustSpec("bzip2")
-	const sets = 256
-	exact := profileCurve(spec, msa.Config{Sets: sets, MaxWays: 72}, accesses)
-	for _, sampleLog2 := range []int{0, 3, 5, 6} {
-		for _, tagBits := range []int{8, 12, 16, 0} {
-			cfg := msa.Config{Sets: sets, MaxWays: 72, SampleLog2: sampleLog2, PartialTagBits: tagBits}
-			got := profileCurve(spec, cfg, accesses)
-			maxErr := 0.0
-			for w := range got {
-				if e := math.Abs(got[w] - exact[w]); e > maxErr {
-					maxErr = e
-				}
-			}
-			oc := msa.BaselineOverhead()
-			oc.SampledSets = sets >> sampleLog2
-			if tagBits == 0 {
-				oc.TagBits = 34 // full tag for the baseline address space
-			} else {
-				oc.TagBits = tagBits
-			}
-			fmt.Printf("1-in-%-7d %-10d %-12.4f %-12.1f\n",
-				1<<sampleLog2, tagBits, maxErr, msa.Kbits(msa.ComputeOverhead(oc).TotalBits()))
-			rep.AddSummary(fmt.Sprintf("profiler.s%d.t%d.max_error", 1<<sampleLog2, tagBits), maxErr)
-		}
-	}
-}
-
-func profileCurve(spec trace.Spec, cfg msa.Config, accesses int) []float64 {
-	p := msa.MustProfiler(cfg)
-	g := trace.MustGenerator(spec, stats.NewRNG(9, 9), trace.GeneratorConfig{BlocksPerWay: cfg.Sets})
-	for i := 0; i < accesses; i++ {
-		p.Access(g.Next().Access.Addr)
-	}
-	return p.MissRatioCurve()
-}
-
-// epochAblation sweeps the repartitioning period on one Table III set.
-func epochAblation(ctx context.Context, opt experiments.Options, rep *metrics.Report) {
-	fmt.Println("\nEpoch-length sweep (set 6, bank-aware, relative misses vs No-partitions):")
-	fmt.Printf("%-14s %-12s %-10s\n", "epoch cycles", "relMisses", "epochs")
-	scale := experiments.ScaleModel
-	set := experiments.TableIIISets[5]
-	for _, epoch := range []int64{200_000, 750_000, 1_500_000, 6_000_000} {
-		cfg := scale.Config()
-		cfg.EpochCycles = epoch
-		r, err := experiments.RunSetContext(ctx, cfg, 6, set[:], 2_000_000, opt)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%-14d %-12.3f %-10d\n", epoch, r.RelMissBank, r.Bank.Epochs)
-		rep.AddSummary(fmt.Sprintf("epoch.%d.rel_miss_bank", epoch), r.RelMissBank)
-		rep.AddSummary(fmt.Sprintf("epoch.%d.epochs", epoch), float64(r.Bank.Epochs))
-	}
-}
-
-// capAblation sweeps the maximum-assignable-capacity restriction in the
-// Monte Carlo projection.
-func capAblation(ctx context.Context, opt experiments.Options, rep *metrics.Report) {
-	fmt.Println("\nCapacity-cap sweep (Monte Carlo mean relative miss ratio vs equal):")
-	fmt.Printf("%-10s %-14s %-12s\n", "cap ways", "unrestricted", "bank-aware")
-	for _, capWays := range []int{32, 48, 72, 128} {
-		cfg := montecarlo.DefaultConfig()
-		cfg.Trials = 300
-		cfg.Seed = 7
-		cfg.Unrestricted.MaxCoreWays = capWays
-		cfg.BankAware.MaxCoreWays = capWays
-		mopt := montecarlo.Options{Workers: opt.Workers, Progress: opt.Progress, Faults: opt.Faults}
-		res, err := montecarlo.RunContext(ctx, cfg, mopt)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("%-10d %-14.3f %-12.3f\n", capWays,
-			res.MeanUnrestrictedRatio, res.MeanBankAwareRatio)
-		rep.AddSummary(fmt.Sprintf("cap.%d.mean_unrestricted_ratio", capWays), res.MeanUnrestrictedRatio)
-		rep.AddSummary(fmt.Sprintf("cap.%d.mean_bankaware_ratio", capWays), res.MeanBankAwareRatio)
-	}
+	return v
 }
 
 func fatal(err error) {

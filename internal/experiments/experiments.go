@@ -1,9 +1,9 @@
 // Package experiments encodes the paper's evaluation section as runnable
 // experiments: the Table III workload sets, the simulation protocol
-// (fast-forward/warm-up/measure), and one function per table or figure.
-// The cmd/ tools and the repository's benchmarks are thin wrappers around
-// this package, so every number in EXPERIMENTS.md regenerates from one
-// place.
+// (fast-forward/warm-up/measure), and one function per table, figure and
+// ablation. The cmd/ tools print their results at the parameters
+// EXPERIMENTS.md reports; TestPaperClaims runs each at the same parameters,
+// asserts the paper's claims and checks the document's tables.
 package experiments
 
 import (
@@ -250,12 +250,6 @@ func newSetResult(set int, workloads []string, none, equal, bank sim.Result) *Se
 	return r
 }
 
-// RunSet simulates one workload set under the three policies, serially.
-// It is the context-free shim over RunSetContext.
-func RunSet(cfg sim.Config, set int, workloads []string, instructions uint64) (*SetResult, error) {
-	return RunSetContext(context.Background(), cfg, set, workloads, instructions, Options{Workers: 1})
-}
-
 // SetPolicies is how many policy simulations one Table III set evaluation
 // comprises (the units a distributed set job shards into).
 const SetPolicies = 3
@@ -328,12 +322,6 @@ type Fig8Fig9Result struct {
 // SetResult then carries its three run reports).
 func (r *Fig8Fig9Result) HasReports() bool {
 	return len(r.Sets) > 0 && len(r.Sets[0].Reports) > 0
-}
-
-// RunFig8Fig9 executes the detailed-simulation experiment on all available
-// cores. It is the context-free shim over RunFig8Fig9Context.
-func RunFig8Fig9(scale Scale, instructions uint64) (*Fig8Fig9Result, error) {
-	return RunFig8Fig9Context(context.Background(), scale, instructions, Options{})
 }
 
 // CampaignUnits is the number of independent simulations the full

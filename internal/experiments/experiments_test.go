@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"bankaware/internal/nuca"
@@ -26,153 +25,5 @@ func TestScaleConfigsValid(t *testing.T) {
 		if s.DefaultInstructions() == 0 {
 			t.Fatalf("scale %d has no instruction budget", s)
 		}
-	}
-}
-
-func TestFig2HistogramShape(t *testing.T) {
-	h, err := Fig2Histogram(200_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The example application has good temporal reuse: "the MRU positions
-	// have a significant percentage of the hits over the LRU one".
-	if h[0] <= h[7]*3 {
-		t.Fatalf("MRU counter %d not dominant over LRU %d", h[0], h[7])
-	}
-	var total uint64
-	for _, v := range h {
-		total += v
-	}
-	if total == 0 {
-		t.Fatal("empty histogram")
-	}
-}
-
-func TestFig3CurvesShape(t *testing.T) {
-	curves, err := Fig3Curves(Fig3Exemplars, 300_000, ScaleModel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curves) != 3 {
-		t.Fatalf("%d curves", len(curves))
-	}
-	byName := map[string][]float64{}
-	for _, c := range curves {
-		byName[c.Workload] = c.Ratio
-		for w := 1; w < len(c.Ratio); w++ {
-			if c.Ratio[w] > c.Ratio[w-1]+1e-9 {
-				t.Fatalf("%s curve not monotone at %d", c.Workload, w)
-			}
-		}
-	}
-	// sixtrack: close to zero beyond its knee (measured cliff sits a
-	// little deeper than the spec cliff; by 10 ways it must be done).
-	six := byName["sixtrack"]
-	if six[10] > 0.1 {
-		t.Errorf("sixtrack miss ratio at 10 ways = %.3f; paper: close to zero", six[10])
-	}
-	// applu: flat, substantial residual after ~10 ways.
-	ap := byName["applu"]
-	if ap[16]-ap[64] > 0.05 {
-		t.Errorf("applu curve not flat beyond its knee: %.3f vs %.3f", ap[16], ap[64])
-	}
-	if ap[64] < 0.2 {
-		t.Errorf("applu residual %.3f; paper: stays flat and high", ap[64])
-	}
-	// bzip2: gradual improvement out to ~45 ways.
-	bz := byName["bzip2"]
-	if !(bz[8] > bz[24] && bz[24] > bz[44]) {
-		t.Errorf("bzip2 should improve to ~45 ways: %.3f %.3f %.3f", bz[8], bz[24], bz[44])
-	}
-}
-
-func TestTableIIMatchesPaper(t *testing.T) {
-	rows, pct := TableII()
-	if len(rows) != 3 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		rel := r.Kbits / r.PaperKbit
-		if rel < 0.95 || rel > 1.05 {
-			t.Errorf("%s: %.2f kbits vs paper %.2f", r.Structure, r.Kbits, r.PaperKbit)
-		}
-	}
-	if pct < 0.3 || pct > 0.6 {
-		t.Errorf("overhead %.3f%% of LLC; paper ~0.4%%", pct)
-	}
-}
-
-func TestTableIIIAssignments(t *testing.T) {
-	rows, err := TableIIIAssignments()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 8 {
-		t.Fatalf("%d rows", len(rows))
-	}
-	for _, r := range rows {
-		sum := 0
-		for _, w := range r.Ways {
-			sum += w
-		}
-		if sum != 128 {
-			t.Fatalf("set %d ways sum to %d", r.Set, sum)
-		}
-	}
-	s := FormatTableIII(rows)
-	if !strings.Contains(s, "set 1:") {
-		t.Fatalf("bad rendering: %q", s)
-	}
-}
-
-func TestAggregationComparison(t *testing.T) {
-	rows, err := AggregationComparison(60_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byScheme := map[nuca.Scheme]AggregationRow{}
-	for _, r := range rows {
-		byScheme[r.Scheme] = r
-	}
-	// The Section III.B ordering.
-	if byScheme[nuca.Cascade].MigrationRate <= byScheme[nuca.TwoLevel].MigrationRate {
-		t.Errorf("cascade migration %.4f <= two-level %.4f",
-			byScheme[nuca.Cascade].MigrationRate, byScheme[nuca.TwoLevel].MigrationRate)
-	}
-	if byScheme[nuca.AddressHash].MigrationRate != 0 || byScheme[nuca.Parallel].MigrationRate != 0 {
-		t.Error("hash/parallel migrated")
-	}
-	if byScheme[nuca.Parallel].LookupsPerAccess <= byScheme[nuca.AddressHash].LookupsPerAccess {
-		t.Error("parallel should cost more lookups than hash")
-	}
-	if FormatAggregation(rows) == "" {
-		t.Error("empty rendering")
-	}
-}
-
-func TestRunFig8Fig9Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full detailed-simulation sweep in -short mode")
-	}
-	// A reduced-length smoke run of the flagship experiment: orderings
-	// must hold even at modest instruction budgets.
-	r, err := RunFig8Fig9(ScaleModel, 1_200_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Sets) != 8 {
-		t.Fatalf("%d sets", len(r.Sets))
-	}
-	if r.GMRelMissBank >= 1 || r.GMRelMissEqual >= 1.1 {
-		t.Fatalf("partitioning shows no benefit: bank=%.3f equal=%.3f", r.GMRelMissBank, r.GMRelMissEqual)
-	}
-	if r.GMRelMissBank > r.GMRelMissEqual+0.03 {
-		t.Fatalf("bank-aware (%.3f) worse than equal (%.3f)", r.GMRelMissBank, r.GMRelMissEqual)
-	}
-	if r.GMRelCPIBank >= 0.9 {
-		t.Fatalf("bank-aware CPI ratio %.3f; sharing should be clearly slower", r.GMRelCPIBank)
-	}
-	if r.String() == "" {
-		t.Fatal("empty rendering")
 	}
 }

@@ -26,20 +26,34 @@ func Fig2Histogram(accesses int) ([9]uint64, error) {
 		MemPerKI: 50,
 	}
 	const sets = 64
-	p, err := msa.NewProfiler(msa.Config{Sets: sets, MaxWays: 8})
-	if err != nil {
-		return [9]uint64{}, err
+	var out [9]uint64
+	p, err := profileStream(context.TODO(), spec, msa.Config{Sets: sets, MaxWays: 8}, stats.NewRNG(2, 1970), sets, accesses)
+	if err == nil {
+		copy(out[:], p.Histogram())
 	}
-	g, err := trace.NewGenerator(spec, stats.NewRNG(2, 1970), trace.GeneratorConfig{BlocksPerWay: sets})
+	return out, err
+}
+
+// profileStream feeds the first accesses of spec's stream, drawn from rng
+// with blocksPerWay blocks per cache way, into a fresh profiler.
+func profileStream(ctx context.Context, spec trace.Spec, cfg msa.Config, rng *stats.RNG, blocksPerWay, accesses int) (*msa.Profiler, error) {
+	p, err := msa.NewProfiler(cfg)
 	if err != nil {
-		return [9]uint64{}, err
+		return nil, err
 	}
-	for i := 0; i < accesses; i++ {
+	g, err := trace.NewGenerator(spec, rng, trace.GeneratorConfig{BlocksPerWay: blocksPerWay})
+	if err != nil {
+		return nil, err
+	}
+	for k := 0; k < accesses; k++ {
+		if k%65536 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+		}
 		p.Access(g.Next().Access.Addr)
 	}
-	var out [9]uint64
-	copy(out[:], p.Histogram())
-	return out, nil
+	return p, nil
 }
 
 // Fig3Exemplars are the workloads of the paper's Fig. 3.
@@ -54,16 +68,11 @@ type Fig3Curve struct {
 	Ratio []float64
 }
 
-// Fig3Curves profiles workloads standalone with the hardware MSA profiler
-// (each "executing stand-alone on our baseline CMP using just a single
-// core") and projects their cumulative miss-ratio curves.
-func Fig3Curves(names []string, accesses int, scale Scale) ([]Fig3Curve, error) {
-	return Fig3CurvesContext(context.Background(), names, accesses, scale, Options{})
-}
-
-// Fig3CurvesContext is Fig3Curves fanned out one job per workload. Each
-// workload's generator is seeded by its index, so the curves are identical
-// for any worker count.
+// Fig3CurvesContext profiles workloads standalone with the hardware MSA
+// profiler (each "executing stand-alone on our baseline CMP using just a
+// single core") and projects their cumulative miss-ratio curves, one job
+// per workload. Each workload's generator is seeded by its index, so the
+// curves are identical for any worker count.
 func Fig3CurvesContext(ctx context.Context, names []string, accesses int, scale Scale, opt Options) ([]Fig3Curve, error) {
 	simCfg := opt.apply(scale.Config())
 	return runner.Map(ctx, runner.Config{Workers: opt.Workers, Progress: opt.Progress},
@@ -72,22 +81,9 @@ func Fig3CurvesContext(ctx context.Context, names []string, accesses int, scale 
 			if err != nil {
 				return Fig3Curve{}, err
 			}
-			p, err := msa.NewProfiler(simCfg.Profiler)
+			p, err := profileStream(ctx, spec, simCfg.Profiler, stats.NewRNG(uint64(i+1), 42), simCfg.BankSets, accesses)
 			if err != nil {
 				return Fig3Curve{}, err
-			}
-			g, err := trace.NewGenerator(spec, stats.NewRNG(uint64(i+1), 42),
-				trace.GeneratorConfig{BlocksPerWay: simCfg.BankSets})
-			if err != nil {
-				return Fig3Curve{}, err
-			}
-			for k := 0; k < accesses; k++ {
-				if k%65536 == 0 {
-					if err := ctx.Err(); err != nil {
-						return Fig3Curve{}, err
-					}
-				}
-				p.Access(g.Next().Access.Addr)
 			}
 			return Fig3Curve{Workload: names[i], Ratio: p.MissRatioCurve()}, nil
 		})

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"strconv"
 )
@@ -44,24 +43,4 @@ func WriteFig8CSV(w io.Writer, r *Fig8Fig9Result) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteFig8Markdown exports the sweep as a Markdown table (the format
-// EXPERIMENTS.md embeds).
-func WriteFig8Markdown(w io.Writer, r *Fig8Fig9Result) error {
-	if _, err := fmt.Fprintln(w, "| set | relMiss Equal | relMiss Bank | relCPI Equal | relCPI Bank |"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(w, "|---|---|---|---|---|"); err != nil {
-		return err
-	}
-	for _, s := range r.Sets {
-		if _, err := fmt.Fprintf(w, "| %d | %.3f | %.3f | %.3f | %.3f |\n",
-			s.Set, s.RelMissEqual, s.RelMissBank, s.RelCPIEqual, s.RelCPIBank); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "| **GM** | **%.3f** | **%.3f** | **%.3f** | **%.3f** |\n",
-		r.GMRelMissEqual, r.GMRelMissBank, r.GMRelCPIEqual, r.GMRelCPIBank)
-	return err
 }

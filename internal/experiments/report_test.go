@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"encoding/csv"
-	"strings"
 	"testing"
 
 	"bankaware/internal/sim"
@@ -43,19 +42,5 @@ func TestWriteFig8CSV(t *testing.T) {
 	}
 	if records[3][6] != "0.500000" {
 		t.Fatalf("rel miss column = %q", records[3][6])
-	}
-}
-
-func TestWriteFig8Markdown(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteFig8Markdown(&buf, fakeFig89()); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "| 1 | 0.600 | 0.500 | 0.500 | 0.450 |") {
-		t.Fatalf("missing set row:\n%s", out)
-	}
-	if !strings.Contains(out, "**GM**") {
-		t.Fatal("missing GM row")
 	}
 }

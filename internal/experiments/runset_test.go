@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestRunSetRejectsUnknownWorkload(t *testing.T) {
 	cfg := ScaleModel.Config()
-	_, err := RunSet(cfg, 1, []string{"nonesuch", "b", "c", "d", "e", "f", "g", "h"}, 1000)
+	_, err := RunSetContext(context.Background(), cfg, 1, []string{"nonesuch", "b", "c", "d", "e", "f", "g", "h"}, 1000, Options{})
 	if err == nil {
 		t.Fatal("unknown workload accepted")
 	}
@@ -18,7 +19,7 @@ func TestRunSetSmoke(t *testing.T) {
 		t.Skip("detailed simulation in -short mode")
 	}
 	cfg := ScaleModel.Config()
-	r, err := RunSet(cfg, 3, TableIIISets[2][:], 400_000)
+	r, err := RunSetContext(context.Background(), cfg, 3, TableIIISets[2][:], 400_000, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestFig8Fig9StringLayout(t *testing.T) {
 }
 
 func TestFig3CurvesUnknownWorkload(t *testing.T) {
-	if _, err := Fig3Curves([]string{"nonesuch"}, 1000, ScaleModel); err == nil {
+	if _, err := Fig3CurvesContext(context.Background(), []string{"nonesuch"}, 1000, ScaleModel, Options{}); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 }

@@ -91,12 +91,6 @@ type Options struct {
 	Faults *faults.Plan
 }
 
-// Run executes the experiment serially-equivalent on all available cores.
-// It is the context-free shim over RunContext.
-func Run(cfg Config) (*Results, error) {
-	return RunContext(context.Background(), cfg, Options{})
-}
-
 // plan is the deterministic up-front state every trial derives from: the
 // workload pool with projected miss curves, the serially drawn mixes for
 // every trial, and the (possibly degraded) even-split baseline. Because the

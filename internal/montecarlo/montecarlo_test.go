@@ -1,6 +1,7 @@
 package montecarlo
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,27 +16,27 @@ func smallConfig(trials int) Config {
 
 func TestRunValidation(t *testing.T) {
 	cfg := smallConfig(0)
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunContext(context.Background(), cfg, Options{}); err == nil {
 		t.Fatal("zero trials accepted")
 	}
 	cfg = smallConfig(1)
 	cfg.Workloads = []trace.Spec{}
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunContext(context.Background(), cfg, Options{}); err == nil {
 		t.Fatal("empty pool accepted")
 	}
 	cfg = smallConfig(1)
 	cfg.Workloads = []trace.Spec{{}}
-	if _, err := Run(cfg); err == nil {
+	if _, err := RunContext(context.Background(), cfg, Options{}); err == nil {
 		t.Fatal("invalid spec accepted")
 	}
 }
 
 func TestRunDeterminism(t *testing.T) {
-	a, err := Run(smallConfig(50))
+	a, err := RunContext(context.Background(), smallConfig(50), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := Run(smallConfig(50))
+	b, _ := RunContext(context.Background(), smallConfig(50), Options{})
 	if a.MeanBankAwareRatio != b.MeanBankAwareRatio || a.MeanUnrestrictedRatio != b.MeanUnrestrictedRatio {
 		t.Fatal("nondeterministic results for identical seeds")
 	}
@@ -47,7 +48,7 @@ func TestRunDeterminism(t *testing.T) {
 }
 
 func TestTrialsSortedByUnrestricted(t *testing.T) {
-	r, err := Run(smallConfig(200))
+	r, err := RunContext(context.Background(), smallConfig(200), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestFig7Envelope(t *testing.T) {
 	// a performance envelope; Bank-aware falls close to the Unrestricted
 	// line with some outliers, and the averages are comparable
 	// (paper: 30% vs 27% reduction).
-	r, err := Run(smallConfig(500))
+	r, err := RunContext(context.Background(), smallConfig(500), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestFig7Envelope(t *testing.T) {
 }
 
 func TestSummary(t *testing.T) {
-	r, err := Run(smallConfig(10))
+	r, err := RunContext(context.Background(), smallConfig(10), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestCustomPool(t *testing.T) {
 		trace.MustSpec("sixtrack"),
 		trace.MustSpec("facerec"),
 	}
-	r, err := Run(cfg)
+	r, err := RunContext(context.Background(), cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,23 +39,6 @@ func TestParallelMatchesSerialExactly(t *testing.T) {
 	}
 }
 
-func TestRunShimMatchesRunContext(t *testing.T) {
-	cfg := smallConfig(50)
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunContext(context.Background(), cfg, Options{Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a.Trials {
-		if a.Trials[i] != b.Trials[i] {
-			t.Fatalf("trial %d differs between shim and context run", i)
-		}
-	}
-}
-
 func TestCancelledContextReturnsCanceled(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())

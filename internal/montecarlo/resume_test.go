@@ -33,7 +33,7 @@ func reportBytes(t *testing.T, res *Results) []byte {
 // byte-identical to an uninterrupted run.
 func TestResumeEmitsIdenticalReport(t *testing.T) {
 	cfg := resumeConfig(40)
-	uninterrupted, err := Run(cfg)
+	uninterrupted, err := RunContext(context.Background(), cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestDegradedEqualSplitUsesSurvivingCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	healthy, err := Run(cfg)
+	healthy, err := RunContext(context.Background(), cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,11 +57,27 @@ func TestWorkersBounded(t *testing.T) {
 func TestFirstErrorWinsAndCancelsRest(t *testing.T) {
 	boom := errors.New("boom")
 	var ran atomic.Int64
+	started := make(chan struct{})
 	_, err := Map(context.Background(), Config{Workers: 2}, 1000,
-		func(_ context.Context, job int) (int, error) {
+		func(ctx context.Context, job int) (int, error) {
 			ran.Add(1)
-			if job == 3 {
+			switch job {
+			case 3:
+				// Fail only once job 4 runs, so the failure has a running job
+				// to cancel and the other worker cannot drain the queue first.
+				select {
+				case <-started:
+				case <-time.After(5 * time.Second):
+				}
 				return 0, fmt.Errorf("job 3: %w", boom)
+			case 4:
+				close(started)
+				select {
+				case <-ctx.Done():
+					return 0, ctx.Err()
+				case <-time.After(5 * time.Second):
+					t.Error("failure did not cancel the running job")
+				}
 			}
 			return job, nil
 		})

@@ -36,7 +36,7 @@ func directMonteCarloBytes(t *testing.T, trials int, seed uint64) []byte {
 	cfg := montecarlo.DefaultConfig()
 	cfg.Trials = trials
 	cfg.Seed = seed
-	res, err := montecarlo.Run(cfg)
+	res, err := montecarlo.RunContext(context.Background(), cfg, montecarlo.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

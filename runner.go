@@ -251,8 +251,8 @@ func (r *Runner) progressFunc() ProgressFunc {
 func (r *Runner) experimentOptions() experiments.Options {
 	opt := experiments.Options{
 		Workers: r.workers, Progress: r.progressFunc(), Observe: r.observe(),
-		Faults:     r.faults,
-		Retries:    r.retries, RetryBackoff: r.backoff, JobTimeout: r.jobTimeout,
+		Faults:  r.faults,
+		Retries: r.retries, RetryBackoff: r.backoff, JobTimeout: r.jobTimeout,
 		SimWorkers: r.simWorkers,
 		Fidelity:   r.fidelity,
 	}
