@@ -45,8 +45,9 @@ import (
 const (
 	// profileEvents is the trace length of one profiling pass. Long enough
 	// that the depth histogram's sampling error is well below the accuracy
-	// envelope; a cold profile costs ~0.17 s on one x86-64 server core,
-	// mostly in the trace generator's LRU-stack treap, and it is cached
+	// envelope; a cold profile costs ~140 ms on one core of a 2-vCPU
+	// x86-64 VM (3.6-3.7 s for the 26 catalog workloads built one after
+	// another), about 60% of it in the trace generator, and it is cached
 	// per process.
 	profileEvents = 1 << 18
 	// profileWarmup is the prefix excluded from the histogram: the

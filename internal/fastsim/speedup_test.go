@@ -10,10 +10,10 @@ import (
 // TestFastPathSpeedup times both engines head-to-head on Table III set 1.
 // A fast run's cost is its cached micro-replays, nearly flat in run
 // length, so its advantage grows with run length; the one-time profiling
-// pass (~0.17 s/workload, parallel and cached per process) is amortised
+// pass (~140 ms/workload, parallel and cached per process) is amortised
 // across a campaign, exactly as in real use, by timing the steady state
 // after one warm-up construction. At 10M instructions the detailed engine
-// took 3.5-4.8 s and the fast path 10-14 ms on one core of a 2-vCPU Xeon
+// took 2.8-3.0 s and the fast path 11-14 ms (206-271x) on a 2-vCPU x86-64
 // VM; the assertion floor is the 20x the fidelity tier promises, with the
 // margin absorbing loaded CI machines.
 func TestFastPathSpeedup(t *testing.T) {

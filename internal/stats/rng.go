@@ -9,7 +9,10 @@
 // machines. All randomness in the repository flows through stats.RNG.
 package stats
 
-import "math/rand/v2"
+import (
+	"math"
+	"math/rand/v2"
+)
 
 // RNG is a deterministic pseudo-random source. It wraps the stdlib PCG
 // generator and adds the derivation helpers the simulators need (splitting a
@@ -99,9 +102,12 @@ func (r *RNG) Geometric(p float64) int {
 		panic("stats: Geometric requires p in (0,1]")
 	}
 	// One Bernoulli trial per draw, capped to keep pathological draws
-	// bounded.
+	// bounded. A trial succeeds when unit(x) < p, i.e. m/2^53 < p for the
+	// draw's low 53 bits m. Both m/2^53 and p·2^53 are exact in float64
+	// and m is an integer, so m < ceil(p·2^53) is the same test.
+	t := uint64(math.Ceil(p * (1 << 53)))
 	n := 0
-	for !(unit(r.pcg.Uint64()) < p) {
+	for r.pcg.Uint64()<<11>>11 >= t {
 		n++
 		if n >= 1<<20 {
 			break

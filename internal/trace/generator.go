@@ -70,10 +70,14 @@ func NewGenerator(spec Spec, rng *stats.RNG, cfg GeneratorConfig) (*Generator, e
 		acc += m
 		cum[i] = acc
 	}
+	// Split advances rng by two draws. The child it returns is unused (the
+	// LRU stack needs no randomness), but the draws stay so that every
+	// workload's stream, and every report built from it, is unchanged.
+	rng.Split(0xface)
 	g := &Generator{
 		spec:         spec,
 		rng:          rng,
-		stack:        newLRUStack(rng.Split(0xface)),
+		stack:        newLRUStack(),
 		cumMass:      cum,
 		reuseCut:     1 - cold - loop,
 		loopCut:      1 - cold,

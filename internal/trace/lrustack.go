@@ -1,135 +1,121 @@
 package trace
 
-import "bankaware/internal/stats"
-
 // lruStack is an indexable LRU stack of block addresses: position 0 is the
 // most recently used block. It supports the three operations the
 // stack-distance generator needs — push a new block on top, remove the block
-// at a given rank (to re-touch it), and query the size — each in O(log n).
+// at a given rank (to re-touch it), and query the size — each in O(log n),
+// amortised. A plain slice with move-to-front would cost O(depth) per
+// access, which is prohibitive for the deep reuse distances (tens of
+// thousands of blocks) that workloads like bzip2 exhibit.
 //
-// It is implemented as an implicit treap (randomised balanced tree ordered
-// by position, with subtree sizes for rank addressing). A plain slice with
-// move-to-front would cost O(depth) per access, which is prohibitive for the
-// deep reuse distances (tens of thousands of blocks) that workloads like
-// bzip2 exhibit.
+// Every push writes the next slot of an array, so slot order is push order
+// and the live slots, read from the top down, are the stack. A Fenwick tree
+// counts which slots are live: the block at rank r is the (Len-r)-th live
+// slot, found by one binary-lifting descent, and removing it clears its
+// count on the way down. Liveness is kept only in the tree, so a slot costs
+// 12 bytes.
 type lruStack struct {
-	root *treapNode
-	rng  *stats.RNG
-	free []*treapNode // recycled nodes, to keep allocation off the hot path
-	slab []treapNode  // bulk node arena, handed out one node at a time
+	slots []Addr  // slots[i] is the block pushed into slot i; len is a power of two
+	tree  []int32 // 1-based Fenwick tree of per-slot live counts, len(slots)+1 entries
+	top   int     // next slot to push into
+	live  int     // live slots, i.e. the stack's length
 }
 
-// nodeSlab is how many treap nodes one arena allocation holds. Working-set
-// growth touches a new node per cold block; carving nodes out of slabs keeps
-// that growth from costing one heap allocation each.
-const nodeSlab = 1024
+// initialSlots is the slot array's starting length. It must be a power of
+// two: the descent starts at the tree's root, node len(slots).
+const initialSlots = 1024
 
-type treapNode struct {
-	left, right *treapNode
-	size        int
-	prio        uint64
-	addr        Addr
-}
-
-func newLRUStack(rng *stats.RNG) *lruStack {
-	return &lruStack{rng: rng}
-}
-
-func size(n *treapNode) int {
-	if n == nil {
-		return 0
+func newLRUStack() *lruStack {
+	return &lruStack{
+		slots: make([]Addr, initialSlots),
+		tree:  make([]int32, initialSlots+1),
 	}
-	return n.size
-}
-
-func (n *treapNode) update() {
-	n.size = 1 + size(n.left) + size(n.right)
-}
-
-// split divides t into (left: first k nodes, right: the rest).
-func split(t *treapNode, k int) (l, r *treapNode) {
-	if t == nil {
-		return nil, nil
-	}
-	if size(t.left) >= k {
-		l, t.left = split(t.left, k)
-		t.update()
-		return l, t
-	}
-	t.right, r = split(t.right, k-size(t.left)-1)
-	t.update()
-	return t, r
-}
-
-func merge(l, r *treapNode) *treapNode {
-	if l == nil {
-		return r
-	}
-	if r == nil {
-		return l
-	}
-	if l.prio > r.prio {
-		l.right = merge(l.right, r)
-		l.update()
-		return l
-	}
-	r.left = merge(l, r.left)
-	r.update()
-	return r
 }
 
 // Len returns the number of blocks on the stack.
-func (s *lruStack) Len() int { return size(s.root) }
+func (s *lruStack) Len() int { return s.live }
 
 // PushFront makes addr the most recently used block.
 func (s *lruStack) PushFront(addr Addr) {
-	var n *treapNode
-	switch {
-	case len(s.free) > 0:
-		n = s.free[len(s.free)-1]
-		s.free = s.free[:len(s.free)-1]
-		*n = treapNode{}
-	default:
-		if len(s.slab) == 0 {
-			s.slab = make([]treapNode, nodeSlab)
-		}
-		n = &s.slab[0]
-		s.slab = s.slab[1:]
+	if s.top == len(s.slots) {
+		s.makeRoom()
 	}
-	n.addr = addr
-	n.prio = s.rng.Uint64()
-	n.size = 1
-	s.root = merge(n, s.root)
+	s.slots[s.top] = addr
+	s.top++
+	s.live++
+	for i := s.top; i < len(s.tree); i += i & -i {
+		s.tree[i]++
+	}
 }
 
 // RemoveAt removes and returns the block at rank (0 = MRU). It panics if
 // rank is out of range; callers clamp against Len.
 func (s *lruStack) RemoveAt(rank int) Addr {
-	if rank < 0 || rank >= s.Len() {
-		panic("trace: lruStack rank out of range")
-	}
-	l, rest := split(s.root, rank)
-	mid, r := split(rest, 1)
-	s.root = merge(l, r)
-	addr := mid.addr
-	mid.left, mid.right = nil, nil
-	s.free = append(s.free, mid)
+	s.checkRank(rank)
+	addr := s.slots[s.descend(s.live-rank, 1)]
+	s.live--
 	return addr
 }
 
-// At returns the block at rank without removing it (used by tests).
+// At returns the block at rank without removing it (used by tests). It
+// panics if rank is out of range.
 func (s *lruStack) At(rank int) Addr {
-	n := s.root
-	for {
-		ls := size(n.left)
-		switch {
-		case rank < ls:
-			n = n.left
-		case rank == ls:
-			return n.addr
-		default:
-			rank -= ls + 1
-			n = n.right
+	s.checkRank(rank)
+	return s.slots[s.descend(s.live-rank, 0)]
+}
+
+func (s *lruStack) checkRank(rank int) {
+	if rank < 0 || rank >= s.live {
+		panic("trace: lruStack rank out of range")
+	}
+}
+
+// descend returns the slot holding the k-th live block (1-based, in push
+// order) and subtracts dec from every tree node whose range holds that
+// slot. Those nodes are exactly the ones the descent does not step past,
+// so with dec 1 the walk down is also the point update that clears the
+// slot.
+func (s *lruStack) descend(k int, dec int32) int {
+	pos := 0
+	for step := len(s.slots); step > 0; step >>= 1 {
+		if c := int(s.tree[pos+step]); c < k {
+			pos += step
+			k -= c
+		} else {
+			s.tree[pos+step] -= dec
 		}
 	}
+	return pos
+}
+
+// makeRoom frees slots once the array is full. It turns the tree back into
+// per-slot live counts in place (the inverse of the linear-time build),
+// slides the live slots down to the start in push order and rebuilds the
+// tree over them. The arrays double first when more than 3/4 of the slots
+// are live, so each compaction frees at least a quarter of them and costs
+// O(1) per push, amortised.
+func (s *lruStack) makeRoom() {
+	n := len(s.slots)
+	old, counts := s.slots, s.tree
+	for i := n; i >= 1; i-- {
+		if j := i + i&-i; j <= n {
+			counts[j] -= counts[i]
+		}
+	}
+	if 4*s.live > 3*n {
+		s.slots, s.tree = make([]Addr, 2*n), make([]int32, 2*n+1)
+	}
+	w := 0
+	for i, addr := range old {
+		if counts[i+1] != 0 {
+			s.slots[w] = addr
+			w++
+		}
+	}
+	// Slots 0..w-1 are live and the rest free: node i, covering slots
+	// (i-lowbit(i), i] in 1-based terms, counts the live ones among them.
+	for i := 1; i < len(s.tree); i++ {
+		s.tree[i] = int32(max(0, min(i, w)-(i-i&-i)))
+	}
+	s.top = w
 }
