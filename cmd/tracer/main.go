@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"bankaware/internal/metrics"
@@ -67,28 +68,10 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		writes, gaps := 0, 0
-		seen := map[trace.Addr]bool{}
-		for i := 0; i < tr.Len(); i++ {
-			ev := tr.Event(i)
-			if ev.Access.Write {
-				writes++
-			}
-			gaps += ev.Gap
-			seen[ev.Access.Addr] = true
-		}
-		n := float64(tr.Len())
-		fmt.Printf("events:          %d\n", tr.Len())
-		fmt.Printf("distinct blocks: %d (%.1f KiB footprint)\n", len(seen), float64(len(seen))*64/1024)
-		fmt.Printf("write fraction:  %.3f\n", float64(writes)/n)
-		fmt.Printf("mean gap:        %.2f instructions\n", float64(gaps)/n)
 		if rep != nil {
 			rep.Label = *info
 		}
-		rep.AddSummary("events", n)
-		rep.AddSummary("distinct_blocks", float64(len(seen)))
-		rep.AddSummary("write_fraction", float64(writes)/n)
-		rep.AddSummary("mean_gap", float64(gaps)/n)
+		summarize(os.Stdout, tr, rep)
 
 	case *curve != "":
 		tr, err := trace.ReadTraceFile(*curve)
@@ -122,6 +105,34 @@ func main() {
 		}
 		fmt.Printf("wrote trace report to %s\n", *report)
 	}
+}
+
+// summarize prints a trace's event count, footprint, write fraction and
+// mean gap, and adds them to rep (which may be nil). An empty trace has no
+// ratios, so it reports only its zero counts.
+func summarize(w io.Writer, tr *trace.Trace, rep *metrics.Report) {
+	writes, gaps := 0, 0
+	seen := map[trace.Addr]bool{}
+	for i := 0; i < tr.Len(); i++ {
+		ev := tr.Event(i)
+		if ev.Access.Write {
+			writes++
+		}
+		gaps += ev.Gap
+		seen[ev.Access.Addr] = true
+	}
+	n := float64(tr.Len())
+	fmt.Fprintf(w, "events:          %d\n", tr.Len())
+	fmt.Fprintf(w, "distinct blocks: %d (%.1f KiB footprint)\n", len(seen), float64(len(seen))*64/1024)
+	rep.AddSummary("events", n)
+	rep.AddSummary("distinct_blocks", float64(len(seen)))
+	if tr.Len() == 0 {
+		return
+	}
+	fmt.Fprintf(w, "write fraction:  %.3f\n", float64(writes)/n)
+	fmt.Fprintf(w, "mean gap:        %.2f instructions\n", float64(gaps)/n)
+	rep.AddSummary("write_fraction", float64(writes)/n)
+	rep.AddSummary("mean_gap", float64(gaps)/n)
 }
 
 func fatal(err error) {

@@ -396,7 +396,9 @@ var claims = []claim{
 			specs, err := resolveSpecs(mix)
 			fatalIf(t, err)
 			cpi := func(p core.Policy) float64 {
-				run, err := runPolicy(context.Background(), ScaleModel.Config(), specs, p, mix, 1_200_000, FidelityDetailed, 0, false, nil)
+				sys, err := NewEngine(FidelityDetailed, ScaleModel.Config(), p, specs)
+				fatalIf(t, err)
+				run, err := runPolicy(context.Background(), sys, mix, 1_200_000, 0, false, nil)
 				fatalIf(t, err)
 				return run.Result.MeanCPI
 			}

@@ -1,0 +1,166 @@
+package experiments
+
+import (
+	"context"
+	"fmt"
+	"sync"
+
+	"bankaware/internal/core"
+	"bankaware/internal/sim"
+	"bankaware/internal/trace"
+)
+
+// SetEvaluation is one workload set evaluated on one machine: the policy
+// units that simulate the same mix. Core c's access stream is a pure
+// function of the seed, the machine's bank sets, the core's spec and c (see
+// sim.Generators), so every unit of a set consumes the same eight streams.
+// An evaluation that several detailed units will run on records each
+// stream once on a trace.Tape, and each unit replays the recordings through
+// its own readers instead of generating them again. The fast engine reads
+// no streams and a single unit has no one to share with, so neither builds
+// tapes. Either way a unit's result is exactly what a solo run of it
+// computes. RunPolicy is safe for concurrent use.
+type SetEvaluation struct {
+	cfg          sim.Config
+	workloads    []string
+	specs        []trace.Spec
+	instructions uint64
+	opt          Options
+	runPrefix    string        // prefixes the policy name in Options.Sample run tags
+	tapes        []*trace.Tape // one per core; nil when no units share streams
+}
+
+// NewSetEvaluation prepares the evaluation of workloads (one per core) on
+// the machine cfg, after opt's seed and fault overrides, for units policy
+// units.
+func NewSetEvaluation(cfg sim.Config, workloads []string, instructions uint64, units int, opt Options) (*SetEvaluation, error) {
+	specs, err := resolveSpecs(workloads)
+	if err != nil {
+		return nil, err
+	}
+	e := &SetEvaluation{cfg: opt.apply(cfg), workloads: workloads, specs: specs, instructions: instructions, opt: opt}
+	if units > 1 && opt.Fidelity != FidelityFast {
+		gens, err := sim.Generators(e.cfg, specs)
+		if err != nil {
+			return nil, err
+		}
+		e.tapes = make([]*trace.Tape, len(gens))
+		for c, g := range gens {
+			e.tapes[c] = trace.NewTape(g)
+		}
+	}
+	return e, nil
+}
+
+// RunPolicy executes one policy unit — 0 No-partitions, 1 Equal,
+// 2 Bank-aware — under its own clone of the policy.
+func (e *SetEvaluation) RunPolicy(ctx context.Context, policy int) (PolicyRun, error) {
+	if policy < 0 || policy >= SetPolicies {
+		return PolicyRun{}, fmt.Errorf("experiments: policy index %d out of range [0, %d)", policy, SetPolicies)
+	}
+	proto := setPolicyPrototypes()[policy]
+	sys, err := e.engine(core.ClonePolicy(proto))
+	if err != nil {
+		return PolicyRun{}, err
+	}
+	observe := e.opt.Observe || e.opt.Sample != nil
+	return runPolicy(ctx, sys, e.workloads, e.instructions, e.opt.SimWorkers, observe,
+		e.opt.sampler(e.runPrefix+proto.Name()))
+}
+
+// engine builds one unit's engine: over fresh tape readers when the units
+// share streams, otherwise as NewEngine would.
+func (e *SetEvaluation) engine(policy core.Policy) (Engine, error) {
+	if e.tapes == nil {
+		return NewEngine(e.opt.Fidelity, e.cfg, policy, e.specs)
+	}
+	streams := make([]trace.Stream, len(e.tapes))
+	for c, t := range e.tapes {
+		streams[c] = t.Reader()
+	}
+	return sim.NewWithStreams(e.cfg, policy, streams)
+}
+
+// CampaignEvaluation runs units [from, to) of the Figs. 8/9 campaign, one
+// SetEvaluation per Table III set: unit/3 selects the set, unit%3 the
+// policy. The first of a set's units to start opens the set's evaluation,
+// and once every unit of that set in the range has succeeded the evaluation
+// is dropped with its tapes, so a campaign holds the tapes of only the sets
+// it is working on. RunUnit is safe for concurrent use.
+type CampaignEvaluation struct {
+	scale        Scale
+	instructions uint64
+	from, to     int
+	opt          Options
+
+	mu   sync.Mutex
+	sets map[int]*openSet
+}
+
+// openSet is an open set's evaluation and the number of its units in the
+// range that have yet to succeed.
+type openSet struct {
+	eval *SetEvaluation
+	left int
+}
+
+// NewCampaignEvaluation prepares units [from, to) of the campaign at scale.
+// A zero instructions selects the scale's default budget.
+func NewCampaignEvaluation(scale Scale, instructions uint64, from, to int, opt Options) *CampaignEvaluation {
+	if instructions == 0 {
+		instructions = scale.DefaultInstructions()
+	}
+	return &CampaignEvaluation{
+		scale: scale, instructions: instructions, from: from, to: to, opt: opt,
+		sets: make(map[int]*openSet),
+	}
+}
+
+// RunUnit executes one flattened (set, policy) simulation of the range.
+// The returned PolicyRun is exactly what RunFig8Fig9Context computes at
+// that index.
+func (c *CampaignEvaluation) RunUnit(ctx context.Context, unit int) (PolicyRun, error) {
+	if unit < max(c.from, 0) || unit >= min(c.to, CampaignUnits) {
+		return PolicyRun{}, fmt.Errorf("experiments: campaign unit %d out of range [%d, %d)", unit, c.from, c.to)
+	}
+	set, pol := unit/SetPolicies, unit%SetPolicies
+	e, err := c.open(set)
+	if err != nil {
+		return PolicyRun{}, err
+	}
+	r, err := e.RunPolicy(ctx, pol)
+	if err != nil {
+		return PolicyRun{}, fmt.Errorf("set %d (%s): %w", set+1, setPolicyPrototypes()[pol].Name(), err)
+	}
+	c.done(set)
+	return r, nil
+}
+
+// open returns set's evaluation, preparing it on first use for the set's
+// units in the range.
+func (c *CampaignEvaluation) open(set int) (*SetEvaluation, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if s := c.sets[set]; s != nil {
+		return s.eval, nil
+	}
+	units := min(c.to, (set+1)*SetPolicies) - max(c.from, set*SetPolicies)
+	e, err := NewSetEvaluation(c.scale.Config(), TableIIISets[set][:], c.instructions, units, c.opt)
+	if err != nil {
+		return nil, err
+	}
+	e.runPrefix = fmt.Sprintf("set%d/", set+1)
+	c.sets[set] = &openSet{eval: e, left: units}
+	return e, nil
+}
+
+// done counts one of set's units as succeeded and drops the set's
+// evaluation after the last.
+func (c *CampaignEvaluation) done(set int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.sets[set]
+	if s.left--; s.left == 0 {
+		delete(c.sets, set)
+	}
+}

@@ -203,16 +203,11 @@ type PolicyRun struct {
 	Observed bool              `json:"observed"`
 }
 
-// runPolicy executes one full simulation — warm-up, stats reset, measured
-// phase — under its own clone of the policy prototype. With observe set it
-// also attaches the metrics layer and exports the run report covering the
-// measurement window; sample, when non-nil, taps the measured phase's epoch
-// samples live.
-func runPolicy(ctx context.Context, cfg sim.Config, specs []trace.Spec, proto core.Policy, workloads []string, instructions uint64, fidelity Fidelity, simWorkers int, observe bool, sample func(metrics.EpochSample)) (PolicyRun, error) {
-	sys, err := NewEngine(fidelity, cfg, core.ClonePolicy(proto), specs)
-	if err != nil {
-		return PolicyRun{}, err
-	}
+// runPolicy executes one full simulation on sys — warm-up, stats reset,
+// measured phase. With observe set it also attaches the metrics layer and
+// exports the run report covering the measurement window; sample, when
+// non-nil, taps the measured phase's epoch samples live.
+func runPolicy(ctx context.Context, sys Engine, workloads []string, instructions uint64, simWorkers int, observe bool, sample func(metrics.EpochSample)) (PolicyRun, error) {
 	sys.SetSimWorkers(simWorkers)
 	var rec *metrics.Recorder
 	if observe {
@@ -254,23 +249,17 @@ func newSetResult(set int, workloads []string, none, equal, bank sim.Result) *Se
 // comprises (the units a distributed set job shards into).
 const SetPolicies = 3
 
-// RunSetPolicyContext executes one policy simulation of a set evaluation —
-// the unit a distributed set campaign shards into. policy indexes the
-// evaluation order (0 No-partitions, 1 Equal, 2 Bank-aware). The returned
-// PolicyRun is exactly what RunSetContext computes for that unit.
+// RunSetPolicyContext executes one policy simulation of a set evaluation
+// on its own — the unit a distributed set campaign shards into. policy
+// indexes the evaluation order (0 No-partitions, 1 Equal, 2 Bank-aware).
+// The returned PolicyRun is exactly what RunSetContext computes for that
+// unit.
 func RunSetPolicyContext(ctx context.Context, cfg sim.Config, workloads []string, instructions uint64, policy int, opt Options) (PolicyRun, error) {
-	if policy < 0 || policy >= SetPolicies {
-		return PolicyRun{}, fmt.Errorf("experiments: policy index %d out of range [0, %d)", policy, SetPolicies)
-	}
-	cfg = opt.apply(cfg)
-	specs, err := resolveSpecs(workloads)
+	e, err := NewSetEvaluation(cfg, workloads, instructions, 1, opt)
 	if err != nil {
 		return PolicyRun{}, err
 	}
-	protos := setPolicyPrototypes()
-	observe := opt.Observe || opt.Sample != nil
-	return runPolicy(ctx, cfg, specs, protos[policy], workloads, instructions, opt.Fidelity, opt.SimWorkers, observe,
-		opt.sampler(protos[policy].Name()))
+	return e.RunPolicy(ctx, policy)
 }
 
 // AssembleSetResult folds the three policy units (in evaluation order) into
@@ -295,12 +284,15 @@ func AssembleSetResult(set int, workloads []string, runs []PolicyRun, observe bo
 }
 
 // RunSetContext simulates one workload set under the three policies, fanned
-// out on the engine (one job per policy).
+// out on the engine (one job per policy). The jobs run on one
+// SetEvaluation, so each core's stream is generated once and replayed by
+// all three; results are identical for any worker count.
 func RunSetContext(ctx context.Context, cfg sim.Config, set int, workloads []string, instructions uint64, opt Options) (*SetResult, error) {
-	runs, err := runner.Map(ctx, opt.runnerConfig(),
-		SetPolicies, func(ctx context.Context, job int) (PolicyRun, error) {
-			return RunSetPolicyContext(ctx, cfg, workloads, instructions, job, opt)
-		})
+	e, err := NewSetEvaluation(cfg, workloads, instructions, SetPolicies, opt)
+	if err != nil {
+		return nil, err
+	}
+	runs, err := runner.Map(ctx, opt.runnerConfig(), SetPolicies, e.RunPolicy)
 	if err != nil {
 		return nil, err
 	}
@@ -328,33 +320,6 @@ func (r *Fig8Fig9Result) HasReports() bool {
 // Figs. 8/9 campaign flattens into (8 Table III sets x 3 policies) — the
 // units a distributed experiments job shards into.
 const CampaignUnits = len(TableIIISets) * SetPolicies
-
-// RunCampaignUnitContext executes one flattened (set, policy) simulation of
-// the Figs. 8/9 campaign: unit/3 selects the Table III set, unit%3 the
-// policy. The returned PolicyRun is exactly what RunFig8Fig9Context
-// computes at that index.
-func RunCampaignUnitContext(ctx context.Context, scale Scale, instructions uint64, unit int, opt Options) (PolicyRun, error) {
-	if unit < 0 || unit >= CampaignUnits {
-		return PolicyRun{}, fmt.Errorf("experiments: campaign unit %d out of range [0, %d)", unit, CampaignUnits)
-	}
-	cfg := opt.apply(scale.Config())
-	if instructions == 0 {
-		instructions = scale.DefaultInstructions()
-	}
-	set, pol := unit/SetPolicies, unit%SetPolicies
-	protos := setPolicyPrototypes()
-	observe := opt.Observe || opt.Sample != nil
-	specs, err := resolveSpecs(TableIIISets[set][:])
-	if err != nil {
-		return PolicyRun{}, err
-	}
-	r, err := runPolicy(ctx, cfg, specs, protos[pol], TableIIISets[set][:], instructions, opt.Fidelity, opt.SimWorkers, observe,
-		opt.sampler(fmt.Sprintf("set%d/%s", set+1, protos[pol].Name())))
-	if err != nil {
-		return PolicyRun{}, fmt.Errorf("set %d (%s): %w", set+1, protos[pol].Name(), err)
-	}
-	return r, nil
-}
 
 // AssembleFig8Fig9 folds the campaign's flattened units (in unit order)
 // into the Figs. 8/9 result, exactly as RunFig8Fig9Context does
@@ -389,15 +354,16 @@ func AssembleFig8Fig9(runs []PolicyRun, observe bool, fidelity Fidelity) (*Fig8F
 }
 
 // RunFig8Fig9Context executes the detailed-simulation experiment with the
-// campaign flattened to 24 independent jobs (8 Table III sets x 3 policies)
-// so the engine keeps every worker busy instead of barriering per set. Each
-// job is a self-contained simulation, so results are identical for any
-// worker count.
+// campaign flattened to 24 jobs (8 Table III sets x 3 policies) so the
+// engine keeps every worker busy instead of barriering per set. A set's
+// three jobs share one SetEvaluation, opened by the first to start and
+// released when the last finishes, so each set's streams are generated
+// once; every job computes exactly what it would alone, so results are
+// identical for any worker count. A zero instructions selects the scale's
+// default budget.
 func RunFig8Fig9Context(ctx context.Context, scale Scale, instructions uint64, opt Options) (*Fig8Fig9Result, error) {
-	runs, err := runner.Map(ctx, opt.runnerConfig(),
-		CampaignUnits, func(ctx context.Context, job int) (PolicyRun, error) {
-			return RunCampaignUnitContext(ctx, scale, instructions, job, opt)
-		})
+	c := NewCampaignEvaluation(scale, instructions, 0, CampaignUnits, opt)
+	runs, err := runner.Map(ctx, opt.runnerConfig(), CampaignUnits, c.RunUnit)
 	if err != nil {
 		return nil, err
 	}

@@ -130,7 +130,7 @@ func (c canonicalSet) config() sim.Config {
 }
 
 // resolveExperiments applies a validated experiments spec's defaults. A
-// zero budget stays zero: experiments.RunCampaignUnitContext resolves it
+// zero budget stays zero: experiments.NewCampaignEvaluation resolves it
 // per scale, and folding it here would move every zero-budget spec's
 // cache key.
 func resolveExperiments(spec JobSpec) canonicalExperiments {

@@ -72,18 +72,19 @@ func executeShardUnits(ctx context.Context, spec JobSpec, from, to int, opt shar
 		Seed: spec.Seed, Observe: spec.Observe, Sample: opt.Sample,
 		SimWorkers: spec.SimWorkers, Fidelity: fidelityFor(spec),
 	}
+	// The range's units share one evaluation scope, so each set's streams
+	// are generated once for all of its units here.
 	var unit func(ctx context.Context, u int) (experiments.PolicyRun, error)
 	if spec.Kind == KindSet {
 		set := resolveSet(spec)
-		cfg, workloads := set.config(), set.workloads()
-		unit = func(ctx context.Context, u int) (experiments.PolicyRun, error) {
-			return experiments.RunSetPolicyContext(ctx, cfg, workloads, set.Instructions, u, eopt)
+		eval, err := experiments.NewSetEvaluation(set.config(), set.workloads(), set.Instructions, to-from, eopt)
+		if err != nil {
+			return nil, err
 		}
+		unit = eval.RunPolicy
 	} else { // KindExperiments
 		exp := resolveExperiments(spec)
-		unit = func(ctx context.Context, u int) (experiments.PolicyRun, error) {
-			return experiments.RunCampaignUnitContext(ctx, scaleFor(exp.Scale), exp.Instructions, u, eopt)
-		}
+		unit = experiments.NewCampaignEvaluation(scaleFor(exp.Scale), exp.Instructions, from, to, eopt).RunUnit
 	}
 	runs, err := runner.Map(ctx, runner.Config{
 		Workers: opt.Workers, Progress: opt.Progress, Journal: opt.Journal,

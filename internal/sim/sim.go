@@ -226,13 +226,28 @@ type System struct {
 }
 
 // New builds a system running the given workload specs (one per core) under
-// the policy. Streams are derived deterministically from cfg.Seed.
+// the policy, over the streams Generators derives.
 func New(cfg Config, policy core.Policy, specs []trace.Spec) (*System, error) {
+	gens, err := Generators(cfg, specs)
+	if err != nil {
+		return nil, err
+	}
+	streams := make([]trace.Stream, len(gens))
+	for i, g := range gens {
+		streams[i] = g
+	}
+	return NewWithStreams(cfg, policy, streams)
+}
+
+// Generators derives the per-core workload generators New runs: core i's
+// stream is a pure function of cfg.Seed, cfg.BankSets, specs[i] and i, so
+// every system built from the same inputs consumes the same streams.
+func Generators(cfg Config, specs []trace.Spec) ([]*trace.Generator, error) {
 	if len(specs) != nuca.NumCores {
 		return nil, fmt.Errorf("sim: need %d workload specs, got %d", nuca.NumCores, len(specs))
 	}
 	rng := stats.NewRNG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)
-	streams := make([]trace.Stream, len(specs))
+	gens := make([]*trace.Generator, len(specs))
 	for i, s := range specs {
 		g, err := trace.NewGenerator(s, rng.Split(uint64(i)), trace.GeneratorConfig{
 			BlocksPerWay: cfg.BankSets,
@@ -241,9 +256,9 @@ func New(cfg Config, policy core.Policy, specs []trace.Spec) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		streams[i] = g
+		gens[i] = g
 	}
-	return NewWithStreams(cfg, policy, streams)
+	return gens, nil
 }
 
 // NewWithStreams builds a system over caller-provided access streams (e.g.

@@ -37,6 +37,13 @@ func NewRNG(seed1, seed2 uint64) *RNG {
 	return &RNG{src: rand.New(pcg), pcg: pcg}
 }
 
+// Clone returns an independent generator in r's exact state: the two draw
+// the same values from here on, and neither's draws advance the other.
+func (r *RNG) Clone() *RNG {
+	pcg := *r.pcg
+	return &RNG{src: rand.New(&pcg), pcg: &pcg}
+}
+
 // Split derives an independent generator from this one, identified by id.
 // Each (parent seed, id) pair yields a fixed stream, so per-core or
 // per-experiment sub-streams are reproducible regardless of draw ordering in

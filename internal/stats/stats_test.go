@@ -99,6 +99,33 @@ func TestRNGSplitN(t *testing.T) {
 	}
 }
 
+// A clone continues its parent's stream through every draw kind, and
+// drawing from one never advances the other.
+func TestRNGClone(t *testing.T) {
+	r := NewRNG(5, 6)
+	for i := 0; i < 37; i++ {
+		r.Uint64()
+	}
+	c := r.Clone()
+	for i := 0; i < 200; i++ {
+		if a, b := r.Uint64(), c.Uint64(); a != b {
+			t.Fatalf("Uint64 draw %d: %d vs %d", i, a, b)
+		}
+		if a, b := r.IntN(1000+i), c.IntN(1000+i); a != b {
+			t.Fatalf("IntN draw %d: %d vs %d", i, a, b)
+		}
+		if a, b := r.Geometric(0.1), c.Geometric(0.1); a != b {
+			t.Fatalf("Geometric draw %d: %d vs %d", i, a, b)
+		}
+	}
+	want := r.Clone().Uint64()
+	c.Uint64()
+	c.Uint64()
+	if got := r.Uint64(); got != want {
+		t.Fatal("drawing from a clone advanced its parent")
+	}
+}
+
 func TestRNGSplitIndependence(t *testing.T) {
 	// Splitting with different ids must give different streams; splitting a
 	// re-seeded parent with the same id must give the same stream.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 )
 
@@ -51,6 +52,55 @@ func FuzzReadTrace(f *testing.F) {
 		for i := 0; i < tr.Len(); i++ {
 			if tr2.Event(i) != tr.Event(i) {
 				t.Fatalf("round trip changed record %d", i)
+			}
+		}
+	})
+}
+
+// FuzzRecordRoundTrip is the writer side of FuzzReadTrace: each 9-byte
+// group of the input is one event (a control byte holding the gap, the
+// write flag and whether the next 8 bytes are an address or a small block
+// step). Record must accept exactly the events whose address delta fits
+// the format, and the accepted events must read back unchanged.
+func FuzzRecordRoundTrip(f *testing.F) {
+	f.Add([]byte("\x05\x00\x00\x00\x00\x00\x01\x00\x00\x01\x03\x00\x00\x00\x00\x00\x00\x00\x80"))
+	f.Add(bytes.Repeat([]byte{0x01, 0xff, 0, 0, 0, 0, 0, 0, 0}, 4))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var buf bytes.Buffer
+		rec := NewRecorder(&buf)
+		var want []Event
+		var prev Addr
+		for ; len(data) >= 9; data = data[9:] {
+			ctl := data[0]
+			addr := Addr(binary.LittleEndian.Uint64(data[1:9]))
+			if ctl&1 == 1 {
+				addr = prev + Addr(int64(int8(addr))<<BlockBits)
+			}
+			ev := Event{Gap: int(ctl >> 2), Access: Access{Addr: addr, Write: ctl&2 != 0}}
+			d := int64(addr - prev)
+			fits := d >= -1<<62 && d < 1<<62
+			if err := rec.Record(ev); (err == nil) != fits {
+				t.Fatalf("delta %d: Record error %v, want accepted=%v", d, err, fits)
+			}
+			if fits {
+				want = append(want, ev)
+				prev = addr
+			}
+		}
+		if err := rec.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("reading back: %v", err)
+		}
+		if tr.Len() != len(want) {
+			t.Fatalf("read back %d events, want %d", tr.Len(), len(want))
+		}
+		for i, ev := range want {
+			if tr.Event(i) != ev {
+				t.Fatalf("event %d: %+v, want %+v", i, tr.Event(i), ev)
 			}
 		}
 	})

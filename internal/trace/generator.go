@@ -114,6 +114,16 @@ func MustGenerator(spec Spec, rng *stats.RNG, cfg GeneratorConfig) *Generator {
 	return g
 }
 
+// Clone returns an independent generator in g's exact state: the two
+// produce the same stream from here on. They share only the spec and the
+// cumulative-mass table, which nothing writes after construction.
+func (g *Generator) Clone() *Generator {
+	c := *g
+	c.rng = g.rng.Clone()
+	c.stack = g.stack.clone()
+	return &c
+}
+
 // Spec returns the generator's workload spec.
 func (g *Generator) Spec() Spec { return g.spec }
 

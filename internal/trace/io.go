@@ -26,7 +26,9 @@ import (
 //	                                  previous record's, zig-zag signed)
 //
 // Delta + varint encoding keeps sequential sweeps near one byte per
-// record.
+// record. The write flag takes the low bit of a 64-bit field, so a delta
+// outside [-2^62, 2^62) does not fit and Record rejects it. A trace with
+// no records is the header alone.
 const (
 	traceMagic   = "BANKAWTR"
 	traceVersion = 1
@@ -50,26 +52,40 @@ func NewRecorder(w io.Writer) *Recorder {
 func zigzag(d int64) uint64 { return uint64(d<<1) ^ uint64(d>>63) }
 func unzig(u uint64) int64  { return int64(u>>1) ^ -int64(u&1) }
 
-// Record appends one event.
-func (r *Recorder) Record(ev Event) error {
-	if !r.started {
-		if _, err := r.w.WriteString(traceMagic); err != nil {
-			return err
-		}
-		r.buf = binary.AppendUvarint(r.buf[:0], traceVersion)
-		if _, err := r.w.Write(r.buf); err != nil {
-			return err
-		}
-		r.started = true
+// start writes the header once.
+func (r *Recorder) start() error {
+	if r.started {
+		return nil
 	}
-	delta := int64(ev.Access.Addr) - int64(r.prevAddr)
+	if _, err := r.w.WriteString(traceMagic); err != nil {
+		return err
+	}
+	r.buf = binary.AppendUvarint(r.buf[:0], traceVersion)
+	if _, err := r.w.Write(r.buf); err != nil {
+		return err
+	}
+	r.started = true
+	return nil
+}
+
+// Record appends one event. It rejects an address whose delta from the
+// previous one falls outside [-2^62, 2^62), which the format cannot hold.
+func (r *Recorder) Record(ev Event) error {
+	if err := r.start(); err != nil {
+		return err
+	}
+	delta := zigzag(int64(ev.Access.Addr - r.prevAddr))
+	if delta>>63 != 0 {
+		return fmt.Errorf("trace: record %d: address %#x is too far from %#x for format v%d",
+			r.count, uint64(ev.Access.Addr), uint64(r.prevAddr), traceVersion)
+	}
 	r.prevAddr = ev.Access.Addr
 	w := uint64(0)
 	if ev.Access.Write {
 		w = 1
 	}
 	r.buf = binary.AppendUvarint(r.buf[:0], uint64(ev.Gap))
-	r.buf = binary.AppendUvarint(r.buf, zigzag(delta)<<1|w)
+	r.buf = binary.AppendUvarint(r.buf, delta<<1|w)
 	if _, err := r.w.Write(r.buf); err != nil {
 		return err
 	}
@@ -80,8 +96,14 @@ func (r *Recorder) Record(ev Event) error {
 // Count returns the number of recorded events.
 func (r *Recorder) Count() uint64 { return r.count }
 
-// Flush drains buffered bytes to the underlying writer.
-func (r *Recorder) Flush() error { return r.w.Flush() }
+// Flush writes the header if no event has, then drains buffered bytes to
+// the underlying writer.
+func (r *Recorder) Flush() error {
+	if err := r.start(); err != nil {
+		return err
+	}
+	return r.w.Flush()
+}
 
 // RecordStream captures n events from a stream.
 func RecordStream(s Stream, n int, w io.Writer) error {

@@ -155,6 +155,79 @@ func TestReadTraceFileErrors(t *testing.T) {
 	}
 }
 
+// Addresses far apart either round-trip or are refused: a delta outside
+// [-2^62, 2^62) has no room beside the write flag and would read back
+// wrong (recording 1<<40 and then 1<<63 once read back 1<<62).
+func TestRecordRoundTripsOrRejectsWideDeltas(t *testing.T) {
+	steps := []struct {
+		addr Addr
+		ok   bool
+	}{
+		{1 << 40, true},
+		{1 << 63, false},          // delta 2^63 - 2^40
+		{1<<62 + 1<<40, false},    // delta 2^62
+		{1<<62 - 1 + 1<<40, true}, // delta 2^62 - 1
+		{1<<40 - 1, true},         // delta -2^62
+		{^Addr(0), true},          // delta -2^40, wrapping
+		{0, true},                 // delta 1, wrapping
+		{3 << 62, true},           // delta 3*2^62, wrapping to -2^62
+		{1<<62 - 1, false},        // delta -2^63 - 1, wrapping to 2^63 - 1
+		{1<<62 + 1<<61, false},    // delta -2^63 + 2^61
+		{1 << 63, true},           // delta -2^62
+	}
+	var buf bytes.Buffer
+	rec := NewRecorder(&buf)
+	var want []Event
+	for i, st := range steps {
+		ev := Event{Gap: i, Access: Access{Addr: st.addr, Write: i%2 == 0}}
+		err := rec.Record(ev)
+		if (err == nil) != st.ok {
+			t.Fatalf("step %d (%#x): Record error %v, want accepted=%v", i, uint64(st.addr), err, st.ok)
+		}
+		if err == nil {
+			want = append(want, ev)
+		}
+	}
+	if err := rec.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", tr.Len(), len(want))
+	}
+	for i, ev := range want {
+		if tr.Event(i) != ev {
+			t.Fatalf("record %d: %+v, want %+v", i, tr.Event(i), ev)
+		}
+	}
+}
+
+// A recording of no events is the header alone, and reads back empty.
+func TestEmptyTraceRoundTrip(t *testing.T) {
+	var buf bytes.Buffer
+	if err := NewRecorder(&buf).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatalf("reading a header-only trace: %v", err)
+	}
+	if tr.Len() != 0 {
+		t.Fatalf("Len = %d", tr.Len())
+	}
+	path := filepath.Join(t.TempDir(), "empty.trace.gz")
+	g := MustGenerator(MustSpec("gzip"), stats.NewRNG(1, 2), GeneratorConfig{})
+	if err := WriteTraceFile(path, g, 0); err != nil {
+		t.Fatal(err)
+	}
+	if tr, err := ReadTraceFile(path); err != nil || tr.Len() != 0 {
+		t.Fatalf("zero-event trace file: %v, %v events", err, tr)
+	}
+}
+
 func TestZigzag(t *testing.T) {
 	for _, v := range []int64{0, 1, -1, 63, -64, 1 << 40, -(1 << 40)} {
 		if got := unzig(zigzag(v)); got != v {

@@ -1,5 +1,7 @@
 package trace
 
+import "slices"
+
 // lruStack is an indexable LRU stack of block addresses: position 0 is the
 // most recently used block. It supports the three operations the
 // stack-distance generator needs — push a new block on top, remove the block
@@ -30,6 +32,14 @@ func newLRUStack() *lruStack {
 		slots: make([]Addr, initialSlots),
 		tree:  make([]int32, initialSlots+1),
 	}
+}
+
+// clone returns an independent copy of the stack.
+func (s *lruStack) clone() *lruStack {
+	c := *s
+	c.slots = slices.Clone(s.slots)
+	c.tree = slices.Clone(s.tree)
+	return &c
 }
 
 // Len returns the number of blocks on the stack.
