@@ -91,16 +91,9 @@ func main() {
 		threshold = flag.Float64("threshold", 10, "max ns/op regression percent before the gate fails")
 		benchtime = flag.String("benchtime", "", "per-sample benchtime (passed to the testing package, e.g. 200ms or 100x)")
 		runExpr   = flag.String("run", "", "only run benchmarks matching this regexp")
-		fidelity  = flag.Bool("fidelity", false, "run the differential fidelity harness instead of the micro-benchmarks: sweep the full catalog under both engines, gate the deltas against the committed envelopes, and report the measured speedup")
 	)
 	testing.Init()
 	flag.Parse()
-	if *fidelity {
-		if err := runFidelity(); err != nil {
-			fatalf("%v", err)
-		}
-		return
-	}
 	if *benchtime != "" {
 		if err := flag.Set("test.benchtime", *benchtime); err != nil {
 			fatalf("bad -benchtime: %v", err)

@@ -38,9 +38,8 @@ type FidelityDelta struct {
 	// CPIErr is the relative CPI error, MRErr the absolute miss-ratio
 	// error (fast minus detailed).
 	CPIErr, MRErr float64
-	// Envelope bounds and the verdict against them.
+	// Envelope bounds the errors are graded against.
 	CPIBound, MRBound float64
-	OK                bool
 }
 
 // MeasureHomogeneous runs 8 homogeneous copies of one catalog workload
@@ -86,7 +85,6 @@ func FidelitySweep(ctx context.Context) ([]FidelityDelta, error) {
 		}
 		if bound, ok := env.Homogeneous[name]; ok {
 			d.CPIBound, d.MRBound = bound.CPI, bound.MissRatio
-			d.OK = math.Abs(d.CPIErr) <= d.CPIBound && math.Abs(d.MRErr) <= d.MRBound
 		}
 		out = append(out, d)
 	}

@@ -14,8 +14,8 @@ import (
 )
 
 // Access budgets of the profiling experiments: the -accesses defaults of
-// cmd/profile (Figs. 2 and 3) and cmd/sweep (Fig. 4 and the profiler
-// ablation), and so the budgets EXPERIMENTS.md reports.
+// `bankaware profile` (Figs. 2 and 3) and `bankaware sweep` (Fig. 4 and the
+// profiler ablation), and so the budgets EXPERIMENTS.md reports.
 const (
 	ProfileAccesses = 500_000
 	SweepAccesses   = 200_000

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -25,7 +26,7 @@ type AggregationRow struct {
 // migrates prohibitively; AddressHash and Parallel never migrate; the
 // limited two-level structure (Fig. 4c) keeps migration low while
 // preserving most of Cascade's hit behaviour.
-func AggregationComparison(accesses int) ([]AggregationRow, error) {
+func AggregationComparison(ctx context.Context, accesses int) ([]AggregationRow, error) {
 	schemes := []nuca.Scheme{nuca.Cascade, nuca.AddressHash, nuca.Parallel, nuca.TwoLevel}
 	var rows []AggregationRow
 	for _, scheme := range schemes {
@@ -54,6 +55,11 @@ func AggregationComparison(accesses int) ([]AggregationRow, error) {
 			return nil, err
 		}
 		for i := 0; i < accesses; i++ {
+			if i%65536 == 0 {
+				if err := ctx.Err(); err != nil {
+					return nil, err
+				}
+			}
 			ev := g.Next()
 			agg.Access(ev.Access.Addr, ev.Access.Write)
 		}

@@ -91,10 +91,10 @@ func fatalIf(t *testing.T, err error) {
 // claims is every experiment EXPERIMENTS.md reports, in document order.
 var claims = []claim{
 	{
-		id: "fig2", figure: "Fig. 2", command: "go run ./cmd/profile -fig2",
+		id: "fig2", figure: "Fig. 2", command: "go run ./cmd/bankaware profile -fig2",
 		paper: "the MRU position holds a significant share of the hits over the LRU one",
 		run: func(t *testing.T) (string, []check) {
-			h, err := Fig2Histogram(ProfileAccesses)
+			h, err := Fig2Histogram(context.Background(), ProfileAccesses)
 			fatalIf(t, err)
 			var total uint64
 			counts, monotone := []any{"Accesses"}, true
@@ -114,7 +114,7 @@ var claims = []claim{
 		},
 	},
 	{
-		id: "fig3", figure: "Fig. 3", command: "go run ./cmd/profile -fig3",
+		id: "fig3", figure: "Fig. 3", command: "go run ./cmd/bankaware profile -fig3",
 		paper: "sixtrack has many misses below 6 ways and close to zero after, applu improves to ~10 ways and then stays flat, bzip2 keeps improving out to ~45 ways",
 		run: func(t *testing.T) (string, []check) {
 			curves, err := Fig3CurvesContext(context.Background(), Fig3Exemplars, ProfileAccesses, ScaleModel, Options{})
@@ -158,7 +158,7 @@ var claims = []claim{
 		},
 	},
 	{
-		id: "table2", figure: "Table II", command: "go run ./cmd/overhead",
+		id: "table2", figure: "Table II", command: "go run ./cmd/bankaware overhead",
 		paper: "54, 27 and 2.25 kbits per profiler, approximately 0.4 % of the 16 MB LLC for 8 profilers",
 		run: func(t *testing.T) (string, []check) {
 			rows, pct := TableII()
@@ -178,10 +178,10 @@ var claims = []claim{
 		},
 	},
 	{
-		id: "fig4", figure: "Fig. 4", command: "go run ./cmd/sweep -aggregation",
+		id: "fig4", figure: "Fig. 4", command: "go run ./cmd/bankaware sweep -aggregation",
 		paper: "Cascade emulates LRU best but migrates prohibitively; AddressHash and Parallel never migrate, Parallel at the cost of wider directory look-ups; the adopted two-level structure (Fig. 4c) caps migration",
 		run: func(t *testing.T) (string, []check) {
-			rows, err := AggregationComparison(SweepAccesses)
+			rows, err := AggregationComparison(context.Background(), SweepAccesses)
 			fatalIf(t, err)
 			if FormatAggregation(rows) == "" {
 				t.Error("empty rendering")
@@ -203,7 +203,7 @@ var claims = []claim{
 		},
 	},
 	{
-		id: "table3", figure: "Table III", command: "go run ./cmd/bankaware-sim -table3",
+		id: "table3", figure: "Table III", command: "go run ./cmd/bankaware sim -table3",
 		paper: "cache-hungry gradual workloads take multi-bank shares (e.g. bzip2(48), facerec(56)); small-knee workloads are held to one bank",
 		run: func(t *testing.T) (string, []check) {
 			rows, err := TableIIIAssignments()
@@ -237,7 +237,7 @@ var claims = []claim{
 		},
 	},
 	{
-		id: "fig7", figure: "Fig. 7", command: "go run ./cmd/montecarlo -trials 1000",
+		id: "fig7", figure: "Fig. 7", command: "go run ./cmd/bankaware montecarlo -trials 1000",
 		paper: "Unrestricted and Bank-aware cut misses by 30 % and 27 % on average against the even split over 1000 random mixes",
 		run: func(t *testing.T) (string, []check) {
 			res, err := montecarlo.RunContext(context.Background(), montecarlo.DefaultConfig(), montecarlo.Options{})
@@ -265,7 +265,7 @@ var claims = []claim{
 		},
 	},
 	{
-		id: "fig8", figure: "Figs. 8 and 9", command: "go run ./cmd/bankaware-sim -fig8", detailed: true,
+		id: "fig8", figure: "Figs. 8 and 9", command: "go run ./cmd/bankaware sim -fig8", detailed: true,
 		paper: "Bank-aware cuts misses by 70 % vs No-partitions and 25 % vs Equal, and CPI by 43 % and 11 %",
 		run: func(t *testing.T) (string, []check) {
 			r, err := RunFig8Fig9Context(context.Background(), ScaleModel, ScaleModel.DefaultInstructions(), Options{})
@@ -309,7 +309,7 @@ var claims = []claim{
 		},
 	},
 	{
-		id: "profiler", figure: "Profiler ablation", command: "go run ./cmd/sweep -ablation profiler",
+		id: "profiler", figure: "Profiler ablation", command: "go run ./cmd/bankaware sweep -ablation profiler",
 		paper: "12-bit partial tags with 1-in-32 set sampling stay within 5 % of the full-tag profile",
 		run: func(t *testing.T) (string, []check) {
 			rows, err := ProfilerAccuracy(context.Background(), SweepAccesses)
@@ -330,7 +330,7 @@ var claims = []claim{
 		},
 	},
 	{
-		id: "epoch", figure: "Epoch-length ablation", command: "go run ./cmd/sweep -ablation epoch", detailed: true,
+		id: "epoch", figure: "Epoch-length ablation", command: "go run ./cmd/bankaware sweep -ablation epoch", detailed: true,
 		paper: "repartitioning every 100 M cycles, long enough to cover several revisits of the deepest working set",
 		run: func(t *testing.T) (string, []check) {
 			rows, err := EpochAblation(context.Background(), Options{})
@@ -351,7 +351,7 @@ var claims = []claim{
 		},
 	},
 	{
-		id: "cap", figure: "Capacity-cap ablation", command: "go run ./cmd/sweep -ablation cap",
+		id: "cap", figure: "Capacity-cap ablation", command: "go run ./cmd/bankaware sweep -ablation cap",
 		paper: "no core is assigned more than 9/16 of the cache (72 ways), bounding profiler cost",
 		run: func(t *testing.T) (string, []check) {
 			rows, err := CapAblation(context.Background(), Options{})
@@ -372,7 +372,7 @@ var claims = []claim{
 		},
 	},
 	{
-		id: "plru", figure: "Tree pseudo-LRU extension", command: "go run ./cmd/sweep -ablation plru", detailed: true,
+		id: "plru", figure: "Tree pseudo-LRU extension", command: "go run ./cmd/bankaware sweep -ablation plru", detailed: true,
 		paper: "true LRU in every bank",
 		run: func(t *testing.T) (string, []check) {
 			return variantClaim(t, ReplacementAblation, "L2 replacement", "the whole benefit survives tree pseudo-LRU banks",
@@ -380,7 +380,7 @@ var claims = []claim{
 		},
 	},
 	{
-		id: "strict", figure: "Strict way-ownership extension", command: "go run ./cmd/sweep -ablation strict", detailed: true,
+		id: "strict", figure: "Strict way-ownership extension", command: "go run ./cmd/bankaware sweep -ablation strict", detailed: true,
 		paper: "Section III.B leaves open whether a core hits in ways it no longer owns",
 		run: func(t *testing.T) (string, []check) {
 			return variantClaim(t, LookupAblation, "Lookup", "strict own-ways-only lookup costs under a point of relative misses",
@@ -398,7 +398,7 @@ var claims = []claim{
 			cpi := func(p core.Policy) float64 {
 				sys, err := NewEngine(FidelityDetailed, ScaleModel.Config(), p, specs)
 				fatalIf(t, err)
-				run, err := runPolicy(context.Background(), sys, mix, 1_200_000, 0, false, nil)
+				run, err := RunEngine(context.Background(), sys, mix, 1_200_000, 0, nil, nil)
 				fatalIf(t, err)
 				return run.Result.MeanCPI
 			}

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"bankaware/internal/core"
+	"bankaware/internal/metrics"
 	"bankaware/internal/sim"
 	"bankaware/internal/trace"
 )
@@ -63,8 +64,11 @@ func (e *SetEvaluation) RunPolicy(ctx context.Context, policy int) (PolicyRun, e
 	if err != nil {
 		return PolicyRun{}, err
 	}
-	observe := e.opt.Observe || e.opt.Sample != nil
-	return runPolicy(ctx, sys, e.workloads, e.instructions, e.opt.SimWorkers, observe,
+	var rec *metrics.Recorder
+	if e.opt.Observe || e.opt.Sample != nil {
+		rec = metrics.NewRecorder()
+	}
+	return RunEngine(ctx, sys, e.workloads, e.instructions, e.opt.SimWorkers, rec,
 		e.opt.sampler(e.runPrefix+proto.Name()))
 }
 

@@ -1,7 +1,7 @@
 // Package experiments encodes the paper's evaluation section as runnable
 // experiments: the Table III workload sets, the simulation protocol
 // (fast-forward/warm-up/measure), and one function per table, figure and
-// ablation. The cmd/ tools print their results at the parameters
+// ablation. The bankaware command prints their results at the parameters
 // EXPERIMENTS.md reports; TestPaperClaims runs each at the same parameters,
 // asserts the paper's claims and checks the document's tables.
 package experiments
@@ -119,9 +119,21 @@ const (
 	ScaleModel Scale = iota
 	// ScaleFull is the paper's full Table I machine (2048-set banks,
 	// 16 MB L2). Experiments at this scale need hundreds of millions of
-	// instructions to warm and are meant for the CLI tools, not tests.
+	// instructions to warm and are meant for the CLI, not tests.
 	ScaleFull
 )
+
+// ParseScale maps a scale name to its machine: empty and "model" select
+// ScaleModel, "full" ScaleFull, anything else is an error.
+func ParseScale(s string) (Scale, error) {
+	switch s {
+	case "", "model":
+		return ScaleModel, nil
+	case "full":
+		return ScaleFull, nil
+	}
+	return 0, fmt.Errorf("experiments: unknown scale %q (want model|full)", s)
+}
 
 // Config returns the simulator configuration for a scale.
 func (s Scale) Config() sim.Config {
@@ -203,15 +215,14 @@ type PolicyRun struct {
 	Observed bool              `json:"observed"`
 }
 
-// runPolicy executes one full simulation on sys — warm-up, stats reset,
-// measured phase. With observe set it also attaches the metrics layer and
-// exports the run report covering the measurement window; sample, when
-// non-nil, taps the measured phase's epoch samples live.
-func runPolicy(ctx context.Context, sys Engine, workloads []string, instructions uint64, simWorkers int, observe bool, sample func(metrics.EpochSample)) (PolicyRun, error) {
+// RunEngine executes one full simulation on sys under the protocol every
+// run follows, campaign unit or single run: warm-up, stats reset, measured
+// phase. A non-nil rec attaches the metrics layer and the run exports its
+// report covering the measurement window; sample, when non-nil, taps the
+// measured phase's epoch samples live.
+func RunEngine(ctx context.Context, sys Engine, workloads []string, instructions uint64, simWorkers int, rec *metrics.Recorder, sample func(metrics.EpochSample)) (PolicyRun, error) {
 	sys.SetSimWorkers(simWorkers)
-	var rec *metrics.Recorder
-	if observe {
-		rec = metrics.NewRecorder()
+	if rec != nil {
 		sys.EnableMetrics(rec)
 	}
 	// Warm-up covers working-set build-up and the first epochs of
@@ -228,8 +239,8 @@ func runPolicy(ctx context.Context, sys Engine, workloads []string, instructions
 	if err := sys.RunContext(ctx, instructions); err != nil {
 		return PolicyRun{}, err
 	}
-	run := PolicyRun{Result: sys.Result(workloads), Observed: observe}
-	if observe {
+	run := PolicyRun{Result: sys.Result(workloads), Observed: rec != nil}
+	if rec != nil {
 		run.Report = sys.RunReport("", workloads)
 	}
 	return run, nil

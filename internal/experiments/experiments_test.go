@@ -27,3 +27,14 @@ func TestScaleConfigsValid(t *testing.T) {
 		}
 	}
 }
+
+func TestParseScale(t *testing.T) {
+	for name, want := range map[string]Scale{"": ScaleModel, "model": ScaleModel, "full": ScaleFull} {
+		if got, err := ParseScale(name); err != nil || got != want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseScale("Full"); err == nil {
+		t.Error("ParseScale accepted an unknown name")
+	}
+}

@@ -17,7 +17,7 @@ import (
 // stack-distance histogram of an application with strong temporal reuse on
 // an 8-way cache — counters C1..C8 are hits from MRU to LRU position, C9
 // the misses.
-func Fig2Histogram(accesses int) ([9]uint64, error) {
+func Fig2Histogram(ctx context.Context, accesses int) ([9]uint64, error) {
 	// An MRU-heavy synthetic application, like the figure's example.
 	spec := trace.Spec{
 		Name:     "fig2-example",
@@ -27,7 +27,7 @@ func Fig2Histogram(accesses int) ([9]uint64, error) {
 	}
 	const sets = 64
 	var out [9]uint64
-	p, err := profileStream(context.TODO(), spec, msa.Config{Sets: sets, MaxWays: 8}, stats.NewRNG(2, 1970), sets, accesses)
+	p, err := profileStream(ctx, spec, msa.Config{Sets: sets, MaxWays: 8}, stats.NewRNG(2, 1970), sets, accesses)
 	if err == nil {
 		copy(out[:], p.Histogram())
 	}

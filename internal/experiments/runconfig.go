@@ -12,9 +12,10 @@ import (
 	"bankaware/internal/trace"
 )
 
-// RunConfig is the JSON run description accepted by
-// `bankaware-sim -config file.json`, so experiment configurations can be
-// versioned and shared instead of reassembled from flags.
+// RunConfig is the JSON description of one run: `bankaware sim -config
+// file.json` reads one, and the command's selection flags fill one, so
+// experiment configurations can be versioned and shared instead of
+// reassembled from flags.
 //
 // Example:
 //
@@ -76,10 +77,8 @@ func (rc *RunConfig) Validate() error {
 			return err
 		}
 	}
-	switch rc.Scale {
-	case "", "model", "full":
-	default:
-		return fmt.Errorf("unknown scale %q", rc.Scale)
+	if _, err := ParseScale(rc.Scale); err != nil {
+		return err
 	}
 	switch rc.L2Replacement {
 	case "", "lru", "plru":
@@ -95,9 +94,9 @@ func (rc *RunConfig) Validate() error {
 // Build materialises the run: simulator config, policy, workload specs and
 // instruction budget, with unset fields defaulting sensibly.
 func (rc *RunConfig) Build() (sim.Config, core.Policy, []trace.Spec, uint64, error) {
-	scale := ScaleModel
-	if rc.Scale == "full" {
-		scale = ScaleFull
+	scale, err := ParseScale(rc.Scale)
+	if err != nil {
+		return sim.Config{}, nil, nil, 0, err
 	}
 	cfg := scale.Config()
 	if rc.EpochCycles > 0 {
@@ -121,13 +120,9 @@ func (rc *RunConfig) Build() (sim.Config, core.Policy, []trace.Spec, uint64, err
 	if err != nil {
 		return sim.Config{}, nil, nil, 0, err
 	}
-	specs := make([]trace.Spec, len(rc.Workloads))
-	for i, w := range rc.Workloads {
-		s, err := trace.SpecByName(w)
-		if err != nil {
-			return sim.Config{}, nil, nil, 0, err
-		}
-		specs[i] = s
+	specs, err := resolveSpecs(rc.Workloads)
+	if err != nil {
+		return sim.Config{}, nil, nil, 0, err
 	}
 	instr := rc.Instructions
 	if instr == 0 {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -60,11 +61,11 @@ func TestFig3CurvesUnknownWorkload(t *testing.T) {
 }
 
 func TestAggregationComparisonDeterministic(t *testing.T) {
-	a, err := AggregationComparison(30_000)
+	a, err := AggregationComparison(context.Background(), 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := AggregationComparison(30_000)
+	b, err := AggregationComparison(context.Background(), 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,5 +73,18 @@ func TestAggregationComparisonDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("row %d differs across runs", i)
 		}
+	}
+}
+
+// The profiling studies poll their context, so a cancelled one stops them
+// before they draw an access.
+func TestStudiesHonourCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Fig2Histogram(ctx, ProfileAccesses); !errors.Is(err, context.Canceled) {
+		t.Errorf("Fig2Histogram: err %v, want context.Canceled", err)
+	}
+	if _, err := AggregationComparison(ctx, SweepAccesses); !errors.Is(err, context.Canceled) {
+		t.Errorf("AggregationComparison: err %v, want context.Canceled", err)
 	}
 }

@@ -34,8 +34,8 @@ type AccuracyEnvelopes struct {
 }
 
 // Envelopes returns the committed accuracy envelopes the differential
-// harness (internal/benchmarks.FidelitySweep, cmd/bench -fidelity, and the
-// fastsim test suite) gates against.
+// harness (internal/benchmarks.FidelitySweep and the fastsim test suite)
+// gates against.
 func Envelopes() (AccuracyEnvelopes, error) {
 	var env AccuracyEnvelopes
 	if err := json.Unmarshal(envelopeJSON, &env); err != nil {

@@ -71,11 +71,10 @@ func canonicalScale(scale string) string {
 	return scale
 }
 
+// scaleFor maps a validated scale name to its machine.
 func scaleFor(name string) experiments.Scale {
-	if name == "full" {
-		return experiments.ScaleFull
-	}
-	return experiments.ScaleModel
+	scale, _ := experiments.ParseScale(name)
+	return scale
 }
 
 // canonicalFidelity folds "" and "detailed" to the empty string (omitted

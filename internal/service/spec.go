@@ -183,7 +183,8 @@ func (s *JobSpec) Validate() error {
 		if s.Experiments == nil {
 			return fmt.Errorf("kind %q needs an \"experiments\" sub-spec", s.Kind)
 		}
-		return validateScale(s.Experiments.Scale)
+		_, err := experiments.ParseScale(s.Experiments.Scale)
+		return err
 	case KindMonteCarlo:
 		if s.MonteCarlo == nil {
 			return fmt.Errorf("kind %q needs a \"montecarlo\" sub-spec", s.Kind)
@@ -202,17 +203,8 @@ func (s *JobSpec) Validate() error {
 	}
 }
 
-func validateScale(scale string) error {
-	switch scale {
-	case "", "model", "full":
-		return nil
-	default:
-		return fmt.Errorf("unknown scale %q (want model|full)", scale)
-	}
-}
-
 func (s *SetSpec) validate() error {
-	if err := validateScale(s.Scale); err != nil {
+	if _, err := experiments.ParseScale(s.Scale); err != nil {
 		return err
 	}
 	if s.EpochCycles < 0 {
