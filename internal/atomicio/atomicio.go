@@ -3,8 +3,8 @@
 // only once fully written and synced. An interrupted writer leaves the
 // previous version (or nothing) behind — never a truncated file — and
 // readers racing the writer observe one complete version or the other.
-// Every report, checkpoint and plan file in this repository goes through
-// it, which is what makes killed campaigns resumable.
+// Every report, shard partial and log rewrite in this repository goes
+// through it, which is what makes killed campaigns resumable.
 package atomicio
 
 import (

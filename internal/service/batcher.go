@@ -32,7 +32,7 @@ type batchReq struct {
 // batcher is the group-commit intake path: submissions enqueue a record,
 // a single goroutine coalesces everything that accumulated while the
 // previous batch was fsyncing into the next batch, commits it with one
-// WAL append + fsync (Store.AppendIntake), and fans the outcome back to
+// job-log append + fsync (Store.Put), and fans the outcome back to
 // every waiting submitter. Under concurrent load the fsync cost amortises
 // across the whole batch; a lone submission still pays exactly one fsync,
 // same as the old per-submit path.
@@ -48,7 +48,7 @@ type batcher struct {
 	quit chan struct{}
 	done chan struct{}
 
-	batches *metrics.Counter // committed batches (≈ intake fsyncs)
+	batches *metrics.Counter // committed batches, one intake fsync each
 	coleft  *metrics.Counter // records that rode a batch they didn't start
 }
 
@@ -158,7 +158,7 @@ func (b *batcher) commit(batch []batchReq) {
 		for i, req := range batch {
 			recs[i] = req.rec
 		}
-		err = b.store.AppendIntake(recs)
+		err = b.store.Put(recs...)
 	}
 	if err == nil {
 		b.batches.Inc()

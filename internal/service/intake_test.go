@@ -15,8 +15,8 @@ import (
 
 // TestGroupCommitDurability submits many distinct jobs concurrently through
 // the batcher and requires every acked one to survive a cold reopen of the
-// store — the group-commit contract — while issuing fewer fsyncs than
-// submissions (the point of batching).
+// store — the group-commit contract — while committing no more batches,
+// one fsync each, than submissions (the point of batching).
 func TestGroupCommitDurability(t *testing.T) {
 	dir := t.TempDir()
 	svc, err := New(Config{Dir: dir, QueueCap: 1024})
@@ -38,7 +38,7 @@ func TestGroupCommitDurability(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	syncs := svc.Store().Syncs()
+	batches := int(svc.Registry().Counter("service.intake_batches").Value())
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +47,10 @@ func TestGroupCommitDurability(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	if syncs < 1 || syncs > n {
-		t.Fatalf("%d intake fsyncs for %d submits", syncs, n)
+	if batches < 1 || batches > n {
+		t.Fatalf("%d intake batches for %d submits", batches, n)
 	}
-	t.Logf("%d submits committed in %d fsyncs", n, syncs)
+	t.Logf("%d submits committed in %d batches", n, batches)
 
 	reopened, err := OpenStore(dir)
 	if err != nil {
@@ -227,7 +227,7 @@ func TestIntakeTornTailRecovery(t *testing.T) {
 	}
 	svc.Close()
 
-	walPath := filepath.Join(dir, intakeWALName)
+	walPath := filepath.Join(dir, jobLogName)
 	data, err := os.ReadFile(walPath)
 	if err != nil {
 		t.Fatal(err)
@@ -256,9 +256,19 @@ func TestIntakeTornTailRecovery(t *testing.T) {
 	}
 }
 
-// TestIntakeWALCompaction checks both compaction triggers: reopening drops
-// WAL entries whose jobs have materialised as per-job files, and a growing
-// WAL compacts in flight once it passes the size threshold.
+// logLines returns the job log's lines.
+func logLines(t *testing.T, dir string) []string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(dir, jobLogName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.SplitAfter(strings.TrimSuffix(string(data), "\n"), "\n")
+}
+
+// TestIntakeWALCompaction checks both compaction triggers, opening a log
+// that is due and a log outgrowing the threshold in flight, and that
+// compaction keeps exactly the latest line per job.
 func TestIntakeWALCompaction(t *testing.T) {
 	dir := t.TempDir()
 	svc, err := New(Config{Dir: dir, Workers: 2})
@@ -272,27 +282,30 @@ func TestIntakeWALCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, svc, rec.ID, StateDone)
+	done := waitState(t, svc, rec.ID, StateDone)
 	svc.Close()
+	if n := len(logLines(t, dir)); n != 3 {
+		t.Fatalf("finished job left %d log lines, want 3 (queued, running, done)", n)
+	}
 
-	// The job finished, so its truth lives in jobs/<id>.json; reopen must
-	// compact its WAL entry away.
+	// Shrink the threshold so the reopen finds the log due: the finished
+	// job's three lines become its latest one.
+	old := walCompactBytes
+	walCompactBytes = 256
+	defer func() { walCompactBytes = old }()
 	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.Close()
-	if fi, err := os.Stat(filepath.Join(dir, intakeWALName)); err != nil || fi.Size() != 0 {
-		t.Fatalf("WAL after reopen: size=%v err=%v, want empty", fi.Size(), err)
+	lines := logLines(t, dir)
+	if len(lines) != 1 || !strings.Contains(lines[0], `"state":"done"`) || !strings.Contains(lines[0], done.ReportHash) {
+		t.Fatalf("log after compacting reopen: %q, want the done line alone", lines)
 	}
 
-	// In-flight trigger: shrink the threshold so a handful of queued-only
-	// records (never materialised) overflow it. Compaction keeps them — they
-	// are still WAL-resident truth — but rewrites the log to its live set,
-	// so the byte count stops growing linearly.
-	old := walCompactBytes
-	walCompactBytes = 256
-	defer func() { walCompactBytes = old }()
+	// In-flight trigger: a handful of queued records overflow the threshold
+	// and the log is rewritten to its live set, so the byte count stops
+	// growing linearly.
 	svc2, err := New(Config{Dir: dir, QueueCap: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -311,6 +324,69 @@ func TestIntakeWALCompaction(t *testing.T) {
 	defer reopened.Close()
 	if n := len(reopened.Jobs()); n != 9 {
 		t.Fatalf("%d records after compacting reopen, want 9", n)
+	}
+	if n := len(logLines(t, dir)); n != 9 {
+		t.Fatalf("%d log lines after compacting reopen, want one per job (9)", n)
+	}
+}
+
+// TestJobLogWritersRaceScrub puts transitions of shared jobs from several
+// goroutines while scrub passes replay the log and small-threshold
+// compactions rewrite it: whatever order the writers land in, each record
+// in memory is its job's last log line, so a reopen agrees with memory.
+func TestJobLogWritersRaceScrub(t *testing.T) {
+	old := walCompactBytes
+	walCompactBytes = 1024
+	defer func() { walCompactBytes = old }()
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []JobRecord
+	for trials := 1; trials <= 8; trials++ {
+		spec := mcSpec(trials, 0)
+		recs = append(recs, st.AllocRecord(spec, SpecHash(spec), "", time.Now()))
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 32; i++ {
+				next := recs[i%len(recs)]
+				next.Attempts = w*100 + i
+				if err := st.Put(next); err != nil {
+					t.Error(err)
+					return
+				}
+				st.Jobs()
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 5; i++ {
+			if stats := st.Scrub(nil, false); stats.Corrupt != 0 || len(stats.Errors) != 0 {
+				t.Errorf("scrub over live writers: %+v", stats)
+			}
+		}
+	}()
+	wg.Wait()
+	want := st.Jobs()
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for _, w := range want {
+		if got, _ := re.Get(w.ID); !sameRecord(got, w) {
+			t.Fatalf("reopened %s as %+v, memory held %+v", w.ID, got, w)
+		}
 	}
 }
 

@@ -9,14 +9,19 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"bankaware/internal/atomicio"
 	"bankaware/internal/ledger"
 )
 
@@ -371,40 +376,78 @@ var byteSubs = []struct {
 	{"newline", func(byte) byte { return '\n' }},
 }
 
-// writeFiles writes name -> contents under dir.
+// writeFiles writes name -> contents under dir, creating subdirectories.
 func writeFiles(t *testing.T, dir string, files map[string][]byte) {
 	t.Helper()
 	for name, data := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-// TestIntakeWALEveryByteFlip flips every byte of a 3-record intake WAL, by
-// XOR 0x01 and by overwriting it with a newline. Each reopen must either
-// keep all 3 queued records intact or quarantine the damaged WAL and
-// answer for every lost record as a failed job — never lose a record
-// silently. A lost job's ID is never handed out again, and the daemon
-// serves its failed record.
+// writeTransitions puts every kind of transition into st's job log: job 1
+// queued (1 line), job 2 running (2 lines), job 3 done (3 lines). It
+// returns each job's records in the order they were written.
+func writeTransitions(t testing.TB, st *Store) [][]JobRecord {
+	t.Helper()
+	var queued []JobRecord
+	for _, trials := range []int{4, 6, 8} {
+		spec := mcSpec(trials, 0)
+		queued = append(queued, st.AllocRecord(spec, SpecHash(spec), "", time.Now()))
+	}
+	if err := st.Put(queued...); err != nil {
+		t.Fatal(err)
+	}
+	history := [][]JobRecord{{queued[0]}, {queued[1]}, {queued[2]}}
+	next := func(job int, edit func(*JobRecord)) {
+		rec := history[job][len(history[job])-1]
+		edit(&rec)
+		if err := st.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+		history[job] = append(history[job], rec)
+	}
+	running := func(rec *JobRecord) {
+		rec.State, rec.Attempts, rec.StartedAt = StateRunning, 1, time.Now().UTC()
+	}
+	next(1, running)
+	next(2, running)
+	next(2, func(rec *JobRecord) {
+		rec.State, rec.ReportHash, rec.FinishedAt = StateDone, strings.Repeat("ab", 32), time.Now().UTC()
+	})
+	return history
+}
+
+// sameRecord reports whether two records encode identically.
+func sameRecord(a, b JobRecord) bool {
+	x, _ := json.Marshal(a)
+	y, _ := json.Marshal(b)
+	return bytes.Equal(x, y)
+}
+
+// TestIntakeWALEveryByteFlip flips every byte of a job log holding every
+// kind of transition, by XOR 0x01 and by overwriting it with a newline.
+// Each reopen must bring every job back intact, at an earlier verified
+// state, or failed as lost (with the spec hash the ledger witnessed) —
+// never lose one silently — and quarantine the damaged log byte for byte
+// whenever anything was lost. A lost job's ID is never handed out again,
+// and the daemon serves its failed record.
 func TestIntakeWALEveryByteFlip(t *testing.T) {
 	dir := t.TempDir()
 	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var recs []JobRecord
-	for _, trials := range []int{4, 6, 8} {
-		spec := mcSpec(trials, 0)
-		recs = append(recs, st.AllocRecord(spec, SpecHash(spec), "", time.Now()))
-	}
-	if err := st.AppendIntake(recs); err != nil {
-		t.Fatal(err)
-	}
+	history := writeTransitions(t, st)
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wal, err := os.ReadFile(filepath.Join(dir, intakeWALName))
+	wal, err := os.ReadFile(filepath.Join(dir, jobLogName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,29 +457,39 @@ func TestIntakeWALEveryByteFlip(t *testing.T) {
 	}
 
 	// reopen opens a fresh store holding the original ledger and the given
-	// WAL bytes, and returns how many records it lost.
+	// log bytes, and returns how many jobs lost their latest record.
 	reopen := func(t *testing.T, data []byte) (string, int) {
 		t.Helper()
 		d := t.TempDir()
-		writeFiles(t, d, map[string][]byte{intakeWALName: data, "ledger.log": led})
+		writeFiles(t, d, map[string][]byte{jobLogName: data, "ledger.log": led})
 		re, err := OpenStore(d)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer re.Close()
 		lost := 0
-		for _, want := range recs {
+	jobs:
+		for _, recs := range history {
+			want := recs[len(recs)-1]
 			got, ok := re.Get(want.ID)
 			switch {
 			case !ok:
 				t.Fatalf("job %s vanished", want.ID)
-			case got.State == StateFailed && got.Error == lostIntakeError && got.Seq == want.Seq:
+			case sameRecord(got, want):
+				continue
+			case got.lost() && got.Seq == want.Seq && got.SpecHash == want.SpecHash:
 				lost++
-			case got.State != StateQueued || got.SpecHash != want.SpecHash || got.Spec.MonteCarlo.Trials != want.Spec.MonteCarlo.Trials:
-				t.Fatalf("job %s reloaded as %+v", want.ID, got)
+				continue
 			}
+			for _, earlier := range recs[:len(recs)-1] {
+				if sameRecord(got, earlier) {
+					lost++
+					continue jobs
+				}
+			}
+			t.Fatalf("job %s reloaded as %+v", want.ID, got)
 		}
-		if next := re.AllocRecord(mcSpec(1, 0), "", "", time.Now()); next.Seq != len(recs)+1 {
+		if next := re.AllocRecord(mcSpec(1, 0), "", "", time.Now()); next.ID != "job-000004" {
 			t.Fatalf("next job would be %s", next.ID)
 		}
 		return d, lost
@@ -449,21 +502,21 @@ func TestIntakeWALEveryByteFlip(t *testing.T) {
 			if lost == 0 {
 				continue
 			}
-			if q, err := os.ReadFile(filepath.Join(d, intakeWALName+".quarantine")); err != nil || !bytes.Equal(q, data) {
-				t.Fatalf("%s@%d: %d records lost and the damaged WAL not quarantined", sub.name, off, lost)
+			if q, err := os.ReadFile(filepath.Join(d, jobLogName+".quarantine")); err != nil || !bytes.Equal(q, data) {
+				t.Fatalf("%s@%d: %d records lost and the damaged log not quarantined", sub.name, off, lost)
 			}
 		}
 	}
 
-	// One damaged record, served: GET answers with the failed job.
+	// Job 1's one record damaged, served: GET answers with the failed job.
 	data := append([]byte{}, wal...)
-	data[bytes.IndexByte(data, '\n')+20] ^= 0x01
+	data[20] ^= 0x01
 	d, lost := reopen(t, data)
 	if lost != 1 {
-		t.Fatalf("flip inside record 2 lost %d records, want 1", lost)
+		t.Fatalf("flip inside job 1's record lost %d records, want 1", lost)
 	}
 	_, ts := startHTTP(t, Config{Dir: d}, false)
-	resp, err := http.Get(ts.URL + "/v1/jobs/" + recs[1].ID)
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + history[0][0].ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,16 +525,19 @@ func TestIntakeWALEveryByteFlip(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("GET lost job: status %d, %v", resp.StatusCode, err)
 	}
-	if got.State != StateFailed || got.Error != lostIntakeError {
+	if got.State != StateFailed || got.Error != lostRecordError {
 		t.Fatalf("GET lost job: %+v", got)
 	}
 }
 
-// TestShardWALEveryByteFlip flips every byte of a 3-record shard WAL, by
-// XOR 0x01 and by overwriting it with a newline. Each reopen must either
-// keep all 3 shard states or quarantine the damaged WAL, keep every state
-// that verified, and send each shard that lost its state back to pending —
-// except a shard whose partial file proves it done.
+// TestShardWALEveryByteFlip flips every byte of a shard WAL holding the
+// plan line and 3 shard states, by XOR 0x01 and by overwriting it with a
+// newline. A flip in the plan line must quarantine the whole dir and
+// re-plan, so no partial is read under a plan it was not cut under. Any
+// other flip must keep the plan, and either keep all 3 shard states or
+// quarantine the damaged WAL, keep every state that verified, and send
+// each shard that lost its state back to pending — except a shard whose
+// partial file proves it done.
 func TestShardWALEveryByteFlip(t *testing.T) {
 	dir := t.TempDir()
 	mkplan := func() shardPlan {
@@ -507,12 +563,13 @@ func TestShardWALEveryByteFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	files := make(map[string][]byte)
-	for _, name := range []string{"plan.json", "partial-1.json", "state.wal"} {
+	for _, name := range []string{"partial-1.json", "state.wal"} {
 		if files[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	wal := files["state.wal"]
+	planLine := bytes.IndexByte(wal, '\n') + 1
 	// The states an undamaged reopen loads.
 	clean, err := openShardDir(dir, mkplan)
 	if err != nil {
@@ -527,9 +584,28 @@ func TestShardWALEveryByteFlip(t *testing.T) {
 			files["state.wal"] = data
 			rd := t.TempDir()
 			writeFiles(t, rd, files)
-			re, err := openShardDir(rd, func() shardPlan { t.Fatal("plan rebuilt"); return shardPlan{} })
+			replanned := false
+			re, err := openShardDir(rd, func() shardPlan { replanned = true; return mkplan() })
 			if err != nil {
 				t.Fatalf("%s@%d: %v", sub.name, off, err)
+			}
+			re.wal.Close()
+			if !reflect.DeepEqual(re.plan, mkplan()) {
+				t.Fatalf("%s@%d: plan reloaded as %+v", sub.name, off, re.plan)
+			}
+			if inPlan := off < planLine && data[off] != wal[off]; replanned != inPlan {
+				t.Fatalf("%s@%d: re-planned %v, want %v", sub.name, off, replanned, inPlan)
+			}
+			if replanned {
+				if q, err := os.ReadFile(filepath.Join(rd+".quarantine", "state.wal")); err != nil || !bytes.Equal(q, data) {
+					t.Fatalf("%s@%d: plan lost and the dir not quarantined whole", sub.name, off)
+				}
+				for idx := range want {
+					if got := re.state(idx); got != (shardWALRecord{Shard: idx, State: ShardPending}) {
+						t.Fatalf("%s@%d: re-planned shard %d starts as %+v", sub.name, off, idx, got)
+					}
+				}
+				continue
 			}
 			lost := 0
 			for idx, w := range want {
@@ -544,7 +620,6 @@ func TestShardWALEveryByteFlip(t *testing.T) {
 					t.Fatalf("%s@%d: shard %d reloaded as %+v, want %+v or pending", sub.name, off, idx, got, w)
 				}
 			}
-			re.wal.Close()
 			if lost == 0 {
 				continue
 			}
@@ -555,10 +630,12 @@ func TestShardWALEveryByteFlip(t *testing.T) {
 	}
 }
 
-// TestLegacyLogsUpgrade opens an intake WAL, run ledger and shard WAL
-// written in the unframed encoding that predates bankaware.log/v1: the
-// records load unchanged, the ledger root is unchanged, and every log is
-// framed afterwards.
+// TestLegacyLogsUpgrade opens stores written before this layout: an intake
+// WAL, run ledger and shard WAL in the unframed encoding that predates
+// bankaware.log/v1, a store keeping job records in per-job files, and a
+// shard dir keeping its plan in plan.json. The records load unchanged, the
+// ledger root is unchanged, every log is framed afterwards, and the old
+// files are gone.
 func TestLegacyLogsUpgrade(t *testing.T) {
 	copyFixture := func(t *testing.T, src string, names ...string) string {
 		t.Helper()
@@ -584,7 +661,7 @@ func TestLegacyLogsUpgrade(t *testing.T) {
 	}
 
 	t.Run("intake", func(t *testing.T) {
-		dir := copyFixture(t, "legacy-intake", intakeWALName, "ledger.log")
+		dir := copyFixture(t, "legacy-intake", jobLogName, "ledger.log")
 		st, err := OpenStore(dir)
 		if err != nil {
 			t.Fatal(err)
@@ -605,8 +682,38 @@ func TestLegacyLogsUpgrade(t *testing.T) {
 				t.Fatalf("job %d after upgrade: %+v", i, rec)
 			}
 		}
-		framed(t, filepath.Join(dir, intakeWALName))
+		framed(t, filepath.Join(dir, jobLogName))
 		framed(t, filepath.Join(dir, "ledger.log"))
+	})
+
+	t.Run("store", func(t *testing.T) {
+		// A finished job as a daemon left it when records lived in per-job
+		// files: the log still holds its queued line, and the per-job file,
+		// which wins, its done record.
+		dir := copyFixture(t, "legacy-store", jobLogName, "ledger.log",
+			"jobs/job-000001.json", "reports/job-000001.json")
+		st, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		const root = "4fe1e43fa9cf3e0daf60cae52206ab54fd4b3978406bf5a012f5ba1787e4c03c"
+		if got := st.Ledger().Root(); got != root {
+			t.Fatalf("ledger root %s after upgrade, want %s", got, root)
+		}
+		rec, ok := st.Get("job-000001")
+		if !ok || rec.State != StateDone || rec.SpecHash != SpecHash(mcSpec(4, 0)) {
+			t.Fatalf("job after upgrade: %+v", rec)
+		}
+		if _, err := st.ReportBytes(rec.ID); err != nil {
+			t.Fatalf("report after upgrade: %v", err)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "jobs")); !os.IsNotExist(err) {
+			t.Fatalf("jobs/ after upgrade: %v, want it gone", err)
+		}
+		if lines := logLines(t, dir); len(lines) != 1 || !strings.Contains(lines[0], `"state":"done"`) {
+			t.Fatalf("log after upgrade: %q, want the done record alone", lines)
+		}
 	})
 
 	t.Run("shard", func(t *testing.T) {
@@ -628,6 +735,213 @@ func TestLegacyLogsUpgrade(t *testing.T) {
 			}
 		}
 		framed(t, filepath.Join(dir, "state.wal"))
+		if _, err := os.Stat(filepath.Join(dir, "plan.json")); !os.IsNotExist(err) {
+			t.Fatalf("plan.json after upgrade: %v, want it gone", err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "state.wal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, _, _ := bytes.Cut(data[9:], []byte("\n"))
+		var plan shardPlan
+		wantPlan := shardPlan{Version: shardPlanVersion, Job: "job-000001", Units: 6,
+			Shards: []shardSpan{{0, 0, 2}, {1, 2, 4}, {2, 4, 6}}}
+		if err := json.Unmarshal(first, &plan); err != nil || !reflect.DeepEqual(plan, wantPlan) {
+			t.Fatalf("first WAL line %q, want the plan", first)
+		}
+	})
+}
+
+// TestEditedRecordIsNotACacheHit pins that an edited job record is detected
+// rather than trusted: a finished 12-trial Monte Carlo job whose spec is
+// rewritten to 13 trials in every store file but the ledger and the
+// reports must not turn a 13-trial submission into a cache hit that serves
+// the 12-trial report.
+func TestEditedRecordIsNotACacheHit(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := runToDone(t, svc, 12)
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	trials := regexp.MustCompile(`("trials":\s*)12`)
+	edited := 0
+	err = filepath.WalkDir(dir, func(path string, e fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case e.IsDir() && e.Name() == "reports":
+			return filepath.SkipDir
+		case e.IsDir() || e.Name() == "ledger.log":
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		if !trials.Match(data) {
+			return nil
+		}
+		edited++
+		return os.WriteFile(path, trials.ReplaceAll(data, []byte("${1}13")), 0o644)
+	})
+	if err != nil || edited == 0 {
+		t.Fatalf("editing the store: %d files, %v", edited, err)
+	}
+
+	svc2, _ := startHTTP(t, Config{Dir: dir}, true)
+	rec, hit, err := svc2.SubmitDedup(mcSpec(13, 0), "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hit || rec.ID == done.ID {
+		t.Fatalf("13-trial submission hit the edited 12-trial job %s", done.ID)
+	}
+	if got, _ := svc2.Store().Get(done.ID); !got.lost() {
+		t.Fatalf("edited job reloaded as %+v, want failed as lost", got)
+	}
+	waitState(t, svc2, rec.ID, StateDone)
+	if !bytes.Equal(reportBytes(t, svc2, rec.ID), directMonteCarloBytes(t, 13, 2009)) {
+		t.Fatal("13-trial submission served another report")
+	}
+}
+
+// TestCorruptLegacyRecordOpens opens a store written when job records lived
+// in per-job files, whose one record does not parse: the open succeeds,
+// the file is quarantined, and the job answers as failed with the
+// lost-record error instead of keeping the daemon from booting.
+func TestCorruptLegacyRecordOpens(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := svc.Submit(mcSpec(12, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Such a store once its job left queued: the log compacted to nothing,
+	// the record in jobs/<id>.json, here torn.
+	record := filepath.Join("jobs", rec.ID+".json")
+	writeFiles(t, dir, map[string][]byte{jobLogName: nil, record: []byte(`{"id": "job-0000`)})
+
+	_, ts := startHTTP(t, Config{Dir: dir}, false)
+	if _, err := os.Stat(filepath.Join(dir, record+".quarantine")); err != nil {
+		t.Fatalf("torn record not quarantined: %v", err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + rec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var got JobRecord
+	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET job with torn record: status %d, %v", resp.StatusCode, err)
+	}
+	if got.State != StateFailed || got.Error != lostRecordError {
+		t.Fatalf("GET job with torn record: %+v", got)
+	}
+}
+
+// TestScrubQuarantinesCorruptJobLog pins the scrubber's record check: a
+// byte flipped in a running daemon's job log is found by the next pass,
+// the damaged log is quarantined and rewritten from memory, and the store
+// reopens with every record.
+func TestScrubQuarantinesCorruptJobLog(t *testing.T) {
+	dir := t.TempDir()
+	svc, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	done := runToDone(t, svc, 8)
+	path := filepath.Join(dir, jobLogName)
+	flipByteAfter(t, path, `"kind":"`)
+	stats := svc.Scrub()
+	if stats.Corrupt != 1 {
+		t.Fatalf("scrub found %d corrupt artifacts, want 1 (stats %+v)", stats.Corrupt, stats)
+	}
+	if _, err := os.Stat(path + ".quarantine"); err != nil {
+		t.Fatalf("scrub did not quarantine the job log: %v", err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if got, _ := st.Get(done.ID); !sameRecord(got, done) {
+		t.Fatalf("job reopened as %+v, want %+v", got, done)
+	}
+	if jobs := st.Jobs(); len(jobs) != 1 {
+		t.Fatalf("%d jobs after reopen, want 1", len(jobs))
+	}
+}
+
+// FuzzJobLog feeds the job log arbitrary record payloads, one per line,
+// each framed with a valid checksum so the fuzzer exercises the record
+// decoder rather than the CRC, next to a fixed ledger. OpenStore must never
+// panic or fail on content, and every record it loads must validate or be
+// the lost-record failure.
+func FuzzJobLog(f *testing.F) {
+	seed := f.TempDir()
+	st, err := OpenStore(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	writeTransitions(f, st)
+	if err := st.Close(); err != nil {
+		f.Fatal(err)
+	}
+	led, err := os.ReadFile(filepath.Join(seed, "ledger.log"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	wal, err := os.ReadFile(filepath.Join(seed, jobLogName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var payloads [][]byte
+	for _, line := range bytes.Split(bytes.TrimSuffix(wal, []byte("\n")), []byte("\n")) {
+		payloads = append(payloads, line[9:])
+	}
+	f.Add(bytes.Join(payloads, []byte("\n")))
+	f.Add(payloads[len(payloads)-1])
+	f.Add([]byte(`{"id":"job-000002","seq":2,"state":"failed","error":"` + lostRecordError + `"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		writeFiles(t, dir, map[string][]byte{"ledger.log": led})
+		jobLog, err := atomicio.OpenLog(filepath.Join(dir, jobLogName), func([]byte) error { return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := jobLog.Append(bytes.Split(data, []byte("\n")), false); err != nil {
+			t.Fatal(err)
+		}
+		jobLog.Close()
+		st, err := OpenStore(dir)
+		if err != nil {
+			t.Fatalf("OpenStore failed on content: %v", err)
+		}
+		defer st.Close()
+		for _, rec := range st.Jobs() {
+			if err := rec.Spec.Validate(); err != nil && !rec.lost() {
+				t.Fatalf("loaded record %+v does not validate: %v", rec, err)
+			}
+		}
 	})
 }
 

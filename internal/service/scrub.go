@@ -3,7 +3,6 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -17,13 +16,13 @@ import (
 
 // This file is the store scrubber: the proactive half of the integrity
 // layer (the verified read paths are the lazy half). Scrub walks the
-// durable artifacts — job records, finished reports, shard partials —
-// re-hashes their bytes against the run ledger and the job records, and
-// quarantines anything that no longer matches (a rename to *.quarantine,
-// never a silent deletion). When the corrupted artifact backed a finished
-// job whose spec is still stored, the job re-queues: determinism makes the
-// re-run reproduce the original bytes, so the system heals from bit-rot
-// instead of serving poison.
+// durable artifacts — the job log, finished reports, shard partials —
+// re-verifies them against their checksums, the run ledger and the job
+// records, and quarantines anything that no longer matches (a rename to
+// *.quarantine, never a silent deletion). When the corrupted artifact
+// backed a finished job whose spec is still stored, the job re-queues:
+// determinism makes the re-run reproduce the original bytes, so the system
+// heals from bit-rot instead of serving poison.
 
 // ScrubStats summarises one scrub pass (also served on /healthz as
 // last_scrub).
@@ -55,6 +54,7 @@ type ScrubStats struct {
 func (s *Store) Scrub(skip map[string]bool, requeue bool) ScrubStats {
 	start := time.Now()
 	stats := ScrubStats{StartedAt: start.UTC()}
+	s.scrubLog(&stats)
 	for _, rec := range s.Jobs() {
 		if skip[rec.ID] {
 			stats.Skipped++
@@ -67,31 +67,33 @@ func (s *Store) Scrub(skip map[string]bool, requeue bool) ScrubStats {
 	return stats
 }
 
-// scrubJob verifies one job's durable footprint.
-func (s *Store) scrubJob(rec JobRecord, requeue bool, stats *ScrubStats) {
-	// The per-job record file must still parse to the same record we hold
-	// (a torn record file would fail the next restart, surface it now).
-	if s.materializedID(rec.ID) {
-		stats.Checked++
-		data, err := os.ReadFile(filepath.Join(s.dir, "jobs", rec.ID+".json"))
-		var onDisk JobRecord
-		switch {
-		case err != nil:
-			stats.Errors = append(stats.Errors, fmt.Sprintf("job %s: %v", rec.ID, err))
-		case json.Unmarshal(data, &onDisk) != nil || onDisk.ID != rec.ID:
-			stats.Corrupt++
-			if qerr := quarantineFile(filepath.Join(s.dir, "jobs", rec.ID+".json")); qerr == nil {
-				stats.Quarantined = append(stats.Quarantined, filepath.Join("jobs", rec.ID+".json"))
-				// Re-materialise the in-memory truth so the store survives a
-				// restart with the record intact.
-				if perr := s.Put(rec); perr != nil {
-					stats.Errors = append(stats.Errors, fmt.Sprintf("job %s: rewriting record: %v", rec.ID, perr))
-				}
-			} else {
-				stats.Errors = append(stats.Errors, fmt.Sprintf("job %s: quarantine: %v", rec.ID, qerr))
-			}
+// scrubLog replays the job log read-only; an append racing the read leaves
+// at most a torn tail, which Replay ignores. The records in memory are what
+// the log last wrote, so a damaged log is quarantined and rewritten from
+// them under the write mutex: the store reopens with every record intact.
+func (s *Store) scrubLog(stats *ScrubStats) {
+	stats.Checked++
+	path := filepath.Join(s.dir, jobLogName)
+	err := atomicio.Replay(path, func(line []byte) error {
+		_, err := decodeRecord(line)
+		return err
+	})
+	if errors.Is(err, atomicio.ErrCorrupt) {
+		stats.Corrupt++
+		s.wmu.Lock()
+		if err = quarantineFile(path); err == nil {
+			stats.Quarantined = append(stats.Quarantined, jobLogName)
+			err = s.compact()
 		}
+		s.wmu.Unlock()
 	}
+	if err != nil {
+		stats.Errors = append(stats.Errors, fmt.Sprintf("job log: %v", err))
+	}
+}
+
+// scrubJob verifies one finished job's report.
+func (s *Store) scrubJob(rec JobRecord, requeue bool, stats *ScrubStats) {
 	if rec.State != StateDone {
 		return
 	}
@@ -144,13 +146,6 @@ func (s *Store) healReport(rec JobRecord, requeue bool, stats *ScrubStats) {
 	stats.Requeued = append(stats.Requeued, rec.ID)
 }
 
-// materializedID reports whether id has a per-job file.
-func (s *Store) materializedID(id string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.materialized[id]
-}
-
 // scrubPartials verifies the shard partials of inactive distributed jobs
 // against the upload hashes recorded in each shard WAL. A mismatched
 // partial is quarantined; the shard re-runs when the job's coordinator
@@ -165,7 +160,8 @@ func (s *Store) scrubPartials(skip map[string]bool, stats *ScrubStats) {
 		return
 	}
 	for _, e := range entries {
-		if !e.IsDir() {
+		// A quarantined dir is evidence: leave it as it is.
+		if !e.IsDir() || strings.HasSuffix(e.Name(), ".quarantine") {
 			continue
 		}
 		job := e.Name()

@@ -32,7 +32,7 @@ var ErrDraining = errors.New("service: draining, not accepting jobs")
 
 // Config parametrises a Service.
 type Config struct {
-	// Dir is the durable store root (jobs/, reports/, journals/).
+	// Dir is the durable store root (intake.wal, reports/, journals/).
 	Dir string
 	// Jobs bounds how many jobs execute concurrently. Default 1: jobs are
 	// whole campaigns that parallelise internally, so one at a time already
@@ -215,7 +215,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Coordinator {
 		s.coord = newCoordinator(s)
 	}
-	s.reg.RegisterFunc("service.intake_syncs", func() float64 { return float64(store.Syncs()) })
 	s.reg.RegisterFunc("service.queue_depth", func() float64 { return float64(s.queue.depth()) })
 	s.reg.RegisterFunc("service.jobs_running", func() float64 {
 		s.mu.Lock()

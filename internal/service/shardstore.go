@@ -64,12 +64,12 @@ type shardWALRecord struct {
 }
 
 // shardDir is one distributed job's durable shard state under
-// <store>/shards/<jobID>/: the plan (plan.json), the lease-transition WAL
-// (state.wal, compacted geometrically) and one partial-result file per
+// <store>/shards/<jobID>/: the WAL (state.wal: the plan, then the lease
+// transitions, compacted geometrically) and one partial-result file per
 // completed shard (partial-<index>.json, written atomically — its presence
 // is the durable "done" marker). A coordinator restarted mid-campaign
-// reloads all three and continues: done shards keep their partials,
-// unexpired leases keep their workers, and everything else re-queues.
+// reloads both and continues: done shards keep their partials, unexpired
+// leases keep their workers, and everything else re-queues.
 type shardDir struct {
 	dir  string
 	plan shardPlan
@@ -88,38 +88,39 @@ func (s *Store) shardDirPath(job string) string {
 // openShardDir loads (or initialises) the shard state for one job. mkplan
 // builds the plan on first open; a reopened dir keeps its stored plan so a
 // config change between restarts cannot re-shard a half-finished campaign.
+// A dir that lost its plan line is quarantined whole and re-planned: no
+// partial may be read under a plan it was not cut under.
 func openShardDir(dir string, mkplan func() shardPlan) (*shardDir, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: initialising shard dir: %w", err)
 	}
 	d := &shardDir{dir: dir, states: make(map[int]shardWALRecord)}
-	planPath := filepath.Join(dir, "plan.json")
-	data, err := os.ReadFile(planPath)
-	switch {
-	case err == nil:
-		if err := json.Unmarshal(data, &d.plan); err != nil {
-			return nil, fmt.Errorf("service: decoding shard plan: %w", err)
-		}
-		if d.plan.Version != shardPlanVersion || len(d.plan.Shards) == 0 {
-			return nil, fmt.Errorf("service: shard plan %s has version %q", dir, d.plan.Version)
-		}
-	case os.IsNotExist(err):
-		d.plan = mkplan()
-		data, err := json.MarshalIndent(d.plan, "", "  ")
-		if err != nil {
-			return nil, fmt.Errorf("service: encoding shard plan: %w", err)
-		}
-		if err := atomicio.WriteFileBytes(planPath, append(data, '\n')); err != nil {
-			return nil, fmt.Errorf("service: persisting shard plan: %w", err)
-		}
-	default:
-		return nil, fmt.Errorf("service: reading shard plan: %w", err)
-	}
 	// A corrupt WAL keeps its verified states (a shard whose state was lost
 	// is pending); compaction below quarantines the damaged file.
+	var err error
 	d.wal, err = atomicio.OpenLog(d.walPath(), d.fold)
 	if err != nil && !errors.Is(err, atomicio.ErrCorrupt) {
 		return nil, fmt.Errorf("service: opening shard WAL: %w", err)
+	}
+	// A dir written before the plan moved into the WAL keeps it in plan.json.
+	legacyPlan := filepath.Join(dir, "plan.json")
+	if d.plan.Version == "" {
+		data, rerr := os.ReadFile(legacyPlan)
+		switch {
+		case rerr == nil:
+			if err := d.fold(data); err != nil || d.plan.Version == "" {
+				return nil, fmt.Errorf("service: shard plan %s is no %s plan: %v", dir, shardPlanVersion, err)
+			}
+		case !os.IsNotExist(rerr):
+			return nil, fmt.Errorf("service: reading shard plan: %w", rerr)
+		case err != nil || len(d.states) > 0:
+			if err := os.Rename(dir, dir+".quarantine"); err != nil {
+				return nil, fmt.Errorf("service: quarantining shard dir that lost its plan: %w", err)
+			}
+			return openShardDir(dir, mkplan)
+		default:
+			d.plan = mkplan()
+		}
 	}
 	// Partial files are the durable truth for completion: a partial written
 	// after the last WAL sync still counts, and a WAL "done" without its
@@ -138,17 +139,30 @@ func openShardDir(dir string, mkplan func() shardPlan) (*shardDir, error) {
 	if err := d.compact(); err != nil {
 		return nil, err
 	}
+	if err := os.Remove(legacyPlan); err != nil && !os.IsNotExist(err) {
+		return nil, fmt.Errorf("service: removing imported shard plan: %w", err)
+	}
 	return d, nil
 }
 
-// fold applies one state.wal record to d.states: the last record per shard
-// wins.
+// fold applies one state.wal line. The plan line, the only one with a
+// version, sets d.plan; of the shard transitions the last per shard wins.
 func (d *shardDir) fold(line []byte) error {
-	var rec shardWALRecord
+	var rec struct {
+		shardPlan
+		shardWALRecord
+	}
 	if err := json.Unmarshal(line, &rec); err != nil {
 		return err
 	}
-	d.states[rec.Shard] = rec
+	switch {
+	case rec.Version == "":
+		d.states[rec.Shard] = rec.shardWALRecord
+	case rec.Version != shardPlanVersion || len(rec.Shards) == 0:
+		return fmt.Errorf("service: shard plan has version %q", rec.Version)
+	default:
+		d.plan = rec.shardPlan
+	}
 	return nil
 }
 
@@ -187,14 +201,19 @@ func (d *shardDir) log(rec shardWALRecord) error {
 	return nil
 }
 
-// compact rewrites the WAL down to one line per transitioned shard.
+// compact rewrites the WAL down to the plan, first, and one line per
+// transitioned shard.
 func (d *shardDir) compact() error {
 	idxs := make([]int, 0, len(d.states))
 	for idx := range d.states {
 		idxs = append(idxs, idx)
 	}
 	sort.Ints(idxs)
-	lines := make([][]byte, 0, len(idxs))
+	plan, err := json.Marshal(d.plan)
+	if err != nil {
+		return err
+	}
+	lines := [][]byte{plan}
 	for _, idx := range idxs {
 		line, err := json.Marshal(d.states[idx])
 		if err != nil {

@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -38,11 +37,9 @@ const (
 
 // JobRecord is the durable face of one job: the spec as submitted, the
 // current state, and coarse lifecycle timestamps. Every state change is
-// persisted before it is announced (the intake WAL for freshly queued
-// records, an atomic per-job file for everything after), so a crashed or
-// drained daemon restarts into a consistent picture: terminal jobs serve
-// their stored reports, queued and running (i.e. interrupted) jobs
-// re-enqueue.
+// appended to the job log before it is announced, so a crashed or drained
+// daemon restarts into a consistent picture: terminal jobs serve their
+// stored reports, queued and running (i.e. interrupted) jobs re-enqueue.
 type JobRecord struct {
 	ID   string  `json:"id"`
 	Seq  int     `json:"seq"`
@@ -82,32 +79,34 @@ func (r *JobRecord) dedupable() bool {
 	return r.State == StateQueued || r.State == StateRunning || r.State == StateDone
 }
 
-// intakeWALName is the group-commit write-ahead log of freshly accepted
-// jobs, relative to the store root.
-const intakeWALName = "intake.wal"
+// jobLogName is the job log, relative to the store root. It keeps the name
+// from when it held only freshly accepted jobs, so older stores still open.
+const jobLogName = "intake.wal"
 
-// walCompactBytes is the floor of the intake WAL's compaction threshold
-// (atomicio.Log.Due doubles it from the compacted size, so a deep backlog
-// of queued-only jobs cannot turn O(1) appends into O(n) rewrites).
-// Compaction drops entries for jobs that have since been materialised as
-// per-job files; it is a variable only so tests can shrink it.
+// walCompactBytes is the floor of the job log's compaction threshold
+// (atomicio.Log.Due doubles it from the compacted size, so a large live
+// set cannot turn O(1) appends into O(n) rewrites). Compaction keeps the
+// latest line per job; it is a variable only so tests can shrink it.
 var walCompactBytes int64 = 4 << 20
 
-// Store is the daemon's durable result store: one JSON record per job under
-// jobs/, the finished run report under reports/, the Monte Carlo checkpoint
-// journal under journals/, and the group-commit intake WAL (intake.wal) of
-// freshly accepted jobs. Per-job record writes go through
-// internal/atomicio; intake writes are appended in batches with a single
-// fsync per batch (see batcher.go). A job record lives in exactly one of
-// two durable homes at a time — the WAL until its first state transition,
-// its per-job file afterwards — and recovery takes the per-job file as the
-// newer truth when both exist.
+// Store is the daemon's durable result store: the job log (intake.wal), the
+// finished run report under reports/, the Monte Carlo checkpoint journal
+// under journals/, and the run ledger. The job log is the only durable copy
+// of job state: every transition appends one checksummed JobRecord line (a
+// batch of freshly accepted jobs shares one fsync, see batcher.go), and a
+// job's state is its last verified line.
 type Store struct {
 	dir string
 	// led is the tamper-evident run ledger (ledger.log): every job
 	// transition and stored report hash appends an entry, and its Merkle
 	// root is the integrity commitment /healthz exposes.
 	led *ledger.Ledger
+
+	// wmu serialises job-log writes: a writer updates the in-memory view
+	// before releasing it, so memory order is log order, and readers take
+	// only mu, never waiting on an fsync.
+	wmu sync.Mutex
+	wal *atomicio.Log
 
 	mu    sync.Mutex
 	jobs  map[string]JobRecord
@@ -116,13 +115,9 @@ type Store struct {
 	// duplicates of that submission (the content-addressed result cache
 	// once the job is done). Failed and canceled jobs are evicted so a
 	// resubmission re-executes.
-	dedup        map[string]string
-	materialized map[string]bool   // a jobs/<id>.json file exists
-	etags        map[string]string // memoized report ETags, by job ID
-	seq          int
-
-	wal   *atomicio.Log
-	syncs int
+	dedup map[string]string
+	etags map[string]string // memoized report ETags, by job ID
+	seq   int
 }
 
 // orderRef is one entry of the seq-ordered job index.
@@ -131,101 +126,143 @@ type orderRef struct {
 	id  string
 }
 
-// OpenStore opens (or initialises) the store rooted at dir: it loads every
-// per-job record, replays the intake WAL on top (truncating a torn tail —
-// an append that never synced was never acked), and compacts the WAL down
-// to the entries that still lack per-job files. A corrupt WAL keeps its
-// verified records and quarantines the rest (see failLostIntake).
+// OpenStore opens (or initialises) the store rooted at dir. It replays the
+// job log (truncating a torn tail: an append that never synced was never
+// acked) and imports the per-job files of older stores. A damaged log keeps
+// its verified lines and is quarantined, then every job the ledger
+// witnessed without a verified record is answered for (failLostRecords).
+// The log is rewritten only when damaged, after an import, or when due.
 func OpenStore(dir string) (*Store, error) {
-	for _, sub := range []string{"jobs", "reports", "journals"} {
+	for _, sub := range []string{"reports", "journals"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("service: initialising store: %w", err)
 		}
 	}
 	st := &Store{
-		dir:          dir,
-		jobs:         make(map[string]JobRecord),
-		dedup:        make(map[string]string),
-		materialized: make(map[string]bool),
-		etags:        make(map[string]string),
+		dir:   dir,
+		jobs:  make(map[string]JobRecord),
+		dedup: make(map[string]string),
+		etags: make(map[string]string),
 	}
-	entries, err := os.ReadDir(filepath.Join(dir, "jobs"))
+	var err error
+	st.wal, err = atomicio.OpenLog(filepath.Join(dir, jobLogName), func(line []byte) error {
+		rec, err := decodeRecord(line)
+		if err == nil {
+			st.jobs[rec.ID] = rec
+		}
+		return err
+	})
+	damaged := errors.Is(err, atomicio.ErrCorrupt)
+	if err != nil && !damaged {
+		return nil, fmt.Errorf("service: opening job log: %w", err)
+	}
+	legacy, err := st.importLegacy()
 	if err != nil {
-		return nil, fmt.Errorf("service: reading store: %w", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".json") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, "jobs", e.Name()))
-		if err != nil {
-			return nil, fmt.Errorf("service: reading job record %s: %w", e.Name(), err)
-		}
-		var rec JobRecord
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return nil, fmt.Errorf("service: decoding job record %s: %w", e.Name(), err)
-		}
-		// A job failed by failLostIntake has no spec.
-		if err := rec.Spec.Validate(); err != nil && rec.Error != lostIntakeError {
-			return nil, fmt.Errorf("service: job record %s: %w", e.Name(), err)
-		}
-		st.jobs[rec.ID] = rec
-		st.materialized[rec.ID] = true
-	}
-	walErr := st.replayWAL()
-	if walErr != nil && !errors.Is(walErr, atomicio.ErrCorrupt) {
-		return nil, walErr
+		return nil, err
 	}
 	for id, rec := range st.jobs {
 		// The hash is canonical, not archival: recompute so records written
 		// before content addressing (or under an older hash version) index
-		// correctly.
-		rec.SpecHash = SpecHash(rec.Spec)
-		st.jobs[id] = rec
-		if rec.Seq > st.seq {
-			st.seq = rec.Seq
+		// correctly. A lost record keeps the hash the ledger witnessed.
+		if !rec.lost() {
+			rec.SpecHash = SpecHash(rec.Spec)
+			st.jobs[id] = rec
 		}
+		st.seq = max(st.seq, rec.Seq)
 		st.order = append(st.order, orderRef{seq: rec.Seq, id: id})
 	}
 	sort.Slice(st.order, func(i, j int) bool { return st.order[i].seq < st.order[j].seq })
 	for _, ref := range st.order {
 		st.indexLocked(st.jobs[ref.id])
 	}
-	if err := st.compactWALLocked(); err != nil {
-		return nil, err
+	if damaged || len(legacy) > 0 || st.wal.Due(walCompactBytes) {
+		if err := st.compact(); err != nil {
+			return nil, err
+		}
 	}
+	// The log holds the imported records now; a crash before this point
+	// imports the same records again.
+	for _, path := range legacy {
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			return nil, fmt.Errorf("service: removing imported job record: %w", err)
+		}
+	}
+	// Fails, harmlessly, when absent or kept by quarantined records.
+	_ = os.Remove(filepath.Join(dir, "jobs"))
 	if err := st.openLedger(); err != nil {
 		return nil, err
 	}
-	if walErr != nil {
-		if err := st.failLostIntake(); err != nil {
+	if damaged || len(legacy) > 0 {
+		if err := st.failLostRecords(); err != nil {
 			return nil, err
 		}
 	}
 	return st, nil
 }
 
-// lostIntakeError is the failure recorded for a job whose intake record was
-// lost to WAL corruption.
-const lostIntakeError = "intake record corrupt; resubmit"
+// decodeRecord decodes one stored job record and checks that it is whole:
+// its ID is the one AllocRecord gives its sequence number, and its spec
+// validates, unless it is the lost-record failure, which has no spec.
+func decodeRecord(data []byte) (JobRecord, error) {
+	var rec JobRecord
+	if err := json.Unmarshal(data, &rec); err != nil {
+		return rec, err
+	}
+	if rec.ID != fmt.Sprintf("job-%06d", rec.Seq) {
+		return rec, fmt.Errorf("service: job record %q has sequence %d", rec.ID, rec.Seq)
+	}
+	if rec.lost() {
+		return rec, nil
+	}
+	return rec, rec.Spec.Validate()
+}
 
-// failLostIntake runs after intake WAL corruption. It persists as failed
-// every job the ledger witnessed being queued that neither a per-job file
-// nor a verified intake record holds: its spec is gone, but its ID keeps
-// answering instead of returning 404.
-func (s *Store) failLostIntake() error {
+// importLegacy loads the per-job files (jobs/<id>.json) of a store written
+// before the job log held every transition, and returns their paths. Such
+// a file is newer than any log line of its job, so it wins. A file that
+// does not decode is quarantined, and its job recovers like any job whose
+// record was lost.
+func (s *Store) importLegacy() ([]string, error) {
+	// The pattern is constant, so Glob cannot fail.
+	paths, _ := filepath.Glob(filepath.Join(s.dir, "jobs", "*.json"))
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("service: reading job record: %w", err)
+		}
+		if rec, err := decodeRecord(data); err == nil {
+			s.jobs[rec.ID] = rec
+		} else if qerr := quarantineFile(path); qerr != nil {
+			return nil, fmt.Errorf("service: quarantining job record: %v (detected: %v)", qerr, err)
+		}
+	}
+	return paths, nil
+}
+
+// lostRecordError is the failure recorded for a job whose every record was
+// lost to corruption.
+const lostRecordError = "intake record corrupt; resubmit"
+
+// lost reports whether r is the lost-record failure: the one record that
+// has no spec.
+func (r *JobRecord) lost() bool { return r.State == StateFailed && r.Error == lostRecordError }
+
+// failLostRecords persists as failed every job the ledger witnessed that
+// has no verified record: its spec is gone, but its ID keeps answering
+// instead of returning 404.
+func (s *Store) failLostRecords() error {
 	for i, n := 0, s.led.Len(); i < n; i++ {
 		e, _ := s.led.Entry(i)
 		_, known := s.Get(e.Job)
 		var seq int // IDs are job-<seq> (AllocRecord)
-		if known || e.Type != ledger.TypeJob || e.Data != StateQueued {
+		if known || e.Type != ledger.TypeJob {
 			continue
 		}
 		if _, err := fmt.Sscanf(e.Job, "job-%d", &seq); err != nil {
 			continue
 		}
 		if err := s.Put(JobRecord{ID: e.Job, Seq: seq, State: StateFailed,
-			Error: lostIntakeError, SpecHash: e.Hash, FinishedAt: time.Now().UTC()}); err != nil {
+			Error: lostRecordError, SpecHash: e.Hash, FinishedAt: time.Now().UTC()}); err != nil {
 			return err
 		}
 		// Never hand the lost job's ID to a new submission.
@@ -289,28 +326,6 @@ func (s *Store) openLedger() error {
 // scrub cross-checks).
 func (s *Store) Ledger() *ledger.Ledger { return s.led }
 
-// replayWAL folds the intake WAL into the in-memory map. A WAL entry is
-// authoritative only while its job has no per-job file: the first Put
-// (running, canceled, re-queued after drain, ...) moves the truth there.
-// A corrupt WAL keeps every record that verified and returns its
-// *atomicio.CorruptError.
-func (s *Store) replayWAL() (err error) {
-	s.wal, err = atomicio.OpenLog(filepath.Join(s.dir, intakeWALName), func(line []byte) error {
-		var rec JobRecord
-		if json.Unmarshal(line, &rec) != nil || rec.ID == "" || rec.Spec.Validate() != nil {
-			return atomicio.ErrCorrupt
-		}
-		if !s.materialized[rec.ID] {
-			s.jobs[rec.ID] = rec
-		}
-		return nil
-	})
-	if err != nil && !errors.Is(err, atomicio.ErrCorrupt) {
-		return fmt.Errorf("service: opening intake WAL: %w", err)
-	}
-	return err
-}
-
 // indexLocked folds one record into the dedup index. Callers hold s.mu and
 // present records in ascending seq order on rebuild. A done job always wins
 // its keys (it holds the cached report); otherwise the first live claimant
@@ -354,17 +369,9 @@ func (s *Store) orderInsertLocked(seq int, id string) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Syncs returns how many intake-WAL fsyncs the store has issued — the
-// denominator of the group-commit amortisation (service.intake_syncs).
-func (s *Store) Syncs() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.syncs
-}
-
 // AllocRecord allocates the next job ID for a freshly submitted spec. The
 // record is not yet registered anywhere — it becomes visible (and durable)
-// only when a batch containing it commits through AppendIntake.
+// only when a batch containing it commits through Put.
 func (s *Store) AllocRecord(spec JobSpec, specHash, idemKey string, now time.Time) JobRecord {
 	s.mu.Lock()
 	s.seq++
@@ -381,102 +388,69 @@ func (s *Store) AllocRecord(spec JobSpec, specHash, idemKey string, now time.Tim
 	}
 }
 
-// AppendIntake durably commits a batch of freshly queued records: every
-// record is appended to the intake WAL as one log record and the batch is
-// synced with a single fsync — the group-commit write the batcher
-// amortises across concurrent submissions. On success the records are
-// registered in the in-memory view and the dedup index; on failure none
-// are (the WAL may hold unsynced bytes, which recovery treats as a torn,
-// unacked tail).
-func (s *Store) AppendIntake(recs []JobRecord) error {
+// Put appends recs to the job log with one write and one fsync (a batch of
+// freshly accepted jobs from the batcher, or one transition), ledgers them,
+// and updates the in-memory view and dedup index. The ledger syncs only for
+// a terminal record, so a "done" a client acts on never vanishes from it;
+// queued entries ride along on the next synced append. On failure the view
+// is unchanged, and unsynced log bytes recover as a torn, unacked tail.
+func (s *Store) Put(recs ...JobRecord) error {
 	lines := make([][]byte, len(recs))
+	lrecs := make([]ledger.Record, len(recs))
+	terminal := false
 	for i, rec := range recs {
 		line, err := json.Marshal(rec)
 		if err != nil {
-			return fmt.Errorf("service: encoding intake record %s: %w", rec.ID, err)
+			return fmt.Errorf("service: encoding job record %s: %w", rec.ID, err)
 		}
 		lines[i] = line
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.wal.Append(lines, true); err != nil {
-		return fmt.Errorf("service: appending intake batch: %w", err)
-	}
-	s.syncs++
-	// Ledger the queued transitions as one batch write. No fsync here: the
-	// intake WAL is the durability of the ack; these observational entries
-	// ride along on the next synced append (a crash can drop the tail,
-	// which ledger replay tolerates like a torn WAL batch).
-	lrecs := make([]ledger.Record, len(recs))
-	for i, rec := range recs {
 		lrecs[i] = ledger.Record{Type: ledger.TypeJob, Job: rec.ID, Data: rec.State, Hash: rec.SpecHash}
+		terminal = terminal || rec.Terminal()
 	}
-	if _, err := s.led.AppendBatch(lrecs, false); err != nil {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if err := s.wal.Append(lines, true); err != nil {
+		return fmt.Errorf("service: appending to job log: %w", err)
+	}
+	if _, err := s.led.AppendBatch(lrecs, terminal); err != nil {
 		return err
 	}
+	s.mu.Lock()
 	for _, rec := range recs {
 		s.jobs[rec.ID] = rec
 		s.orderInsertLocked(rec.Seq, rec.ID)
 		s.indexLocked(rec)
+		if rec.ReportHash != "" {
+			s.etags[rec.ID] = reportETag(rec.ReportHash)
+		} else {
+			// A quarantine re-queue cleared the hash; drop the stale memo.
+			delete(s.etags, rec.ID)
+		}
 	}
+	s.mu.Unlock()
 	if s.wal.Due(walCompactBytes) {
-		// The batch is durable; a failed compaction only costs space.
-		_ = s.compactWALLocked()
+		// The records are durable; a failed compaction only costs space.
+		_ = s.compact()
 	}
 	return nil
 }
 
-// compactWALLocked rewrites the intake WAL keeping only records whose truth
-// still lives there (no per-job file yet). Callers hold s.mu.
-func (s *Store) compactWALLocked() error {
-	var live [][]byte
-	for _, ref := range s.order {
-		if s.materialized[ref.id] {
-			continue
-		}
-		line, err := json.Marshal(s.jobs[ref.id])
+// compact rewrites the job log down to the latest record per job, in
+// submission order. Callers hold s.wmu (or, in OpenStore, the only
+// reference to the store).
+func (s *Store) compact() error {
+	recs := s.Jobs()
+	live := make([][]byte, len(recs))
+	for i, rec := range recs {
+		line, err := json.Marshal(rec)
 		if err != nil {
 			return err
 		}
-		live = append(live, line)
+		live[i] = line
 	}
 	if err := s.wal.Rewrite(live); err != nil {
-		return fmt.Errorf("service: compacting intake WAL: %w", err)
+		return fmt.Errorf("service: compacting job log: %w", err)
 	}
-	return nil
-}
-
-// Put persists rec atomically as its per-job file and updates the
-// in-memory view and dedup index. From this point the per-job file, not
-// the intake WAL, is the record's durable truth.
-func (s *Store) Put(rec JobRecord) error {
-	data, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
-		return fmt.Errorf("service: encoding job record %s: %w", rec.ID, err)
-	}
-	path := filepath.Join(s.dir, "jobs", rec.ID+".json")
-	if err := atomicio.WriteFileBytes(path, append(data, '\n')); err != nil {
-		return fmt.Errorf("service: persisting job record %s: %w", rec.ID, err)
-	}
-	// Every transition appends to the run ledger; terminal states sync so
-	// a "done" a client acts on can never vanish from the log.
-	if _, err := s.led.Append(ledger.Record{
-		Type: ledger.TypeJob, Job: rec.ID, Data: rec.State, Hash: rec.SpecHash,
-	}, rec.Terminal()); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.jobs[rec.ID] = rec
-	s.orderInsertLocked(rec.Seq, rec.ID)
-	s.materialized[rec.ID] = true
-	s.indexLocked(rec)
-	if rec.ReportHash != "" {
-		s.etags[rec.ID] = reportETag(rec.ReportHash)
-	} else {
-		// A quarantine re-queue cleared the hash; drop the stale memo.
-		delete(s.etags, rec.ID)
-	}
-	s.mu.Unlock()
 	return nil
 }
 
@@ -651,12 +625,12 @@ func (s *Store) ReportETag(id string) (string, error) {
 // reportETag formats a report content hash as a strong HTTP ETag.
 func reportETag(hash string) string { return `"sha256-` + hash + `"` }
 
-// Close releases the intake WAL handle and the run ledger (syncing any
-// buffered observational entries). Records and reports are plain files;
-// nothing else needs teardown.
+// Close releases the job log handle and the run ledger (syncing any
+// buffered observational entries). Reports are plain files; nothing else
+// needs teardown.
 func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
 	err := s.wal.Close()
 	if lerr := s.led.Close(); err == nil {
 		err = lerr
