@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"bankaware/internal/core"
+	"bankaware/internal/fastsim"
 	"bankaware/internal/metrics"
 	"bankaware/internal/sim"
 	"bankaware/internal/trace"
@@ -17,9 +18,12 @@ import (
 // sim.Generators), so every unit of a set consumes the same eight streams.
 // An evaluation that several detailed units will run on records each
 // stream once on a trace.Tape, and each unit replays the recordings through
-// its own readers instead of generating them again. The fast engine reads
-// no streams and a single unit has no one to share with, so neither builds
-// tapes. Either way a unit's result is exactly what a solo run of it
+// its own readers instead of generating them again. An evaluation that
+// several fast units will run on opens one fastsim.Scope for them: the
+// profiles and curve tables are derived once, each micro-replay stream is
+// drawn once, and each distinct replay window runs once for whichever
+// units ask for it. A single unit has no one to share with and opens
+// neither. Either way a unit's result is exactly what a solo run of it
 // computes. RunPolicy is safe for concurrent use.
 type SetEvaluation struct {
 	cfg          sim.Config
@@ -27,8 +31,9 @@ type SetEvaluation struct {
 	specs        []trace.Spec
 	instructions uint64
 	opt          Options
-	runPrefix    string        // prefixes the policy name in Options.Sample run tags
-	tapes        []*trace.Tape // one per core; nil when no units share streams
+	runPrefix    string         // prefixes the policy name in Options.Sample run tags
+	tapes        []*trace.Tape  // one per core; nil unless detailed units share streams
+	scope        *fastsim.Scope // nil unless fast units share one
 }
 
 // NewSetEvaluation prepares the evaluation of workloads (one per core) on
@@ -40,7 +45,13 @@ func NewSetEvaluation(cfg sim.Config, workloads []string, instructions uint64, u
 		return nil, err
 	}
 	e := &SetEvaluation{cfg: opt.apply(cfg), workloads: workloads, specs: specs, instructions: instructions, opt: opt}
-	if units > 1 && opt.Fidelity != FidelityFast {
+	switch {
+	case units <= 1:
+	case opt.Fidelity == FidelityFast:
+		if e.scope, err = fastsim.NewScope(e.cfg, specs); err != nil {
+			return nil, err
+		}
+	default:
 		gens, err := sim.Generators(e.cfg, specs)
 		if err != nil {
 			return nil, err
@@ -72,25 +83,28 @@ func (e *SetEvaluation) RunPolicy(ctx context.Context, policy int) (PolicyRun, e
 		e.opt.sampler(e.runPrefix+proto.Name()))
 }
 
-// engine builds one unit's engine: over fresh tape readers when the units
-// share streams, otherwise as NewEngine would.
+// engine builds one unit's engine: on the shared scope or over fresh tape
+// readers when the units share either, otherwise as NewEngine would.
 func (e *SetEvaluation) engine(policy core.Policy) (Engine, error) {
-	if e.tapes == nil {
-		return NewEngine(e.opt.Fidelity, e.cfg, policy, e.specs)
+	switch {
+	case e.scope != nil:
+		return e.scope.NewSystem(policy)
+	case e.tapes != nil:
+		streams := make([]trace.Stream, len(e.tapes))
+		for c, t := range e.tapes {
+			streams[c] = t.Reader()
+		}
+		return sim.NewWithStreams(e.cfg, policy, streams)
 	}
-	streams := make([]trace.Stream, len(e.tapes))
-	for c, t := range e.tapes {
-		streams[c] = t.Reader()
-	}
-	return sim.NewWithStreams(e.cfg, policy, streams)
+	return NewEngine(e.opt.Fidelity, e.cfg, policy, e.specs)
 }
 
 // CampaignEvaluation runs units [from, to) of the Figs. 8/9 campaign, one
 // SetEvaluation per Table III set: unit/3 selects the set, unit%3 the
 // policy. The first of a set's units to start opens the set's evaluation,
 // and once every unit of that set in the range has succeeded the evaluation
-// is dropped with its tapes, so a campaign holds the tapes of only the sets
-// it is working on. RunUnit is safe for concurrent use.
+// is dropped with its tapes or scope, so a campaign holds those of only the
+// sets it is working on. RunUnit is safe for concurrent use.
 type CampaignEvaluation struct {
 	scale        Scale
 	instructions uint64

@@ -3,9 +3,13 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
+	"bankaware/internal/core"
+	"bankaware/internal/fastsim"
 	"bankaware/internal/metrics"
+	"bankaware/internal/nuca"
 	"bankaware/internal/runner"
 	"bankaware/internal/sim"
 	"bankaware/internal/trace"
@@ -39,30 +43,39 @@ func soloUnits(t *testing.T, cfg sim.Config, sets [][]string, instructions uint6
 	return runs
 }
 
-// RunSetContext's units share one evaluation's tapes; the report bytes
-// must equal those of three solo units at every worker and lane count.
+// RunSetContext's units share one evaluation's tapes (detailed) or scope
+// (fast); the report bytes must equal those of three solo units at every
+// worker and lane count.
 func TestSharedSetMatchesSoloUnits(t *testing.T) {
-	if testing.Short() {
-		t.Skip("detailed simulation in -short mode")
-	}
 	cfg := ScaleModel.Config()
 	cfg.EpochCycles = 200_000
-	const instructions = 200_000
 	workloads := TableIIISets[1][:]
-	solo, err := AssembleSetResult(2, workloads, soloUnits(t, cfg, [][]string{workloads}, instructions, Options{Observe: true}), true, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := reportBytes(t, solo.Report())
-	for _, workers := range []int{1, 3} {
-		for _, simWorkers := range []int{0, 4} {
-			r, err := RunSetContext(context.Background(), cfg, 2, workloads, instructions,
-				Options{Workers: workers, SimWorkers: simWorkers, Observe: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(reportBytes(t, r.Report()), want) {
-				t.Errorf("workers %d, sim workers %d: report differs from solo units", workers, simWorkers)
+	for _, tc := range []struct {
+		fidelity     Fidelity
+		instructions uint64
+	}{
+		{FidelityDetailed, 200_000},
+		{FidelityFast, ScaleModel.DefaultInstructions()},
+	} {
+		if tc.fidelity == FidelityDetailed && testing.Short() {
+			continue // detailed simulation in -short mode
+		}
+		opt := Options{Observe: true, Fidelity: tc.fidelity}
+		solo, err := AssembleSetResult(2, workloads, soloUnits(t, cfg, [][]string{workloads}, tc.instructions, opt), true, tc.fidelity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := reportBytes(t, solo.Report())
+		for _, workers := range []int{1, 3} {
+			for _, simWorkers := range []int{0, 4} {
+				opt.Workers, opt.SimWorkers = workers, simWorkers
+				r, err := RunSetContext(context.Background(), cfg, 2, workloads, tc.instructions, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(reportBytes(t, r.Report()), want) {
+					t.Errorf("%s: workers %d, sim workers %d: report differs from solo units", tc.fidelity, workers, simWorkers)
+				}
 			}
 		}
 	}
@@ -136,16 +149,72 @@ func TestSetUnitsShareOneGeneration(t *testing.T) {
 		}
 	}
 
-	fast, err := NewSetEvaluation(ScaleModel.Config(), TableIIISets[0][:], instructions, SetPolicies, Options{Fidelity: FidelityFast})
-	if err != nil {
-		t.Fatal(err)
-	}
 	solo, err := NewSetEvaluation(ScaleModel.Config(), TableIIISets[0][:], instructions, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fast.tapes != nil || solo.tapes != nil {
-		t.Error("a fast or single-unit evaluation built tapes")
+	if solo.tapes != nil || solo.scope != nil {
+		t.Error("a single-unit evaluation shares tapes or a scope")
+	}
+}
+
+// The fast units of one set evaluation share one scope: each distinct
+// replay window runs once, so the scope runs fewer windows than the units
+// asked for between them (the sum of their fastsim.replays gauges), and
+// each core's stream is drawn once, exactly as far as the furthest solo
+// unit draws it. This fails if the units stop sharing (the evaluation's
+// scope then runs and draws nothing).
+func TestFastSetUnitsShareOneScope(t *testing.T) {
+	workloads := TableIIISets[0][:]
+	opt := Options{Fidelity: FidelityFast, Observe: true, Workers: 3}
+	e, err := NewSetEvaluation(ScaleModel.Config(), workloads, ScaleModel.DefaultInstructions(), SetPolicies, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.tapes != nil || e.scope == nil {
+		t.Fatal("a fast evaluation of three units opened no scope, or tapes")
+	}
+	runs, err := runner.Map(context.Background(), opt.runnerConfig(), SetPolicies, e.RunPolicy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asked, most := 0, 0
+	for _, run := range runs {
+		n := int(run.Report.Metrics["fastsim.replays"])
+		asked += n
+		most = max(most, n)
+	}
+	if got := e.scope.Replays(); got < most || got >= asked {
+		t.Errorf("scope replayed %d windows; its units asked for %d between them, %d at most one", got, asked, most)
+	}
+	var soloDrawn [nuca.NumCores]int
+	for p, proto := range setPolicyPrototypes() {
+		sc, err := fastsim.NewScope(e.cfg, e.specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := sc.NewSystem(core.ClonePolicy(proto))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := RunEngine(context.Background(), sys, workloads, e.instructions, 0, metrics.NewRecorder(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sc.Replays(), int(run.Report.Metrics["fastsim.replays"]); got != want {
+			t.Errorf("%s: solo scope replayed %d windows, its unit asked for %d", proto.Name(), got, want)
+		}
+		if !reflect.DeepEqual(run, runs[p]) {
+			t.Errorf("%s: shared-scope unit differs from its solo run", proto.Name())
+		}
+		for c := range soloDrawn {
+			soloDrawn[c] = max(soloDrawn[c], sc.Drawn(c))
+		}
+	}
+	for c, want := range soloDrawn {
+		if got := e.scope.Drawn(c); got != want {
+			t.Errorf("core %d: shared scope drew %d events, the furthest solo unit %d", c, got, want)
+		}
 	}
 }
 

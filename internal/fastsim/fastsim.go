@@ -2,14 +2,10 @@ package fastsim
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
-	"sync"
 
-	"bankaware/internal/cache"
 	"bankaware/internal/core"
 	"bankaware/internal/metrics"
 	"bankaware/internal/nuca"
@@ -21,36 +17,25 @@ import (
 // inputs, same run protocol (cumulative instruction targets, stats reset,
 // metrics recording) — but cores advance in closed form between epoch
 // events instead of event by event. See the package comment for the model.
-// The embedded sim.Accounting turns the modelled trajectories into results
-// and run reports, exactly as it does the detailed engine's counters.
+// A System is one policy's trajectory over a Scope, which holds everything
+// that does not depend on the policy. The embedded sim.Accounting turns the
+// modelled trajectories into results and run reports, exactly as it does
+// the detailed engine's counters.
 type System struct {
 	*sim.Accounting
-	cfg sim.Config
+	scope *Scope
 
-	profs []*profile
-	// actN[c][i] is the activation threshold of depth atom i of core c: the
-	// L2-access count at which the stream has touched enough distinct blocks
-	// for that reuse depth to exist at all. Before it, the generator turns
-	// such draws into first touches — the cold-start transient that makes
-	// warm-up CPIs exceed steady-state CPIs and (through the resume snap)
-	// spreads measured CPIs across cores.
-	actN [nuca.NumCores][]float64
-	// curveSH[c][w][i] = sum over atoms j < i of mass_j * steady hit
-	// probability at w ways in the profiler view — prefix sums for the
-	// transient-corrected policy curves.
-	curveSH [nuca.NumCores][][]float64
-	shapes  [nuca.NumCores][]float64 // steady missProjected at the profiler view
-
-	// streams are the micro-replay event streams, drawn as replays first
-	// read them; missFlags keeps each core's miss-flag storage from one
-	// replay to the next.
-	streams   []coreStream
-	missFlags [nuca.NumCores][]bool
+	// capSolves and replays are the capacity states and windows this
+	// system has asked for, by exact key; their sizes are its
+	// fastsim.capacity_solves and fastsim.replays gauges. The window
+	// results are the scope's, shared with its other systems. missFlags
+	// keeps each core's miss-flag storage from one replay this system runs
+	// to the next.
 	capSolves map[solveKey]*capSolve
-	replays   map[uint64]*windowResult
+	replays   map[windowKey]*windowResult
+	missFlags [nuca.NumCores][]bool
 
-	allocFP uint64
-	rings   [nuca.NumCores][]int
+	alloc allocKey // the installed allocation
 
 	// Continuous per-core trajectories. clock is the core's local cycle
 	// time (cores cluster after the resume snap; a finished core freezes),
@@ -68,13 +53,6 @@ type System struct {
 
 	curves   []core.MissCurve
 	curveBuf [nuca.NumCores][]float64
-}
-
-// solveKey identifies one steady capacity state: the installed allocation
-// and (because shared-mode contention couples cores) the active set.
-type solveKey struct {
-	allocFP uint64
-	active  uint8
 }
 
 // capSolve is one solved capacity state: steady-state miss ratios plus the
@@ -163,89 +141,14 @@ const hashedIterations = 3
 // per run.
 const m2Quantum = 0.02
 
-// New builds a fast-path system over the same inputs as sim.New. It
-// rejects configurations whose semantics the interval model does not
-// reproduce (fault plans, PLRU victims, strict lookup, adaptive epochs) —
-// those campaigns must run at detailed fidelity.
+// New builds a fast-path system over the same inputs as sim.New, on a
+// private scope. It rejects what NewScope rejects.
 func New(cfg sim.Config, policy core.Policy, specs []trace.Spec) (*System, error) {
-	if err := cfg.Validate(); err != nil {
+	sc, err := NewScope(cfg, specs)
+	if err != nil {
 		return nil, err
 	}
-	if len(specs) != nuca.NumCores {
-		return nil, fmt.Errorf("fastsim: need %d workload specs, got %d", nuca.NumCores, len(specs))
-	}
-	if policy == nil {
-		return nil, fmt.Errorf("fastsim: nil policy")
-	}
-	switch {
-	case cfg.Faults != nil:
-		return nil, fmt.Errorf("fastsim: fault injection requires detailed fidelity")
-	case cfg.L2Replacement != cache.LRU:
-		return nil, fmt.Errorf("fastsim: non-LRU L2 replacement requires detailed fidelity")
-	case cfg.L2StrictLookup:
-		return nil, fmt.Errorf("fastsim: strict L2 lookup requires detailed fidelity")
-	case cfg.AdaptiveEpochs:
-		return nil, fmt.Errorf("fastsim: adaptive epochs require detailed fidelity")
-	}
-	s := &System{
-		cfg:       cfg,
-		capSolves: map[solveKey]*capSolve{},
-		replays:   map[uint64]*windowResult{},
-	}
-	s.Accounting = sim.NewAccounting(policy, nil, sim.Probes{
-		Counters:  s.counters,
-		Occupancy: s.bankOccupancy,
-		Register:  s.registerGauges,
-	})
-	// Profile passes are independent fixed-seed measurements, so build
-	// them concurrently; profileFor single-flights duplicates. The derived
-	// curves below stay sequential — their arithmetic order is part of the
-	// byte-stability contract.
-	profs := make([]*profile, len(specs))
-	profErrs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	for c, spec := range specs {
-		wg.Add(1)
-		go func(c int, spec trace.Spec) {
-			defer wg.Done()
-			profs[c], profErrs[c] = profileFor(spec, cfg.BankSets, cfg.L1)
-		}(c, spec)
-	}
-	wg.Wait()
-	for _, err := range profErrs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	for c := range specs {
-		p := profs[c]
-		s.profs = append(s.profs, p)
-		shape := make([]float64, cfg.Profiler.MaxWays+1)
-		for w := range shape {
-			shape[w] = p.missProjected(cfg.Profiler.Sets, w)
-		}
-		s.shapes[c] = shape
-		actN := make([]float64, len(p.atoms))
-		for i, a := range p.atoms {
-			actN[i] = p.accessesToSpan(a.depth * float64(p.setsM))
-		}
-		s.actN[c] = actN
-		sh := make([][]float64, cfg.Profiler.MaxWays+1)
-		for w := range sh {
-			pre := make([]float64, len(p.atoms)+1)
-			for i, a := range p.atoms {
-				pre[i+1] = pre[i] + a.mass*p.hitProjected(a, cfg.Profiler.Sets, w)
-			}
-			sh[w] = pre
-		}
-		s.curveSH[c] = sh
-	}
-	s.streams = buildStreams(cfg.Seed, s.profs)
-	s.nextEpoch = float64(cfg.EpochCycles)
-	if err := s.repartition(0); err != nil {
-		return nil, err
-	}
-	return s, nil
+	return sc.NewSystem(policy)
 }
 
 // SetSimWorkers mirrors sim.System.SetSimWorkers. The interval model has
@@ -257,51 +160,36 @@ func (s *System) SetSimWorkers(int) {}
 // l2Active reports whether core c emits any L2 traffic — the cores the
 // resume snap applies to (see RunContext).
 func (s *System) l2Active(c int) bool {
-	p := s.profs[c]
+	p := s.scope.profs[c]
 	return p.gapP*(1-p.h1) > 0 && (len(p.atoms) > 0 || p.coldMass > 0 || p.memPerKI > 0)
-}
-
-// allocFingerprint hashes the physically observable allocation state.
-func allocFingerprint(a *core.Allocation) uint64 {
-	h := fnv.New64a()
-	var buf [2]byte
-	for b := 0; b < nuca.NumBanks; b++ {
-		for w := 0; w < nuca.WaysPerBank; w++ {
-			binary.LittleEndian.PutUint16(buf[:], uint16(a.WayOwners[b][w]))
-			h.Write(buf[:])
-		}
-	}
-	if a.Hashed {
-		h.Write([]byte{1})
-	}
-	return h.Sum64()
 }
 
 // repartition follows sim.System.repartition: read the (modelled) profiler
 // curves, feed miss-cost weights to feedback policies, run the policy,
 // validate and install the allocation, decay the profiler accumulators.
 func (s *System) repartition(now float64) error {
+	sc := s.scope
 	if s.curves == nil {
 		s.curves = make([]core.MissCurve, nuca.NumCores)
 	}
 	for c := 0; c < nuca.NumCores; c++ {
 		buf := s.curveBuf[c]
 		if buf == nil {
-			buf = make([]float64, len(s.shapes[c]))
+			buf = make([]float64, len(sc.shapes[c]))
 			s.curveBuf[c] = buf
 		}
 		// Transient correction at the epoch's midpoint access count: reuse
 		// still beyond the stream's footprint registers as a miss at every
 		// way count — in the real MSA profiler exactly as in the banks.
 		nMid := (s.lastRepartN[c] + s.l2Acc[c]) / 2
-		idx := sort.SearchFloat64s(s.actN[c], nMid)
-		for idx < len(s.actN[c]) && s.actN[c][idx] <= nMid {
+		idx := sort.SearchFloat64s(sc.actN[c], nMid)
+		for idx < len(sc.actN[c]) && sc.actN[c][idx] <= nMid {
 			idx++
 		}
 		for w := range buf {
-			pre := s.curveSH[c][w]
+			pre := sc.curveSH[c][w]
 			excess := pre[len(pre)-1] - pre[idx]
-			buf[w] = s.profA[c] * (s.shapes[c][w] + excess)
+			buf[w] = s.profA[c] * (sc.shapes[c][w] + excess)
 		}
 		s.curves[c] = core.MissCurve(buf)
 		s.lastRepartN[c] = s.l2Acc[c]
@@ -320,16 +208,7 @@ func (s *System) repartition(now float64) error {
 		return fmt.Errorf("fastsim: %s produced invalid allocation: %w", policy.Name(), err)
 	}
 	s.Install(alloc, int64(math.Round(now)))
-	s.allocFP = allocFingerprint(alloc)
-	for c := 0; c < nuca.NumCores; c++ {
-		ring := s.rings[c][:0]
-		for b := 0; b < nuca.NumBanks; b++ {
-			for k := alloc.WaysIn(c, b); k > 0; k-- {
-				ring = append(ring, b)
-			}
-		}
-		s.rings[c] = ring
-	}
+	s.alloc = allocKey{owners: alloc.WayOwners, hashed: alloc.Hashed}
 	for c := range s.profA {
 		s.profA[c] *= 0.5
 		s.epochMissCyc[c], s.epochMissN[c] = 0, 0
@@ -340,22 +219,16 @@ func (s *System) repartition(now float64) error {
 // capacityFor computes (or returns the cached) capacity state for the
 // current allocation and active set: steady miss ratios plus the transient
 // schedule.
-func (s *System) capacityFor(active [nuca.NumCores]bool) *capSolve {
-	var mask uint8
-	for c, a := range active {
-		if a {
-			mask |= 1 << c
-		}
-	}
-	key := solveKey{s.allocFP, mask}
+func (s *System) capacityFor(key solveKey) *capSolve {
 	if cs, ok := s.capSolves[key]; ok {
 		return cs
 	}
+	sc := s.scope
 	cs := &capSolve{}
 	alloc := s.Allocation()
 	if !alloc.Hashed {
 		for c := 0; c < nuca.NumCores; c++ {
-			if !active[c] {
+			if !key.runs(c) {
 				continue
 			}
 			var groups []int
@@ -366,12 +239,12 @@ func (s *System) capacityFor(active [nuca.NumCores]bool) *capSolve {
 					total += k
 				}
 			}
-			p := s.profs[c]
-			cs.m2[c] = p.missPartitioned(s.cfg.BankSets, groups)
+			p := sc.profs[c]
+			cs.m2[c] = p.missPartitioned(sc.cfg.BankSets, groups)
 			if total > 0 {
 				g, t := groups, total
-				cs.buildTransient(c, p, s.actN[c], func(a distAtom) float64 {
-					return p.hitPartitioned(a, s.cfg.BankSets, g, t)
+				cs.buildTransient(c, p, sc.actN[c], func(a distAtom) float64 {
+					return p.hitPartitioned(a, sc.cfg.BankSets, g, t)
 				})
 			}
 		}
@@ -384,30 +257,30 @@ func (s *System) capacityFor(active [nuca.NumCores]bool) *capSolve {
 		m2Prev := make([]float64, nuca.NumCores)
 		var cpi [nuca.NumCores]float64
 		for c := range cpi {
-			if active[c] {
+			if key.runs(c) {
 				cpi[c] = 2
 			}
 		}
 		for iter := 0; iter < hashedIterations; iter++ {
-			for c, p := range s.profs {
+			for c, p := range sc.profs {
 				rates[c] = 0
-				if active[c] && cpi[c] > 0 {
+				if key.runs(c) && cpi[c] > 0 {
 					rates[c] = p.gapP * (1 - p.h1) / cpi[c]
 				}
 			}
-			sharedMissRatios(s.profs, rates, m2Prev, s.cfg.BankSets, m2)
+			sharedMissRatios(sc.profs, rates, m2Prev, sc.cfg.BankSets, m2)
 			copy(m2Prev, m2)
 			copy(cs.m2[:], m2)
-			res := s.replayFor(cs.m2, active)
+			res := s.replayFor(key, cs.m2)
 			cpi = res.cpi
 		}
-		for c, p := range s.profs {
-			if !active[c] || len(p.atoms) == 0 {
+		for c, p := range sc.profs {
+			if !key.runs(c) || len(p.atoms) == 0 {
 				continue
 			}
 			cc := c
-			cs.buildTransient(c, p, s.actN[c], func(a distAtom) float64 {
-				return hitShared(s.profs, cc, a, rates, m2Prev, s.cfg.BankSets)
+			cs.buildTransient(c, p, sc.actN[c], func(a distAtom) float64 {
+				return hitShared(sc.profs, cc, a, rates, m2Prev, sc.cfg.BankSets)
 			})
 		}
 	}
@@ -416,45 +289,22 @@ func (s *System) capacityFor(active [nuca.NumCores]bool) *capSolve {
 }
 
 // replayFor returns the micro-replay CPI/miss-latency for the given miss
-// ratios (quantised to the replay grid) under the current allocation and
-// active set.
-func (s *System) replayFor(m2 [nuca.NumCores]float64, active [nuca.NumCores]bool) *windowResult {
-	var q [nuca.NumCores]float64
-	var mask uint8
+// ratios (quantised to the replay grid) in capacity state key. The scope
+// replays each distinct window once for all its systems; this system
+// records the key either way.
+func (s *System) replayFor(key solveKey, m2 [nuca.NumCores]float64) *windowResult {
+	wk := windowKey{solveKey: key}
 	for c := range m2 {
-		if active[c] {
-			mask |= 1 << c
-			q[c] = math.Round(m2[c]/m2Quantum) * m2Quantum
-			if q[c] < 0 {
-				q[c] = 0
-			}
-			if q[c] > 1 {
-				q[c] = 1
-			}
+		if key.runs(c) {
+			wk.m2[c] = gridIndex(m2[c])
 		}
 	}
-	h := fnv.New64a()
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], s.allocFP)
-	h.Write(buf[:])
-	h.Write([]byte{mask})
-	for c := range q {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(q[c]))
-		h.Write(buf[:])
-	}
-	key := h.Sum64()
-	if r, ok := s.replays[key]; ok {
+	if r, ok := s.replays[wk]; ok {
 		return r
 	}
-	p := windowParams{active: active, m2: q, hashed: s.Allocation().Hashed}
-	for c := 0; c < nuca.NumCores; c++ {
-		p.rings[c] = s.rings[c]
-		p.wbFrac[c] = s.profs[c].effWbFrac()
-		p.runLen[c] = s.profs[c].runLenAt(q[c])
-	}
-	r := s.replayWindow(p)
-	s.replays[key] = &r
-	return &r
+	r := s.scope.window(wk, &s.missFlags)
+	s.replays[wk] = r
+	return r
 }
 
 // RunContext advances the system until every core has retired at least
@@ -490,22 +340,22 @@ func (s *System) RunContext(ctx context.Context, instructions uint64) error {
 			return err
 		}
 		var active [nuca.NumCores]bool
-		anyActive := false
+		key := solveKey{alloc: s.alloc}
 		nowMin := math.Inf(1)
 		for c := range s.finished {
 			if s.finished[c] {
 				continue
 			}
 			active[c] = true
-			anyActive = true
+			key.active |= 1 << c
 			if s.clock[c] < nowMin {
 				nowMin = s.clock[c]
 			}
 		}
-		if !anyActive {
+		if key.active == 0 {
 			return nil
 		}
-		cs := s.capacityFor(active)
+		cs := s.capacityFor(key)
 		// Effective miss ratios at the segment's starting access counts.
 		// The transient's lag over a segment is bounded by the subdivision
 		// rule below (a core's access count at most doubles per segment
@@ -516,7 +366,7 @@ func (s *System) RunContext(ctx context.Context, instructions uint64) error {
 				m2[c] = cs.m2[c] + cs.extraAt(c, s.l2Acc[c])
 			}
 		}
-		res := s.replayFor(m2, active)
+		res := s.replayFor(key, m2)
 		// Segment length: up to the epoch boundary (fired when the least
 		// advanced active clock crosses it, like the min-clock scheduler),
 		// the earliest core finish, or a doubling of a still-transient
@@ -528,12 +378,12 @@ func (s *System) RunContext(ctx context.Context, instructions uint64) error {
 			}
 			cpi := res.cpi[c]
 			if cpi <= 0 {
-				cpi = 1 / float64(s.cfg.CPU.Width)
+				cpi = 1 / float64(s.scope.cfg.CPU.Width)
 			}
 			if dtF := (tgt - s.instr[c]) * cpi; dtF < dt {
 				dt = dtF
 			}
-			p := s.profs[c]
+			p := s.scope.profs[c]
 			if aps := p.gapP * (1 - p.h1); aps > 0 && s.l2Acc[c] < cs.horizon[c] {
 				dn := s.l2Acc[c]
 				if dn < 256 {
@@ -553,10 +403,10 @@ func (s *System) RunContext(ctx context.Context, instructions uint64) error {
 			}
 			cpi := res.cpi[c]
 			if cpi <= 0 {
-				cpi = 1 / float64(s.cfg.CPU.Width)
+				cpi = 1 / float64(s.scope.cfg.CPU.Width)
 			}
 			di := dt / cpi
-			p := s.profs[c]
+			p := s.scope.profs[c]
 			a1 := di * p.gapP
 			a2 := a1 * (1 - p.h1)
 			n0 := s.l2Acc[c]
@@ -589,7 +439,7 @@ func (s *System) RunContext(ctx context.Context, instructions uint64) error {
 				if err := s.repartition(now); err != nil {
 					return err
 				}
-				s.nextEpoch = now + float64(s.cfg.EpochCycles)
+				s.nextEpoch = now + float64(s.scope.cfg.EpochCycles)
 			}
 		}
 	}
@@ -628,11 +478,12 @@ func (s *System) registerGauges(reg *metrics.Registry) {
 // core's touched-block count, capped at its partition capacity and spread
 // over its banks proportionally to its ways.
 func (s *System) bankOccupancy() []int {
+	sc := s.scope
 	alloc := s.Allocation()
 	occ := make([]float64, nuca.NumBanks)
-	bankCap := float64(s.cfg.BankSets * nuca.WaysPerBank)
+	bankCap := float64(sc.cfg.BankSets * nuca.WaysPerBank)
 	for c := 0; c < nuca.NumCores; c++ {
-		foot := s.profs[c].distinctAfter(s.l2Acc[c])
+		foot := sc.profs[c].distinctAfter(s.l2Acc[c])
 		if alloc.Hashed {
 			share := foot / nuca.NumBanks
 			for b := range occ {
@@ -644,7 +495,7 @@ func (s *System) bankOccupancy() []int {
 		if ways == 0 {
 			continue
 		}
-		partCap := float64(ways * s.cfg.BankSets)
+		partCap := float64(ways * sc.cfg.BankSets)
 		if foot > partCap {
 			foot = partCap
 		}

@@ -14,8 +14,10 @@ import (
 // FuzzFastPathAccuracy drives randomized differential runs: a fuzzer-chosen
 // catalog workload mix, policy and seed runs under both engines, and the
 // fast path must (a) stay in a coarse accuracy corridor around the detailed
-// result and (b) be byte-identical across repeat runs with different
-// worker counts. The corridor is deliberately loose — arbitrary mixes and
+// result, (b) be byte-identical across repeat runs with different
+// worker counts and (c) give the fuzzed unit the same bytes when the mix's
+// three units share one scope, so an incomplete window key shows up as a
+// mismatch. The corridor is deliberately loose — arbitrary mixes and
 // policies lack committed envelopes; the tight per-workload contract lives
 // in TestFastPathAccuracyHomogeneous.
 func FuzzFastPathAccuracy(f *testing.F) {
@@ -60,6 +62,18 @@ func FuzzFastPathAccuracy(f *testing.F) {
 		}
 		if !bytes.Equal(b1, b2) {
 			t.Fatalf("fast report bytes diverge across worker counts (workloads %v policy %d seed %d)", workloads, pol, seed)
+		}
+		set, err := experiments.RunSetContext(ctx, accuracyConfig(), 0, workloads, 300_000,
+			experiments.Options{Seed: seed, Fidelity: experiments.FidelityFast, Observe: true, Workers: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b3, err := json.Marshal(set.Reports[pol])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(b1, b3) {
+			t.Fatalf("fast report bytes differ when the set's units share a scope (workloads %v policy %d seed %d)", workloads, pol, seed)
 		}
 
 		opt.Fidelity = experiments.FidelityDetailed

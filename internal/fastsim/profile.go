@@ -45,10 +45,10 @@ import (
 const (
 	// profileEvents is the trace length of one profiling pass. Long enough
 	// that the depth histogram's sampling error is well below the accuracy
-	// envelope; a cold profile costs ~140 ms on one core of a 2-vCPU
-	// x86-64 VM (3.6-3.7 s for the 26 catalog workloads built one after
-	// another), about 60% of it in the trace generator, and it is cached
-	// per process.
+	// envelope; a cold profile costs ~130 ms on one core of a 2-vCPU
+	// x86-64 VM (3.0-3.8 s for the 26 catalog workloads built one after
+	// another), about two thirds of it in the trace generator, and it is
+	// cached per process.
 	profileEvents = 1 << 18
 	// profileWarmup is the prefix excluded from the histogram: the
 	// measurement stacks are still filling there, so depths and first-touch
@@ -187,9 +187,10 @@ func profileFor(spec trace.Spec, bpw int, l1 cache.Config) (*profile, error) {
 func buildProfile(spec trace.Spec, bpw int, l1cfg cache.Config) (*profile, error) {
 	// Fixed profiling seed: profiles describe the workload, not one run.
 	rng := stats.NewRNG(0x5eedfa57ba11ad11, 0x9e3779b97f4a7c15)
+	const base = trace.Addr(1) << 40
 	gen, err := trace.NewGenerator(spec, rng, trace.GeneratorConfig{
 		BlocksPerWay: bpw,
-		Base:         trace.Addr(1) << 40,
+		Base:         base,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fastsim: profiling %q: %w", spec.Name, err)
@@ -210,15 +211,29 @@ func buildProfile(spec trace.Spec, bpw int, l1cfg cache.Config) (*profile, error
 	var distinct float64
 	var uN, uD []float64
 	var sinceCkpt int
-	// bit 0: block appeared in the L2 stream; bit 1: block was written
-	// (writes that hit the L1 still dirty the L2 copy via the L1-victim
-	// writeback path).
-	blockState := map[uint64]uint8{}
+	// Per block, bit 0: block appeared in the L2 stream; bit 1: block was
+	// written (writes that hit the L1 still dirty the L2 copy via the
+	// L1-victim writeback path). The generator's blocks fill two
+	// contiguous ranges (see trace.LoopOffset), so one dense slice per
+	// range holds the states.
+	var coldState, loopState []uint8
+	coldBase := uint64(base) >> trace.BlockBits
+	loopBase := uint64(base+trace.LoopOffset) >> trace.BlockBits
+	state := func(blk uint64) *uint8 {
+		st, i := &coldState, blk-coldBase
+		if blk >= loopBase {
+			st, i = &loopState, blk-loopBase
+		}
+		if i >= uint64(len(*st)) {
+			*st = append(*st, make([]uint8, i+1-uint64(len(*st)))...)
+		}
+		return &(*st)[i]
+	}
 
 	for t := 0; t < profileEvents; t++ {
 		ev := gen.Next()
 		if ev.Access.Write {
-			blockState[uint64(ev.Access.Addr)>>trace.BlockBits] |= 2
+			*state(uint64(ev.Access.Addr) >> trace.BlockBits) |= 2
 		}
 		res := l1.Access(ev.Access.Addr, 0, ev.Access.Write)
 		measured := t >= profileWarmup
@@ -233,7 +248,7 @@ func buildProfile(spec trace.Spec, bpw int, l1cfg cache.Config) (*profile, error
 		}
 		// L2-bound access: exact per-set LRU depth.
 		blk := uint64(ev.Access.Addr) >> trace.BlockBits
-		blockState[blk] |= 1
+		*state(blk) |= 1
 		set := int(blk) & (sets - 1)
 		list := lists[set]
 		depth := -1
@@ -305,11 +320,13 @@ func buildProfile(spec trace.Spec, bpw int, l1cfg cache.Config) (*profile, error
 	}
 	p.coldMass = coldCount / l2Count
 	var l2Blocks, dirtyBlocks float64
-	for _, st := range blockState {
-		if st&1 != 0 {
-			l2Blocks++
-			if st&2 != 0 {
-				dirtyBlocks++
+	for _, states := range [][]uint8{coldState, loopState} {
+		for _, st := range states {
+			if st&1 != 0 {
+				l2Blocks++
+				if st&2 != 0 {
+					dirtyBlocks++
+				}
 			}
 		}
 	}

@@ -224,8 +224,8 @@ func TestLazyStreamsMatchEager(t *testing.T) {
 				if m2 == 0.5 {
 					reads = st.n // the whole stream, final partial blocks too
 				}
-				buf = checkReplay(t, names[c], &st, &eager[c], m2, runTarget, reads, buf)
-				if newMissClassifier(&st, m2, runTarget, nil).clustered {
+				buf = checkReplay(t, names[c], st, &eager[c], m2, runTarget, reads, buf)
+				if newMissClassifier(st, m2, runTarget, nil).clustered {
 					clustered++
 				} else {
 					iid++
@@ -251,7 +251,7 @@ func TestLazyStreamWraps(t *testing.T) {
 		for _, pt := range []struct{ m2, runTarget float64 }{{0.3, 1}, {0.05, 40}} {
 			st := buildStreams(seed, profs)[c]
 			st.n = n
-			checkReplay(t, names[c], &st, &ref, pt.m2, pt.runTarget, 3*n, nil)
+			checkReplay(t, names[c], st, &ref, pt.m2, pt.runTarget, 3*n, nil)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package fastsim
 import (
 	"math"
 	"slices"
+	"sync"
 
 	"bankaware/internal/cpu"
 	"bankaware/internal/interconnect"
@@ -24,14 +25,14 @@ import (
 // counts per block of consecutive L2 events) removes most sampling noise
 // while preserving the burstiness that drives MSHR/ROB overlap.
 //
-// Each System fixes every core's stream from the run seed at
-// construction: its generator and its length n. Events are drawn lazily,
-// a block at a time, as replays first read them, and kept for later
-// replays; a replay reads only a few percent of n. Because a block's
-// draws never depend on when it is drawn, the stream — and so window
-// CPI — is a smooth deterministic function of (allocation, active set,
-// miss ratios): byte-stable across runs and worker counts by
-// construction.
+// A Scope fixes every core's stream from the run seed at construction:
+// its generator and its length n. Events are drawn lazily, a block at a
+// time, as replays first read them, and kept for later replays, whichever
+// System of the scope runs them; a replay reads only a few percent of n.
+// Because a block's draws never depend on when it is drawn, the stream —
+// and so window CPI — is a smooth deterministic function of (allocation,
+// active set, miss ratios): byte-stable across runs, worker counts and
+// scope sharing by construction.
 const (
 	// windowCycles is the simulated span of one window; windowWarm is the
 	// prefix excluded from measurement (cold timelines, empty MSHRs).
@@ -53,34 +54,45 @@ type microEvent struct {
 }
 
 // coreStream is one core's event stream, drawn on demand in blocks of
-// missStride events, plus derived indexing over the drawn prefix.
+// missStride events, plus derived indexing over the drawn prefix. The
+// Systems of a scope read it concurrently, as trace.Tape's readers read a
+// tape: drawing appends to the prefix under mu, a drawn prefix never
+// changes afterwards, and each replay reads the streamView it last took
+// without the lock.
 type coreStream struct {
 	n        int // full length; a replay reads event idx % n
-	rng      *stats.RNG
 	gapP, h1 float64
+
+	mu       sync.Mutex
+	rng      *stats.RNG
 	carry    float64 // L1-split stratification carry into the next block
-	events   []microEvent
-	l2Idx    []int32 // indices of L2 events, in stream order
+	drawn    streamView
+	blockBuf [missStride]float64
+}
+
+// streamView is a drawn prefix of a stream.
+type streamView struct {
+	events []microEvent
+	l2Idx  []int32 // indices of L2 events, in stream order
 	// order lists, per complete missStride-block of l2Idx, the block's
 	// offsets by ascending (u2, stream order): order[b+r] is the offset
 	// of the block's r-th smallest u2.
-	order    []uint8
-	blockBuf [missStride]float64
+	order []uint8
 }
 
 // buildStreams fixes every core's stream from the run seed: one generator
 // split per core, in core order, and the length. Length is sized so a
 // window never wraps in practice (wrapping is still handled,
 // deterministically, as a safety net). Nothing is drawn yet.
-func buildStreams(seed uint64, profs []*profile) []coreStream {
+func buildStreams(seed uint64, profs []*profile) []*coreStream {
 	base := stats.NewRNG(seed^0x7a57f00dcafe, seed^0x1b873593517cc1b5)
-	streams := make([]coreStream, len(profs))
+	streams := make([]*coreStream, len(profs))
 	for c, p := range profs {
 		// Worst-case event consumption: one event per (gap+1)/width
 		// cycles; add generous slack for latency-bound stretches where
 		// events are consumed faster than retirement would suggest.
 		gapMean := 1/p.gapP - 1
-		streams[c] = coreStream{
+		streams[c] = &coreStream{
 			n:    int(float64(windowCycles)*4/(gapMean+1)*2) + 512,
 			rng:  base.Split(uint64(c)),
 			gapP: p.gapP,
@@ -90,21 +102,25 @@ func buildStreams(seed uint64, profs []*profile) []coreStream {
 	return streams
 }
 
-// at returns event i (i < n), drawing the blocks up to it first.
-func (st *coreStream) at(i int) microEvent {
-	for i >= len(st.events) {
+// view returns the drawn prefix, first drawing until it holds at least
+// events events and l2 L2 events, or the whole stream.
+func (st *coreStream) view(events, l2 int) streamView {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	for (len(st.drawn.events) < events || len(st.drawn.l2Idx) < l2) && len(st.drawn.events) < st.n {
 		st.drawBlock()
 	}
-	return st.events[i]
+	return st.drawn
 }
 
 // drawBlock draws the stream's next missStride events (fewer at n). The
 // L1 hit/miss split is stratified: per block the L2 count is exact
 // (carry-accumulated), with the positions chosen by rank among the
 // block's u1 uniforms. Draw order is fixed: the block's u1 draws, then
-// per event its gap, u2, uB, uW and uC.
+// per event its gap, u2, uB, uW and uC. st.mu is held.
 func (st *coreStream) drawBlock() {
-	blk := len(st.events)
+	d := &st.drawn
+	blk := len(d.events)
 	size := min(missStride, st.n-blk)
 	want := float64(size)*(1-st.h1) + st.carry
 	k := int(want)
@@ -131,30 +147,31 @@ func (st *coreStream) drawBlock() {
 		ev.uW = st.rng.Float64()
 		ev.uC = st.rng.Float64()
 		if ev.isL2 {
-			st.l2Idx = append(st.l2Idx, int32(blk+i))
+			d.l2Idx = append(d.l2Idx, int32(blk+i))
 		}
-		st.events = append(st.events, ev)
+		d.events = append(d.events, ev)
 	}
-	done := len(st.events) == st.n
-	for len(st.l2Idx)-len(st.order) >= missStride || done && len(st.order) < len(st.l2Idx) {
+	done := len(d.events) == st.n
+	for len(d.l2Idx)-len(d.order) >= missStride || done && len(d.order) < len(d.l2Idx) {
 		st.orderBlock()
 	}
 }
 
 // orderBlock appends the u2 order of the next block of l2Idx, which is
 // complete: missStride L2 events long, or the stream's last. Insertion
-// keeps equal u2 in stream order.
+// keeps equal u2 in stream order. st.mu is held.
 func (st *coreStream) orderBlock() {
-	blk := len(st.order)
-	u2 := st.blockBuf[:min(missStride, len(st.l2Idx)-blk)]
+	d := &st.drawn
+	blk := len(d.order)
+	u2 := st.blockBuf[:min(missStride, len(d.l2Idx)-blk)]
 	for i := range u2 {
-		u2[i] = st.events[st.l2Idx[blk+i]].u2
-		j := len(st.order)
-		st.order = append(st.order, 0)
-		for ; j > blk && u2[st.order[j-1]] > u2[i]; j-- {
-			st.order[j] = st.order[j-1]
+		u2[i] = d.events[d.l2Idx[blk+i]].u2
+		j := len(d.order)
+		d.order = append(d.order, 0)
+		for ; j > blk && u2[d.order[j-1]] > u2[i]; j-- {
+			d.order[j] = d.order[j-1]
 		}
-		st.order[j] = uint8(i)
+		d.order[j] = uint8(i)
 	}
 }
 
@@ -209,7 +226,8 @@ func kthSmallest(buf []float64, k int) float64 {
 // dominant CPI effect at light miss ratios.
 type missClassifier struct {
 	st            *coreStream
-	idx, l2n      int // events and L2 events read, L2 restarting with the stream
+	v             streamView // the stream's prefix as this replay last saw it
+	idx, l2n      int        // events and L2 events read, L2 restarting with the stream
 	m2, runTarget float64
 	clustered     bool
 	stride        int
@@ -247,7 +265,10 @@ func (mc *missClassifier) next() (microEvent, bool) {
 	if i == 0 {
 		mc.l2n = 0
 	}
-	ev := mc.st.at(i)
+	if i >= len(mc.v.events) {
+		mc.v = mc.st.view(i+1, 0)
+	}
+	ev := mc.v.events[i]
 	if !ev.isL2 {
 		return ev, false
 	}
@@ -267,19 +288,19 @@ func (mc *missClassifier) missAt(j int) bool {
 // stream until the block is complete: stride L2 events long, or the
 // stream's last.
 func (mc *missClassifier) classifyBlock() {
-	st := mc.st
 	blk := len(mc.flags)
-	for len(st.l2Idx) < blk+mc.stride && len(st.events) < st.n {
-		st.drawBlock()
+	if len(mc.v.l2Idx) < blk+mc.stride && len(mc.v.events) < mc.st.n {
+		mc.v = mc.st.view(0, blk+mc.stride)
 	}
-	size := min(mc.stride, len(st.l2Idx)-blk)
+	v := mc.v
+	size := min(mc.stride, len(v.l2Idx)-blk)
 	want := float64(size)*mc.m2 + mc.carry
 	k := int(want)
 	mc.carry = want - float64(k)
 	mc.flags = slices.Grow(mc.flags, size)[:blk+size]
 	flags := mc.flags[blk:]
 	clear(flags)
-	u2 := func(i int) float64 { return st.events[st.l2Idx[blk+i]].u2 }
+	u2 := func(i int) float64 { return v.events[v.l2Idx[blk+i]].u2 }
 	switch {
 	case k <= 0:
 	case k >= size:
@@ -290,7 +311,7 @@ func (mc *missClassifier) classifyBlock() {
 		// Rank placement: the k smallest u2 of the block miss — all
 		// below the k-th smallest, then the first in stream order equal
 		// to it.
-		thresh := u2(int(st.order[blk+k-1]))
+		thresh := u2(int(v.order[blk+k-1]))
 		marked := 0
 		for i := 0; i < size && marked < k; i++ {
 			if u2(i) <= thresh {
@@ -351,17 +372,19 @@ type windowResult struct {
 // replayWindow runs one micro window and measures per-core steady-state
 // CPI and miss latency. It mirrors sim.System's event loop: min-clock core
 // selection (ties to the lowest id), the l2Access latency composition, and
-// the same shared-resource timelines.
-func (s *System) replayWindow(p windowParams) windowResult {
+// the same shared-resource timelines. Each core's miss flags go into
+// flags' storage, which it returns there for the next replay.
+func (sc *Scope) replayWindow(p windowParams, flags *[nuca.NumCores][]bool) windowResult {
+	cfg := &sc.cfg
 	var res windowResult
 	cores := [8]*cpu.Core{}
 	net := interconnect.MustNew(nuca.NumCores,
-		(nuca.MaxLatency-nuca.MinLatency)/float64(2*7), s.cfg.FlitCycles)
-	channels := s.cfg.MemChannels
+		(nuca.MaxLatency-nuca.MinLatency)/float64(2*7), cfg.FlitCycles)
+	channels := cfg.MemChannels
 	if channels == 0 {
 		channels = 1
 	}
-	dram, err := mem.NewMemory(channels, s.cfg.Mem)
+	dram, err := mem.NewMemory(channels, cfg.Mem)
 	if err != nil {
 		// cfg was validated at New; this cannot happen.
 		panic(err)
@@ -377,8 +400,8 @@ func (s *System) replayWindow(p windowParams) windowResult {
 		if !p.active[c] {
 			continue
 		}
-		cores[c] = cpu.MustNew(c, s.cfg.CPU)
-		streams[c] = newMissClassifier(&s.streams[c], p.m2[c], p.runLen[c], s.missFlags[c])
+		cores[c] = cpu.MustNew(c, cfg.CPU)
+		streams[c] = newMissClassifier(sc.streams[c], p.m2[c], p.runLen[c], flags[c])
 	}
 
 	for {
@@ -438,12 +461,12 @@ func (s *System) replayWindow(p windowParams) windowResult {
 		}
 		router := nuca.RouterOf(bank)
 		drop := nuca.DropLatency(bank)
-		reqArrive := net.Transfer(c, router, issueAt, s.cfg.ReqFlits) + drop
+		reqArrive := net.Transfer(c, router, issueAt, cfg.ReqFlits) + drop
 		bankStart := reqArrive
 		if bankFree[bank] > bankStart {
 			bankStart = bankFree[bank]
 		}
-		bankFree[bank] = bankStart + s.cfg.BankBusyCycles
+		bankFree[bank] = bankStart + cfg.BankBusyCycles
 		dataReady := bankStart + nuca.MinLatency
 		var done int64
 		if isMiss {
@@ -452,13 +475,13 @@ func (s *System) replayWindow(p windowParams) windowResult {
 				dram.Writeback(addr^0x5bd1e995, dataReady)
 			}
 			memDone := dram.Request(addr, dataReady)
-			done = net.Transfer(router, c, memDone+drop, s.cfg.DataFlits)
+			done = net.Transfer(router, c, memDone+drop, cfg.DataFlits)
 			if warmed[c] {
 				missN[c]++
 				missSum[c] += done - issueAt
 			}
 		} else {
-			done = net.Transfer(router, c, dataReady+drop, s.cfg.DataFlits)
+			done = net.Transfer(router, c, dataReady+drop, cfg.DataFlits)
 		}
 		core.RecordFill(done)
 		measInstr[c] = core.Instructions()
@@ -469,7 +492,7 @@ func (s *System) replayWindow(p windowParams) windowResult {
 		if cores[c] == nil {
 			continue
 		}
-		s.missFlags[c] = streams[c].flags // keep the storage for the next replay
+		flags[c] = streams[c].flags // keep the storage for the next replay
 		di := float64(measInstr[c]) - float64(warmInstr[c])
 		dc := float64(measNow[c]) - float64(warmNow[c])
 		if !warmed[c] || di <= 0 {

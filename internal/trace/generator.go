@@ -40,6 +40,12 @@ type Generator struct {
 	totalAccesses uint64
 }
 
+// LoopOffset is the distance from a generator's Base to its loop region,
+// far enough that the two never alias. A generator's blocks fill two
+// contiguous ranges: first touches take the blocks from Base up, in order,
+// and the loop sweeps the blocks from Base+LoopOffset up.
+const LoopOffset Addr = 1 << 38
+
 // GeneratorConfig carries the environment-dependent parameters of a
 // generator. The zero value selects the paper's baseline geometry.
 type GeneratorConfig struct {
@@ -89,9 +95,7 @@ func NewGenerator(spec Spec, rng *stats.RNG, cfg GeneratorConfig) (*Generator, e
 		if g.loopBlocks < 1 {
 			g.loopBlocks = 1
 		}
-		// The sweep region lives far above the stack-reuse region so the
-		// two components never alias.
-		g.loopBase = cfg.Base + 1<<38
+		g.loopBase = cfg.Base + LoopOffset
 	}
 	if spec.FootprintWays > 0 {
 		g.footprint = int(spec.FootprintWays * float64(bpw))
