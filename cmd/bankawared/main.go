@@ -14,8 +14,8 @@
 //
 // Distributed fleet — one coordinator shards each campaign into leased
 // work units; worker daemons pull, execute and upload them, and the
-// coordinator merges the partials into a report byte-identical to a
-// single-node run of the same spec:
+// coordinator journals the uploaded units and merges them into a report
+// byte-identical to a single-node run of the same spec:
 //
 //	bankawared serve -addr :8321 -dir ./coord-data -coordinator
 //	bankawared serve -addr :0 -dir ./w1-data -worker http://localhost:8321 -worker-name w1

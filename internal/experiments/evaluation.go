@@ -99,50 +99,55 @@ func (e *SetEvaluation) engine(policy core.Policy) (Engine, error) {
 	return NewEngine(e.opt.Fidelity, e.cfg, policy, e.specs)
 }
 
-// CampaignEvaluation runs units [from, to) of the Figs. 8/9 campaign, one
+// CampaignEvaluation runs units of the Figs. 8/9 campaign, one
 // SetEvaluation per Table III set: unit/3 selects the set, unit%3 the
-// policy. The first of a set's units to start opens the set's evaluation,
-// and once every unit of that set in the range has succeeded the evaluation
-// is dropped with its tapes or scope, so a campaign holds those of only the
-// sets it is working on. RunUnit is safe for concurrent use.
+// policy. It is planned for the units its caller will run. The first of a
+// set's planned units to start opens the set's evaluation, sized for the
+// set's planned units, and once they have all succeeded the evaluation is
+// dropped with its tapes or scope, so a campaign holds those of only the
+// sets it is working on. A unit outside the plan still runs, on an
+// evaluation of its own. RunUnit is safe for concurrent use.
 type CampaignEvaluation struct {
 	scale        Scale
 	instructions uint64
-	from, to     int
+	planned      [CampaignUnits]bool
 	opt          Options
 
 	mu   sync.Mutex
 	sets map[int]*openSet
 }
 
-// openSet is an open set's evaluation and the number of its units in the
-// range that have yet to succeed.
+// openSet is an open set's evaluation and the number of its planned units
+// that have yet to succeed.
 type openSet struct {
 	eval *SetEvaluation
 	left int
 }
 
-// NewCampaignEvaluation prepares units [from, to) of the campaign at scale.
-// A zero instructions selects the scale's default budget.
-func NewCampaignEvaluation(scale Scale, instructions uint64, from, to int, opt Options) *CampaignEvaluation {
+// NewCampaignEvaluation prepares the campaign at scale for a run of the
+// listed units. A zero instructions selects the scale's default budget.
+func NewCampaignEvaluation(scale Scale, instructions uint64, units []int, opt Options) *CampaignEvaluation {
 	if instructions == 0 {
 		instructions = scale.DefaultInstructions()
 	}
-	return &CampaignEvaluation{
-		scale: scale, instructions: instructions, from: from, to: to, opt: opt,
-		sets: make(map[int]*openSet),
+	c := &CampaignEvaluation{scale: scale, instructions: instructions, opt: opt, sets: make(map[int]*openSet)}
+	for _, u := range units {
+		if u >= 0 && u < CampaignUnits {
+			c.planned[u] = true
+		}
 	}
+	return c
 }
 
-// RunUnit executes one flattened (set, policy) simulation of the range.
+// RunUnit executes one flattened (set, policy) simulation of the campaign.
 // The returned PolicyRun is exactly what RunFig8Fig9Context computes at
 // that index.
 func (c *CampaignEvaluation) RunUnit(ctx context.Context, unit int) (PolicyRun, error) {
-	if unit < max(c.from, 0) || unit >= min(c.to, CampaignUnits) {
-		return PolicyRun{}, fmt.Errorf("experiments: campaign unit %d out of range [%d, %d)", unit, c.from, c.to)
+	if unit < 0 || unit >= CampaignUnits {
+		return PolicyRun{}, fmt.Errorf("experiments: campaign unit %d out of range [0, %d)", unit, CampaignUnits)
 	}
 	set, pol := unit/SetPolicies, unit%SetPolicies
-	e, err := c.open(set)
+	e, err := c.open(set, c.planned[unit])
 	if err != nil {
 		return PolicyRun{}, err
 	}
@@ -150,29 +155,42 @@ func (c *CampaignEvaluation) RunUnit(ctx context.Context, unit int) (PolicyRun, 
 	if err != nil {
 		return PolicyRun{}, fmt.Errorf("set %d (%s): %w", set+1, setPolicyPrototypes()[pol].Name(), err)
 	}
-	c.done(set)
+	if c.planned[unit] {
+		c.done(set)
+	}
 	return r, nil
 }
 
-// open returns set's evaluation, preparing it on first use for the set's
-// units in the range.
-func (c *CampaignEvaluation) open(set int) (*SetEvaluation, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s := c.sets[set]; s != nil {
-		return s.eval, nil
+// open returns the evaluation a unit of set runs on: for a planned unit the
+// set's shared one, prepared on first use for the set's planned units, and
+// for any other unit one of its own.
+func (c *CampaignEvaluation) open(set int, planned bool) (*SetEvaluation, error) {
+	units := 1
+	if planned {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		if s := c.sets[set]; s != nil {
+			return s.eval, nil
+		}
+		units = 0
+		for _, p := range c.planned[set*SetPolicies : (set+1)*SetPolicies] {
+			if p {
+				units++
+			}
+		}
 	}
-	units := min(c.to, (set+1)*SetPolicies) - max(c.from, set*SetPolicies)
 	e, err := NewSetEvaluation(c.scale.Config(), TableIIISets[set][:], c.instructions, units, c.opt)
 	if err != nil {
 		return nil, err
 	}
 	e.runPrefix = fmt.Sprintf("set%d/", set+1)
-	c.sets[set] = &openSet{eval: e, left: units}
+	if planned {
+		c.sets[set] = &openSet{eval: e, left: units}
+	}
 	return e, nil
 }
 
-// done counts one of set's units as succeeded and drops the set's
+// done counts one of set's planned units as succeeded and drops the set's
 // evaluation after the last.
 func (c *CampaignEvaluation) done(set int) {
 	c.mu.Lock()

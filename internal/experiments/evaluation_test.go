@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -218,14 +219,15 @@ func TestFastSetUnitsShareOneScope(t *testing.T) {
 	}
 }
 
-// A campaign range opens one evaluation per set, shares it among the
-// set's units in the range and drops it once they have all succeeded.
+// A campaign evaluation opens one evaluation per set, shares it among the
+// set's planned units and drops it once they have all succeeded; a unit
+// outside the plan runs on an evaluation of its own.
 func TestCampaignEvaluationSharesAndReleasesSets(t *testing.T) {
 	if testing.Short() {
 		t.Skip("detailed simulation in -short mode")
 	}
 	ctx := context.Background()
-	c := NewCampaignEvaluation(ScaleModel, 60_000, 1, 6, Options{})
+	c := NewCampaignEvaluation(ScaleModel, 60_000, []int{1, 2, 3, 4, 5}, Options{})
 	run := func(unit int) {
 		t.Helper()
 		if _, err := c.RunUnit(ctx, unit); err != nil {
@@ -239,7 +241,7 @@ func TestCampaignEvaluationSharesAndReleasesSets(t *testing.T) {
 	}
 	run(2)
 	if _, open := c.sets[0]; open {
-		t.Fatal("set 1 still open after its last unit in the range")
+		t.Fatal("set 1 still open after its last planned unit")
 	}
 	for core, tape := range first.eval.tapes {
 		if tape.Served() != 2*tape.Len() {
@@ -250,9 +252,55 @@ func TestCampaignEvaluationSharesAndReleasesSets(t *testing.T) {
 		run(u)
 	}
 	if len(c.sets) != 0 {
-		t.Fatalf("%d sets still open after the range finished", len(c.sets))
+		t.Fatalf("%d sets still open after the planned units finished", len(c.sets))
 	}
-	if _, err := c.RunUnit(ctx, 0); err == nil {
-		t.Fatal("unit outside the range accepted")
+	run(0)
+	if len(c.sets) != 0 {
+		t.Fatal("a unit outside the plan opened a shared set")
+	}
+	if _, err := c.RunUnit(ctx, CampaignUnits); err == nil {
+		t.Fatal("unit outside the campaign accepted")
+	}
+}
+
+// A range resumed from a journal plans only the units the journal lacks:
+// with two of set 1's three units journaled, the third runs with no tapes
+// and leaves no set open, and set 2, all journaled, is never opened.
+func TestResumedRangeSharesOnlyPendingUnits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("detailed simulation in -short mode")
+	}
+	ctx := context.Background()
+	journal, err := runner.OpenJournal(filepath.Join(t.TempDir(), "units.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer journal.Close()
+	for _, u := range []int{0, 1, 3, 4, 5} {
+		if err := journal.Record(u, PolicyRun{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := NewCampaignEvaluation(ScaleModel, 60_000, journal.Lacks(0, 6), Options{})
+	var ran []int
+	_, err = runner.Map(ctx, runner.Config{Workers: 1, Journal: journal}, 6, func(ctx context.Context, u int) (PolicyRun, error) {
+		ran = append(ran, u)
+		e, err := c.open(u/SetPolicies, c.planned[u])
+		if err != nil {
+			return PolicyRun{}, err
+		}
+		if e.tapes != nil || e.scope != nil {
+			t.Errorf("unit %d, the last of its set, shares tapes or a scope", u)
+		}
+		return c.RunUnit(ctx, u)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ran, []int{2}) {
+		t.Fatalf("the resumed range ran units %v, want [2]", ran)
+	}
+	if len(c.sets) != 0 {
+		t.Fatalf("%d sets still open after the resumed range finished", len(c.sets))
 	}
 }

@@ -373,7 +373,11 @@ func AssembleFig8Fig9(runs []PolicyRun, observe bool, fidelity Fidelity) (*Fig8F
 // identical for any worker count. A zero instructions selects the scale's
 // default budget.
 func RunFig8Fig9Context(ctx context.Context, scale Scale, instructions uint64, opt Options) (*Fig8Fig9Result, error) {
-	c := NewCampaignEvaluation(scale, instructions, 0, CampaignUnits, opt)
+	units := make([]int, CampaignUnits)
+	for u := range units {
+		units[u] = u
+	}
+	c := NewCampaignEvaluation(scale, instructions, units, opt)
 	runs, err := runner.Map(ctx, opt.runnerConfig(), CampaignUnits, c.RunUnit)
 	if err != nil {
 		return nil, err

@@ -95,15 +95,44 @@ func (j *Journal) Record(job int, result any) error {
 	if err != nil {
 		return fmt.Errorf("runner: encoding journal record for job %d: %w", job, err)
 	}
-	line, err := json.Marshal(journalRecord{Job: job, Result: raw})
-	if err != nil {
-		return fmt.Errorf("runner: encoding journal record for job %d: %w", job, err)
+	return j.RecordBatch(job, []json.RawMessage{raw})
+}
+
+// RecordBatch appends results[i] as job first+i's JSON-encoded result, all
+// of them with one write and one sync, so a batch costs one fsync however
+// many records it holds. They are durable when RecordBatch returns.
+func (j *Journal) RecordBatch(first int, results []json.RawMessage) error {
+	lines := make([][]byte, len(results))
+	for i, raw := range results {
+		line, err := json.Marshal(journalRecord{Job: first + i, Result: raw})
+		if err != nil {
+			return fmt.Errorf("runner: encoding journal record for job %d: %w", first+i, err)
+		}
+		lines[i] = line
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.log.Append([][]byte{line}, true); err != nil {
-		return fmt.Errorf("runner: appending journal record for job %d: %w", job, err)
+	if err := j.log.Append(lines, true); err != nil {
+		return fmt.Errorf("runner: appending journal records from job %d: %w", first, err)
 	}
-	j.done[job] = raw
+	for i, raw := range results {
+		j.done[first+i] = raw
+	}
 	return nil
+}
+
+// Lacks returns, in ascending order, the jobs of [from, to) the journal
+// holds no record for: the jobs a resumed fan-out over that range will
+// compute. A record that no longer decodes into the result type counts as
+// held, though Map recomputes its job.
+func (j *Journal) Lacks(from, to int) []int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	var out []int
+	for job := from; job < to; job++ {
+		if _, ok := j.done[job]; !ok {
+			out = append(out, job)
+		}
+	}
+	return out
 }

@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"bankaware/internal/atomicio"
 )
 
 func TestRetriesRecoverFlakyJobs(t *testing.T) {
@@ -393,4 +395,72 @@ func TestJournalSchemaChangeRecomputes(t *testing.T) {
 	if computed != 1 || res[0].Value != 9 {
 		t.Fatalf("mismatched record not recomputed: computed=%d res=%+v", computed, res[0])
 	}
+}
+
+// FuzzJournal opens a unit journal over arbitrary bytes: the input's lines,
+// each framed with a valid checksum when framed is set (so the fuzzer
+// reaches the record decoder rather than the CRC), or the raw bytes
+// otherwise. OpenJournal must never panic. It either fails with an error,
+// or opens with records that a second open restores identically.
+func FuzzJournal(f *testing.F) {
+	seed := filepath.Join(f.TempDir(), "seed.journal")
+	j, err := OpenJournal(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for job := 0; job < 3; job++ {
+		if err := j.Record(job, trialResult{Job: job, Value: float64(job) + 0.5}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	j.Close()
+	framed, err := os.ReadFile(seed)
+	if err != nil {
+		f.Fatal(err)
+	}
+	legacy, err := os.ReadFile("testdata/legacy.journal")
+	if err != nil {
+		f.Fatal(err)
+	}
+	var payloads [][]byte
+	for _, line := range bytes.Split(bytes.TrimSuffix(framed, []byte("\n")), []byte("\n")) {
+		payloads = append(payloads, line[9:])
+	}
+	f.Add(framed, false)
+	f.Add(legacy, false)
+	f.Add(bytes.Join(payloads, []byte("\n")), true)
+	f.Add([]byte(`{"job":1}`+"\n"+`{"job":1,"result":null}`), true)
+	f.Fuzz(func(t *testing.T, data []byte, frame bool) {
+		path := filepath.Join(t.TempDir(), "fuzz.journal")
+		if frame {
+			log, err := atomicio.OpenLog(path, func([]byte) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Append(bytes.Split(data, []byte("\n")), false); err != nil {
+				t.Fatal(err)
+			}
+			log.Close()
+		} else if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		first, err := OpenJournal(path)
+		if err != nil {
+			return
+		}
+		first.Close()
+		again, err := OpenJournal(path)
+		if err != nil {
+			t.Fatalf("reopening a journal that opened: %v", err)
+		}
+		defer again.Close()
+		if len(again.done) != len(first.done) {
+			t.Fatalf("second open holds %d records, first %d", len(again.done), len(first.done))
+		}
+		for job, raw := range first.done {
+			if got, ok := again.done[job]; !ok || !bytes.Equal(got, raw) {
+				t.Fatalf("job %d reopened as %q, first %q", job, got, raw)
+			}
+		}
+	})
 }

@@ -5,11 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
 	"bankaware/internal/metrics"
+	"bankaware/internal/runner"
 )
 
 // Coordinator-mode errors, mapped onto HTTP statuses by the /v1/work
@@ -115,24 +115,25 @@ func (c Config) leaseTTL() time.Duration {
 const maxShardAttempts = 5
 
 // runDistributed executes one job in coordinator mode: shard the campaign,
-// serve leases to pulling workers, wait for every partial, merge. It
-// replaces runJob's local unit execution — the coordinator itself never
-// simulates. The job context governs the wait: cancellation (drain, user
-// cancel, timeout) detaches the job with its shard dir intact, so a
-// restarted coordinator resumes from the completed partials.
-func (s *Service) runDistributed(ctx context.Context, jb *job) (*metrics.Report, error) {
-	units := campaignUnits(jb.spec)
-	dir, err := openShardDir(s.store.shardDirPath(jb.id), func() shardPlan {
-		return planShards(jb.id, units, s.cfg.ShardUnits)
+// serve leases to pulling workers, journal every accepted upload, and once
+// every shard is done return the campaign's units from the journal. It
+// replaces local unit execution — the coordinator itself never simulates.
+// The job context governs the wait: cancellation (drain, user cancel,
+// timeout) detaches the job, and a drained job resumes from its journaled
+// units on the next boot, in either mode.
+func (s *Service) runDistributed(ctx context.Context, jb *job, units *runner.Journal) ([]json.RawMessage, error) {
+	dir, err := openShardDir(s.store.shardDirPath(jb.id), units, func() shardPlan {
+		return planShards(jb.id, campaignUnits(jb.spec), s.cfg.ShardUnits)
 	})
 	if err != nil {
 		return nil, err
 	}
+	defer dir.wal.Close()
 	set := &shardSet{jb: jb, spec: jb.spec, dir: dir, settled: make(chan struct{})}
 
 	c := s.coord
 	c.mu.Lock()
-	// Resume: count partials already on disk from an interrupted run.
+	// Resume: count the shards the journal already completes.
 	for _, span := range dir.plan.Shards {
 		if dir.state(span.Index).State == ShardDone {
 			set.done++
@@ -158,23 +159,8 @@ func (s *Service) runDistributed(ctx context.Context, jb *job) (*metrics.Report,
 			if set.failed != nil {
 				return nil, set.failed
 			}
-			rep, err := c.merge(set)
-			if err != nil {
-				var ce *corruptPartialError
-				if errors.As(err, &ce) {
-					// A stored partial rotted between completion and merge.
-					// loadPartial already quarantined it; re-open the shard so
-					// a worker recomputes it, and go back to waiting.
-					c.reopenShard(set, ce.shard, "partial corrupt, quarantined")
-					continue
-				}
-				return nil, err
-			}
-			dir.remove()
-			return rep, nil
+			return dir.journaledUnits()
 		case <-ctx.Done():
-			// Keep the shard dir: completed partials survive for the resume.
-			dir.wal.Close()
 			return nil, ctx.Err()
 		case <-ticker.C:
 			c.expireOverdue(set, time.Now())
@@ -182,31 +168,16 @@ func (s *Service) runDistributed(ctx context.Context, jb *job) (*metrics.Report,
 	}
 }
 
-// reopenShard re-queues one shard of a settled set after its stored
-// partial failed verification: the set gets a fresh settled channel (the
-// old one is closed and channels cannot reopen), the shard returns to
-// pending, and the set re-registers in the lease scan. The attempt count
-// carries over, so a partial that keeps rotting still exhausts the budget.
-func (c *coordinator) reopenShard(set *shardSet, idx int, detail string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	set.settled = make(chan struct{})
-	set.done--
-	st := set.dir.state(idx)
-	set.dir.log(shardWALRecord{Shard: idx, State: ShardPending, Attempts: st.Attempts})
-	if _, ok := c.sets[set.jb.id]; !ok {
-		c.sets[set.jb.id] = set
-		c.order = append(c.order, set.jb.id)
-	}
-	set.jb.hub.publish(EventShard, shardEvent{
-		Shard: idx, State: "requeued", Attempts: st.Attempts, Detail: detail,
-	})
-}
-
 // unregister drops a job from the lease scan (idempotent).
 func (c *coordinator) unregister(id string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.dropLocked(id)
+}
+
+// dropLocked removes a job from the lease table and its scan order, if it
+// is there. Callers hold c.mu.
+func (c *coordinator) dropLocked(id string) {
 	if _, ok := c.sets[id]; !ok {
 		return
 	}
@@ -250,13 +221,7 @@ func (c *coordinator) expireOverdue(set *shardSet, now time.Time) {
 // failLocked settles a set with a permanent error. Callers hold c.mu.
 func (c *coordinator) failLocked(set *shardSet, err error) {
 	set.failed = err
-	delete(c.sets, set.jb.id)
-	for i, o := range c.order {
-		if o == set.jb.id {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
+	c.dropLocked(set.jb.id)
 	close(set.settled)
 }
 
@@ -389,7 +354,8 @@ func (s *Service) FailShard(a *ShardAck) error {
 	return nil
 }
 
-// CompleteShard accepts one shard's partial results. Completion is
+// CompleteShard accepts one shard's unit results and appends them to the
+// job's unit journal with one synced write. Completion is
 // idempotent and — deliberately — not gated on holding the live lease:
 // every unit is a pure function of (spec, index), so any structurally
 // valid upload for a not-yet-done shard carries the correct bytes, even
@@ -436,7 +402,7 @@ func (s *Service) CompleteShard(u *ShardUpload) error {
 			ErrCorruptUpload, u.Shard, got, u.Sum)
 	}
 	worker := st.Worker
-	if err := set.dir.savePartial(u.Shard, u.Units, worker, st.Attempts); err != nil {
+	if err := set.dir.complete(span, u.Units, worker, st.Attempts); err != nil {
 		return err
 	}
 	c.uploads.Inc()
@@ -445,36 +411,10 @@ func (s *Service) CompleteShard(u *ShardUpload) error {
 		Shard: u.Shard, State: "done", Worker: worker, Attempts: st.Attempts,
 	})
 	if set.done == len(set.dir.plan.Shards) {
-		delete(c.sets, u.Job)
-		for i, o := range c.order {
-			if o == u.Job {
-				c.order = append(c.order[:i], c.order[i+1:]...)
-				break
-			}
-		}
+		c.dropLocked(u.Job)
 		close(set.settled)
 	}
 	return nil
-}
-
-// merge loads every partial in shard order, concatenates the units and
-// folds them into the job report through mergeUnits.
-func (c *coordinator) merge(set *shardSet) (*metrics.Report, error) {
-	spans := append([]shardSpan(nil), set.dir.plan.Shards...)
-	sort.Slice(spans, func(i, j int) bool { return spans[i].From < spans[j].From })
-	units := make([]json.RawMessage, 0, set.dir.plan.Units)
-	for _, span := range spans {
-		part, err := set.dir.loadPartial(span.Index)
-		if err != nil {
-			return nil, err
-		}
-		if len(part) != span.To-span.From {
-			return nil, fmt.Errorf("service: partial for shard %d has %d units, want %d",
-				span.Index, len(part), span.To-span.From)
-		}
-		units = append(units, part...)
-	}
-	return mergeUnits(set.spec, units)
 }
 
 // ShardStatuses reports every shard's live state for one distributed job.

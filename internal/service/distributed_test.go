@@ -31,6 +31,18 @@ func startWorker(t *testing.T, ts *httptest.Server, name string, hook func(stage
 	return w
 }
 
+// uploadShard computes a granted shard and uploads its units to svc.
+func uploadShard(t *testing.T, svc *Service, g *ShardGrant) {
+	t.Helper()
+	units, err := executeShardUnits(context.Background(), g.Spec, g.From, g.To, shardOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.CompleteShard(&ShardUpload{Job: g.Job, Shard: g.Shard, Lease: g.Lease, Units: units, Sum: unitsSum(units)}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // reportBytes reads the stored report of a finished job.
 func reportBytes(t *testing.T, svc *Service, id string) []byte {
 	t.Helper()
@@ -314,8 +326,9 @@ func TestDistributedChaosKillWorkerGolden(t *testing.T) {
 // TestShardWALCompactionRacesRenewal hammers lease renewals on one shard
 // while other shards complete — with the compaction threshold shrunk so
 // the WAL rewrites many times mid-traffic — then restarts the coordinator
-// over the same store and requires (a) the completed shards to survive the
-// replay and (b) the resumed job to finish byte-identical.
+// over the same store and requires (a) the completed shards to come back
+// done from the unit journal and (b) the resumed job to finish
+// byte-identical.
 func TestShardWALCompactionRacesRenewal(t *testing.T) {
 	old := shardWALCompactBytes
 	shardWALCompactBytes = 64 // force a compaction on nearly every append
@@ -381,10 +394,14 @@ func TestShardWALCompactionRacesRenewal(t *testing.T) {
 		t.Fatalf("%d shards done, want %d", doneShards, len(completing))
 	}
 
-	// Restart over the same store: the compacted WAL plus the partial files
+	// Restart over the same store: the compacted WAL plus the unit journal
 	// must reconstruct the exact same state, and the resumed job must merge
 	// to the single-node bytes once the remaining shards complete.
 	svc.Close()
+	journaled := journaledOnDisk(t, svc.Store().JournalPath(rec.ID))
+	if len(journaled) != 5*len(completing) {
+		t.Fatalf("unit journal holds %d units after %d uploads of 5", len(journaled), len(completing))
+	}
 	svc2, err := New(Config{
 		Dir: dir, Coordinator: true, LeaseTTL: 300 * time.Millisecond, ShardUnits: 5,
 	})
@@ -395,6 +412,24 @@ func TestShardWALCompactionRacesRenewal(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { svc2.Close() })
+	var resumed []ShardStatus
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if resumed, ok = svc2.ShardStatuses(rec.ID); ok {
+			break
+		}
+	}
+	for _, st := range resumed {
+		done := true
+		for u := st.From; u < st.To; u++ {
+			done = done && journaled[u]
+		}
+		if done != (st.State == ShardDone) {
+			t.Fatalf("resumed shard %d is %s, its units journaled: %v", st.Shard, st.State, done)
+		}
+	}
+	if len(resumed) != 8 {
+		t.Fatalf("resumed job shows %d shards, want 8", len(resumed))
+	}
 
 	remaining := 8 - len(completing) // the held shard (its lease expires) + 3 never leased
 	for i := 0; i < remaining; i++ {
@@ -411,6 +446,89 @@ func TestShardWALCompactionRacesRenewal(t *testing.T) {
 	if got, want := reportBytes(t, svc2, rec.ID), directMonteCarloBytes(t, trials, 2009); !bytes.Equal(got, want) {
 		t.Fatal("resumed distributed report differs from single-node run")
 	}
+}
+
+// TestDrainedJobResumesUnderCoordinator drains a Monte Carlo job on a
+// single-node daemon mid-run and reopens its store as a coordinator: both
+// modes key the unit journal by unit index, so the coordinator leases
+// exactly the shards whose units the journal lacks, and the merged report
+// equals the direct run's bytes.
+func TestDrainedJobResumesUnderCoordinator(t *testing.T) {
+	const trials, shardUnits = 200, 10
+	dir := t.TempDir()
+	st, rec := drainMidRun(t, dir, mcSpec(trials, 0), 25)
+	journaled := journaledOnDisk(t, st.JournalPath(rec.ID))
+	var lacking []int
+	for _, span := range planShards(rec.ID, trials, shardUnits).Shards {
+		for u := span.From; u < span.To; u++ {
+			if !journaled[u] {
+				lacking = append(lacking, span.Index)
+				break
+			}
+		}
+	}
+	if len(lacking) == trials/shardUnits {
+		t.Fatalf("the drain journaled %d trials and no whole shard", len(journaled))
+	}
+
+	svc2, err := New(Config{Dir: dir, Coordinator: true, LeaseTTL: time.Minute, ShardUnits: shardUnits})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close()
+	grants := leaseAll(t, svc2, len(lacking))
+	for i, g := range grants {
+		if g.Shard != lacking[i] {
+			t.Fatalf("lease %d is shard %d, want %d: the shards the journal lacks are %v", i, g.Shard, lacking[i], lacking)
+		}
+	}
+	if g, ok, err := svc2.Lease("direct"); err != nil || ok {
+		t.Fatalf("a shard the journal completes was leased: %+v, %v", g, err)
+	}
+	for _, g := range grants {
+		uploadShard(t, svc2, g)
+	}
+	waitState(t, svc2, rec.ID, StateDone)
+	if got := reportBytes(t, svc2, rec.ID); !bytes.Equal(got, directMonteCarloBytes(t, trials, 2009)) {
+		t.Fatal("report resumed under a coordinator differs from the direct run")
+	}
+	noUnitState(t, svc2, rec.ID)
+}
+
+// TestCoordinatorTerminalJobsDropUnitState pins that a coordinator drops a
+// job's unit journal and shard dir when the job is canceled and when it
+// hits its deadline, uploads accepted or not.
+func TestCoordinatorTerminalJobsDropUnitState(t *testing.T) {
+	svc, _ := startHTTP(t, Config{Coordinator: true, LeaseTTL: time.Minute, ShardUnits: 5}, true)
+
+	canceled, err := svc.Submit(mcSpec(20, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	uploadShard(t, svc, leaseAll(t, svc, 1)[0])
+	for _, path := range []string{svc.Store().JournalPath(canceled.ID), svc.Store().shardDirPath(canceled.ID)} {
+		if _, err := os.Stat(path); err != nil {
+			t.Fatalf("running job has no %s: %v", path, err)
+		}
+	}
+	if _, ok := svc.Cancel(canceled.ID); !ok {
+		t.Fatal("cancel of a distributing job refused")
+	}
+	waitState(t, svc, canceled.ID, StateCanceled)
+	noUnitState(t, svc, canceled.ID)
+
+	timed := mcSpec(21, 0)
+	timed.TimeoutMS = 1500
+	rec, err := svc.Submit(timed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	uploadShard(t, svc, leaseAll(t, svc, 1)[0])
+	waitState(t, svc, rec.ID, StateFailed)
+	noUnitState(t, svc, rec.ID)
 }
 
 // TestSubmitDedupDuplicateAtWorker covers the dedup satellite: a worker

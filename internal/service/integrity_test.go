@@ -23,6 +23,7 @@ import (
 
 	"bankaware/internal/atomicio"
 	"bankaware/internal/ledger"
+	"bankaware/internal/runner"
 )
 
 // This file is the corruption fault-injection suite: every durable
@@ -57,6 +58,27 @@ func flipByteAfter(t *testing.T, path, marker string) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// journaledOnDisk returns the units whose records verify in the unit
+// journal at path, read without opening the journal for appending.
+func journaledOnDisk(t *testing.T, path string) map[int]bool {
+	t.Helper()
+	units := make(map[int]bool)
+	err := atomicio.Replay(path, func(line []byte) error {
+		var rec struct {
+			Job int `json:"job"`
+		}
+		if err := json.Unmarshal(line, &rec); err != nil {
+			return err
+		}
+		units[rec.Job] = true
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("reading unit journal: %v", err)
+	}
+	return units
 }
 
 // runToDone submits one small Monte Carlo job and waits for its report.
@@ -198,8 +220,9 @@ func TestOfflineScrubRequeuesForNextStart(t *testing.T) {
 
 // TestCorruptShardUploadReleasedAndRetried pins the verified-transport
 // contract: an upload whose payload does not hash to its declared sum is
-// rejected with the typed ErrCorruptUpload, never stored, and the shard
-// re-leases immediately so a clean attempt completes the job.
+// rejected with the typed ErrCorruptUpload, no unit of it reaches the
+// job's unit journal, and the shard re-leases immediately so a clean
+// attempt completes the job.
 func TestCorruptShardUploadReleasedAndRetried(t *testing.T) {
 	const trials = 12 // ShardUnits 6 -> 2 shards
 	want := directMonteCarloBytes(t, trials, 2009)
@@ -231,8 +254,16 @@ func TestCorruptShardUploadReleasedAndRetried(t *testing.T) {
 	if !errors.Is(err, ErrCorruptUpload) {
 		t.Fatalf("corrupt upload returned %v, want ErrCorruptUpload", err)
 	}
-	if _, statErr := os.Stat(svc.Store().shardDirPath(rec.ID) + "/partial-0.json"); statErr == nil {
-		t.Fatal("corrupt upload was stored as a partial")
+	// Nothing was accepted yet, so neither the journal file nor the
+	// journal the merge reads may hold a unit.
+	if on := journaledOnDisk(t, svc.Store().JournalPath(rec.ID)); len(on) != 0 {
+		t.Fatalf("units %v of the corrupt upload reached the unit journal", on)
+	}
+	svc.coord.mu.Lock()
+	lacks := svc.coord.sets[rec.ID].dir.units.Lacks(0, trials)
+	svc.coord.mu.Unlock()
+	if len(lacks) != trials {
+		t.Fatalf("the unit journal holds %d units after a corrupt upload, want none", trials-len(lacks))
 	}
 
 	// The shard released immediately: it leases again without waiting out
@@ -259,61 +290,62 @@ func TestCorruptShardUploadReleasedAndRetried(t *testing.T) {
 	}
 }
 
-// TestCorruptPartialAtMergeRequeuesShard pins merge-time healing: a
-// partial that rots on disk between completion and merge is quarantined,
-// the shard re-opens for leasing, and the re-computed partial completes
-// the job with the correct bytes.
-func TestCorruptPartialAtMergeRequeuesShard(t *testing.T) {
-	const trials = 12 // 2 shards
+// TestCorruptUnitJournalReleasesLostShards pins recovery from a rotten
+// unit journal: a coordinator stopped with three of four shards uploaded
+// has one byte of a journaled unit flipped. The restarted coordinator
+// quarantines the journal, keeps the units that verify, and leases exactly
+// the shard whose unit was lost and the one never uploaded; the merged
+// report equals the single-node bytes.
+func TestCorruptUnitJournalReleasesLostShards(t *testing.T) {
+	const trials = 12 // ShardUnits 3 -> 4 shards
 	want := directMonteCarloBytes(t, trials, 2009)
-	svc, _ := startHTTP(t, Config{
-		Coordinator: true, LeaseTTL: time.Minute, ShardUnits: 6,
-	}, true)
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, Coordinator: true, LeaseTTL: time.Minute, ShardUnits: 3}
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Start(); err != nil {
+		t.Fatal(err)
+	}
 	rec, err := svc.Submit(mcSpec(trials, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	grants := leaseAll(t, svc, 2)
-	uploads := make([]*ShardUpload, len(grants))
-	for i, g := range grants {
-		units, err := executeShardUnits(context.Background(), g.Spec, g.From, g.To, shardOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		uploads[i] = &ShardUpload{Job: g.Job, Shard: g.Shard, Lease: g.Lease, Units: units, Sum: unitsSum(units)}
+	for _, g := range leaseAll(t, svc, 3) {
+		uploadShard(t, svc, g)
 	}
-	if err := svc.CompleteShard(uploads[0]); err != nil {
-		t.Fatal(err)
-	}
-	// Rot the stored partial before the campaign settles.
-	partial := svc.Store().shardDirPath(rec.ID) + fmt.Sprintf("/partial-%d.json", uploads[0].Shard)
-	flipByteAfter(t, partial, `:`)
-	if err := svc.CompleteShard(uploads[1]); err != nil {
+	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// The merge detects the rot, quarantines, and re-opens the shard; the
-	// next lease is the damaged shard again.
-	regrant := leaseAll(t, svc, 1)[0]
-	if regrant.Shard != uploads[0].Shard {
-		t.Fatalf("re-leased shard %d, want %d", regrant.Shard, uploads[0].Shard)
-	}
-	if _, err := os.Stat(partial + ".quarantine"); err != nil {
-		t.Fatalf("rotten partial was not quarantined: %v", err)
-	}
-	units, err := executeShardUnits(context.Background(), regrant.Spec, regrant.From, regrant.To, shardOptions{Workers: 2})
+	// Unit 4 is shard 1's: rot its record while the coordinator is down.
+	journal := svc.Store().JournalPath(rec.ID)
+	flipByteAfter(t, journal, `{"job":4,`)
+	svc2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.CompleteShard(&ShardUpload{
-		Job: regrant.Job, Shard: regrant.Shard, Lease: regrant.Lease,
-		Units: units, Sum: unitsSum(units),
-	}); err != nil {
+	if err := svc2.Start(); err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, svc, rec.ID, StateDone)
-	if got := reportBytes(t, svc, rec.ID); !bytes.Equal(got, want) {
-		t.Fatal("report after partial-rot recovery differs from single-node run")
+	defer svc2.Close()
+	grants := leaseAll(t, svc2, 2)
+	if grants[0].Shard != 1 || grants[1].Shard != 3 {
+		t.Fatalf("re-leased shards %d and %d, want 1 (lost unit 4) and 3 (never uploaded)", grants[0].Shard, grants[1].Shard)
+	}
+	if g, ok, err := svc2.Lease("direct"); err != nil || ok {
+		t.Fatalf("a shard beyond the lost ones leased: %+v, %v", g, err)
+	}
+	if _, err := os.Stat(journal + ".quarantine"); err != nil {
+		t.Fatalf("the rotten unit journal was not quarantined: %v", err)
+	}
+	for _, g := range grants {
+		uploadShard(t, svc2, g)
+	}
+	waitState(t, svc2, rec.ID, StateDone)
+	if got := reportBytes(t, svc2, rec.ID); !bytes.Equal(got, want) {
+		t.Fatal("report after unit-journal rot differs from single-node run")
 	}
 }
 
@@ -530,21 +562,39 @@ func TestIntakeWALEveryByteFlip(t *testing.T) {
 	}
 }
 
+// testShardPlan is the plan of the shard-state tests: 6 units in 3 shards.
+func testShardPlan() shardPlan {
+	return shardPlan{Version: shardPlanVersion, Job: "job-000001", Units: 6,
+		Shards: []shardSpan{{0, 0, 2}, {1, 2, 4}, {2, 4, 6}}}
+}
+
+// testUnitJournal opens a unit journal holding units 2 and 3, all of the
+// test plan's shard 1.
+func testUnitJournal(t testing.TB) *runner.Journal {
+	t.Helper()
+	j, err := runner.OpenJournal(filepath.Join(t.TempDir(), "units.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	if err := j.RecordBatch(2, []json.RawMessage{json.RawMessage(`{"u":2}`), json.RawMessage(`{"u":3}`)}); err != nil {
+		t.Fatal(err)
+	}
+	return j
+}
+
 // TestShardWALEveryByteFlip flips every byte of a shard WAL holding the
 // plan line and 3 shard states, by XOR 0x01 and by overwriting it with a
-// newline. A flip in the plan line must quarantine the whole dir and
-// re-plan, so no partial is read under a plan it was not cut under. Any
-// other flip must keep the plan, and either keep all 3 shard states or
+// newline, next to a unit journal that holds every unit of shard 1. A flip
+// in the plan line must quarantine the whole dir and re-plan. Any other
+// flip must keep the plan, and either keep all 3 shard states or
 // quarantine the damaged WAL, keep every state that verified, and send
-// each shard that lost its state back to pending — except a shard whose
-// partial file proves it done.
+// each shard that lost its state back to pending. Shard 1 is done in every
+// case, re-planned or not: done-ness is read from the journal.
 func TestShardWALEveryByteFlip(t *testing.T) {
 	dir := t.TempDir()
-	mkplan := func() shardPlan {
-		return shardPlan{Version: shardPlanVersion, Job: "job-000001", Units: 6,
-			Shards: []shardSpan{{0, 0, 2}, {1, 2, 4}, {2, 4, 6}}}
-	}
-	d, err := openShardDir(dir, mkplan)
+	units := testUnitJournal(t)
+	d, err := openShardDir(dir, units, testShardPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,7 +603,7 @@ func TestShardWALEveryByteFlip(t *testing.T) {
 		DeadlineNS: deadline, Attempts: 1}); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.savePartial(1, []json.RawMessage{json.RawMessage(`{"u":2}`), json.RawMessage(`{"u":3}`)}, "w2", 1); err != nil {
+	if err := d.log(shardWALRecord{Shard: 1, State: ShardDone, Worker: "w2", Attempts: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.log(shardWALRecord{Shard: 2, State: ShardPending, Attempts: 2}); err != nil {
@@ -562,45 +612,47 @@ func TestShardWALEveryByteFlip(t *testing.T) {
 	if err := d.wal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	files := make(map[string][]byte)
-	for _, name := range []string{"partial-1.json", "state.wal"} {
-		if files[name], err = os.ReadFile(filepath.Join(dir, name)); err != nil {
-			t.Fatal(err)
-		}
+	wal, err := os.ReadFile(filepath.Join(dir, "state.wal"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	wal := files["state.wal"]
 	planLine := bytes.IndexByte(wal, '\n') + 1
 	// The states an undamaged reopen loads.
-	clean, err := openShardDir(dir, mkplan)
+	clean, err := openShardDir(dir, units, testShardPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []shardWALRecord{clean.state(0), clean.state(1), clean.state(2)}
 	clean.wal.Close()
+	if want[1].State != ShardDone {
+		t.Fatalf("shard 1 reopened as %+v, want done", want[1])
+	}
 	for _, sub := range byteSubs {
 		for off := range wal {
 			data := append([]byte{}, wal...)
 			data[off] = sub.fn(data[off])
-			files["state.wal"] = data
 			rd := t.TempDir()
-			writeFiles(t, rd, files)
+			writeFiles(t, rd, map[string][]byte{"state.wal": data})
 			replanned := false
-			re, err := openShardDir(rd, func() shardPlan { replanned = true; return mkplan() })
+			re, err := openShardDir(rd, units, func() shardPlan { replanned = true; return testShardPlan() })
 			if err != nil {
 				t.Fatalf("%s@%d: %v", sub.name, off, err)
 			}
 			re.wal.Close()
-			if !reflect.DeepEqual(re.plan, mkplan()) {
+			if !reflect.DeepEqual(re.plan, testShardPlan()) {
 				t.Fatalf("%s@%d: plan reloaded as %+v", sub.name, off, re.plan)
 			}
 			if inPlan := off < planLine && data[off] != wal[off]; replanned != inPlan {
 				t.Fatalf("%s@%d: re-planned %v, want %v", sub.name, off, replanned, inPlan)
 			}
+			if got := re.state(1); got.State != ShardDone {
+				t.Fatalf("%s@%d: shard 1, whose units are journaled, reloaded as %+v", sub.name, off, got)
+			}
 			if replanned {
 				if q, err := os.ReadFile(filepath.Join(rd+".quarantine", "state.wal")); err != nil || !bytes.Equal(q, data) {
 					t.Fatalf("%s@%d: plan lost and the dir not quarantined whole", sub.name, off)
 				}
-				for idx := range want {
+				for _, idx := range []int{0, 2} {
 					if got := re.state(idx); got != (shardWALRecord{Shard: idx, State: ShardPending}) {
 						t.Fatalf("%s@%d: re-planned shard %d starts as %+v", sub.name, off, idx, got)
 					}
@@ -612,8 +664,8 @@ func TestShardWALEveryByteFlip(t *testing.T) {
 				got := re.state(idx)
 				switch {
 				case got == w:
-				case idx == 1 && got.State == ShardDone:
-					lost++ // the partial still proves it done
+				case idx == 1:
+					lost++ // done without its WAL line
 				case got.State == ShardPending && got.Lease == "":
 					lost++
 				default:
@@ -628,6 +680,103 @@ func TestShardWALEveryByteFlip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzShardWAL opens a shard dir over an arbitrary state.wal: the input's
+// lines, each framed with a valid checksum when framed is set (so the
+// fuzzer reaches the plan and state decoder rather than the CRC), or the
+// raw bytes otherwise, next to a unit journal holding shard 1. openShardDir
+// must never panic or fail on content. It either keeps a stored plan that
+// tiles its units, or quarantines the dir whole and re-plans (a dir with
+// no record in it plans afresh). Every shard of the plan comes back
+// pending, leased or done, done exactly when the journal holds its units,
+// and a second open restores the same plan and states.
+func FuzzShardWAL(f *testing.F) {
+	seed := f.TempDir()
+	units := testUnitJournal(f)
+	d, err := openShardDir(seed, units, testShardPlan)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, rec := range []shardWALRecord{
+		{Shard: 0, State: ShardLeased, Worker: "w1", Lease: "l-1", DeadlineNS: 1767323045000000000, Attempts: 1},
+		{Shard: 1, State: ShardDone, Worker: "w2", Attempts: 1},
+		{Shard: 2, State: ShardPending, Attempts: 2},
+	} {
+		if err := d.log(rec); err != nil {
+			f.Fatal(err)
+		}
+	}
+	d.wal.Close()
+	wal, err := os.ReadFile(filepath.Join(seed, "state.wal"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var payloads [][]byte
+	for _, line := range bytes.Split(bytes.TrimSuffix(wal, []byte("\n")), []byte("\n")) {
+		payloads = append(payloads, line[9:])
+	}
+	f.Add(wal, false)
+	f.Add(bytes.Join(payloads, []byte("\n")), true)
+	f.Add(bytes.Join(payloads[1:], []byte("\n")), true)
+	f.Add([]byte(`{"version":"bankaware.shard-plan/v1","units":6,"shards":[{"index":0,"from":0,"to":6}]}`), true)
+	f.Fuzz(func(t *testing.T, data []byte, framed bool) {
+		dir := filepath.Join(t.TempDir(), "job")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "state.wal")
+		if framed {
+			log, err := atomicio.OpenLog(path, func([]byte) error { return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := log.Append(bytes.Split(data, []byte("\n")), false); err != nil {
+				t.Fatal(err)
+			}
+			log.Close()
+		} else if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		records := 0
+		atomicio.Replay(path, func([]byte) error { records++; return nil })
+		replanned := false
+		re, err := openShardDir(dir, units, func() shardPlan { replanned = true; return testShardPlan() })
+		if err != nil {
+			t.Fatalf("openShardDir failed on content: %v", err)
+		}
+		re.wal.Close()
+		if replanned && records > 0 {
+			if _, err := os.Stat(filepath.Join(dir+".quarantine", "state.wal")); err != nil {
+				t.Fatalf("re-planned over %d records without quarantining the dir whole: %v", records, err)
+			}
+		}
+		next := 0
+		for i, span := range re.plan.Shards {
+			if span.Index != i || span.From != next || span.To <= span.From {
+				t.Fatalf("kept plan %+v does not tile its units", re.plan)
+			}
+			next = span.To
+		}
+		if next != re.plan.Units || next == 0 {
+			t.Fatalf("kept plan %+v does not tile its units", re.plan)
+		}
+		for _, span := range re.plan.Shards {
+			st := re.state(span.Index)
+			held := len(units.Lacks(span.From, span.To)) == 0
+			if st.State != ShardPending && st.State != ShardLeased && st.State != ShardDone || (st.State == ShardDone) != held {
+				t.Fatalf("shard %+v reloaded as %+v (units journaled: %v)", span, st, held)
+			}
+		}
+		again, err := openShardDir(dir, units, func() shardPlan { t.Fatal("second open re-planned"); return shardPlan{} })
+		if err != nil {
+			t.Fatal(err)
+		}
+		again.wal.Close()
+		if !reflect.DeepEqual(again.plan, re.plan) || !reflect.DeepEqual(again.states, re.states) {
+			t.Fatalf("second open restored %+v %+v, first %+v %+v", again.plan, again.states, re.plan, re.states)
+		}
+	})
 }
 
 // TestLegacyLogsUpgrade opens stores written before this layout: an intake
@@ -718,7 +867,12 @@ func TestLegacyLogsUpgrade(t *testing.T) {
 
 	t.Run("shard", func(t *testing.T) {
 		dir := copyFixture(t, "legacy-shard", "plan.json", "state.wal")
-		d, err := openShardDir(dir, func() shardPlan { t.Fatal("plan rebuilt"); return shardPlan{} })
+		units, err := runner.OpenJournal(filepath.Join(t.TempDir(), "units.journal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer units.Close()
+		d, err := openShardDir(dir, units, func() shardPlan { t.Fatal("plan rebuilt"); return shardPlan{} })
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,7 +2,7 @@ package service
 
 import (
 	"context"
-	"os"
+	"encoding/json"
 
 	"bankaware/internal/metrics"
 	"bankaware/internal/runner"
@@ -64,36 +64,31 @@ func (s *Service) workersFor(spec JobSpec) int {
 	return s.cfg.Workers
 }
 
-// runJob executes the job's campaign and returns its report. A
-// coordinator shards the units out to pulling workers; a single-node daemon
-// computes the whole unit range itself. Either way the units go through
-// executeShardUnits and mergeUnits, the same library entry points and
-// assemblers bankaware.Runner uses, so the stored report bytes are exactly
-// what a direct Runner run with the same parameters would have written.
+// runJob executes the job's campaign and returns its report. Its finished
+// units live in the job's unit journal, whichever mode runs them, so a
+// drained job resumes them in either mode: a single-node daemon computes
+// the units the journal lacks itself, and a coordinator shards them out to
+// pulling workers and journals their uploads. Either way the units go
+// through executeShardUnits and mergeUnits, the same library entry points
+// and assemblers bankaware.Runner uses, so the stored report bytes are
+// exactly what a direct Runner run with the same parameters would have
+// written.
 func (s *Service) runJob(ctx context.Context, jb *job) (*metrics.Report, error) {
+	journal, err := runner.OpenJournal(s.store.JournalPath(jb.id))
+	if err != nil {
+		return nil, err
+	}
+	var units []json.RawMessage
 	if s.coord != nil {
-		return s.runDistributed(ctx, jb)
+		units, err = s.runDistributed(ctx, jb, journal)
+	} else {
+		units, err = executeShardUnits(ctx, jb.spec, 0, campaignUnits(jb.spec), shardOptions{
+			Workers: s.workersFor(jb.spec), Progress: s.progressFor(jb), Sample: s.sampleFor(jb),
+			Journal: journal,
+		})
 	}
-	opt := shardOptions{Workers: s.workersFor(jb.spec), Progress: s.progressFor(jb), Sample: s.sampleFor(jb)}
-	if jb.spec.Kind == KindMonteCarlo {
-		// Every Monte Carlo job keeps a checkpoint journal: completed trials
-		// survive a drain or crash, and the resumed campaign's report is
-		// byte-identical to an uninterrupted one (montecarlo's contract).
-		journal, err := runner.OpenJournal(s.store.JournalPath(jb.id))
-		if err != nil {
-			return nil, err
-		}
-		opt.Journal = journal
-	}
-	units, err := executeShardUnits(ctx, jb.spec, 0, campaignUnits(jb.spec), opt)
-	if opt.Journal != nil {
-		if closeErr := opt.Journal.Close(); err == nil {
-			err = closeErr
-		}
-		if err == nil {
-			// The campaign finished; the journal has served its purpose.
-			os.Remove(s.store.JournalPath(jb.id))
-		}
+	if closeErr := journal.Close(); err == nil {
+		err = closeErr
 	}
 	if err != nil {
 		return nil, err

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"time"
 
@@ -16,13 +15,14 @@ import (
 
 // This file is the store scrubber: the proactive half of the integrity
 // layer (the verified read paths are the lazy half). Scrub walks the
-// durable artifacts — the job log, finished reports, shard partials —
-// re-verifies them against their checksums, the run ledger and the job
-// records, and quarantines anything that no longer matches (a rename to
-// *.quarantine, never a silent deletion). When the corrupted artifact
-// backed a finished job whose spec is still stored, the job re-queues:
-// determinism makes the re-run reproduce the original bytes, so the system
-// heals from bit-rot instead of serving poison.
+// durable artifacts — the job log and finished reports — re-verifies them
+// against their checksums, the run ledger and the job records, and
+// quarantines anything that no longer matches (a rename to *.quarantine,
+// never a silent deletion). When the corrupted artifact backed a finished
+// job whose spec is still stored, the job re-queues: determinism makes the
+// re-run reproduce the original bytes, so the system heals from bit-rot
+// instead of serving poison. A job's unit journal needs no pass: its job
+// verifies every record each time it opens the journal.
 
 // ScrubStats summarises one scrub pass (also served on /healthz as
 // last_scrub).
@@ -62,7 +62,6 @@ func (s *Store) Scrub(skip map[string]bool, requeue bool) ScrubStats {
 		}
 		s.scrubJob(rec, requeue, &stats)
 	}
-	s.scrubPartials(skip, &stats)
 	stats.DurationMS = time.Since(start).Milliseconds()
 	return stats
 }
@@ -144,60 +143,6 @@ func (s *Store) healReport(rec JobRecord, requeue bool, stats *ScrubStats) {
 		return
 	}
 	stats.Requeued = append(stats.Requeued, rec.ID)
-}
-
-// scrubPartials verifies the shard partials of inactive distributed jobs
-// against the upload hashes recorded in each shard WAL. A mismatched
-// partial is quarantined; the shard re-runs when the job's coordinator
-// resumes (a missing partial demotes the shard to pending on open).
-func (s *Store) scrubPartials(skip map[string]bool, stats *ScrubStats) {
-	shardsRoot := filepath.Join(s.dir, "shards")
-	entries, err := os.ReadDir(shardsRoot)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			stats.Errors = append(stats.Errors, fmt.Sprintf("shards: %v", err))
-		}
-		return
-	}
-	for _, e := range entries {
-		// A quarantined dir is evidence: leave it as it is.
-		if !e.IsDir() || strings.HasSuffix(e.Name(), ".quarantine") {
-			continue
-		}
-		job := e.Name()
-		if skip[job] {
-			stats.Skipped++
-			continue
-		}
-		dir := filepath.Join(shardsRoot, job)
-		// Read-only: a corrupt WAL line costs only its own upload sum; the
-		// coordinator quarantines the WAL when it next opens the dir.
-		d := &shardDir{dir: dir, states: make(map[int]shardWALRecord)}
-		_ = atomicio.Replay(d.walPath(), d.fold)
-		parts, err := filepath.Glob(filepath.Join(dir, "partial-*.json"))
-		if err != nil {
-			continue
-		}
-		sort.Strings(parts)
-		for _, path := range parts {
-			var idx int
-			if _, err := fmt.Sscanf(filepath.Base(path), "partial-%d.json", &idx); err != nil {
-				continue
-			}
-			if d.state(idx).Sum == "" {
-				continue // pre-hashing partial: nothing to verify against
-			}
-			stats.Checked++
-			var corrupt *corruptPartialError
-			if _, err := d.loadPartial(idx); errors.As(err, &corrupt) {
-				stats.Corrupt++
-				rel, _ := filepath.Rel(s.dir, path)
-				stats.Quarantined = append(stats.Quarantined, rel)
-			} else if err != nil {
-				stats.Errors = append(stats.Errors, fmt.Sprintf("partial %s/%d: %v", job, idx, err))
-			}
-		}
-	}
 }
 
 // Scrub runs one scrub pass over the daemon's store, skipping live jobs,

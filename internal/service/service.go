@@ -32,7 +32,9 @@ var ErrDraining = errors.New("service: draining, not accepting jobs")
 
 // Config parametrises a Service.
 type Config struct {
-	// Dir is the durable store root (intake.wal, reports/, journals/).
+	// Dir is the durable store root: intake.wal, reports/, the ledger,
+	// and each unfinished job's unit journal (journals/) and, under a
+	// coordinator, lease state (shards/).
 	Dir string
 	// Jobs bounds how many jobs execute concurrently. Default 1: jobs are
 	// whole campaigns that parallelise internally, so one at a time already
@@ -55,7 +57,7 @@ type Config struct {
 	IntakeHook func(stage string, jobs int) error
 	// Coordinator switches the daemon into coordinator mode: jobs are not
 	// executed locally but sharded into leased work units that worker
-	// daemons pull over /v1/work, with the partial results merged into a
+	// daemons pull over /v1/work, with the uploaded units merged into a
 	// report byte-identical to a single-node run of the same spec.
 	Coordinator bool
 	// LeaseTTL is how long a worker holds a shard lease before it must
@@ -66,10 +68,11 @@ type Config struct {
 	// selects units/16 (at least 1).
 	ShardUnits int
 	// ScrubEvery, when positive, runs a background integrity scrub over the
-	// store at that interval: every stored report and shard partial is
-	// re-hashed against the run ledger, mismatches are quarantined and the
-	// affected jobs re-queued (see Service.Scrub). Zero disables the loop;
-	// POST /v1/scrub and `bankawared scrub` still run passes on demand.
+	// store at that interval: the job log is re-verified, every stored
+	// report is re-hashed against its record and the run ledger,
+	// mismatches are quarantined and the affected jobs re-queued (see
+	// Service.Scrub). Zero disables the loop; POST /v1/scrub and
+	// `bankawared scrub` still run passes on demand.
 	ScrubEvery time.Duration
 }
 
@@ -231,9 +234,8 @@ func (s *Service) Registry() *metrics.Registry { return s.reg }
 func (s *Service) Store() *Store { return s.store }
 
 // Start restores every non-terminal stored job into the queue (a job that
-// was running when the previous daemon stopped re-enqueues and — for Monte
-// Carlo jobs — resumes from its checkpoint journal) and launches the
-// executor pool.
+// was running when the previous daemon stopped re-enqueues and resumes the
+// finished units of its unit journal) and launches the executor pool.
 func (s *Service) Start() error {
 	s.mu.Lock()
 	if s.started {
@@ -422,18 +424,12 @@ func (s *Service) Cancel(id string) (JobRecord, bool) {
 		return rec, false
 	}
 	if s.queue.remove(jb) {
-		// Withdrawn before any executor claimed it.
+		// Withdrawn before any executor claimed it (a drained job that was
+		// re-queued included).
 		jb.mu.Lock()
 		jb.phase = "finished"
 		jb.mu.Unlock()
-		rec, _ = s.store.Get(id)
-		rec.State = StateCanceled
-		rec.FinishedAt = time.Now().UTC()
-		s.store.Put(rec)
-		s.canceled.Inc()
-		jb.hub.publish(EventState, stateEvent{State: StateCanceled})
-		s.retire(jb)
-		return rec, true
+		return s.finishCanceled(jb), true
 	}
 	if !jb.markCancel("cancel") {
 		rec, _ = s.store.Get(id)
@@ -446,8 +442,8 @@ func (s *Service) Cancel(id string) (JobRecord, bool) {
 // Drain begins graceful shutdown: intake stops (Submit fails with
 // ErrDraining, HTTP 503), no queued job starts, and in-flight jobs keep
 // running until they finish — or until ctx expires, at which point they are
-// cancelled, checkpoint what they have (Monte Carlo journals hold every
-// completed trial) and return to StateQueued so the next daemon resumes
+// cancelled, keep what they have (every job's unit journal holds each
+// finished unit) and return to StateQueued so the next daemon resumes
 // them. Drain returns once no job is executing. It is idempotent.
 func (s *Service) Drain(ctx context.Context) {
 	s.mu.Lock()
@@ -558,7 +554,8 @@ func (s *Service) execute(jb *job) {
 		s.canceled.Inc()
 	case reason == "drain":
 		// Interrupted by shutdown: back to the queue for the next daemon.
-		// The journal (when the kind keeps one) holds the completed work.
+		// The job keeps its unit journal, which holds the finished units,
+		// and its shard dir.
 		rec.State = StateQueued
 		s.store.Put(rec)
 		jb.hub.publish(EventState, stateEvent{State: StateQueued, Detail: "interrupted by drain"})
@@ -569,22 +566,27 @@ func (s *Service) execute(jb *job) {
 		rec.Error = err.Error()
 		s.failed.Inc()
 	}
-	rec.FinishedAt = time.Now().UTC()
-	s.store.Put(rec)
-	ev := stateEvent{State: rec.State, Detail: rec.Error}
-	jb.hub.publish(EventState, ev)
-	s.retire(jb)
+	s.finish(jb, rec)
 }
 
 // finishCanceled finalises a job cancelled before execution began.
-func (s *Service) finishCanceled(jb *job) {
+func (s *Service) finishCanceled(jb *job) JobRecord {
 	rec, _ := s.store.Get(jb.id)
 	rec.State = StateCanceled
+	s.canceled.Inc()
+	return s.finish(jb, rec)
+}
+
+// finish records a job's terminal state. The job's unit journal and shard
+// dir go first, so a job the store calls terminal never leaves either
+// behind.
+func (s *Service) finish(jb *job, rec JobRecord) JobRecord {
+	s.store.removeUnits(jb.id)
 	rec.FinishedAt = time.Now().UTC()
 	s.store.Put(rec)
-	s.canceled.Inc()
-	jb.hub.publish(EventState, stateEvent{State: StateCanceled})
+	jb.hub.publish(EventState, stateEvent{State: rec.State, Detail: rec.Error})
 	s.retire(jb)
+	return rec
 }
 
 // stateEvent is the payload of EventState frames.

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -458,4 +459,187 @@ func TestJobTimeoutFails(t *testing.T) {
 	if got.Error == "" {
 		t.Fatal("failed job has no error message")
 	}
+}
+
+// drainMidRun runs spec on a single-node daemon over dir until done of its
+// units have finished, drains the daemon with an expired grace and closes
+// it. Completions are throttled so the drain lands mid-campaign. It returns
+// the closed daemon's store and the drained job, back in the queue.
+func drainMidRun(t *testing.T, dir string, spec JobSpec, done int) (*Store, JobRecord) {
+	t.Helper()
+	enough := make(chan struct{})
+	var once sync.Once
+	svc, err := New(Config{
+		Dir: dir, Workers: 2,
+		OnProgress: func(id string, p runner.Progress) {
+			if p.Kind != runner.JobDone {
+				return
+			}
+			time.Sleep(2 * time.Millisecond)
+			if p.Done >= done {
+				once.Do(func() { close(enough) })
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Start(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := svc.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-enough:
+	case <-time.After(60 * time.Second):
+		t.Fatalf("the job never finished %d units", done)
+	}
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
+	svc.Drain(expired)
+	svc.Close()
+	if rec, _ = svc.Store().Get(rec.ID); rec.State != StateQueued {
+		t.Fatalf("state after drain = %s, want queued", rec.State)
+	}
+	return svc.Store(), rec
+}
+
+// TestDrainedExperimentsJobResumesFromJournal drains a single-node
+// Figs. 8/9 job mid-run. The drained job keeps its unit journal; the
+// restarted daemon restores every journaled unit without running it,
+// computes only the rest, and serves the direct library run's bytes.
+func TestDrainedExperimentsJobResumesFromJournal(t *testing.T) {
+	if testing.Short() {
+		t.Skip("detailed Figs. 8/9 campaign in -short mode")
+	}
+	const budget, seed = 20_000, 7
+	res, err := experiments.RunFig8Fig9Context(context.Background(), experiments.ScaleModel, budget,
+		experiments.Options{Observe: true, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := res.Report().WriteJSON(&want); err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{Kind: KindExperiments, Seed: seed, Observe: true, Experiments: &ExperimentsSpec{Instructions: budget}}
+
+	dir := t.TempDir()
+	st, rec := drainMidRun(t, dir, spec, 6)
+	journaled := journaledOnDisk(t, st.JournalPath(rec.ID))
+	if len(journaled) < 6 || len(journaled) == experiments.CampaignUnits {
+		t.Fatalf("drained job journaled %d of %d units, want a part", len(journaled), experiments.CampaignUnits)
+	}
+	t.Logf("drained with %d/%d units journaled", len(journaled), experiments.CampaignUnits)
+
+	// A restored unit reports done with no wall time; a computed one ran.
+	var mu sync.Mutex
+	restored, computed := map[int]bool{}, map[int]bool{}
+	svc2, err := New(Config{
+		Dir: dir, Workers: 2,
+		OnProgress: func(id string, p runner.Progress) {
+			if p.Kind != runner.JobDone {
+				return
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if p.Elapsed == 0 {
+				restored[p.Job] = true
+			} else {
+				computed[p.Job] = true
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close()
+	if done := waitState(t, svc2, rec.ID, StateDone); done.Attempts != 2 {
+		t.Fatalf("attempts = %d, want 2 (one drained, one resumed)", done.Attempts)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for u := 0; u < experiments.CampaignUnits; u++ {
+		if restored[u] != journaled[u] || computed[u] == journaled[u] {
+			t.Errorf("unit %d: journaled %v, restored %v, computed %v", u, journaled[u], restored[u], computed[u])
+		}
+	}
+	if got := reportBytes(t, svc2, rec.ID); !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("resumed experiments report differs from the direct library run")
+	}
+}
+
+// noUnitState fails when id left a unit journal or a shard dir behind.
+func noUnitState(t *testing.T, svc *Service, id string) {
+	t.Helper()
+	for _, path := range []string{svc.Store().JournalPath(id), svc.Store().shardDirPath(id)} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("terminal job %s left %s behind (%v)", id, path, err)
+		}
+	}
+}
+
+// TestTerminalJobsDropUnitState pins that a single-node daemon keeps a
+// job's unit journal across a drain and drops it at every terminal state:
+// a drained job withdrawn while queued, a canceled running job, and a job
+// that hits its deadline.
+func TestTerminalJobsDropUnitState(t *testing.T) {
+	dir := t.TempDir()
+	st, drained := drainMidRun(t, dir, mcSpec(500, 0), 5)
+	if len(journaledOnDisk(t, st.JournalPath(drained.ID))) == 0 {
+		t.Fatal("the drained job dropped its unit journal")
+	}
+
+	// One executor: the running job holds it, so the drained job stays
+	// queued until it is withdrawn.
+	running := make(chan struct{})
+	var once sync.Once
+	svc2, err := New(Config{Dir: dir, Jobs: 1, Workers: 1, OnProgress: func(id string, p runner.Progress) {
+		if p.Kind == runner.JobDone {
+			once.Do(func() { close(running) })
+		}
+		time.Sleep(time.Millisecond)
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := svc2.Submit(mcSpec(501, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close()
+	select {
+	case <-running:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the high-priority job never finished a unit")
+	}
+	if got, ok := svc2.Cancel(drained.ID); !ok || got.State != StateCanceled {
+		t.Fatalf("withdrawing the drained job: ok=%v state=%s", ok, got.State)
+	}
+	noUnitState(t, svc2, drained.ID)
+	if len(journaledOnDisk(t, svc2.Store().JournalPath(first.ID))) == 0 {
+		t.Fatal("the running job journaled nothing before its cancel")
+	}
+	if _, ok := svc2.Cancel(first.ID); !ok {
+		t.Fatal("cancel of the running job refused")
+	}
+	waitState(t, svc2, first.ID, StateCanceled)
+	noUnitState(t, svc2, first.ID)
+
+	timed := mcSpec(502, 0)
+	timed.TimeoutMS = 50
+	rec, err := svc2.Submit(timed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, svc2, rec.ID, StateFailed)
+	noUnitState(t, svc2, rec.ID)
 }

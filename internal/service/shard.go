@@ -45,8 +45,26 @@ type shardOptions struct {
 	// samples (a single-node job's SSE stream; workers pass nil).
 	Sample func(run string, s metrics.EpochSample)
 	// Journal checkpoints completed units keyed by their offset within the
-	// range, so a resumed range skips finished units.
+	// range, so a resumed range skips finished units. A daemon's unit
+	// journal covers a job's whole range, so its keys are unit indices.
 	Journal *runner.Journal
+}
+
+// pending returns the units of [from, to) the range will compute: those
+// the journal holds no result for.
+func (opt shardOptions) pending(from, to int) []int {
+	if opt.Journal == nil {
+		units := make([]int, to-from)
+		for i := range units {
+			units[i] = from + i
+		}
+		return units
+	}
+	units := opt.Journal.Lacks(0, to-from)
+	for i := range units {
+		units[i] += from
+	}
+	return units
 }
 
 // executeShardUnits computes units [from, to) of spec's campaign and
@@ -72,19 +90,21 @@ func executeShardUnits(ctx context.Context, spec JobSpec, from, to int, opt shar
 		Seed: spec.Seed, Observe: spec.Observe, Sample: opt.Sample,
 		SimWorkers: spec.SimWorkers, Fidelity: fidelityFor(spec),
 	}
-	// The range's units share one evaluation scope, so each set's streams
-	// are generated once for all of its units here.
+	// The units the range computes share one evaluation scope, so each
+	// set's streams are generated once for all of them here; units the
+	// journal restores take no share.
+	pending := opt.pending(from, to)
 	var unit func(ctx context.Context, u int) (experiments.PolicyRun, error)
 	if spec.Kind == KindSet {
 		set := resolveSet(spec)
-		eval, err := experiments.NewSetEvaluation(set.config(), set.workloads(), set.Instructions, to-from, eopt)
+		eval, err := experiments.NewSetEvaluation(set.config(), set.workloads(), set.Instructions, len(pending), eopt)
 		if err != nil {
 			return nil, err
 		}
 		unit = eval.RunPolicy
 	} else { // KindExperiments
 		exp := resolveExperiments(spec)
-		unit = experiments.NewCampaignEvaluation(scaleFor(exp.Scale), exp.Instructions, from, to, eopt).RunUnit
+		unit = experiments.NewCampaignEvaluation(scaleFor(exp.Scale), exp.Instructions, pending, eopt).RunUnit
 	}
 	runs, err := runner.Map(ctx, runner.Config{
 		Workers: opt.Workers, Progress: opt.Progress, Journal: opt.Journal,

@@ -14,14 +14,14 @@ import (
 // workers exchange with a coordinator over /v1/work. Decoding follows the
 // same strictness contract as DecodeJobSpec — bounded size, no unknown
 // fields, no trailing data, full validation — so a malformed request is
-// always a clean 400, never a half-built lease or a corrupted partial
+// always a clean 400, never a half-built lease or a corrupted unit
 // result. FuzzShardProtocolDecode pins the accept ⇒ valid property.
 
 // maxShardAckBytes bounds lease, renew and fail bodies: small fixed-shape
 // messages plus an error string.
 const maxShardAckBytes = 1 << 16
 
-// maxShardUploadBytes bounds a partial-result upload. A shard of observed
+// maxShardUploadBytes bounds a shard's unit-result upload. A shard of observed
 // detailed simulations carries full epoch series; 64 MiB leaves two orders
 // of magnitude of headroom over the largest legitimate shard while still
 // bounding a hostile request.
@@ -114,7 +114,7 @@ func (a *ShardAck) Validate() error {
 	return nil
 }
 
-// ShardUpload delivers a completed shard's partial results
+// ShardUpload delivers a completed shard's unit results
 // (POST /v1/work/complete): one JSON-encoded unit result per unit in
 // [From, To), in unit order.
 type ShardUpload struct {
@@ -128,7 +128,7 @@ type ShardUpload struct {
 	// the worker over the bytes it is about to send. The coordinator
 	// recomputes it over the bytes it received; a mismatch means the payload
 	// was damaged in transit or in a buffer, and the shard re-leases instead
-	// of a corrupt partial being stored. Required.
+	// of a corrupt unit reaching the job's unit journal. Required.
 	Sum string `json:"sum"`
 }
 
@@ -234,7 +234,7 @@ func DecodeShardAck(r io.Reader) (*ShardAck, error) {
 	return &a, nil
 }
 
-// DecodeShardUpload parses and validates one partial-result upload.
+// DecodeShardUpload parses and validates one unit-result upload.
 func DecodeShardUpload(r io.Reader) (*ShardUpload, error) {
 	var u ShardUpload
 	if err := decodeStrict(r, maxShardUploadBytes, &u); err != nil {

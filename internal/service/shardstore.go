@@ -10,15 +10,16 @@ import (
 	"time"
 
 	"bankaware/internal/atomicio"
+	"bankaware/internal/runner"
 )
 
 // shardPlanVersion versions the on-disk shard plan encoding.
 const shardPlanVersion = "bankaware.shard-plan/v1"
 
 // Shard lease states. A shard is pending until a worker leases it, leased
-// while a worker holds an unexpired lease, and done once a structurally
-// valid partial result is stored — done is terminal and durable (the
-// partial file is the proof).
+// while a worker holds an unexpired lease, and done once the job's unit
+// journal holds every unit of its span — done is terminal and durable (the
+// journaled units are the proof).
 const (
 	ShardPending = "pending"
 	ShardLeased  = "leased"
@@ -57,25 +58,21 @@ type shardWALRecord struct {
 	Lease      string `json:"lease,omitempty"`
 	DeadlineNS int64  `json:"deadlineNs,omitempty"`
 	Attempts   int    `json:"attempts,omitempty"`
-	// Sum is the unitsSum of the stored partial, recorded on the done
-	// transition so later reads (merge, scrub) can verify the partial file
-	// against the hash that was checked at upload time.
-	Sum string `json:"sum,omitempty"`
 }
 
-// shardDir is one distributed job's durable shard state under
-// <store>/shards/<jobID>/: the WAL (state.wal: the plan, then the lease
-// transitions, compacted geometrically) and one partial-result file per
-// completed shard (partial-<index>.json, written atomically — its presence
-// is the durable "done" marker). A coordinator restarted mid-campaign
-// reloads both and continues: done shards keep their partials, unexpired
+// shardDir is one distributed job's lease state under
+// <store>/shards/<jobID>/state.wal: the plan, then the lease transitions,
+// compacted geometrically. The shards' results live in the job's unit
+// journal, which decides which shards are done. A coordinator restarted
+// mid-campaign reloads both and continues: done shards stay done, unexpired
 // leases keep their workers, and everything else re-queues.
 type shardDir struct {
-	dir  string
-	plan shardPlan
+	dir   string
+	plan  shardPlan
+	units *runner.Journal // the job's unit journal, keyed by unit index
 
 	// Unsynchronised: the coordinator serialises all access behind its own
-	// lock, so the shardDir only guards its file handles' lifecycle.
+	// lock, so the shardDir only guards its file handle's lifecycle.
 	wal    *atomicio.Log
 	states map[int]shardWALRecord
 }
@@ -85,16 +82,16 @@ func (s *Store) shardDirPath(job string) string {
 	return filepath.Join(s.dir, "shards", job)
 }
 
-// openShardDir loads (or initialises) the shard state for one job. mkplan
-// builds the plan on first open; a reopened dir keeps its stored plan so a
-// config change between restarts cannot re-shard a half-finished campaign.
-// A dir that lost its plan line is quarantined whole and re-planned: no
-// partial may be read under a plan it was not cut under.
-func openShardDir(dir string, mkplan func() shardPlan) (*shardDir, error) {
+// openShardDir loads (or initialises) the lease state for one job whose
+// finished units live in units. mkplan builds the plan on first open; a
+// reopened dir keeps its stored plan so a config change between restarts
+// cannot re-shard a half-finished campaign. A dir that lost its plan line
+// is quarantined whole and re-planned.
+func openShardDir(dir string, units *runner.Journal, mkplan func() shardPlan) (*shardDir, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: initialising shard dir: %w", err)
 	}
-	d := &shardDir{dir: dir, states: make(map[int]shardWALRecord)}
+	d := &shardDir{dir: dir, units: units, states: make(map[int]shardWALRecord)}
 	// A corrupt WAL keeps its verified states (a shard whose state was lost
 	// is pending); compaction below quarantines the damaged file.
 	var err error
@@ -114,26 +111,26 @@ func openShardDir(dir string, mkplan func() shardPlan) (*shardDir, error) {
 		case !os.IsNotExist(rerr):
 			return nil, fmt.Errorf("service: reading shard plan: %w", rerr)
 		case err != nil || len(d.states) > 0:
+			d.wal.Close()
 			if err := os.Rename(dir, dir+".quarantine"); err != nil {
 				return nil, fmt.Errorf("service: quarantining shard dir that lost its plan: %w", err)
 			}
-			return openShardDir(dir, mkplan)
+			return openShardDir(dir, units, mkplan)
 		default:
 			d.plan = mkplan()
 		}
 	}
-	// Partial files are the durable truth for completion: a partial written
-	// after the last WAL sync still counts, and a WAL "done" without its
-	// partial (impossible in-order, but crash-tolerated) falls back to the
-	// lease state so the shard re-runs.
+	// The journal is the durable truth for completion: a shard whose units
+	// it holds is done whatever the WAL last said, and a WAL "done" whose
+	// units it lacks (lost to corruption, or written to a partial-*.json
+	// file by an older version) goes back to pending and re-runs.
 	for _, span := range d.plan.Shards {
-		if _, err := os.Stat(d.partialPath(span.Index)); err == nil {
-			d.states[span.Index] = shardWALRecord{Shard: span.Index, State: ShardDone,
-				Attempts: d.states[span.Index].Attempts, Sum: d.states[span.Index].Sum}
-		} else if st, ok := d.states[span.Index]; ok && st.State == ShardDone {
-			st.State = ShardPending
-			st.Lease, st.Worker, st.DeadlineNS = "", "", 0
-			d.states[span.Index] = st
+		st := d.state(span.Index)
+		switch {
+		case len(units.Lacks(span.From, span.To)) == 0:
+			d.states[span.Index] = shardWALRecord{Shard: span.Index, State: ShardDone, Attempts: st.Attempts}
+		case st.State == ShardDone:
+			d.states[span.Index] = shardWALRecord{Shard: span.Index, State: ShardPending, Attempts: st.Attempts}
 		}
 	}
 	if err := d.compact(); err != nil {
@@ -146,7 +143,8 @@ func openShardDir(dir string, mkplan func() shardPlan) (*shardDir, error) {
 }
 
 // fold applies one state.wal line. The plan line, the only one with a
-// version, sets d.plan; of the shard transitions the last per shard wins.
+// version, sets d.plan once its shards tile its units in index order; of
+// the shard transitions the last per shard wins.
 func (d *shardDir) fold(line []byte) error {
 	var rec struct {
 		shardPlan
@@ -156,21 +154,29 @@ func (d *shardDir) fold(line []byte) error {
 		return err
 	}
 	switch {
+	case rec.Version == "" && rec.State != ShardPending && rec.State != ShardLeased && rec.State != ShardDone:
+		return fmt.Errorf("service: shard %d has state %q", rec.Shard, rec.State)
 	case rec.Version == "":
 		d.states[rec.Shard] = rec.shardWALRecord
-	case rec.Version != shardPlanVersion || len(rec.Shards) == 0:
+	case rec.Version != shardPlanVersion:
 		return fmt.Errorf("service: shard plan has version %q", rec.Version)
 	default:
+		next := 0
+		for i, span := range rec.Shards {
+			if span.Index != i || span.From != next || span.To <= next {
+				return fmt.Errorf("service: shard plan's shard %d is [%d, %d)", i, span.From, span.To)
+			}
+			next = span.To
+		}
+		if next == 0 || next != rec.Units {
+			return fmt.Errorf("service: shard plan tiles %d of %d units", next, rec.Units)
+		}
 		d.plan = rec.shardPlan
 	}
 	return nil
 }
 
 func (d *shardDir) walPath() string { return filepath.Join(d.dir, "state.wal") }
-
-func (d *shardDir) partialPath(idx int) string {
-	return filepath.Join(d.dir, fmt.Sprintf("partial-%d.json", idx))
-}
 
 // state returns the folded WAL state for one shard (zero record when the
 // shard has never transitioned, i.e. pending).
@@ -227,79 +233,25 @@ func (d *shardDir) compact() error {
 	return nil
 }
 
-// shardPartial is the stored form of one shard's uploaded results.
-type shardPartial struct {
-	Shard int               `json:"shard"`
-	Units []json.RawMessage `json:"units"`
+// complete journals one shard's uploaded units with one synced append,
+// then logs the done transition.
+func (d *shardDir) complete(span shardSpan, units []json.RawMessage, worker string, attempts int) error {
+	if err := d.units.RecordBatch(span.From, units); err != nil {
+		return err
+	}
+	return d.log(shardWALRecord{Shard: span.Index, State: ShardDone, Worker: worker, Attempts: attempts})
 }
 
-// savePartial persists one shard's unit results atomically, then logs the
-// done transition carrying the payload hash. Write order matters: the
-// partial file is the durable completion marker, the WAL line only an
-// accelerant.
-func (d *shardDir) savePartial(idx int, units []json.RawMessage, worker string, attempts int) error {
-	data, err := json.Marshal(shardPartial{Shard: idx, Units: units})
-	if err != nil {
-		return fmt.Errorf("service: encoding partial for shard %d: %w", idx, err)
-	}
-	if err := atomicio.WriteFileBytes(d.partialPath(idx), data); err != nil {
-		return fmt.Errorf("service: persisting partial for shard %d: %w", idx, err)
-	}
-	return d.log(shardWALRecord{Shard: idx, State: ShardDone, Worker: worker,
-		Attempts: attempts, Sum: unitsSum(units)})
-}
-
-// corruptPartialError signals that a stored partial failed verification at
-// merge time and was quarantined; the shard must re-run.
-type corruptPartialError struct {
-	shard int
-	cause string
-}
-
-func (e *corruptPartialError) Error() string {
-	return fmt.Sprintf("service: partial for shard %d corrupt: %s (quarantined)", e.shard, e.cause)
-}
-
-func (e *corruptPartialError) Unwrap() error { return ErrCorrupt }
-
-// loadPartial reads one stored partial back and verifies it: structure
-// first, then the payload hash against the sum the WAL recorded at upload
-// time (when present — partials written before hashing verify structurally
-// only). A failed partial is quarantined and reported as
-// *corruptPartialError so the coordinator re-queues the shard instead of
-// failing the job.
-func (d *shardDir) loadPartial(idx int) ([]json.RawMessage, error) {
-	data, err := os.ReadFile(d.partialPath(idx))
-	if err != nil {
-		return nil, err
-	}
-	var p shardPartial
-	corrupt := func(cause string) ([]json.RawMessage, error) {
-		if qerr := quarantineFile(d.partialPath(idx)); qerr != nil {
-			return nil, fmt.Errorf("service: partial for shard %d corrupt (%s), quarantine failed: %v",
-				idx, cause, qerr)
-		}
-		return nil, &corruptPartialError{shard: idx, cause: cause}
-	}
-	if err := json.Unmarshal(data, &p); err != nil {
-		return corrupt(fmt.Sprintf("decoding: %v", err))
-	}
-	if p.Shard != idx || len(p.Units) == 0 {
-		return corrupt("inconsistent shard index or empty units")
-	}
-	if want := d.state(idx).Sum; want != "" {
-		if got := unitsSum(p.Units); got != want {
-			return corrupt(fmt.Sprintf("payload hashes to %s, upload recorded %s", got, want))
+// journaledUnits returns the campaign's units, in unit order, from the
+// journal. Once every shard is done it holds them all.
+func (d *shardDir) journaledUnits() ([]json.RawMessage, error) {
+	out := make([]json.RawMessage, d.plan.Units)
+	for u := range out {
+		if ok, err := d.units.Restore(u, &out[u]); !ok || err != nil {
+			return nil, fmt.Errorf("service: unit journal lacks unit %d of %d (%v)", u, d.plan.Units, err)
 		}
 	}
-	return p.Units, nil
-}
-
-// remove deletes the whole shard dir (terminal cleanup after merge or
-// cancel).
-func (d *shardDir) remove() error {
-	d.wal.Close()
-	return os.RemoveAll(d.dir)
+	return out, nil
 }
 
 // leaseDeadline converts a TTL from now into the WAL's representation.

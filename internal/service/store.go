@@ -18,11 +18,11 @@ import (
 	"bankaware/internal/metrics"
 )
 
-// ErrCorrupt reports a stored artifact (report, shard partial) whose bytes
-// no longer match their recorded content hash — bit-rot, truncation or
-// tampering. The read path quarantines the file before returning it, and
-// the HTTP layer maps the error to 503 + Retry-After (the job self-heals
-// by re-running) rather than serving poison or a generic 500.
+// ErrCorrupt reports a stored report whose bytes no longer match their
+// recorded content hash — bit-rot, truncation or tampering. The read path
+// quarantines the file before returning it, and the HTTP layer maps the
+// error to 503 + Retry-After (the job self-heals by re-running) rather
+// than serving poison or a generic 500.
 var ErrCorrupt = errors.New("service: stored artifact corrupt")
 
 // Job states. A job is terminal in StateDone, StateFailed or StateCanceled;
@@ -90,8 +90,9 @@ const jobLogName = "intake.wal"
 var walCompactBytes int64 = 4 << 20
 
 // Store is the daemon's durable result store: the job log (intake.wal), the
-// finished run report under reports/, the Monte Carlo checkpoint journal
-// under journals/, and the run ledger. The job log is the only durable copy
+// finished run reports under reports/, each unfinished job's unit journal
+// under journals/ and, under a coordinator, its lease state under shards/,
+// and the run ledger. The job log is the only durable copy
 // of job state: every transition appends one checksummed JobRecord line (a
 // batch of freshly accepted jobs shares one fsync, see batcher.go), and a
 // job's state is its last verified line.
@@ -509,9 +510,19 @@ func (s *Store) ReportPath(id string) string {
 	return filepath.Join(s.dir, "reports", id+".json")
 }
 
-// JournalPath returns where id's trial checkpoint journal lives.
+// JournalPath returns where id's unit journal lives: every finished unit
+// of the job, keyed by unit index, until the job is terminal.
 func (s *Store) JournalPath(id string) string {
 	return filepath.Join(s.dir, "journals", id+".journal")
+}
+
+// removeUnits deletes id's unit journal and shard dir, once the job is
+// terminal. A quarantined copy of either stays as evidence. A failed
+// removal costs only space, so it is not reported: a re-run of the job
+// would restore the same units.
+func (s *Store) removeUnits(id string) {
+	os.Remove(s.JournalPath(id))
+	os.RemoveAll(s.shardDirPath(id))
 }
 
 // SaveReport persists a finished job's report atomically and returns the

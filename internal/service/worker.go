@@ -22,7 +22,7 @@ import (
 const (
 	// WorkerShardStart fires after a lease is granted, before execution.
 	WorkerShardStart = "start"
-	// WorkerShardUpload fires after the partial results are accepted.
+	// WorkerShardUpload fires after the shard's unit results are accepted.
 	WorkerShardUpload = "upload"
 	// WorkerShardAbandon fires when the worker loses its lease (a renew was
 	// rejected) or fails the shard back to the coordinator.
@@ -68,7 +68,7 @@ var workerClient = &http.Client{Timeout: 5 * time.Minute}
 
 // Worker is one pulling execution daemon: it leases shards from a
 // coordinator, executes them unit by unit with a checkpoint journal,
-// renews its lease while computing, and uploads the partial results. Every
+// renews its lease while computing, and uploads the unit results. Every
 // worker computes identical bytes for the same shard, so the coordinator
 // may hand any shard to any worker in any order.
 type Worker struct {

@@ -229,7 +229,7 @@ func WithJobTimeout(d time.Duration) RunnerOption {
 // them, and the resumed campaign's report is byte-identical to an
 // uninterrupted run. The file is created on first use and appended on
 // resume; delete it to start fresh. Detailed-simulation campaigns ignore
-// the checkpoint (their run reports are too large to journal profitably).
+// the checkpoint.
 func WithCheckpoint(path string) RunnerOption {
 	return func(r *Runner) { r.checkpoint = path }
 }
