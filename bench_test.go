@@ -59,29 +59,11 @@ func BenchmarkEngineFig8Campaign(b *testing.B) {
 	}
 }
 
-// BenchmarkFastSetEvaluation measures one fast set job's engine work: a
-// Table III set's three policy units at the 3 M default budget, rotating
-// through sets 1-4 at seed 1 on one worker, with the profiles built
-// beforehand (a served job finds them cached). Compare two commits with
-// `go test -run '^$' -bench FastSetEvaluation -count 10` and benchstat.
-func BenchmarkFastSetEvaluation(b *testing.B) {
-	ctx := context.Background()
-	opt := experiments.Options{Seed: 1, Fidelity: experiments.FidelityFast, Workers: 1}
-	run := func(i int) {
-		set := i % 4
-		if _, err := experiments.RunSetContext(ctx, experiments.ScaleModel.Config(), set+1,
-			experiments.TableIIISets[set][:], experiments.ScaleModel.DefaultInstructions(), opt); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for i := 0; i < 4; i++ {
-		run(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run(i)
-	}
-}
+// BenchmarkFastSetEvaluation measures one fast set job's engine work (the
+// body lives in internal/benchmarks, so cmd/bench records it too). Compare
+// two commits with `go test -run '^$' -bench FastSetEvaluation -count 10`
+// and benchstat.
+func BenchmarkFastSetEvaluation(b *testing.B) { benchmarks.FastSetEvaluation(b) }
 
 // ------------------------------------------------------------ micro-benches
 //

@@ -1,7 +1,8 @@
 // Command bench is the machine-readable perf harness: it runs the hot-path
-// micro-benchmarks and the end-to-end system benchmark through
-// testing.Benchmark, emits a BENCH_<n>.json trajectory file, and gates
-// regressions against a committed baseline.
+// micro-benchmarks, the detailed engine's end-to-end system benchmark and
+// the fast tier's set evaluation through testing.Benchmark, emits a
+// BENCH_<n>.json trajectory file, and gates regressions against a
+// committed baseline.
 //
 // Typical uses:
 //
@@ -78,6 +79,7 @@ var suite = []struct {
 	{"SystemStepParallel2", benchmarks.SystemStepParallel2},
 	{"SystemStepParallel4", benchmarks.SystemStepParallel4},
 	{"SystemStepParallel8", benchmarks.SystemStepParallel8},
+	{"FastSetEvaluation", benchmarks.FastSetEvaluation},
 	{"ServiceSubmitThroughput", benchmarks.ServiceSubmitThroughput},
 	{"ServiceCachedSubmit", benchmarks.ServiceCachedSubmit},
 }

@@ -10,6 +10,7 @@
 package benchmarks
 
 import (
+	"context"
 	"testing"
 
 	"bankaware/internal/cache"
@@ -154,6 +155,30 @@ func systemStep(b *testing.B, simWorkers int) {
 	if sec := b.Elapsed().Seconds(); sec > 0 {
 		b.ReportMetric(float64(cycles)/sec, "simCycles/sec")
 		b.ReportMetric(float64(instr)/sec, "simInstr/sec")
+	}
+}
+
+// FastSetEvaluation measures one fast set job's engine work: a Table III
+// set's three policy units at the 3 M default budget, rotating through
+// sets 1-4 at seed 1 on one worker. The profiles are built before the
+// timer starts, as a served job finds them cached.
+func FastSetEvaluation(b *testing.B) {
+	ctx := context.Background()
+	opt := experiments.Options{Seed: 1, Fidelity: experiments.FidelityFast, Workers: 1}
+	run := func(i int) {
+		set := i % 4
+		if _, err := experiments.RunSetContext(ctx, experiments.ScaleModel.Config(), set+1,
+			experiments.TableIIISets[set][:], experiments.ScaleModel.DefaultInstructions(), opt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		run(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(i)
 	}
 }
 

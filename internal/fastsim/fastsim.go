@@ -112,13 +112,13 @@ func (cs *capSolve) extraIntegral(c int, n0, n1 float64) float64 {
 
 // buildTransient fills core c's transient schedule from per-atom steady hit
 // probabilities.
-func (cs *capSolve) buildTransient(c int, p *profile, actN []float64, hit func(distAtom) float64) {
+func (cs *capSolve) buildTransient(c int, p *profile, actN []float64, hit func(i int) float64) {
 	n := len(p.atoms)
 	cs.actN[c] = actN
 	preH := make([]float64, n+1)
 	preHN := make([]float64, n+1)
 	for i, a := range p.atoms {
-		h := a.mass * hit(a)
+		h := a.mass * hit(i)
 		preH[i+1] = preH[i] + h
 		preHN[i+1] = preHN[i] + h*actN[i]
 		if h > 1e-12 {
@@ -243,8 +243,8 @@ func (s *System) capacityFor(key solveKey) *capSolve {
 			cs.m2[c] = p.missPartitioned(sc.cfg.BankSets, groups)
 			if total > 0 {
 				g, t := groups, total
-				cs.buildTransient(c, p, sc.actN[c], func(a distAtom) float64 {
-					return p.hitPartitioned(a, sc.cfg.BankSets, g, t)
+				cs.buildTransient(c, p, sc.actN[c], func(i int) float64 {
+					return p.hitPartitioned(p.atoms[i], sc.cfg.BankSets, g, t)
 				})
 			}
 		}
@@ -268,7 +268,7 @@ func (s *System) capacityFor(key solveKey) *capSolve {
 					rates[c] = p.gapP * (1 - p.h1) / cpi[c]
 				}
 			}
-			sharedMissRatios(sc.profs, rates, m2Prev, sc.cfg.BankSets, m2)
+			sc.sharedMissRatios(rates, m2Prev, m2)
 			copy(m2Prev, m2)
 			copy(cs.m2[:], m2)
 			res := s.replayFor(key, cs.m2)
@@ -279,8 +279,8 @@ func (s *System) capacityFor(key solveKey) *capSolve {
 				continue
 			}
 			cc := c
-			cs.buildTransient(c, p, sc.actN[c], func(a distAtom) float64 {
-				return hitShared(sc.profs, cc, a, rates, m2Prev, sc.cfg.BankSets)
+			cs.buildTransient(c, p, sc.actN[c], func(i int) float64 {
+				return sc.hitShared(cc, i, rates, m2Prev)
 			})
 		}
 	}

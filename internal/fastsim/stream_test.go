@@ -11,6 +11,17 @@ import (
 	"bankaware/internal/trace"
 )
 
+// microEvent is one memory access of the reference stream, all its draws
+// in one record.
+type microEvent struct {
+	gap  int32   // non-memory instructions before this access
+	isL2 bool    // true when the access misses the L1 (stratified on h1)
+	u2   float64 // miss-selection rank within the event's stratum block
+	uB   float64 // bank placement draw
+	uW   float64 // dirty-victim writeback draw
+	uC   float64 // DRAM channel spread draw
+}
+
 // eagerStream is the reference stream: every event drawn up front.
 type eagerStream struct {
 	events []microEvent
@@ -184,7 +195,8 @@ func catalogProfiles(t *testing.T) []*profile {
 }
 
 // checkReplay reads stream st as a replay does, for reads events, and
-// compares every event and miss flag with the eager reference. Like
+// compares every event's gap and L2 flag, every L2 event's four draws and
+// every miss flag with the eager reference. Like
 // replayWindow it classifies into the flag storage of an earlier replay,
 // buf, and returns the storage for the next.
 func checkReplay(t *testing.T, name string, st *coreStream, ref *eagerStream, m2, runTarget float64, reads int, buf []bool) []bool {
@@ -193,10 +205,19 @@ func checkReplay(t *testing.T, name string, st *coreStream, ref *eagerStream, m2
 	mc := newMissClassifier(st, m2, runTarget, buf)
 	for idx := 0; idx < reads; idx++ {
 		i := idx % len(ref.events)
-		ev, miss := mc.next()
-		if ev != ref.events[i] || miss != want[i] {
+		gap, u, miss := mc.next()
+		got := microEvent{gap: int32(gap), isL2: u != nil}
+		if u != nil {
+			got.u2, got.uB, got.uW, got.uC = u.u2, u.uB, u.uW, u.uC
+		}
+		ev := ref.events[i]
+		if !ev.isL2 {
+			// The replay never reads an L1 hit's draws: the stream drops them.
+			ev.u2, ev.uB, ev.uW, ev.uC = 0, 0, 0, 0
+		}
+		if got != ev || miss != want[i] {
 			t.Fatalf("%s m2=%v runTarget=%v (clustered=%v): read %d (event %d) = %+v miss=%v, eager %+v miss=%v",
-				name, m2, runTarget, mc.clustered, idx, i, ev, miss, ref.events[i], want[i])
+				name, m2, runTarget, mc.clustered, idx, i, got, miss, ev, want[i])
 		}
 	}
 	return mc.flags

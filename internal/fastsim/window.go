@@ -43,24 +43,13 @@ const (
 	missStride = 64
 )
 
-// microEvent is one memory access of the synthetic stream.
-type microEvent struct {
-	gap  int32   // non-memory instructions before this access
-	isL2 bool    // true when the access misses the L1 (stratified on h1)
-	u2   float64 // miss-selection rank within the event's stratum block
-	uB   float64 // bank placement draw
-	uW   float64 // dirty-victim writeback draw
-	uC   float64 // DRAM channel spread draw
-}
-
 // coreStream is one core's event stream, drawn on demand in blocks of
-// missStride events, plus derived indexing over the drawn prefix. The
-// Systems of a scope read it concurrently, as trace.Tape's readers read a
-// tape: drawing appends to the prefix under mu, a drawn prefix never
-// changes afterwards, and each replay reads the streamView it last took
-// without the lock.
+// missStride events. The Systems of a scope read it concurrently, as
+// trace.Tape's readers read a tape: drawing appends to the prefix under mu,
+// a drawn prefix never changes afterwards, and each replay reads the
+// streamView it last took without the lock.
 type coreStream struct {
-	n        int // full length; a replay reads event idx % n
+	n        int // full length; a replay wraps to event 0 after event n-1
 	gapP, h1 float64
 
 	mu       sync.Mutex
@@ -70,13 +59,26 @@ type coreStream struct {
 	blockBuf [missStride]float64
 }
 
+// l2Draws are the uniforms one L2 event's replay reads.
+type l2Draws struct {
+	u2 float64 // miss-selection rank within the event's stratum block
+	uB float64 // bank placement draw
+	uW float64 // dirty-victim writeback draw
+	uC float64 // DRAM channel spread draw
+}
+
 // streamView is a drawn prefix of a stream.
 type streamView struct {
-	events []microEvent
-	l2Idx  []int32 // indices of L2 events, in stream order
-	// order lists, per complete missStride-block of l2Idx, the block's
-	// offsets by ascending (u2, stream order): order[b+r] is the offset
-	// of the block's r-th smallest u2.
+	// events holds one word per event: the non-memory instructions before
+	// the access (at most 2^20, stats.Geometric's cap) shifted left by one,
+	// with bit 0 set when the access misses the L1 (stratified on h1).
+	events []int32
+	// draws holds the L2 events' uniforms, in stream order: draws[j] is the
+	// j-th L2 event's. An L1 hit's draws are drawn and dropped.
+	draws []l2Draws
+	// order lists, per complete missStride-block of draws, the block's
+	// offsets by ascending (u2, stream order): order[b+r] is the offset of
+	// the block's r-th smallest u2.
 	order []uint8
 }
 
@@ -107,7 +109,7 @@ func buildStreams(seed uint64, profs []*profile) []*coreStream {
 func (st *coreStream) view(events, l2 int) streamView {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	for (len(st.drawn.events) < events || len(st.drawn.l2Idx) < l2) && len(st.drawn.events) < st.n {
+	for (len(st.drawn.events) < events || len(st.drawn.draws) < l2) && len(st.drawn.events) < st.n {
 		st.drawBlock()
 	}
 	return st.drawn
@@ -117,7 +119,8 @@ func (st *coreStream) view(events, l2 int) streamView {
 // L1 hit/miss split is stratified: per block the L2 count is exact
 // (carry-accumulated), with the positions chosen by rank among the
 // block's u1 uniforms. Draw order is fixed: the block's u1 draws, then
-// per event its gap, u2, uB, uW and uC. st.mu is held.
+// per event its gap, u2, uB, uW and uC, which an L1 hit draws and drops.
+// st.mu is held.
 func (st *coreStream) drawBlock() {
 	d := &st.drawn
 	blk := len(d.events)
@@ -139,33 +142,34 @@ func (st *coreStream) drawBlock() {
 			thresh = kthSmallest(append(sel[:0], u1...), k)
 		}
 	}
-	for i := range u1 {
-		ev := microEvent{isL2: u1[i] <= thresh}
-		ev.gap = int32(st.rng.Geometric(st.gapP))
-		ev.u2 = st.rng.Float64()
-		ev.uB = st.rng.Float64()
-		ev.uW = st.rng.Float64()
-		ev.uC = st.rng.Float64()
-		if ev.isL2 {
-			d.l2Idx = append(d.l2Idx, int32(blk+i))
+	for _, u := range u1 {
+		ev := int32(st.rng.Geometric(st.gapP)) << 1
+		var l2 l2Draws
+		l2.u2 = st.rng.Float64()
+		l2.uB = st.rng.Float64()
+		l2.uW = st.rng.Float64()
+		l2.uC = st.rng.Float64()
+		if u <= thresh {
+			ev |= 1
+			d.draws = append(d.draws, l2)
 		}
 		d.events = append(d.events, ev)
 	}
 	done := len(d.events) == st.n
-	for len(d.l2Idx)-len(d.order) >= missStride || done && len(d.order) < len(d.l2Idx) {
+	for len(d.draws)-len(d.order) >= missStride || done && len(d.order) < len(d.draws) {
 		st.orderBlock()
 	}
 }
 
-// orderBlock appends the u2 order of the next block of l2Idx, which is
+// orderBlock appends the u2 order of the next block of draws, which is
 // complete: missStride L2 events long, or the stream's last. Insertion
 // keeps equal u2 in stream order. st.mu is held.
 func (st *coreStream) orderBlock() {
 	d := &st.drawn
 	blk := len(d.order)
-	u2 := st.blockBuf[:min(missStride, len(d.l2Idx)-blk)]
+	u2 := st.blockBuf[:min(missStride, len(d.draws)-blk)]
 	for i := range u2 {
-		u2[i] = d.events[d.l2Idx[blk+i]].u2
+		u2[i] = d.draws[blk+i].u2
 		j := len(d.order)
 		d.order = append(d.order, 0)
 		for ; j > blk && u2[d.order[j-1]] > u2[i]; j-- {
@@ -227,7 +231,7 @@ func kthSmallest(buf []float64, k int) float64 {
 type missClassifier struct {
 	st            *coreStream
 	v             streamView // the stream's prefix as this replay last saw it
-	idx, l2n      int        // events and L2 events read, L2 restarting with the stream
+	pos, l2n      int        // next event and next L2 event to read; both restart with the stream
 	m2, runTarget float64
 	clustered     bool
 	stride        int
@@ -257,11 +261,15 @@ func newMissClassifier(st *coreStream, m2, runTarget float64, buf []bool) missCl
 	return mc
 }
 
-// next returns the replay's next event, stream position idx % n, and
-// whether it misses (always false for an L1 hit).
-func (mc *missClassifier) next() (microEvent, bool) {
-	i := mc.idx % mc.st.n
-	mc.idx++
+// next reads the replay's next event and returns its gap. For an L2 event
+// it also returns the event's draws and whether it misses; an L1 hit
+// returns nil draws. After the stream's last event the replay reads event
+// 0 again.
+func (mc *missClassifier) next() (gap int, u *l2Draws, miss bool) {
+	i := mc.pos
+	if mc.pos++; mc.pos == mc.st.n {
+		mc.pos = 0
+	}
 	if i == 0 {
 		mc.l2n = 0
 	}
@@ -269,11 +277,12 @@ func (mc *missClassifier) next() (microEvent, bool) {
 		mc.v = mc.st.view(i+1, 0)
 	}
 	ev := mc.v.events[i]
-	if !ev.isL2 {
-		return ev, false
+	if ev&1 == 0 {
+		return int(ev >> 1), nil, false
 	}
+	j := mc.l2n
 	mc.l2n++
-	return ev, mc.missAt(mc.l2n - 1)
+	return int(ev >> 1), &mc.v.draws[j], mc.missAt(j)
 }
 
 // missAt reports whether the stream's j-th L2 event misses.
@@ -289,18 +298,18 @@ func (mc *missClassifier) missAt(j int) bool {
 // stream's last.
 func (mc *missClassifier) classifyBlock() {
 	blk := len(mc.flags)
-	if len(mc.v.l2Idx) < blk+mc.stride && len(mc.v.events) < mc.st.n {
+	if len(mc.v.draws) < blk+mc.stride && len(mc.v.events) < mc.st.n {
 		mc.v = mc.st.view(0, blk+mc.stride)
 	}
 	v := mc.v
-	size := min(mc.stride, len(v.l2Idx)-blk)
+	size := min(mc.stride, len(v.draws)-blk)
 	want := float64(size)*mc.m2 + mc.carry
 	k := int(want)
 	mc.carry = want - float64(k)
 	mc.flags = slices.Grow(mc.flags, size)[:blk+size]
 	flags := mc.flags[blk:]
 	clear(flags)
-	u2 := func(i int) float64 { return v.events[v.l2Idx[blk+i]].u2 }
+	draws := v.draws[blk : blk+size]
 	switch {
 	case k <= 0:
 	case k >= size:
@@ -311,10 +320,10 @@ func (mc *missClassifier) classifyBlock() {
 		// Rank placement: the k smallest u2 of the block miss — all
 		// below the k-th smallest, then the first in stream order equal
 		// to it.
-		thresh := u2(int(v.order[blk+k-1]))
+		thresh := draws[v.order[blk+k-1]].u2
 		marked := 0
 		for i := 0; i < size && marked < k; i++ {
-			if u2(i) <= thresh {
+			if draws[i].u2 <= thresh {
 				flags[i] = true
 				marked++
 			}
@@ -340,7 +349,7 @@ func (mc *missClassifier) classifyBlock() {
 			}
 			startAt := base
 			if slack > 0 {
-				startAt += int(u2(base) * float64(slack+1))
+				startAt += int(draws[base].u2 * float64(slack+1))
 				if startAt > base+slack {
 					startAt = base + slack
 				}
@@ -377,7 +386,6 @@ type windowResult struct {
 func (sc *Scope) replayWindow(p windowParams, flags *[nuca.NumCores][]bool) windowResult {
 	cfg := &sc.cfg
 	var res windowResult
-	cores := [8]*cpu.Core{}
 	net := interconnect.MustNew(nuca.NumCores,
 		(nuca.MaxLatency-nuca.MinLatency)/float64(2*7), cfg.FlitCycles)
 	channels := cfg.MemChannels
@@ -391,115 +399,118 @@ func (sc *Scope) replayWindow(p windowParams, flags *[nuca.NumCores][]bool) wind
 	}
 	var bankFree [nuca.NumBanks]int64
 	var rr [8]int
-	var warmInstr, measInstr [8]uint64
-	var warmNow, measNow [8]int64
+	var warmInstr [8]uint64
+	var warmNow [8]int64
 	var warmed [8]bool
 	var missN, missSum [8]int64
+	var cores [8]*cpu.Core
 	var streams [8]missClassifier
+	// clock[c] is core c's cycle while it runs the window, and MaxInt64
+	// once it has run it (or when it is inactive), so the scheduler below
+	// reads no core.
+	var clock [8]int64
 	for c := 0; c < nuca.NumCores; c++ {
+		clock[c] = math.MaxInt64
 		if !p.active[c] {
 			continue
 		}
 		cores[c] = cpu.MustNew(c, cfg.CPU)
+		clock[c] = cores[c].Now()
 		streams[c] = newMissClassifier(sc.streams[c], p.m2[c], p.runLen[c], flags[c])
 	}
 
 	for {
-		c := -1
-		var tmin int64
-		for i := 0; i < nuca.NumCores; i++ {
-			if cores[i] == nil || cores[i].Now() >= windowCycles {
-				continue
-			}
-			if c < 0 || cores[i].Now() < tmin {
-				c, tmin = i, cores[i].Now()
+		c, now := 0, clock[0]
+		for i := 1; i < nuca.NumCores; i++ {
+			if clock[i] < now {
+				c, now = i, clock[i]
 			}
 		}
-		if c < 0 {
+		if now == math.MaxInt64 {
 			break
 		}
 		core := cores[c]
-		if !warmed[c] && core.Now() >= windowWarm {
+		if !warmed[c] && now >= windowWarm {
 			warmed[c] = true
 			warmInstr[c] = core.Instructions()
-			warmNow[c] = core.Now()
+			warmNow[c] = now
 		}
-		ev, isMiss := streams[c].next()
-		issueAt := core.BeginAccess(int(ev.gap))
-		if !ev.isL2 {
-			measInstr[c] = core.Instructions()
-			measNow[c] = core.Now()
-			continue
-		}
-		// Bank choice mirrors l2Access: hashed mode spreads every access
-		// uniformly; partitioned mode places misses round-robin over the
-		// owned-way ring and finds hits where insertion put them (the
-		// ring distribution).
-		var bank int
-		if p.hashed {
-			bank = int(ev.uB * nuca.NumBanks)
-			if bank >= nuca.NumBanks {
-				bank = nuca.NumBanks - 1
-			}
-		} else {
-			ring := p.rings[c]
-			if len(ring) == 0 {
-				// No capacity: every access misses straight through one
-				// notional bank (the local one) to DRAM.
-				bank = c
-				isMiss = true
-			} else if isMiss {
-				bank = ring[rr[c]%len(ring)]
-				rr[c]++
-			} else {
-				bi := int(ev.uB * float64(len(ring)))
-				if bi >= len(ring) {
-					bi = len(ring) - 1
+		gap, u, isMiss := streams[c].next()
+		issueAt := core.BeginAccess(gap)
+		if u != nil {
+			// Bank choice mirrors l2Access: hashed mode spreads every access
+			// uniformly; partitioned mode places misses round-robin over the
+			// owned-way ring and finds hits where insertion put them (the
+			// ring distribution).
+			var bank int
+			if p.hashed {
+				bank = int(u.uB * nuca.NumBanks)
+				if bank >= nuca.NumBanks {
+					bank = nuca.NumBanks - 1
 				}
-				bank = ring[bi]
+			} else {
+				ring := p.rings[c]
+				if len(ring) == 0 {
+					// No capacity: every access misses straight through one
+					// notional bank (the local one) to DRAM.
+					bank = c
+					isMiss = true
+				} else if isMiss {
+					bank = ring[rr[c]%len(ring)]
+					rr[c]++
+				} else {
+					bi := int(u.uB * float64(len(ring)))
+					if bi >= len(ring) {
+						bi = len(ring) - 1
+					}
+					bank = ring[bi]
+				}
 			}
-		}
-		router := nuca.RouterOf(bank)
-		drop := nuca.DropLatency(bank)
-		reqArrive := net.Transfer(c, router, issueAt, cfg.ReqFlits) + drop
-		bankStart := reqArrive
-		if bankFree[bank] > bankStart {
-			bankStart = bankFree[bank]
-		}
-		bankFree[bank] = bankStart + cfg.BankBusyCycles
-		dataReady := bankStart + nuca.MinLatency
-		var done int64
-		if isMiss {
-			addr := uint64(ev.uC*float64(1<<30)) << 6
-			if ev.uW < p.wbFrac[c] {
-				dram.Writeback(addr^0x5bd1e995, dataReady)
+			router := nuca.RouterOf(bank)
+			drop := nuca.DropLatency(bank)
+			reqArrive := net.Transfer(c, router, issueAt, cfg.ReqFlits) + drop
+			bankStart := reqArrive
+			if bankFree[bank] > bankStart {
+				bankStart = bankFree[bank]
 			}
-			memDone := dram.Request(addr, dataReady)
-			done = net.Transfer(router, c, memDone+drop, cfg.DataFlits)
-			if warmed[c] {
-				missN[c]++
-				missSum[c] += done - issueAt
+			bankFree[bank] = bankStart + cfg.BankBusyCycles
+			dataReady := bankStart + nuca.MinLatency
+			var done int64
+			if isMiss {
+				addr := uint64(u.uC*float64(1<<30)) << 6
+				if u.uW < p.wbFrac[c] {
+					dram.Writeback(addr^0x5bd1e995, dataReady)
+				}
+				memDone := dram.Request(addr, dataReady)
+				done = net.Transfer(router, c, memDone+drop, cfg.DataFlits)
+				if warmed[c] {
+					missN[c]++
+					missSum[c] += done - issueAt
+				}
+			} else {
+				done = net.Transfer(router, c, dataReady+drop, cfg.DataFlits)
 			}
-		} else {
-			done = net.Transfer(router, c, dataReady+drop, cfg.DataFlits)
+			core.RecordFill(done)
 		}
-		core.RecordFill(done)
-		measInstr[c] = core.Instructions()
-		measNow[c] = core.Now()
+		if clock[c] = core.Now(); clock[c] >= windowCycles {
+			clock[c] = math.MaxInt64
+		}
 	}
 
 	for c := 0; c < nuca.NumCores; c++ {
-		if cores[c] == nil {
+		if !p.active[c] {
 			continue
 		}
 		flags[c] = streams[c].flags // keep the storage for the next replay
-		di := float64(measInstr[c]) - float64(warmInstr[c])
-		dc := float64(measNow[c]) - float64(warmNow[c])
+		// A core leaves the window right after the event that carried it
+		// past windowCycles, so its final state is the measured end.
+		di := float64(cores[c].Instructions()) - float64(warmInstr[c])
+		dc := float64(cores[c].Now()) - float64(warmNow[c])
 		if !warmed[c] || di <= 0 {
 			// Degenerate window (should not happen: gaps always advance
 			// instructions); fall back to the whole span.
-			di = float64(measInstr[c])
-			dc = float64(measNow[c])
+			di = float64(cores[c].Instructions())
+			dc = float64(cores[c].Now())
 			if di <= 0 {
 				di = 1
 			}

@@ -27,6 +27,10 @@ type Network struct {
 	nodes      int
 	perHop     float64 // one-way per-hop wire+router latency, cycles
 	flitCycles int64   // serialisation occupancy per link, per message
+	// wire[h] is the wire latency of a transfer's (h+1)-th hop,
+	// round((h+1)*perHop) - round(h*perHop): the per-hop shares that make
+	// an uncontended h-hop transfer take exactly round(h*perHop).
+	wire []int64
 	// linkFree[i][d] is the first free cycle of link i in direction d
 	// (0 = towards higher node ids, 1 = towards lower).
 	linkFree [][2]int64
@@ -44,10 +48,15 @@ func New(nodes int, perHop float64, flitCycles int64) (*Network, error) {
 	if perHop < 0 || flitCycles < 0 {
 		return nil, fmt.Errorf("interconnect: negative latency parameters")
 	}
+	wire := make([]int64, nodes-1)
+	for h := range wire {
+		wire[h] = int64(math.Round(float64(h+1)*perHop)) - int64(math.Round(float64(h)*perHop))
+	}
 	return &Network{
 		nodes:      nodes,
 		perHop:     perHop,
 		flitCycles: flitCycles,
+		wire:       wire,
 		linkFree:   make([][2]int64, nodes-1),
 	}, nil
 }
@@ -110,10 +119,7 @@ func (n *Network) Transfer(src, dst int, start int64, flits int64) int64 {
 			depart = free
 		}
 		n.linkFree[link][dir] = depart + occupancy
-		// Per-hop wire latency, distributed so the total is exactly
-		// round(hops*perHop) in the uncontended case.
-		wire := int64(math.Round(float64(h+1)*n.perHop)) - int64(math.Round(float64(h)*n.perHop))
-		cursor = depart + wire
+		cursor = depart + n.wire[h]
 		node += step
 	}
 	n.stats.QueueCycles += uint64(queued)

@@ -77,17 +77,7 @@ func centerPosition(j int) float64 {
 // nearest router on the chain.
 func RouterOf(b int) int {
 	mustBank(b)
-	if b < NumCores {
-		return b
-	}
-	r := int(math.Round(centerPosition(b - NumCores)))
-	if r < 0 {
-		r = 0
-	}
-	if r >= NumCores {
-		r = NumCores - 1
-	}
-	return r
+	return routers[b]
 }
 
 // DropLatency returns the extra one-way latency of bank b's drop link: a
@@ -95,11 +85,21 @@ func RouterOf(b int) int {
 // per-hop round trip on top of the chain transfer to RouterOf(b). Local
 // banks sit on the chain and add nothing.
 func DropLatency(b int) int64 {
-	if BankKind(b) == Center {
-		return (MaxLatency - MinLatency) / (2 * maxHops)
-	}
-	return 0
+	mustBank(b)
+	return drops[b]
 }
+
+// routers and drops hold RouterOf and DropLatency by bank.
+var routers, drops = func() (r [NumBanks]int, d [NumBanks]int64) {
+	for b := range r {
+		r[b] = b
+		if b >= NumCores {
+			r[b] = min(max(int(math.Round(centerPosition(b-NumCores))), 0), NumCores-1)
+			d[b] = (MaxLatency - MinLatency) / (2 * maxHops)
+		}
+	}
+	return r, d
+}()
 
 // Hops returns the network distance between core c and bank b: the chain
 // hops to the bank's router, plus one for a Center bank's drop link.

@@ -1,6 +1,9 @@
 package nuca
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestBankKinds(t *testing.T) {
 	locals, centers := 0, 0
@@ -187,5 +190,42 @@ func TestDropLatencyCenterConstant(t *testing.T) {
 	}
 	if centers == 0 || chains == 0 {
 		t.Fatalf("bank classification degenerate: %d center, %d chain", centers, chains)
+	}
+}
+
+// TestRouterOfAndDropLatencyMatchFormulas checks every bank's router and
+// drop-link latency against the floorplan: a Local bank sits on its core's
+// router with no drop link; a Center bank attaches to the router nearest
+// its position, clamped to the chain, across a drop link of half a per-hop
+// round trip.
+func TestRouterOfAndDropLatencyMatchFormulas(t *testing.T) {
+	for b := 0; b < NumBanks; b++ {
+		router, drop := b, int64(0)
+		if b >= NumCores {
+			router = int(math.Round(2.25 + 0.5*float64(b-NumCores)))
+			router = min(max(router, 0), NumCores-1)
+			drop = (MaxLatency - MinLatency) / (2 * maxHops)
+		}
+		if got := RouterOf(b); got != router {
+			t.Errorf("RouterOf(%d) = %d, want %d", b, got, router)
+		}
+		if got := DropLatency(b); got != drop {
+			t.Errorf("DropLatency(%d) = %d, want %d", b, got, drop)
+		}
+	}
+	for _, b := range []int{-1, NumBanks} {
+		for name, f := range map[string]func(){
+			"RouterOf":    func() { RouterOf(b) },
+			"DropLatency": func() { DropLatency(b) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%d) did not panic", name, b)
+					}
+				}()
+				f()
+			}()
+		}
 	}
 }
