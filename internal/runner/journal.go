@@ -138,6 +138,23 @@ func (j *Journal) appendLines(first int, lines [][]byte, results []json.RawMessa
 	return nil
 }
 
+// Records returns the recorded results of jobs [from, to), in job order,
+// as the JSON bytes the journal holds. It fails naming the first job it
+// has no record for.
+func (j *Journal) Records(from, to int) ([]json.RawMessage, error) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	out := make([]json.RawMessage, 0, to-from)
+	for job := from; job < to; job++ {
+		raw, ok := j.done[job]
+		if !ok {
+			return nil, fmt.Errorf("runner: journal lacks job %d of [%d, %d)", job, from, to)
+		}
+		out = append(out, raw)
+	}
+	return out, nil
+}
+
 // Lacks returns, in ascending order, the jobs of [from, to) the journal
 // holds no record for: the jobs a resumed fan-out over that range will
 // compute. A record that no longer decodes into the result type counts as

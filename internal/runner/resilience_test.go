@@ -3,10 +3,12 @@ package runner
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -370,6 +372,29 @@ func TestLegacyJournalUpgrade(t *testing.T) {
 	}
 	if len(framed) <= len(legacy) || framed[0] == '{' || !bytes.Contains(framed, bytes.SplitAfter(legacy, []byte("\n"))[0]) {
 		t.Fatalf("journal not framed after upgrade: %q", framed)
+	}
+}
+
+// Records returns the held results of a range in job order, as the bytes
+// recorded, and names the first job of the range it lacks.
+func TestJournalRecords(t *testing.T) {
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "records.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.RecordBatch(2, []json.RawMessage{json.RawMessage(`{"v":2}`), json.RawMessage(`{"v":3}`)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Record(5, trialResult{Job: 5, Value: 0.5}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := j.Records(2, 4)
+	if err != nil || len(got) != 2 || string(got[0]) != `{"v":2}` || string(got[1]) != `{"v":3}` {
+		t.Fatalf("Records(2, 4) = %q, %v", got, err)
+	}
+	if got, err := j.Records(2, 6); err == nil || !strings.Contains(err.Error(), "lacks job 4 ") {
+		t.Fatalf("Records(2, 6) = %q, %v; want an error naming job 4", got, err)
 	}
 }
 

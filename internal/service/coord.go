@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"strings"
 	"sync"
 	"time"
 
@@ -19,7 +21,9 @@ var (
 	// was not started with Config.Coordinator.
 	ErrNotCoordinator = errors.New("service: not a coordinator")
 	// ErrUnknownLease rejects a renew/fail naming a lease the coordinator no
-	// longer recognises (expired and re-granted, or the shard completed).
+	// longer recognises (expired and re-granted, granted before the
+	// coordinator restarted, or the shard completed), and an upload under a
+	// lease the job's current plan never granted for that shard.
 	// The worker's correct response is to abandon the shard.
 	ErrUnknownLease = errors.New("service: unknown or superseded lease")
 	// ErrUnknownShard rejects work messages naming a job or shard the
@@ -61,23 +65,53 @@ type ShardStatus struct {
 	ExpiresMS int64 `json:"expiresMs,omitempty"`
 }
 
-// shardSet is one distributed job in flight: its durable shard state plus
-// the coordination signals runDistributed waits on. All fields past the
-// immutable header are guarded by the coordinator's mutex.
-type shardSet struct {
-	jb   *job
-	spec JobSpec
-	dir  *shardDir
+// Shard lease states. A shard is pending until a worker leases it, leased
+// while a worker holds an unexpired lease, and done once the job's unit
+// journal holds every unit of its span — done is terminal and durable (the
+// journaled units are the proof).
+const (
+	ShardPending = "pending"
+	ShardLeased  = "leased"
+	ShardDone    = "done"
+)
 
+// shardState is one shard's lease state. It lives only in the
+// coordinator's memory: a lease is soft state that expires within one TTL,
+// so a restarted coordinator starts every shard the unit journal does not
+// complete as pending, the recovery a dead worker's shard gets anyway.
+type shardState struct {
+	State string
+	// Worker is the leaseholder (leased) or the completing worker (done).
+	Worker   string
+	Lease    string    // the live lease token, while leased
+	Deadline time.Time // the lease's expiry, while leased
+	// Attempts counts lease grants in this coordinator's lifetime.
+	Attempts int
+}
+
+// shardSet is one distributed job in flight: its shard plan, each shard's
+// lease state, and the coordination signals runDistributed waits on. All
+// fields past the immutable header are guarded by the coordinator's mutex.
+type shardSet struct {
+	jb    *job
+	units *runner.Journal // the job's unit journal, keyed by unit index
+	spans []shardSpan
+	total int // campaign units
+	// nonce is drawn afresh each time the job starts distributing. Every
+	// lease token of the set carries it, so no token is issued twice and
+	// an upload under a lease from an earlier start is told apart.
+	nonce uint64
+
+	states  []shardState  // by shard index
 	done    int           // shards completed
 	failed  error         // permanent failure, set before settled closes
-	settled chan struct{} // closed once done == len(plan.Shards) or failed
+	settled chan struct{} // closed once done == len(spans) or failed
 }
 
 // coordinator owns every in-flight distributed job's lease table. A single
 // mutex serialises lease traffic; grants, renewals, uploads and expiry
-// scans are all short critical sections over in-memory maps plus one
-// synced WAL append.
+// scans are all short critical sections over in-memory state, and only an
+// accepted upload touches the disk (one synced unit-journal append).
 type coordinator struct {
 	s *Service
 
@@ -118,28 +152,27 @@ const maxShardAttempts = 5
 // serve leases to pulling workers, journal every accepted upload, and once
 // every shard is done return the campaign's units from the journal. It
 // replaces local unit execution — the coordinator itself never simulates.
-// The job context governs the wait: cancellation (drain, user cancel,
-// timeout) detaches the job, and a drained job resumes from its journaled
-// units on the next boot, in either mode.
+// The plan is derived from the spec and Config.ShardUnits each time the
+// job starts, and the journal alone says which shards are done, so a job
+// resumes from its journaled units, whichever mode journaled them, after a
+// drain, a crash or a change of ShardUnits. The job context governs the
+// wait: cancellation (drain, user cancel, timeout) detaches the job.
 func (s *Service) runDistributed(ctx context.Context, jb *job, units *runner.Journal) ([]json.RawMessage, error) {
-	dir, err := openShardDir(s.store.shardDirPath(jb.id), units, func() shardPlan {
-		return planShards(jb.id, campaignUnits(jb.spec), s.cfg.ShardUnits)
-	})
-	if err != nil {
-		return nil, err
-	}
-	defer dir.wal.Close()
-	set := &shardSet{jb: jb, spec: jb.spec, dir: dir, settled: make(chan struct{})}
-
-	c := s.coord
-	c.mu.Lock()
-	// Resume: count the shards the journal already completes.
-	for _, span := range dir.plan.Shards {
-		if dir.state(span.Index).State == ShardDone {
+	total := campaignUnits(jb.spec)
+	set := &shardSet{jb: jb, units: units, spans: planShards(total, s.cfg.ShardUnits), total: total,
+		nonce: rand.Uint64(), settled: make(chan struct{})}
+	set.states = make([]shardState, len(set.spans))
+	for i, span := range set.spans {
+		set.states[i].State = ShardPending
+		if len(units.Lacks(span.From, span.To)) == 0 {
+			set.states[i].State = ShardDone
 			set.done++
 		}
 	}
-	if set.done == len(dir.plan.Shards) {
+
+	c := s.coord
+	c.mu.Lock()
+	if set.done == len(set.spans) {
 		close(set.settled)
 	} else {
 		c.sets[jb.id] = set
@@ -159,13 +192,21 @@ func (s *Service) runDistributed(ctx context.Context, jb *job, units *runner.Jou
 			if set.failed != nil {
 				return nil, set.failed
 			}
-			return dir.journaledUnits()
+			return units.Records(0, total)
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		case <-ticker.C:
 			c.expireOverdue(set, time.Now())
 		}
 	}
+}
+
+// leasePrefix is what every lease token this set grants for shard i
+// starts with: the job, the shard's index and span, and the set's nonce.
+// The attempt number completes the token.
+func (set *shardSet) leasePrefix(i int) string {
+	span := set.spans[i]
+	return fmt.Sprintf("%s/s%d/%d-%d/%016x/a", set.jb.id, i, span.From, span.To, set.nonce)
 }
 
 // unregister drops a job from the lease scan (idempotent).
@@ -190,32 +231,46 @@ func (c *coordinator) dropLocked(id string) {
 	}
 }
 
-// expireOverdue re-queues every overdue lease of one set, failing the job
-// once a shard exhausts its attempt budget.
+// expireOverdue re-queues every overdue lease of one set.
 func (c *coordinator) expireOverdue(set *shardSet, now time.Time) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.sets[set.jb.id] != set {
-		return // settled or unregistered concurrently
+	if c.sets[set.jb.id] == set { // not settled or unregistered concurrently
+		c.expireLocked(set, now)
 	}
-	for _, span := range set.dir.plan.Shards {
-		st := set.dir.state(span.Index)
-		if st.State != ShardLeased || now.UnixNano() < st.DeadlineNS {
-			continue
+}
+
+// expireLocked re-queues every lease of set that is overdue at now. It
+// reports false when that failed the job. Callers hold c.mu.
+func (c *coordinator) expireLocked(set *shardSet, now time.Time) bool {
+	for i := range set.states {
+		if st := set.states[i]; st.State == ShardLeased && !now.Before(st.Deadline) {
+			c.expired.Inc()
+			if !c.releaseLocked(set, i, "lease expired") {
+				return false
+			}
 		}
-		c.expired.Inc()
-		if st.Attempts >= maxShardAttempts {
-			c.failLocked(set, fmt.Errorf(
-				"service: shard %d failed %d lease attempts (last worker %q)",
-				span.Index, st.Attempts, st.Worker))
-			return
-		}
-		set.dir.log(shardWALRecord{Shard: span.Index, State: ShardPending, Attempts: st.Attempts})
-		set.jb.hub.publish(EventShard, shardEvent{
-			Shard: span.Index, State: "requeued", Worker: st.Worker,
-			Attempts: st.Attempts, Detail: "lease expired",
-		})
 	}
+	return true
+}
+
+// releaseLocked ends shard i's lease (expired, failed back, or uploaded
+// corrupt) and re-queues the shard with its attempts counted, or fails the
+// job once the shard has used its attempt budget — a shard that crashes
+// every worker it lands on must not loop forever. It reports false when it
+// failed the job. Callers hold c.mu.
+func (c *coordinator) releaseLocked(set *shardSet, i int, detail string) bool {
+	st := &set.states[i]
+	if st.Attempts >= maxShardAttempts {
+		c.failLocked(set, fmt.Errorf("service: shard %d failed %d lease attempts (last worker %q): %s",
+			i, st.Attempts, st.Worker, detail))
+		return false
+	}
+	set.jb.hub.publish(EventShard, shardEvent{
+		Shard: i, State: "requeued", Worker: st.Worker, Attempts: st.Attempts, Detail: detail,
+	})
+	*st = shardState{State: ShardPending, Attempts: st.Attempts}
+	return true
 }
 
 // failLocked settles a set with a permanent error. Callers hold c.mu.
@@ -227,15 +282,16 @@ func (c *coordinator) failLocked(set *shardSet, err error) {
 
 // Lease grants the next available shard to worker, scanning jobs in
 // submission order. ok is false when no work is available (the worker
-// should poll again later). Overdue leases encountered during the scan are
-// re-queued first, so a crashed worker's shard is stolen on the next pull
-// rather than only on the next expiry tick.
+// should poll again later). Overdue leases are re-queued first, so a
+// crashed worker's shard is stolen on the next pull rather than only on
+// the next expiry tick.
 func (s *Service) Lease(worker string) (*ShardGrant, bool, error) {
 	if s.coord == nil {
 		return nil, false, ErrNotCoordinator
 	}
 	c := s.coord
 	now := time.Now()
+	ttl := s.cfg.leaseTTL()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	// Snapshot the scan order: failLocked edits c.order mid-scan when a
@@ -243,46 +299,25 @@ func (s *Service) Lease(worker string) (*ShardGrant, bool, error) {
 	order := append([]string(nil), c.order...)
 	for _, id := range order {
 		set, ok := c.sets[id]
-		if !ok {
+		if !ok || !c.expireLocked(set, now) {
 			continue // settled while scanning
 		}
-		for _, span := range set.dir.plan.Shards {
-			st := set.dir.state(span.Index)
-			if st.State == ShardLeased && now.UnixNano() >= st.DeadlineNS {
-				// Lazy expiry: steal the overdue lease right now.
-				c.expired.Inc()
-				set.jb.hub.publish(EventShard, shardEvent{
-					Shard: span.Index, State: "requeued", Worker: st.Worker,
-					Attempts: st.Attempts, Detail: "lease expired",
-				})
-				st.State = ShardPending
-			}
+		for i, span := range set.spans {
+			st := &set.states[i]
 			if st.State != ShardPending {
 				continue
 			}
-			attempts := st.Attempts + 1
-			if attempts > maxShardAttempts {
-				c.failLocked(set, fmt.Errorf(
-					"service: shard %d failed %d lease attempts (last worker %q)",
-					span.Index, st.Attempts, st.Worker))
-				break // next job; this one just settled
-			}
-			ttl := c.s.cfg.leaseTTL()
-			lease := fmt.Sprintf("%s/s%d/a%d", id, span.Index, attempts)
-			if err := set.dir.log(shardWALRecord{
-				Shard: span.Index, State: ShardLeased, Worker: worker,
-				Lease: lease, DeadlineNS: leaseDeadline(now, ttl), Attempts: attempts,
-			}); err != nil {
-				return nil, false, err
-			}
+			st.Attempts++
+			st.State, st.Worker, st.Deadline = ShardLeased, worker, now.Add(ttl)
+			st.Lease = fmt.Sprintf("%s%d", set.leasePrefix(i), st.Attempts)
 			c.leases.Inc()
 			set.jb.hub.publish(EventShard, shardEvent{
-				Shard: span.Index, State: "leased", Worker: worker, Attempts: attempts,
+				Shard: i, State: "leased", Worker: worker, Attempts: st.Attempts,
 			})
 			return &ShardGrant{
-				Job: id, Shard: span.Index, From: span.From, To: span.To,
-				Units: set.dir.plan.Units, Spec: set.spec,
-				Lease: lease, TTLMS: ttl.Milliseconds(),
+				Job: id, Shard: i, From: span.From, To: span.To,
+				Units: set.total, Spec: set.jb.spec,
+				Lease: st.Lease, TTLMS: ttl.Milliseconds(),
 			}, true, nil
 		}
 	}
@@ -291,24 +326,22 @@ func (s *Service) Lease(worker string) (*ShardGrant, bool, error) {
 
 // lookup resolves an ack's (job, shard, lease) against the live lease
 // table. Callers hold c.mu.
-func (c *coordinator) lookup(job string, shard int, lease string) (*shardSet, shardWALRecord, error) {
+func (c *coordinator) lookup(job string, shard int, lease string) (*shardSet, *shardState, error) {
 	set, ok := c.sets[job]
-	if !ok {
-		return nil, shardWALRecord{}, ErrUnknownShard
+	if !ok || shard < 0 || shard >= len(set.spans) {
+		return nil, nil, ErrUnknownShard
 	}
-	if shard >= len(set.dir.plan.Shards) {
-		return nil, shardWALRecord{}, ErrUnknownShard
-	}
-	st := set.dir.state(shard)
+	st := &set.states[shard]
 	if st.State != ShardLeased || st.Lease != lease {
-		return nil, shardWALRecord{}, ErrUnknownLease
+		return nil, nil, ErrUnknownLease
 	}
 	return set, st, nil
 }
 
 // Renew extends a held lease by one TTL from now. A renewal naming a
 // superseded lease fails with ErrUnknownLease — the worker lost the shard
-// (it expired and was stolen) and must abandon it.
+// (it expired and was stolen, or the coordinator restarted) and must
+// abandon it.
 func (s *Service) Renew(a *ShardAck) error {
 	if s.coord == nil {
 		return ErrNotCoordinator
@@ -316,12 +349,12 @@ func (s *Service) Renew(a *ShardAck) error {
 	c := s.coord
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	set, st, err := c.lookup(a.Job, a.Shard, a.Lease)
+	_, st, err := c.lookup(a.Job, a.Shard, a.Lease)
 	if err != nil {
 		return err
 	}
-	st.DeadlineNS = leaseDeadline(time.Now(), s.cfg.leaseTTL())
-	return set.dir.log(st)
+	st.Deadline = time.Now().Add(s.cfg.leaseTTL())
+	return nil
 }
 
 // FailShard releases a lease after a worker-side error, re-queueing the
@@ -335,33 +368,26 @@ func (s *Service) FailShard(a *ShardAck) error {
 	c := s.coord
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	set, st, err := c.lookup(a.Job, a.Shard, a.Lease)
+	set, _, err := c.lookup(a.Job, a.Shard, a.Lease)
 	if err != nil {
 		return err
 	}
-	if st.Attempts >= maxShardAttempts {
-		c.failLocked(set, fmt.Errorf(
-			"service: shard %d failed %d attempts: %s", a.Shard, st.Attempts, a.Error))
-		return nil
-	}
-	if err := set.dir.log(shardWALRecord{Shard: a.Shard, State: ShardPending, Attempts: st.Attempts}); err != nil {
-		return err
-	}
-	set.jb.hub.publish(EventShard, shardEvent{
-		Shard: a.Shard, State: "requeued", Worker: st.Worker,
-		Attempts: st.Attempts, Detail: a.Error,
-	})
+	c.releaseLocked(set, a.Shard, a.Error)
 	return nil
 }
 
 // CompleteShard accepts one shard's unit results and appends them to the
 // job's unit journal with one synced write. Completion is
 // idempotent and — deliberately — not gated on holding the live lease:
-// every unit is a pure function of (spec, index), so any structurally
-// valid upload for a not-yet-done shard carries the correct bytes, even
-// from a worker whose lease expired mid-upload. The only structural gate
-// is the unit count matching the planned range. If the shard was re-leased
-// meanwhile, the usurped worker's next renew fails and it abandons.
+// every unit is a pure function of (spec, index), so an upload under any
+// lease this start of the job granted for the shard carries the correct
+// bytes, even from a worker whose lease expired mid-upload and was
+// granted again. If the shard was re-leased meanwhile, the usurped
+// worker's next renew fails and it abandons. An upload under a lease
+// from before the job last started is rejected: it may name the same
+// shard index over other units (a restart with another ShardUnits) or
+// another store's job of the same ID, and the upload carries no range of
+// its own.
 func (s *Service) CompleteShard(u *ShardUpload) error {
 	if s.coord == nil {
 		return ErrNotCoordinator
@@ -370,18 +396,17 @@ func (s *Service) CompleteShard(u *ShardUpload) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	set, ok := c.sets[u.Job]
-	if !ok {
+	if !ok || u.Shard < 0 || u.Shard >= len(set.spans) {
 		return ErrUnknownShard
 	}
-	if u.Shard >= len(set.dir.plan.Shards) {
-		return ErrUnknownShard
+	if !strings.HasPrefix(u.Lease, set.leasePrefix(u.Shard)) {
+		return fmt.Errorf("%w: shard %d was never leased as %q", ErrUnknownLease, u.Shard, u.Lease)
 	}
-	span := set.dir.plan.Shards[u.Shard]
+	span, st := set.spans[u.Shard], &set.states[u.Shard]
 	if len(u.Units) != span.To-span.From {
 		return fmt.Errorf("%w: shard %d covers %d units, upload has %d",
 			ErrBadUpload, u.Shard, span.To-span.From, len(u.Units))
 	}
-	st := set.dir.state(u.Shard)
 	if st.State == ShardDone {
 		return nil // duplicate upload: already settled, same bytes by construction
 	}
@@ -392,25 +417,21 @@ func (s *Service) CompleteShard(u *ShardUpload) error {
 		// just another recoverable fault, bounded by the attempts budget.
 		c.corrupt.Inc()
 		if st.State == ShardLeased && st.Lease == u.Lease {
-			set.dir.log(shardWALRecord{Shard: u.Shard, State: ShardPending, Attempts: st.Attempts})
-			set.jb.hub.publish(EventShard, shardEvent{
-				Shard: u.Shard, State: "requeued", Worker: st.Worker,
-				Attempts: st.Attempts, Detail: "corrupt upload",
-			})
+			c.releaseLocked(set, u.Shard, "corrupt upload")
 		}
 		return fmt.Errorf("%w: shard %d payload hashes to %s, upload declared %s",
 			ErrCorruptUpload, u.Shard, got, u.Sum)
 	}
-	worker := st.Worker
-	if err := set.dir.complete(span, u.Units, worker, st.Attempts); err != nil {
+	if err := set.units.RecordBatch(span.From, u.Units); err != nil {
 		return err
 	}
+	*st = shardState{State: ShardDone, Worker: st.Worker, Attempts: st.Attempts}
 	c.uploads.Inc()
 	set.done++
 	set.jb.hub.publish(EventShard, shardEvent{
-		Shard: u.Shard, State: "done", Worker: worker, Attempts: st.Attempts,
+		Shard: u.Shard, State: "done", Worker: st.Worker, Attempts: st.Attempts,
 	})
-	if set.done == len(set.dir.plan.Shards) {
+	if set.done == len(set.spans) {
 		c.dropLocked(u.Job)
 		close(set.settled)
 	}
@@ -432,15 +453,15 @@ func (s *Service) ShardStatuses(jobID string) ([]ShardStatus, bool) {
 	if !ok {
 		return nil, false
 	}
-	out := make([]ShardStatus, 0, len(set.dir.plan.Shards))
-	for _, span := range set.dir.plan.Shards {
-		st := set.dir.state(span.Index)
+	out := make([]ShardStatus, 0, len(set.spans))
+	for i, span := range set.spans {
+		st := set.states[i]
 		status := ShardStatus{
-			Shard: span.Index, From: span.From, To: span.To,
+			Shard: i, From: span.From, To: span.To,
 			State: st.State, Worker: st.Worker, Attempts: st.Attempts,
 		}
 		if st.State == ShardLeased {
-			status.ExpiresMS = time.Duration(st.DeadlineNS - now.UnixNano()).Milliseconds()
+			status.ExpiresMS = st.Deadline.Sub(now).Milliseconds()
 		}
 		out = append(out, status)
 	}

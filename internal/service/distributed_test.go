@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -323,22 +324,30 @@ func TestDistributedChaosKillWorkerGolden(t *testing.T) {
 	}
 }
 
-// TestShardWALCompactionRacesRenewal hammers lease renewals on one shard
-// while other shards complete — with the compaction threshold shrunk so
-// the WAL rewrites many times mid-traffic — then restarts the coordinator
-// over the same store and requires (a) the completed shards to come back
-// done from the unit journal and (b) the resumed job to finish
-// byte-identical.
-func TestShardWALCompactionRacesRenewal(t *testing.T) {
-	old := shardWALCompactBytes
-	shardWALCompactBytes = 64 // force a compaction on nearly every append
-	t.Cleanup(func() { shardWALCompactBytes = old })
+// restartCoordinator opens a second coordinator over cfg.Dir, the first
+// one closed, and waits until it distributes job id again.
+func restartCoordinator(t *testing.T, cfg Config, id string) (*Service, *httptest.Server, []ShardStatus) {
+	t.Helper()
+	svc, ts := startHTTP(t, cfg, true)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+		if statuses, ok := svc.ShardStatuses(id); ok {
+			return svc, ts, statuses
+		}
+	}
+	t.Fatalf("restarted coordinator never distributed %s", id)
+	return nil, nil, nil
+}
 
+// TestCoordinatorRestartResumesFromJournal renews one shard's lease while
+// four others upload, then restarts the coordinator over the same store.
+// The restarted coordinator keeps no lease state: the shards the unit
+// journal completes are done, every other shard is pending at once (the
+// one whose lease was live too, with a TTL far longer than the test), and
+// the finished job equals the direct run.
+func TestCoordinatorRestartResumesFromJournal(t *testing.T) {
 	const trials = 40 // ShardUnits 5 -> 8 shards
-	dir := t.TempDir()
-	svc, _ := startHTTP(t, Config{
-		Dir: dir, Coordinator: true, LeaseTTL: 300 * time.Millisecond, ShardUnits: 5,
-	}, true)
+	cfg := Config{Dir: t.TempDir(), Coordinator: true, LeaseTTL: time.Minute, ShardUnits: 5}
+	svc, _ := startHTTP(t, cfg, true)
 	rec, err := svc.Submit(mcSpec(trials, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -350,7 +359,7 @@ func TestShardWALCompactionRacesRenewal(t *testing.T) {
 	wg.Add(2)
 	go func() { // renewal traffic on the held lease
 		defer wg.Done()
-		for i := 0; i < 200; i++ {
+		for i := 0; i < 50; i++ {
 			if err := svc.Renew(&ShardAck{Job: held.Job, Shard: held.Shard, Lease: held.Lease}); err != nil {
 				t.Errorf("renewal %d rejected: %v", i, err)
 				return
@@ -358,7 +367,7 @@ func TestShardWALCompactionRacesRenewal(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}()
-	go func() { // completion traffic driving WAL appends + compactions
+	go func() { // completion traffic
 		defer wg.Done()
 		for _, g := range completing {
 			units, err := executeShardUnits(context.Background(), g.Spec, g.From, g.To, shardOptions{Workers: 2})
@@ -376,7 +385,6 @@ func TestShardWALCompactionRacesRenewal(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-
 	statuses, ok := svc.ShardStatuses(rec.ID)
 	if !ok {
 		t.Fatal("job not distributing")
@@ -394,57 +402,183 @@ func TestShardWALCompactionRacesRenewal(t *testing.T) {
 		t.Fatalf("%d shards done, want %d", doneShards, len(completing))
 	}
 
-	// Restart over the same store: the compacted WAL plus the unit journal
-	// must reconstruct the exact same state, and the resumed job must merge
-	// to the single-node bytes once the remaining shards complete.
 	svc.Close()
 	journaled := journaledOnDisk(t, svc.Store().JournalPath(rec.ID))
 	if len(journaled) != 5*len(completing) {
 		t.Fatalf("unit journal holds %d units after %d uploads of 5", len(journaled), len(completing))
 	}
-	svc2, err := New(Config{
-		Dir: dir, Coordinator: true, LeaseTTL: 300 * time.Millisecond, ShardUnits: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc2.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { svc2.Close() })
-	var resumed []ShardStatus
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
-		if resumed, ok = svc2.ShardStatuses(rec.ID); ok {
-			break
-		}
+	svc2, _, resumed := restartCoordinator(t, cfg, rec.ID)
+	if len(resumed) != 8 {
+		t.Fatalf("resumed job shows %d shards, want 8", len(resumed))
 	}
 	for _, st := range resumed {
 		done := true
 		for u := st.From; u < st.To; u++ {
 			done = done && journaled[u]
 		}
-		if done != (st.State == ShardDone) {
-			t.Fatalf("resumed shard %d is %s, its units journaled: %v", st.Shard, st.State, done)
+		want := ShardStatus{Shard: st.Shard, From: st.From, To: st.To, State: ShardPending}
+		if done {
+			want.State = ShardDone
 		}
-	}
-	if len(resumed) != 8 {
-		t.Fatalf("resumed job shows %d shards, want 8", len(resumed))
+		if st != want {
+			t.Fatalf("resumed shard %+v, want %+v (units journaled: %v)", st, want, done)
+		}
 	}
 
-	remaining := 8 - len(completing) // the held shard (its lease expires) + 3 never leased
-	for i := 0; i < remaining; i++ {
-		g := leaseAll(t, svc2, 1)[0]
-		units, err := executeShardUnits(context.Background(), g.Spec, g.From, g.To, shardOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := svc2.CompleteShard(&ShardUpload{Job: g.Job, Shard: g.Shard, Lease: g.Lease, Units: units, Sum: unitsSum(units)}); err != nil {
-			t.Fatal(err)
-		}
+	// The held shard and the 3 never leased are granted at once: no lease
+	// from before the restart is waited out.
+	for _, g := range leaseAll(t, svc2, 8-len(completing)) {
+		uploadShard(t, svc2, g)
 	}
 	waitState(t, svc2, rec.ID, StateDone)
 	if got, want := reportBytes(t, svc2, rec.ID), directMonteCarloBytes(t, trials, 2009); !bytes.Equal(got, want) {
 		t.Fatal("resumed distributed report differs from single-node run")
+	}
+	noUnitState(t, svc2, rec.ID)
+}
+
+// TestLeaseFromBeforeRestartIsRejected pins that a lease token is never
+// issued twice. A restarted coordinator counts a shard's attempts from
+// zero again, yet a lease granted before the restart is rejected by Renew
+// and FailShard after it, both before and after the same shard is granted
+// again, an upload under it is rejected too, and the new lease stays live.
+func TestLeaseFromBeforeRestartIsRejected(t *testing.T) {
+	const trials = 10 // ShardUnits 10 -> 1 shard
+	cfg := Config{Dir: t.TempDir(), Coordinator: true, LeaseTTL: time.Minute, ShardUnits: 10}
+	svc, _ := startHTTP(t, cfg, true)
+	rec, err := svc.Submit(mcSpec(trials, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := leaseAll(t, svc, 1)[0]
+	svc.Close()
+	units, err := executeShardUnits(context.Background(), stale.Spec, stale.From, stale.To, shardOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	svc2, _, _ := restartCoordinator(t, cfg, rec.ID)
+	ack := &ShardAck{Job: stale.Job, Shard: stale.Shard, Lease: stale.Lease, Error: "stale"}
+	if err := svc2.Renew(ack); !errors.Is(err, ErrUnknownLease) {
+		t.Fatalf("renewing a lease from before the restart: %v, want ErrUnknownLease", err)
+	}
+	again := leaseAll(t, svc2, 1)[0]
+	if again.Shard != stale.Shard || again.Lease == stale.Lease {
+		t.Fatalf("re-granted shard %d lease %q; the lease before the restart was shard %d lease %q",
+			again.Shard, again.Lease, stale.Shard, stale.Lease)
+	}
+	if err := svc2.Renew(ack); !errors.Is(err, ErrUnknownLease) {
+		t.Fatalf("renewing a lease from before the restart after the re-grant: %v, want ErrUnknownLease", err)
+	}
+	if err := svc2.FailShard(ack); !errors.Is(err, ErrUnknownLease) {
+		t.Fatalf("failing a lease from before the restart after the re-grant: %v, want ErrUnknownLease", err)
+	}
+	upload := &ShardUpload{Job: stale.Job, Shard: stale.Shard, Lease: stale.Lease, Units: units, Sum: unitsSum(units)}
+	if err := svc2.CompleteShard(upload); !errors.Is(err, ErrUnknownLease) {
+		t.Fatalf("uploading under a lease from before the restart: %v, want ErrUnknownLease", err)
+	}
+	if err := svc2.Renew(&ShardAck{Job: again.Job, Shard: again.Shard, Lease: again.Lease}); err != nil {
+		t.Fatalf("the live lease no longer renews: %v", err)
+	}
+	upload.Lease = again.Lease
+	if err := svc2.CompleteShard(upload); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, svc2, rec.ID, StateDone)
+	if got, want := reportBytes(t, svc2, rec.ID), directMonteCarloBytes(t, trials, 2009); !bytes.Equal(got, want) {
+		t.Fatal("report differs from single-node run")
+	}
+}
+
+// TestShardUnitsChangeReplansHalfFinishedJob restarts a coordinator with
+// ShardUnits 8 over a job half finished under ShardUnits 5: the first
+// plan's shards 0 and 2 are uploaded, and a worker holds checkpoints of
+// its shards 1 and 3, under the same job ID and shard indices as the new
+// plan's shards 1 and 3 but of other units. The new plan is derived from
+// the spec, the journaled units carry over, no checkpoint is restored into
+// a range of other units, and the merged report equals the direct run.
+func TestShardUnitsChangeReplansHalfFinishedJob(t *testing.T) {
+	const trials = 40
+	cfg := Config{Dir: t.TempDir(), Coordinator: true, LeaseTTL: time.Minute, ShardUnits: 5}
+	svc, _ := startHTTP(t, cfg, true)
+	rec, err := svc.Submit(mcSpec(trials, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := leaseAll(t, svc, 4)
+	uploadShard(t, svc, old[0])
+	uploadShard(t, svc, old[2])
+	svc.Close()
+
+	cfg.ShardUnits = 8
+	svc2, ts, resumed := restartCoordinator(t, cfg, rec.ID)
+	if len(resumed) != trials/8 {
+		t.Fatalf("re-planned job shows %d shards, want %d", len(resumed), trials/8)
+	}
+	w, err := NewWorker(WorkerConfig{
+		Coordinator: ts.URL, Name: "w0", Dir: t.TempDir(), Workers: 2, Poll: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*ShardGrant{old[1], old[3]} {
+		if _, err := w.executeUnits(context.Background(), g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	waitState(t, svc2, rec.ID, StateDone)
+	if got, want := reportBytes(t, svc2, rec.ID), directMonteCarloBytes(t, trials, 2009); !bytes.Equal(got, want) {
+		t.Fatalf("re-planned report (%d bytes) differs from the direct run (%d bytes)", len(got), len(want))
+	}
+}
+
+// TestUploadUnderOldPlanLeaseIsRejected restarts a coordinator with
+// ShardUnits 2 over a 12-trial job leased under ShardUnits 5. The old
+// plan's shard 2 is units [10, 12) and the new plan's shard 2 is [4, 6),
+// as long, and an upload names no range of its own: a worker that
+// finishes its old lease and uploads to the restarted coordinator must be
+// turned away, not have units 10 and 11 journaled as 4 and 5. The shard
+// stays pending and the merged report equals the direct run.
+func TestUploadUnderOldPlanLeaseIsRejected(t *testing.T) {
+	const trials = 12
+	cfg := Config{Dir: t.TempDir(), Coordinator: true, LeaseTTL: time.Minute, ShardUnits: 5}
+	svc, _ := startHTTP(t, cfg, true)
+	rec, err := svc.Submit(mcSpec(trials, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := leaseAll(t, svc, 3)[2]
+	svc.Close()
+	if old.Shard != 2 || old.From != 10 || old.To != 12 {
+		t.Fatalf("old plan's last shard is %d [%d, %d), want 2 [10, 12)", old.Shard, old.From, old.To)
+	}
+	units, err := executeShardUnits(context.Background(), old.Spec, old.From, old.To, shardOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.ShardUnits = 2
+	svc2, _, resumed := restartCoordinator(t, cfg, rec.ID)
+	if st := resumed[old.Shard]; st.From != 4 || st.To != 6 {
+		t.Fatalf("new plan's shard %d is [%d, %d), want [4, 6)", old.Shard, st.From, st.To)
+	}
+	err = svc2.CompleteShard(&ShardUpload{Job: old.Job, Shard: old.Shard, Lease: old.Lease, Units: units, Sum: unitsSum(units)})
+	if !errors.Is(err, ErrUnknownLease) {
+		t.Fatalf("upload under the old plan's lease: %v, want ErrUnknownLease", err)
+	}
+	if statuses, ok := svc2.ShardStatuses(rec.ID); !ok || statuses[old.Shard].State != ShardPending {
+		t.Fatalf("shard %d after the rejected upload: %+v, want pending", old.Shard, statuses)
+	}
+	for _, g := range leaseAll(t, svc2, trials/2) {
+		uploadShard(t, svc2, g)
+	}
+	waitState(t, svc2, rec.ID, StateDone)
+	if got, want := reportBytes(t, svc2, rec.ID), directMonteCarloBytes(t, trials, 2009); !bytes.Equal(got, want) {
+		t.Fatalf("re-planned report (%d bytes) differs from the direct run (%d bytes)", len(got), len(want))
 	}
 }
 
@@ -459,10 +593,10 @@ func TestDrainedJobResumesUnderCoordinator(t *testing.T) {
 	st, rec := drainMidRun(t, dir, mcSpec(trials, 0), 25)
 	journaled := journaledOnDisk(t, st.JournalPath(rec.ID))
 	var lacking []int
-	for _, span := range planShards(rec.ID, trials, shardUnits).Shards {
+	for idx, span := range planShards(trials, shardUnits) {
 		for u := span.From; u < span.To; u++ {
 			if !journaled[u] {
-				lacking = append(lacking, span.Index)
+				lacking = append(lacking, idx)
 				break
 			}
 		}
@@ -498,9 +632,10 @@ func TestDrainedJobResumesUnderCoordinator(t *testing.T) {
 	noUnitState(t, svc2, rec.ID)
 }
 
-// TestCoordinatorTerminalJobsDropUnitState pins that a coordinator drops a
-// job's unit journal and shard dir when the job is canceled and when it
-// hits its deadline, uploads accepted or not.
+// TestCoordinatorTerminalJobsDropUnitState pins that a coordinator keeps a
+// running job's units in its unit journal alone, and drops the journal
+// when the job is canceled and when it hits its deadline, uploads
+// accepted or not.
 func TestCoordinatorTerminalJobsDropUnitState(t *testing.T) {
 	svc, _ := startHTTP(t, Config{Coordinator: true, LeaseTTL: time.Minute, ShardUnits: 5}, true)
 
@@ -509,10 +644,11 @@ func TestCoordinatorTerminalJobsDropUnitState(t *testing.T) {
 		t.Fatal(err)
 	}
 	uploadShard(t, svc, leaseAll(t, svc, 1)[0])
-	for _, path := range []string{svc.Store().JournalPath(canceled.ID), svc.Store().shardDirPath(canceled.ID)} {
-		if _, err := os.Stat(path); err != nil {
-			t.Fatalf("running job has no %s: %v", path, err)
-		}
+	if _, err := os.Stat(svc.Store().JournalPath(canceled.ID)); err != nil {
+		t.Fatalf("running job has no unit journal: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(svc.Store().dir, "shards")); !os.IsNotExist(err) {
+		t.Fatalf("a coordinator made a shards dir (%v)", err)
 	}
 	if _, ok := svc.Cancel(canceled.ID); !ok {
 		t.Fatal("cancel of a distributing job refused")
@@ -586,20 +722,61 @@ func TestPlanShards(t *testing.T) {
 		n, size int
 		want    []shardSpan
 	}{
-		{10, 4, []shardSpan{{0, 0, 4}, {1, 4, 8}, {2, 8, 10}}},
-		{3, 0, []shardSpan{{0, 0, 1}, {1, 1, 2}, {2, 2, 3}}}, // default: n/16 rounded up -> 1
-		{1, 100, []shardSpan{{0, 0, 1}}},
-		{32, 0, []shardSpan{{0, 0, 2}, {1, 2, 4}, {2, 4, 6}, {3, 6, 8}, {4, 8, 10}, {5, 10, 12}, {6, 12, 14}, {7, 14, 16}, {8, 16, 18}, {9, 18, 20}, {10, 20, 22}, {11, 22, 24}, {12, 24, 26}, {13, 26, 28}, {14, 28, 30}, {15, 30, 32}}},
+		{10, 4, []shardSpan{{0, 4}, {4, 8}, {8, 10}}},
+		{3, 0, []shardSpan{{0, 1}, {1, 2}, {2, 3}}}, // default: n/16 rounded up -> 1
+		{1, 100, []shardSpan{{0, 1}}},
+		{32, 0, []shardSpan{{0, 2}, {2, 4}, {4, 6}, {6, 8}, {8, 10}, {10, 12}, {12, 14}, {14, 16}, {16, 18}, {18, 20}, {20, 22}, {22, 24}, {24, 26}, {26, 28}, {28, 30}, {30, 32}}},
 	}
 	for _, c := range cases {
-		p := planShards("j", c.n, c.size)
-		if p.Units != c.n || len(p.Shards) != len(c.want) {
-			t.Fatalf("planShards(%d, %d): %d shards over %d units, want %d", c.n, c.size, len(p.Shards), p.Units, len(c.want))
+		p := planShards(c.n, c.size)
+		if len(p) != len(c.want) {
+			t.Fatalf("planShards(%d, %d): %d shards, want %d", c.n, c.size, len(p), len(c.want))
 		}
-		for i, span := range p.Shards {
+		for i, span := range p {
 			if span != c.want[i] {
 				t.Fatalf("planShards(%d, %d)[%d] = %+v, want %+v", c.n, c.size, i, span, c.want[i])
 			}
 		}
+	}
+}
+
+// TestWorkerCheckpointIsKeyedBySpecAndRange pins that a worker restores a
+// checkpoint only into a range whose units are the same bytes: a worker
+// whose dir holds an interrupted checkpoint of job-000001's shard 0, left
+// by an earlier coordinator store's seed-7 job, serves a fresh
+// coordinator's job-000001 of seed 2009, and the merged report equals the
+// direct run of its own spec.
+func TestWorkerCheckpointIsKeyedBySpecAndRange(t *testing.T) {
+	const trials = 8
+	svc, ts := startHTTP(t, Config{Coordinator: true, LeaseTTL: 2 * time.Second, ShardUnits: 8}, true)
+	w, err := NewWorker(WorkerConfig{
+		Coordinator: ts.URL, Name: "w0", Dir: t.TempDir(), Workers: 2, Poll: 10 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The checkpoint an interrupted shard leaves: executeUnits journals
+	// every unit it computes, and only an accepted upload removes it.
+	stale := mcSpec(trials, 0)
+	stale.Seed = 7
+	if _, err := w.executeUnits(context.Background(), &ShardGrant{
+		Job: "job-000001", Shard: 0, From: 0, To: trials, Units: trials, Spec: stale,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	rec, err := svc.Submit(mcSpec(trials, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.ID != "job-000001" {
+		t.Fatalf("fresh coordinator's first job is %s, want job-000001", rec.ID)
+	}
+	waitState(t, svc, rec.ID, StateDone)
+	if got, want := reportBytes(t, svc, rec.ID), directMonteCarloBytes(t, trials, 2009); !bytes.Equal(got, want) {
+		t.Fatalf("merged report (%d bytes) differs from the direct run (%d bytes): a stale checkpoint was restored", len(got), len(want))
 	}
 }

@@ -75,7 +75,9 @@ import (
 //	                           409 lease lost (already expired/stolen)
 //	POST /v1/work/complete     upload a shard's unit results -> 204
 //	                           (idempotent); 404 job not distributing;
-//	                           409 unit count does not match the shard;
+//	                           409 a lease from before the job last
+//	                           started, or a unit count that does not
+//	                           match the shard;
 //	                           422 payload does not hash to its declared
 //	                           sum (corrupt upload; the shard re-leases)
 //	GET  /v1/jobs/{id}/shards  live shard table -> 200 [ShardStatus];

@@ -14,7 +14,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"strings"
 	"sync/atomic"
@@ -23,7 +22,6 @@ import (
 
 	"bankaware/internal/atomicio"
 	"bankaware/internal/ledger"
-	"bankaware/internal/runner"
 )
 
 // This file is the corruption fault-injection suite: every durable
@@ -260,7 +258,7 @@ func TestCorruptShardUploadReleasedAndRetried(t *testing.T) {
 		t.Fatalf("units %v of the corrupt upload reached the unit journal", on)
 	}
 	svc.coord.mu.Lock()
-	lacks := svc.coord.sets[rec.ID].dir.units.Lacks(0, trials)
+	lacks := svc.coord.sets[rec.ID].units.Lacks(0, trials)
 	svc.coord.mu.Unlock()
 	if len(lacks) != trials {
 		t.Fatalf("the unit journal holds %d units after a corrupt upload, want none", trials-len(lacks))
@@ -562,229 +560,11 @@ func TestIntakeWALEveryByteFlip(t *testing.T) {
 	}
 }
 
-// testShardPlan is the plan of the shard-state tests: 6 units in 3 shards.
-func testShardPlan() shardPlan {
-	return shardPlan{Version: shardPlanVersion, Job: "job-000001", Units: 6,
-		Shards: []shardSpan{{0, 0, 2}, {1, 2, 4}, {2, 4, 6}}}
-}
-
-// testUnitJournal opens a unit journal holding units 2 and 3, all of the
-// test plan's shard 1.
-func testUnitJournal(t testing.TB) *runner.Journal {
-	t.Helper()
-	j, err := runner.OpenJournal(filepath.Join(t.TempDir(), "units.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { j.Close() })
-	if err := j.RecordBatch(2, []json.RawMessage{json.RawMessage(`{"u":2}`), json.RawMessage(`{"u":3}`)}); err != nil {
-		t.Fatal(err)
-	}
-	return j
-}
-
-// TestShardWALEveryByteFlip flips every byte of a shard WAL holding the
-// plan line and 3 shard states, by XOR 0x01 and by overwriting it with a
-// newline, next to a unit journal that holds every unit of shard 1. A flip
-// in the plan line must quarantine the whole dir and re-plan. Any other
-// flip must keep the plan, and either keep all 3 shard states or
-// quarantine the damaged WAL, keep every state that verified, and send
-// each shard that lost its state back to pending. Shard 1 is done in every
-// case, re-planned or not: done-ness is read from the journal.
-func TestShardWALEveryByteFlip(t *testing.T) {
-	dir := t.TempDir()
-	units := testUnitJournal(t)
-	d, err := openShardDir(dir, units, testShardPlan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	deadline := leaseDeadline(time.Now(), time.Hour)
-	if err := d.log(shardWALRecord{Shard: 0, State: ShardLeased, Worker: "w1", Lease: "l-1",
-		DeadlineNS: deadline, Attempts: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.log(shardWALRecord{Shard: 1, State: ShardDone, Worker: "w2", Attempts: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.log(shardWALRecord{Shard: 2, State: ShardPending, Attempts: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.wal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	wal, err := os.ReadFile(filepath.Join(dir, "state.wal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	planLine := bytes.IndexByte(wal, '\n') + 1
-	// The states an undamaged reopen loads.
-	clean, err := openShardDir(dir, units, testShardPlan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []shardWALRecord{clean.state(0), clean.state(1), clean.state(2)}
-	clean.wal.Close()
-	if want[1].State != ShardDone {
-		t.Fatalf("shard 1 reopened as %+v, want done", want[1])
-	}
-	for _, sub := range byteSubs {
-		for off := range wal {
-			data := append([]byte{}, wal...)
-			data[off] = sub.fn(data[off])
-			rd := t.TempDir()
-			writeFiles(t, rd, map[string][]byte{"state.wal": data})
-			replanned := false
-			re, err := openShardDir(rd, units, func() shardPlan { replanned = true; return testShardPlan() })
-			if err != nil {
-				t.Fatalf("%s@%d: %v", sub.name, off, err)
-			}
-			re.wal.Close()
-			if !reflect.DeepEqual(re.plan, testShardPlan()) {
-				t.Fatalf("%s@%d: plan reloaded as %+v", sub.name, off, re.plan)
-			}
-			if inPlan := off < planLine && data[off] != wal[off]; replanned != inPlan {
-				t.Fatalf("%s@%d: re-planned %v, want %v", sub.name, off, replanned, inPlan)
-			}
-			if got := re.state(1); got.State != ShardDone {
-				t.Fatalf("%s@%d: shard 1, whose units are journaled, reloaded as %+v", sub.name, off, got)
-			}
-			if replanned {
-				if q, err := os.ReadFile(filepath.Join(rd+".quarantine", "state.wal")); err != nil || !bytes.Equal(q, data) {
-					t.Fatalf("%s@%d: plan lost and the dir not quarantined whole", sub.name, off)
-				}
-				for _, idx := range []int{0, 2} {
-					if got := re.state(idx); got != (shardWALRecord{Shard: idx, State: ShardPending}) {
-						t.Fatalf("%s@%d: re-planned shard %d starts as %+v", sub.name, off, idx, got)
-					}
-				}
-				continue
-			}
-			lost := 0
-			for idx, w := range want {
-				got := re.state(idx)
-				switch {
-				case got == w:
-				case idx == 1:
-					lost++ // done without its WAL line
-				case got.State == ShardPending && got.Lease == "":
-					lost++
-				default:
-					t.Fatalf("%s@%d: shard %d reloaded as %+v, want %+v or pending", sub.name, off, idx, got, w)
-				}
-			}
-			if lost == 0 {
-				continue
-			}
-			if q, err := os.ReadFile(filepath.Join(rd, "state.wal.quarantine")); err != nil || !bytes.Equal(q, data) {
-				t.Fatalf("%s@%d: %d states lost and the damaged WAL not quarantined", sub.name, off, lost)
-			}
-		}
-	}
-}
-
-// FuzzShardWAL opens a shard dir over an arbitrary state.wal: the input's
-// lines, each framed with a valid checksum when framed is set (so the
-// fuzzer reaches the plan and state decoder rather than the CRC), or the
-// raw bytes otherwise, next to a unit journal holding shard 1. openShardDir
-// must never panic or fail on content. It either keeps a stored plan that
-// tiles its units, or quarantines the dir whole and re-plans (a dir with
-// no record in it plans afresh). Every shard of the plan comes back
-// pending, leased or done, done exactly when the journal holds its units,
-// and a second open restores the same plan and states.
-func FuzzShardWAL(f *testing.F) {
-	seed := f.TempDir()
-	units := testUnitJournal(f)
-	d, err := openShardDir(seed, units, testShardPlan)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, rec := range []shardWALRecord{
-		{Shard: 0, State: ShardLeased, Worker: "w1", Lease: "l-1", DeadlineNS: 1767323045000000000, Attempts: 1},
-		{Shard: 1, State: ShardDone, Worker: "w2", Attempts: 1},
-		{Shard: 2, State: ShardPending, Attempts: 2},
-	} {
-		if err := d.log(rec); err != nil {
-			f.Fatal(err)
-		}
-	}
-	d.wal.Close()
-	wal, err := os.ReadFile(filepath.Join(seed, "state.wal"))
-	if err != nil {
-		f.Fatal(err)
-	}
-	var payloads [][]byte
-	for _, line := range bytes.Split(bytes.TrimSuffix(wal, []byte("\n")), []byte("\n")) {
-		payloads = append(payloads, line[9:])
-	}
-	f.Add(wal, false)
-	f.Add(bytes.Join(payloads, []byte("\n")), true)
-	f.Add(bytes.Join(payloads[1:], []byte("\n")), true)
-	f.Add([]byte(`{"version":"bankaware.shard-plan/v1","units":6,"shards":[{"index":0,"from":0,"to":6}]}`), true)
-	f.Fuzz(func(t *testing.T, data []byte, framed bool) {
-		dir := filepath.Join(t.TempDir(), "job")
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(dir, "state.wal")
-		if framed {
-			log, err := atomicio.OpenLog(path, func([]byte) error { return nil })
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := log.Append(bytes.Split(data, []byte("\n")), false); err != nil {
-				t.Fatal(err)
-			}
-			log.Close()
-		} else if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		records := 0
-		atomicio.Replay(path, func([]byte) error { records++; return nil })
-		replanned := false
-		re, err := openShardDir(dir, units, func() shardPlan { replanned = true; return testShardPlan() })
-		if err != nil {
-			t.Fatalf("openShardDir failed on content: %v", err)
-		}
-		re.wal.Close()
-		if replanned && records > 0 {
-			if _, err := os.Stat(filepath.Join(dir+".quarantine", "state.wal")); err != nil {
-				t.Fatalf("re-planned over %d records without quarantining the dir whole: %v", records, err)
-			}
-		}
-		next := 0
-		for i, span := range re.plan.Shards {
-			if span.Index != i || span.From != next || span.To <= span.From {
-				t.Fatalf("kept plan %+v does not tile its units", re.plan)
-			}
-			next = span.To
-		}
-		if next != re.plan.Units || next == 0 {
-			t.Fatalf("kept plan %+v does not tile its units", re.plan)
-		}
-		for _, span := range re.plan.Shards {
-			st := re.state(span.Index)
-			held := len(units.Lacks(span.From, span.To)) == 0
-			if st.State != ShardPending && st.State != ShardLeased && st.State != ShardDone || (st.State == ShardDone) != held {
-				t.Fatalf("shard %+v reloaded as %+v (units journaled: %v)", span, st, held)
-			}
-		}
-		again, err := openShardDir(dir, units, func() shardPlan { t.Fatal("second open re-planned"); return shardPlan{} })
-		if err != nil {
-			t.Fatal(err)
-		}
-		again.wal.Close()
-		if !reflect.DeepEqual(again.plan, re.plan) || !reflect.DeepEqual(again.states, re.states) {
-			t.Fatalf("second open restored %+v %+v, first %+v %+v", again.plan, again.states, re.plan, re.states)
-		}
-	})
-}
-
 // TestLegacyLogsUpgrade opens stores written before this layout: an intake
-// WAL, run ledger and shard WAL in the unframed encoding that predates
-// bankaware.log/v1, a store keeping job records in per-job files, and a
-// shard dir keeping its plan in plan.json. The records load unchanged, the
-// ledger root is unchanged, every log is framed afterwards, and the old
-// files are gone.
+// WAL and run ledger in the unframed encoding that predates
+// bankaware.log/v1, and a store keeping job records in per-job files. The
+// records load unchanged, the ledger root is unchanged, every log is framed
+// afterwards, and the old files are gone.
 func TestLegacyLogsUpgrade(t *testing.T) {
 	copyFixture := func(t *testing.T, src string, names ...string) string {
 		t.Helper()
@@ -862,46 +642,6 @@ func TestLegacyLogsUpgrade(t *testing.T) {
 		}
 		if lines := logLines(t, dir); len(lines) != 1 || !strings.Contains(lines[0], `"state":"done"`) {
 			t.Fatalf("log after upgrade: %q, want the done record alone", lines)
-		}
-	})
-
-	t.Run("shard", func(t *testing.T) {
-		dir := copyFixture(t, "legacy-shard", "plan.json", "state.wal")
-		units, err := runner.OpenJournal(filepath.Join(t.TempDir(), "units.journal"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer units.Close()
-		d, err := openShardDir(dir, units, func() shardPlan { t.Fatal("plan rebuilt"); return shardPlan{} })
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer d.wal.Close()
-		const deadline = 1767323045000000000
-		want := []shardWALRecord{
-			{Shard: 0, State: ShardLeased, Worker: "w1", Lease: "l-1", DeadlineNS: deadline, Attempts: 1},
-			{Shard: 1, State: ShardLeased, Worker: "w2", Lease: "l-2", DeadlineNS: deadline, Attempts: 1},
-			{Shard: 2, State: ShardPending, Attempts: 2},
-		}
-		for idx, w := range want {
-			if got := d.state(idx); got != w {
-				t.Fatalf("shard %d after upgrade: %+v, want %+v", idx, got, w)
-			}
-		}
-		framed(t, filepath.Join(dir, "state.wal"))
-		if _, err := os.Stat(filepath.Join(dir, "plan.json")); !os.IsNotExist(err) {
-			t.Fatalf("plan.json after upgrade: %v, want it gone", err)
-		}
-		data, err := os.ReadFile(filepath.Join(dir, "state.wal"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		first, _, _ := bytes.Cut(data[9:], []byte("\n"))
-		var plan shardPlan
-		wantPlan := shardPlan{Version: shardPlanVersion, Job: "job-000001", Units: 6,
-			Shards: []shardSpan{{0, 0, 2}, {1, 2, 4}, {2, 4, 6}}}
-		if err := json.Unmarshal(first, &plan); err != nil || !reflect.DeepEqual(plan, wantPlan) {
-			t.Fatalf("first WAL line %q, want the plan", first)
 		}
 	})
 }

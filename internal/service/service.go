@@ -33,8 +33,7 @@ var ErrDraining = errors.New("service: draining, not accepting jobs")
 // Config parametrises a Service.
 type Config struct {
 	// Dir is the durable store root: intake.wal, reports/, the ledger,
-	// and each unfinished job's unit journal (journals/) and, under a
-	// coordinator, lease state (shards/).
+	// and each unfinished job's unit journal (journals/), in either mode.
 	Dir string
 	// Jobs bounds how many jobs execute concurrently. Default 1: jobs are
 	// whole campaigns that parallelise internally, so one at a time already
@@ -554,8 +553,7 @@ func (s *Service) execute(jb *job) {
 		s.canceled.Inc()
 	case reason == "drain":
 		// Interrupted by shutdown: back to the queue for the next daemon.
-		// The job keeps its unit journal, which holds the finished units,
-		// and its shard dir.
+		// The job keeps its unit journal, which holds the finished units.
 		rec.State = StateQueued
 		s.store.Put(rec)
 		jb.hub.publish(EventState, stateEvent{State: StateQueued, Detail: "interrupted by drain"})

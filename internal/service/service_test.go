@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -574,10 +575,11 @@ func TestDrainedExperimentsJobResumesFromJournal(t *testing.T) {
 	}
 }
 
-// noUnitState fails when id left a unit journal or a shard dir behind.
+// noUnitState fails when id left its unit journal behind or the store
+// holds a shards dir: a job's unit journal is its only state on disk.
 func noUnitState(t *testing.T, svc *Service, id string) {
 	t.Helper()
-	for _, path := range []string{svc.Store().JournalPath(id), svc.Store().shardDirPath(id)} {
+	for _, path := range []string{svc.Store().JournalPath(id), filepath.Join(svc.Store().dir, "shards")} {
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Errorf("terminal job %s left %s behind (%v)", id, path, err)
 		}

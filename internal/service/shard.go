@@ -84,7 +84,7 @@ func executeShardUnits(ctx context.Context, spec JobSpec, from, to int, opt shar
 		if err != nil {
 			return nil, err
 		}
-		return encodeUnits(trials)
+		return encodeUnits(opt.Journal, trials)
 	}
 	eopt := experiments.Options{
 		Seed: spec.Seed, Observe: spec.Observe, Sample: opt.Sample,
@@ -114,11 +114,17 @@ func executeShardUnits(ctx context.Context, spec JobSpec, from, to int, opt shar
 	if err != nil {
 		return nil, err
 	}
-	return encodeUnits(runs)
+	return encodeUnits(opt.Journal, runs)
 }
 
-// encodeUnits marshals each unit result to its wire form.
-func encodeUnits[T any](units []T) ([]json.RawMessage, error) {
+// encodeUnits returns a computed range's units in their wire form. A range
+// run with a journal holds each unit's encoding there already (Map records
+// every unit it computes, keyed by its offset in the range), so those bytes
+// are returned as they stand; otherwise each result is marshalled.
+func encodeUnits[T any](journal *runner.Journal, units []T) ([]json.RawMessage, error) {
+	if journal != nil {
+		return journal.Records(0, len(units))
+	}
 	out := make([]json.RawMessage, len(units))
 	for i, u := range units {
 		data, err := json.Marshal(u)
@@ -176,23 +182,26 @@ func mergeUnits(spec JobSpec, units []json.RawMessage) (*metrics.Report, error) 
 	return res.Report(), nil
 }
 
+// shardSpan is one shard's unit range [From, To); a shard's index is its
+// position in the plan.
+type shardSpan struct {
+	From, To int
+}
+
 // planShards splits n units into contiguous shards of at most size units.
 // size <= 0 selects a default that gives a small fleet a healthy number of
-// shards to steal (n/16, at least 1).
-func planShards(job string, n, size int) shardPlan {
+// shards to steal (n/16, at least 1). The plan is a pure function of its
+// arguments, so a coordinator derives it afresh whenever a job starts.
+func planShards(n, size int) []shardSpan {
 	if size <= 0 {
 		size = (n + 15) / 16
 		if size < 1 {
 			size = 1
 		}
 	}
-	p := shardPlan{Version: shardPlanVersion, Job: job, Units: n}
+	var spans []shardSpan
 	for from := 0; from < n; from += size {
-		to := from + size
-		if to > n {
-			to = n
-		}
-		p.Shards = append(p.Shards, shardSpan{Index: len(p.Shards), From: from, To: to})
+		spans = append(spans, shardSpan{From: from, To: min(from+size, n)})
 	}
-	return p
+	return spans
 }

@@ -98,3 +98,59 @@ func TestShardRangePendingUnits(t *testing.T) {
 		t.Fatalf("a fully journaled range computes %v, want nothing", got)
 	}
 }
+
+// A range run with a journal returns the journal's records of its units,
+// each encoded once, when Map recorded it. They must be the bytes a range
+// run without a journal returns (encodeUnits of Map's typed results), both
+// fresh and resumed from a journal that an interrupted run of the range's
+// first half filled: for a fast set range and a Monte Carlo range.
+func TestJournaledRangeReturnsRecordedUnits(t *testing.T) {
+	for _, tc := range []struct {
+		spec     JobSpec
+		from, to int
+	}{
+		{JobSpec{Kind: KindSet, Fidelity: "fast", Observe: true, Seed: 1, Set: &SetSpec{Set: 1, Instructions: 300_000}}, 0, 3},
+		{mcSpec(20, 0), 6, 16},
+	} {
+		t.Run(fmt.Sprintf("%s[%d,%d)", tc.spec.Kind, tc.from, tc.to), func(t *testing.T) {
+			ctx := context.Background()
+			want, err := executeShardUnits(ctx, tc.spec, tc.from, tc.to, shardOptions{Workers: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := func(journal *runner.Journal, to int) []json.RawMessage {
+				t.Helper()
+				units, err := executeShardUnits(ctx, tc.spec, tc.from, to, shardOptions{Workers: 2, Journal: journal})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return units
+			}
+			open := func() *runner.Journal {
+				t.Helper()
+				journal, err := runner.OpenJournal(filepath.Join(t.TempDir(), "units.journal"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { journal.Close() })
+				return journal
+			}
+			fresh := run(open(), tc.to)
+			// The journal keys units by their offset in the range, so a run
+			// of [from, half) fills the first half of [from, to).
+			half := open()
+			run(half, tc.from+(tc.to-tc.from)/2)
+			resumed := run(half, tc.to)
+			for name, got := range map[string][]json.RawMessage{"fresh": fresh, "resumed": resumed} {
+				if len(got) != len(want) {
+					t.Fatalf("%s range returned %d units, want %d", name, len(got), len(want))
+				}
+				for i := range want {
+					if !bytes.Equal(got[i], want[i]) {
+						t.Errorf("%s range: unit %d is not its typed result's encoding\n got %.120s\nwant %.120s", name, tc.from+i, got[i], want[i])
+					}
+				}
+			}
+		})
+	}
+}

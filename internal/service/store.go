@@ -91,11 +91,12 @@ var walCompactBytes int64 = 4 << 20
 
 // Store is the daemon's durable result store: the job log (intake.wal), the
 // finished run reports under reports/, each unfinished job's unit journal
-// under journals/ and, under a coordinator, its lease state under shards/,
-// and the run ledger. The job log is the only durable copy
-// of job state: every transition appends one checksummed JobRecord line (a
-// batch of freshly accepted jobs shares one fsync, see batcher.go), and a
-// job's state is its last verified line.
+// under journals/, and the run ledger. A coordinator keeps nothing else on
+// disk: it derives a job's shard plan from the spec and holds its leases in
+// memory. The job log is the only durable copy of job state: every
+// transition appends one checksummed JobRecord line (a batch of freshly
+// accepted jobs shares one fsync, see batcher.go), and a job's state is its
+// last verified line.
 type Store struct {
 	dir string
 	// led is the tamper-evident run ledger (ledger.log): every job
@@ -516,13 +517,11 @@ func (s *Store) JournalPath(id string) string {
 	return filepath.Join(s.dir, "journals", id+".journal")
 }
 
-// removeUnits deletes id's unit journal and shard dir, once the job is
-// terminal. A quarantined copy of either stays as evidence. A failed
-// removal costs only space, so it is not reported: a re-run of the job
-// would restore the same units.
+// removeUnits deletes id's unit journal, once the job is terminal. A
+// quarantined copy stays as evidence. A failed removal costs only space,
+// so it is not reported: a re-run of the job would restore the same units.
 func (s *Store) removeUnits(id string) {
 	os.Remove(s.JournalPath(id))
-	os.RemoveAll(s.shardDirPath(id))
 }
 
 // SaveReport persists a finished job's report atomically and returns the

@@ -40,8 +40,9 @@ type WorkerConfig struct {
 	Coordinator string
 	// Name identifies this worker in lease bookkeeping; required.
 	Name string
-	// Dir holds the worker's shard journals. Empty disables journalling
-	// (a re-leased shard then restarts from its first unit).
+	// Dir holds the worker's shard checkpoints, one unit journal per
+	// (spec hash, unit range). Empty disables journalling (a re-leased
+	// shard then restarts from its first unit).
 	Dir string
 	// Workers bounds the fan-out within one shard; zero selects GOMAXPROCS.
 	Workers int
@@ -116,7 +117,7 @@ func (w *Worker) Start() error {
 // Close stops the worker gracefully: the pull loop exits, an in-flight
 // shard is interrupted and failed back to the coordinator so its lease
 // releases immediately instead of waiting out the TTL. The shard journal
-// survives, so a future lease of the same shard resumes the finished units.
+// survives, so a future lease of the same range resumes the finished units.
 func (w *Worker) Close() error {
 	w.cancel()
 	w.wg.Wait()
@@ -229,10 +230,14 @@ func (w *Worker) runShard(g *ShardGrant) {
 	}
 }
 
-// journalPath keys the shard checkpoint by (job, shard) — not by lease —
-// so a re-leased shard resumes its predecessor attempt's completed units.
+// journalPath names the shard checkpoint by what it holds: units
+// [From, To) of the spec with g.Spec's content hash. A unit is a pure
+// function of (spec, index), so whatever lease, job ID, coordinator store
+// or shard plan granted the range, a checkpoint is restored only into a
+// range whose units are the same bytes, and a re-leased shard resumes its
+// predecessor attempt's completed units.
 func (w *Worker) journalPath(g *ShardGrant) string {
-	return filepath.Join(w.cfg.Dir, fmt.Sprintf("%s-s%d.journal", g.Job, g.Shard))
+	return filepath.Join(w.cfg.Dir, fmt.Sprintf("%s-%d-%d.journal", SpecHash(g.Spec), g.From, g.To))
 }
 
 func (w *Worker) removeJournal(g *ShardGrant) {
@@ -417,9 +422,11 @@ func (w *Worker) fail(g *ShardGrant, cause error) error {
 
 // complete uploads the shard's results with the payload hash the
 // coordinator verifies before storing. Retries get a full lease TTL:
-// completion is not lease-gated, so even an upload that lands after expiry
-// is accepted (and a corrupt-in-transit one is rejected with a 422, which
-// is deliberately not retried — the buffer itself is suspect).
+// completion needs a lease the coordinator granted for the shard, not the
+// live one, so even an upload that lands after expiry is accepted. A lease
+// from before a coordinator restart gets a 409, and a corrupt-in-transit
+// upload a 422; neither is retried (the checkpoint stays for a re-lease of
+// the range, and a suspect buffer is not sent twice).
 func (w *Worker) complete(g *ShardGrant, units []json.RawMessage) error {
 	return w.postRetry("/v1/work/complete",
 		&ShardUpload{Job: g.Job, Shard: g.Shard, Lease: g.Lease,
