@@ -31,7 +31,6 @@ func runMonteCarlo(args []string) error {
 		csvPath = fs.String("csv", "", "write per-trial rows to this CSV file")
 		chart   = fs.Bool("chart", true, "render the sorted-ratio chart")
 		resume  = fs.String("resume", "", "journal completed trials to this file and resume from it on restart")
-		retries = fs.Int("retries", 0, "extra attempts a failed trial gets before the campaign fails")
 		sh      shared
 	)
 	sh.register(fs, "parallel", "timeout", "progress", "report", "pprof", "faults")
@@ -42,10 +41,7 @@ func runMonteCarlo(args []string) error {
 	}
 	defer ss.close()
 
-	opt := montecarlo.Options{
-		Workers: ss.opt.Workers, Progress: ss.opt.Progress, Faults: ss.opt.Faults,
-		Retries: *retries, RetryBackoff: 100 * time.Millisecond,
-	}
+	opt := montecarlo.Options{Workers: ss.opt.Workers, Progress: ss.opt.Progress, Faults: ss.opt.Faults}
 	if *resume != "" {
 		j, err := runner.OpenJournal(*resume)
 		if err != nil {

@@ -10,7 +10,6 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"bankaware/internal/core"
 	"bankaware/internal/faults"
@@ -49,11 +48,6 @@ type Options struct {
 	// sim.Config.Faults): banks fail or slow down at the scheduled epochs
 	// and the policies re-partition around them. Nil runs healthy.
 	Faults *faults.Plan
-	// Retries, RetryBackoff and JobTimeout configure per-job resilience;
-	// see the runner.Config fields of the same names.
-	Retries      int
-	RetryBackoff time.Duration
-	JobTimeout   time.Duration
 	// SimWorkers bounds the execution lanes *inside* each simulation (see
 	// sim.System.SetSimWorkers); 0 or 1 runs the classic sequential loop.
 	// Like Workers it is an execution knob: results are byte-identical for
@@ -72,10 +66,7 @@ type Options struct {
 
 // runnerConfig builds the engine configuration for one fan-out.
 func (o Options) runnerConfig() runner.Config {
-	return runner.Config{
-		Workers: o.Workers, Progress: o.Progress,
-		Retries: o.Retries, RetryBackoff: o.RetryBackoff, JobTimeout: o.JobTimeout,
-	}
+	return runner.Config{Workers: o.Workers, Progress: o.Progress}
 }
 
 // sampler adapts the campaign-level Sample hook to one run's live tap.

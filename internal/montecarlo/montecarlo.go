@@ -12,7 +12,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"time"
 
 	"bankaware/internal/core"
 	"bankaware/internal/faults"
@@ -73,12 +72,6 @@ type Options struct {
 	Workers int
 	// Progress receives engine events for live progress reporting.
 	Progress runner.ProgressFunc
-	// Retries is the per-trial retry budget (see runner.Config.Retries).
-	Retries int
-	// RetryBackoff is the base delay between retry attempts.
-	RetryBackoff time.Duration
-	// JobTimeout bounds each trial attempt (see runner.Config.JobTimeout).
-	JobTimeout time.Duration
 	// Journal checkpoints completed trials so a killed campaign resumes
 	// where it stopped; a resumed campaign's Results are byte-identical to
 	// an uninterrupted run with the same Config.
@@ -210,11 +203,7 @@ func (p *plan) trial(t int) (Trial, error) {
 
 // runnerConfig builds the engine configuration for one fan-out.
 func (o Options) runnerConfig() runner.Config {
-	return runner.Config{
-		Workers: o.Workers, Progress: o.Progress,
-		Retries: o.Retries, RetryBackoff: o.RetryBackoff,
-		JobTimeout: o.JobTimeout, Journal: o.Journal,
-	}
+	return runner.Config{Workers: o.Workers, Progress: o.Progress, Journal: o.Journal}
 }
 
 // RunContext executes the experiment on a bounded worker pool. All workload

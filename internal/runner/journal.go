@@ -104,36 +104,51 @@ func (j *Journal) Record(job int, result any) error {
 	line = append(line, `,"result":`...)
 	line = append(line, raw...)
 	line = append(line, '}')
-	return j.appendLines(job, [][]byte{line}, []json.RawMessage{raw})
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.appendLocked([][]byte{line}, []journalRecord{{Job: job, Result: raw}})
 }
 
-// RecordBatch appends results[i] as job first+i's JSON-encoded result, all
-// of them with one write and one sync, so a batch costs one fsync however
-// many records it holds. They are durable when RecordBatch returns. Each
+// RecordBatch appends results[i] as job first+i's JSON-encoded result for
+// every job of the batch the journal does not hold yet, all with one write
+// and one sync, so a batch costs one fsync however many records it holds.
+// They are durable when RecordBatch returns. A held job keeps its record:
+// a unit is a pure function of its index, so a second copy would only grow
+// the file, and a batch the journal holds whole writes nothing. Each
 // result is compacted into its record, so bytes from elsewhere (a worker's
 // upload) cannot break the log's line framing.
 func (j *Journal) RecordBatch(first int, results []json.RawMessage) error {
-	lines := make([][]byte, len(results))
-	for i, raw := range results {
-		line, err := json.Marshal(journalRecord{Job: first + i, Result: raw})
-		if err != nil {
-			return fmt.Errorf("runner: encoding journal record for job %d: %w", first+i, err)
-		}
-		lines[i] = line
-	}
-	return j.appendLines(first, lines, results)
-}
-
-// appendLines writes lines, the records of jobs first, first+1, ..., with
-// one write and one sync, then holds results[i] as job first+i's result.
-func (j *Journal) appendLines(first int, lines [][]byte, results []json.RawMessage) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.log.Append(lines, true); err != nil {
-		return fmt.Errorf("runner: appending journal records from job %d: %w", first, err)
-	}
+	var (
+		lines [][]byte
+		recs  []journalRecord
+	)
 	for i, raw := range results {
-		j.done[first+i] = raw
+		rec := journalRecord{Job: first + i, Result: raw}
+		if _, held := j.done[rec.Job]; held {
+			continue
+		}
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return fmt.Errorf("runner: encoding journal record for job %d: %w", rec.Job, err)
+		}
+		lines, recs = append(lines, line), append(recs, rec)
+	}
+	if len(recs) == 0 {
+		return nil
+	}
+	return j.appendLocked(lines, recs)
+}
+
+// appendLocked writes lines, the encoded recs, with one write and one
+// sync, then holds each record's result. j.mu is held.
+func (j *Journal) appendLocked(lines [][]byte, recs []journalRecord) error {
+	if err := j.log.Append(lines, true); err != nil {
+		return fmt.Errorf("runner: appending journal records from job %d: %w", recs[0].Job, err)
+	}
+	for _, rec := range recs {
+		j.done[rec.Job] = rec.Result
 	}
 	return nil
 }

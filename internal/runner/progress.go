@@ -18,9 +18,6 @@ const (
 	JobDone
 	// JobFailed fires when a job returns an error or panics.
 	JobFailed
-	// JobRetried fires when a failed attempt is about to be retried (the
-	// job is still running; Done/Failed counters are unchanged).
-	JobRetried
 )
 
 // String renders the kind for logs.
@@ -32,8 +29,6 @@ func (k Kind) String() string {
 		return "done"
 	case JobFailed:
 		return "failed"
-	case JobRetried:
-		return "retried"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -51,8 +46,6 @@ type Progress struct {
 	// Started, Done and Failed count jobs in each state after this event
 	// (Done excludes failures).
 	Started, Done, Failed int
-	// Retried counts retry attempts across all jobs so far.
-	Retried int
 	// Elapsed is the job's wall time; zero for JobStarted.
 	Elapsed time.Duration
 	// Err is the job's error for JobFailed events.
@@ -68,9 +61,9 @@ type ProgressFunc func(Progress)
 // tracker owns the counters and fans events out to the hook. Callers hold
 // the engine mutex, so field updates and hook calls are already serialised.
 type tracker struct {
-	total                          int
-	startedN, doneN, fail, retries int
-	progress                       ProgressFunc
+	total                 int
+	startedN, doneN, fail int
+	progress              ProgressFunc
 }
 
 func (t *tracker) emit(k Kind, job int, elapsed time.Duration, err error) {
@@ -79,7 +72,7 @@ func (t *tracker) emit(k Kind, job int, elapsed time.Duration, err error) {
 	}
 	t.progress(Progress{
 		Kind: k, Job: job, Total: t.total,
-		Started: t.startedN, Done: t.doneN, Failed: t.fail, Retried: t.retries,
+		Started: t.startedN, Done: t.doneN, Failed: t.fail,
 		Elapsed: elapsed, Err: err,
 	})
 }
@@ -99,11 +92,6 @@ func (t *tracker) failed(job int, elapsed time.Duration, err error) {
 	t.emit(JobFailed, job, elapsed, err)
 }
 
-func (t *tracker) retried(job int, elapsed time.Duration, err error) {
-	t.retries++
-	t.emit(JobRetried, job, elapsed, err)
-}
-
 // CountInto returns a ProgressFunc that counts engine activity into reg
 // ("runner.jobs_started/done/failed") and then forwards to next (which may
 // be nil). The registry can be read concurrently — e.g. served by
@@ -112,7 +100,6 @@ func CountInto(reg *metrics.Registry, next ProgressFunc) ProgressFunc {
 	started := reg.Counter("runner.jobs_started")
 	done := reg.Counter("runner.jobs_done")
 	failed := reg.Counter("runner.jobs_failed")
-	retried := reg.Counter("runner.jobs_retried")
 	return func(p Progress) {
 		switch p.Kind {
 		case JobStarted:
@@ -121,8 +108,6 @@ func CountInto(reg *metrics.Registry, next ProgressFunc) ProgressFunc {
 			done.Inc()
 		case JobFailed:
 			failed.Inc()
-		case JobRetried:
-			retried.Inc()
 		}
 		if next != nil {
 			next(p)
@@ -138,7 +123,7 @@ func Printer(w io.Writer, label string) ProgressFunc {
 	start := time.Now()
 	var lastPrint time.Time
 	return func(p Progress) {
-		if p.Kind == JobStarted || p.Kind == JobRetried {
+		if p.Kind == JobStarted {
 			return
 		}
 		now := time.Now()

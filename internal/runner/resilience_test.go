@@ -4,153 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"bankaware/internal/atomicio"
 )
-
-func TestRetriesRecoverFlakyJobs(t *testing.T) {
-	var attempts [4]int32
-	res, err := Map(context.Background(), Config{Workers: 2, Retries: 2}, 4,
-		func(_ context.Context, job int) (int, error) {
-			n := atomic.AddInt32(&attempts[job], 1)
-			if job == 2 && n < 3 { // fails twice, succeeds on the last attempt
-				return 0, fmt.Errorf("transient %d", n)
-			}
-			return job * 10, nil
-		})
-	if err != nil {
-		t.Fatalf("campaign failed despite retry budget: %v", err)
-	}
-	if res[2] != 20 {
-		t.Fatalf("job 2 result %d, want 20", res[2])
-	}
-	if got := atomic.LoadInt32(&attempts[2]); got != 3 {
-		t.Fatalf("job 2 ran %d attempts, want 3", got)
-	}
-}
-
-func TestRetriesExhaustedFailsCampaign(t *testing.T) {
-	sentinel := errors.New("permanent")
-	var attempts int32
-	_, err := Map(context.Background(), Config{Workers: 1, Retries: 3}, 1,
-		func(_ context.Context, _ int) (int, error) {
-			atomic.AddInt32(&attempts, 1)
-			return 0, sentinel
-		})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want %v", err, sentinel)
-	}
-	if got := atomic.LoadInt32(&attempts); got != 4 { // 1 + 3 retries
-		t.Fatalf("ran %d attempts, want 4", got)
-	}
-}
-
-func TestRetriedProgressEvents(t *testing.T) {
-	var mu sync.Mutex
-	var retried int
-	_, err := Map(context.Background(), Config{
-		Workers: 1, Retries: 2,
-		Progress: func(p Progress) {
-			mu.Lock()
-			defer mu.Unlock()
-			if p.Kind == JobRetried {
-				retried++
-				if p.Err == nil {
-					t.Error("JobRetried event without the attempt's error")
-				}
-			}
-		},
-	}, 1, func(_ context.Context, _ int) (int, error) {
-		mu.Lock()
-		n := retried
-		mu.Unlock()
-		if n < 2 {
-			return 0, errors.New("flaky")
-		}
-		return 1, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if retried != 2 {
-		t.Fatalf("observed %d JobRetried events, want 2", retried)
-	}
-}
-
-func TestCancellationIsNotRetried(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var attempts int32
-	_, err := Map(ctx, Config{Workers: 1, Retries: 5}, 1,
-		func(_ context.Context, _ int) (int, error) {
-			atomic.AddInt32(&attempts, 1)
-			cancel()
-			return 0, context.Canceled
-		})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if got := atomic.LoadInt32(&attempts); got != 1 {
-		t.Fatalf("cancelled job ran %d attempts, want 1", got)
-	}
-}
-
-func TestJobTimeoutBoundsAttempts(t *testing.T) {
-	var attempts int32
-	start := time.Now()
-	_, err := Map(context.Background(), Config{Workers: 1, JobTimeout: 20 * time.Millisecond, Retries: 1}, 1,
-		func(ctx context.Context, _ int) (int, error) {
-			atomic.AddInt32(&attempts, 1)
-			<-ctx.Done() // a hung job, bounded only by the per-job deadline
-			return 0, ctx.Err()
-		})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
-	}
-	if got := atomic.LoadInt32(&attempts); got != 2 { // timeout is retried like any failure
-		t.Fatalf("ran %d attempts, want 2", got)
-	}
-	if e := time.Since(start); e > 5*time.Second {
-		t.Fatalf("two 20ms-bounded attempts took %v", e)
-	}
-}
-
-func TestBackoffAbortsOnCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var attempts int32
-	done := make(chan error, 1)
-	go func() {
-		_, err := Map(ctx, Config{Workers: 1, Retries: 10, RetryBackoff: time.Hour}, 1,
-			func(_ context.Context, _ int) (int, error) {
-				atomic.AddInt32(&attempts, 1)
-				return 0, errors.New("always")
-			})
-		done <- err
-	}()
-	for atomic.LoadInt32(&attempts) == 0 {
-		time.Sleep(time.Millisecond)
-	}
-	cancel() // the worker is asleep in the hour-long backoff
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("campaign succeeded despite failing job")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("backoff ignored cancellation")
-	}
-	if got := atomic.LoadInt32(&attempts); got != 1 {
-		t.Fatalf("ran %d attempts, want 1", got)
-	}
-}
 
 type trialResult struct {
 	Job   int     `json:"job"`
@@ -395,6 +256,50 @@ func TestJournalRecords(t *testing.T) {
 	}
 	if got, err := j.Records(2, 6); err == nil || !strings.Contains(err.Error(), "lacks job 4 ") {
 		t.Fatalf("Records(2, 6) = %q, %v; want an error naming job 4", got, err)
+	}
+}
+
+// RecordBatch appends only the jobs the journal lacks: over a range it
+// holds in part, the held jobs keep their records and bytes, and a batch
+// it holds whole writes nothing.
+func TestJournalRecordBatchSkipsHeldJobs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "batch.journal")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.RecordBatch(1, []json.RawMessage{json.RawMessage(`{"v":1}`), json.RawMessage(`{"v":2}`)}); err != nil {
+		t.Fatal(err)
+	}
+	batch := []json.RawMessage{
+		json.RawMessage(`{"v":"a"}`), json.RawMessage(`{"v":"b"}`),
+		json.RawMessage(`{"v":"c"}`), json.RawMessage(`{"v":"d"}`),
+	}
+	if err := j.RecordBatch(0, batch); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(data, []byte("\n")); n != 4 {
+		t.Fatalf("journal file holds %d records for 4 jobs, want 4", n)
+	}
+	got, err := j.Records(0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []string{`{"v":"a"}`, `{"v":1}`, `{"v":2}`, `{"v":"d"}`} {
+		if string(got[i]) != want {
+			t.Fatalf("Records(0, 4)[%d] = %s, want %s", i, got[i], want)
+		}
+	}
+	if err := j.RecordBatch(0, batch); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, data) {
+		t.Fatalf("a batch the journal holds whole changed the file (%d -> %d bytes, %v)", len(data), len(again), err)
 	}
 }
 

@@ -36,20 +36,6 @@ type Config struct {
 	// completion. Calls are serialised by the engine, so the hook needs no
 	// locking of its own.
 	Progress ProgressFunc
-	// Retries is how many extra attempts a failed job gets before its error
-	// becomes the campaign's (first-error-wins is unchanged — it just
-	// applies to the final attempt). Zero fails fast. Cancellation is never
-	// retried: once the context is done the job stops where it is.
-	Retries int
-	// RetryBackoff is the delay before the first retry, doubling with each
-	// subsequent attempt (capped at 64x). Zero retries immediately. The
-	// wait aborts early if the context ends.
-	RetryBackoff time.Duration
-	// JobTimeout bounds each attempt with a per-job context deadline; an
-	// attempt exceeding it is cancelled and counts as a failure (and is
-	// retried like one when Retries allows). Zero means no per-job bound —
-	// only the parent context limits the campaign.
-	JobTimeout time.Duration
 	// Journal, when non-nil, checkpoints every completed job's result and
 	// restores recorded jobs instead of recomputing them, so a killed
 	// campaign resumes where it stopped. See Journal.
@@ -91,10 +77,12 @@ func (e *PanicError) Error() string {
 // results indexed by job, so the output is identical for any worker count.
 // fn receives a context that is cancelled as soon as the parent context is
 // done or another job fails; long-running jobs should check it between
-// chunks of work. The first job error (or recovered panic) cancels the
-// remaining jobs and becomes Map's error; if the parent context ends before
-// all jobs complete, Map returns the context's error. On error the partial
-// results are returned so far as they were computed.
+// chunks of work. Each job runs once: a job is a function of its index and
+// inputs, so an attempt that failed would fail again. The first job error
+// (or recovered panic) cancels the remaining jobs and becomes Map's error;
+// if the parent context ends before all jobs complete, Map returns the
+// context's error. On error the partial results are returned so far as
+// they were computed.
 func Map[T any](ctx context.Context, cfg Config, n int, fn func(ctx context.Context, job int) (T, error)) ([]T, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -136,20 +124,7 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn func(ctx context.Cont
 		track.started(job)
 		mu.Unlock()
 		begin := time.Now()
-		var res T
-		var err error
-		for attempt := 0; ; attempt++ {
-			res, err = attemptJob(ctx, cfg.JobTimeout, job, fn)
-			if err == nil || ctx.Err() != nil || attempt >= cfg.Retries {
-				break
-			}
-			mu.Lock()
-			track.retried(job, time.Since(begin), err)
-			mu.Unlock()
-			if !backoff(ctx, cfg.RetryBackoff, attempt) {
-				break
-			}
-		}
+		res, err := protect(ctx, job, fn)
 		elapsed := time.Since(begin)
 		if err == nil && cfg.Journal != nil {
 			err = cfg.Journal.Record(job, res)
@@ -202,36 +177,6 @@ func Run(ctx context.Context, cfg Config, n int, fn func(ctx context.Context, jo
 		return struct{}{}, fn(ctx, job)
 	})
 	return err
-}
-
-// attemptJob runs one attempt under the per-job deadline (when set) with
-// panic recovery.
-func attemptJob[T any](ctx context.Context, timeout time.Duration, job int, fn func(ctx context.Context, job int) (T, error)) (T, error) {
-	if timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, timeout)
-		defer cancel()
-	}
-	return protect(ctx, job, fn)
-}
-
-// backoff sleeps the capped-exponential retry delay for the given attempt
-// number, returning false if the context ended first.
-func backoff(ctx context.Context, base time.Duration, attempt int) bool {
-	if base <= 0 {
-		return ctx.Err() == nil
-	}
-	if attempt > 6 {
-		attempt = 6 // cap at 64x base
-	}
-	t := time.NewTimer(base << uint(attempt))
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }
 
 // protect invokes fn with panic recovery.

@@ -376,8 +376,9 @@ func (s *Service) FailShard(a *ShardAck) error {
 	return nil
 }
 
-// CompleteShard accepts one shard's unit results and appends them to the
-// job's unit journal with one synced write. Completion is
+// CompleteShard accepts one shard's unit results and appends the ones the
+// job's unit journal lacks with one synced write: a shard the journal
+// covers in part (after a re-plan) is leased whole. Completion is
 // idempotent and — deliberately — not gated on holding the live lease:
 // every unit is a pure function of (spec, index), so an upload under any
 // lease this start of the job granted for the shard carries the correct

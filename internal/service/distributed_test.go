@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"bankaware/internal/runner"
 )
 
 // startWorker attaches one pulling worker to a coordinator test server.
@@ -490,49 +492,95 @@ func TestLeaseFromBeforeRestartIsRejected(t *testing.T) {
 	}
 }
 
-// TestShardUnitsChangeReplansHalfFinishedJob restarts a coordinator with
-// ShardUnits 8 over a job half finished under ShardUnits 5: the first
-// plan's shards 0 and 2 are uploaded, and a worker holds checkpoints of
-// its shards 1 and 3, under the same job ID and shard indices as the new
-// plan's shards 1 and 3 but of other units. The new plan is derived from
-// the spec, the journaled units carry over, no checkpoint is restored into
-// a range of other units, and the merged report equals the direct run.
-func TestShardUnitsChangeReplansHalfFinishedJob(t *testing.T) {
+// replanHalfFinishedJob restarts a coordinator with ShardUnits 8 over a
+// 40-trial job half finished under ShardUnits 5: the first plan's shards 0
+// and 2 are uploaded, and a worker starts with checkpoints of its shards 1
+// and 3, under the same job ID and shard indices as the new plan's shards
+// 1 and 3 but of other units, and a quarantined journal. It returns once
+// the job is done, with the worker's checkpoint dir.
+func replanHalfFinishedJob(t *testing.T) (svc *Service, id, workerDir string) {
+	t.Helper()
 	const trials = 40
 	cfg := Config{Dir: t.TempDir(), Coordinator: true, LeaseTTL: time.Minute, ShardUnits: 5}
-	svc, _ := startHTTP(t, cfg, true)
-	rec, err := svc.Submit(mcSpec(trials, 0))
+	first, _ := startHTTP(t, cfg, true)
+	rec, err := first.Submit(mcSpec(trials, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := leaseAll(t, svc, 4)
-	uploadShard(t, svc, old[0])
-	uploadShard(t, svc, old[2])
-	svc.Close()
+	old := leaseAll(t, first, 4)
+	uploadShard(t, first, old[0])
+	uploadShard(t, first, old[2])
+	first.Close()
 
 	cfg.ShardUnits = 8
-	svc2, ts, resumed := restartCoordinator(t, cfg, rec.ID)
+	svc, ts, resumed := restartCoordinator(t, cfg, rec.ID)
 	if len(resumed) != trials/8 {
 		t.Fatalf("re-planned job shows %d shards, want %d", len(resumed), trials/8)
 	}
+	workerDir = t.TempDir()
 	w, err := NewWorker(WorkerConfig{
-		Coordinator: ts.URL, Name: "w0", Dir: t.TempDir(), Workers: 2, Poll: 10 * time.Millisecond,
+		Coordinator: ts.URL, Name: "w0", Dir: workerDir, Workers: 2, Poll: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range []*ShardGrant{old[1], old[3]} {
-		if _, err := w.executeUnits(context.Background(), g); err != nil {
+		journal, err := runner.OpenJournal(w.journalPath(g))
+		if err != nil {
 			t.Fatal(err)
 		}
+		_, err = executeShardUnits(context.Background(), g.Spec, g.From, g.To, shardOptions{Workers: 2, Journal: journal})
+		journal.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(workerDir, "damaged.journal.quarantine"), []byte("evidence\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Start(); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { w.Close() })
-	waitState(t, svc2, rec.ID, StateDone)
-	if got, want := reportBytes(t, svc2, rec.ID), directMonteCarloBytes(t, trials, 2009); !bytes.Equal(got, want) {
+	waitState(t, svc, rec.ID, StateDone)
+	return svc, rec.ID, workerDir
+}
+
+// TestShardUnitsChangeReplansHalfFinishedJob: over replanHalfFinishedJob's
+// re-plan the new plan is derived from the spec, the journaled units carry
+// over, no checkpoint is restored into a range of other units, and the
+// merged report equals the direct run.
+func TestShardUnitsChangeReplansHalfFinishedJob(t *testing.T) {
+	svc, id, _ := replanHalfFinishedJob(t)
+	if got, want := reportBytes(t, svc, id), directMonteCarloBytes(t, 40, 2009); !bytes.Equal(got, want) {
 		t.Fatalf("re-planned report (%d bytes) differs from the direct run (%d bytes)", len(got), len(want))
+	}
+}
+
+// TestWorkerKeepsOnlyTheRangeItRuns: a worker keeps one checkpoint, of the
+// range it is running. The old plan's checkpoints of replanHalfFinishedJob
+// cover ranges the worker is never granted again, so they go once it runs
+// another range, and each range it runs goes with its accepted upload:
+// once the job is done the worker's dir holds no checkpoint, only the
+// quarantined journal, which is evidence. The last removal follows the
+// upload's response, so the check waits for it.
+func TestWorkerKeepsOnlyTheRangeItRuns(t *testing.T) {
+	_, _, dir := replanHalfFinishedJob(t)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		if len(names) == 1 && names[0] == "damaged.journal.quarantine" {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("worker dir holds %v after the job is done, want only damaged.journal.quarantine", names)
+		}
 	}
 }
 
@@ -756,7 +804,8 @@ func TestWorkerCheckpointIsKeyedBySpecAndRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The checkpoint an interrupted shard leaves: executeUnits journals
-	// every unit it computes, and only an accepted upload removes it.
+	// every unit it computes, and the checkpoint stays until an accepted
+	// upload or a grant of another range removes it.
 	stale := mcSpec(trials, 0)
 	stale.Seed = 7
 	if _, err := w.executeUnits(context.Background(), &ShardGrant{

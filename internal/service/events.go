@@ -10,7 +10,7 @@ const (
 	// EventState announces a job state change ({"state":"running"}).
 	EventState = "state"
 	// EventProgress relays one engine notification (trial/simulation
-	// started, done, failed or retried, with the counters after it).
+	// started, done or failed, with the counters after it).
 	EventProgress = "progress"
 	// EventEpoch relays one live epoch sample from a detailed simulation,
 	// tagged with the run ("Bank-aware", "set3/Equal", ...) it belongs to.

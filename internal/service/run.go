@@ -11,13 +11,12 @@ import (
 // progressEvent is the payload of EventProgress frames: one engine
 // notification with the counters after it.
 type progressEvent struct {
-	Event   string `json:"event"` // started | done | failed | retried
+	Event   string `json:"event"` // started | done | failed
 	Job     int    `json:"job"`
 	Total   int    `json:"total"`
 	Started int    `json:"started"`
 	Done    int    `json:"done"`
 	Failed  int    `json:"failed"`
-	Retried int    `json:"retried,omitempty"`
 	// ElapsedMS is the finished job's wall time.
 	ElapsedMS int64  `json:"elapsedMs,omitempty"`
 	Error     string `json:"error,omitempty"`
@@ -36,7 +35,7 @@ func (s *Service) progressFor(jb *job) runner.ProgressFunc {
 	return runner.CountInto(s.reg, func(p runner.Progress) {
 		ev := progressEvent{
 			Event: p.Kind.String(), Job: p.Job, Total: p.Total,
-			Started: p.Started, Done: p.Done, Failed: p.Failed, Retried: p.Retried,
+			Started: p.Started, Done: p.Done, Failed: p.Failed,
 			ElapsedMS: p.Elapsed.Milliseconds(),
 		}
 		if p.Err != nil {

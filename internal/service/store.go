@@ -118,7 +118,6 @@ type Store struct {
 	// once the job is done). Failed and canceled jobs are evicted so a
 	// resubmission re-executes.
 	dedup map[string]string
-	etags map[string]string // memoized report ETags, by job ID
 	seq   int
 }
 
@@ -144,7 +143,6 @@ func OpenStore(dir string) (*Store, error) {
 		dir:   dir,
 		jobs:  make(map[string]JobRecord),
 		dedup: make(map[string]string),
-		etags: make(map[string]string),
 	}
 	var err error
 	st.wal, err = atomicio.OpenLog(filepath.Join(dir, jobLogName), func(line []byte) error {
@@ -422,12 +420,6 @@ func (s *Store) Put(recs ...JobRecord) error {
 		s.jobs[rec.ID] = rec
 		s.orderInsertLocked(rec.Seq, rec.ID)
 		s.indexLocked(rec)
-		if rec.ReportHash != "" {
-			s.etags[rec.ID] = reportETag(rec.ReportHash)
-		} else {
-			// A quarantine re-queue cleared the hash; drop the stale memo.
-			delete(s.etags, rec.ID)
-		}
 	}
 	s.mu.Unlock()
 	if s.wal.Due(walCompactBytes) {
@@ -545,9 +537,6 @@ func (s *Store) SaveReport(id string, rep *metrics.Report) (string, error) {
 	}, true); err != nil {
 		return "", err
 	}
-	s.mu.Lock()
-	s.etags[id] = reportETag(hash)
-	s.mu.Unlock()
 	return hash, nil
 }
 
@@ -600,36 +589,30 @@ func quarantineFile(path string) error {
 	return os.Rename(path, path+".quarantine")
 }
 
-// ReportETag returns the strong ETag of id's stored report, hashing the
-// file once and memoizing for records written before report hashing
-// existed.
+// ReportETag returns the strong ETag of id's stored report, from its
+// record's content hash. A record written before report hashing existed
+// has none: the stored bytes are hashed once and the hash kept in the
+// in-memory record.
 func (s *Store) ReportETag(id string) (string, error) {
 	s.mu.Lock()
-	if tag, ok := s.etags[id]; ok {
-		s.mu.Unlock()
-		return tag, nil
-	}
-	if rec, ok := s.jobs[id]; ok && rec.ReportHash != "" {
-		tag := reportETag(rec.ReportHash)
-		s.etags[id] = tag
-		s.mu.Unlock()
-		return tag, nil
-	}
+	hash := s.jobs[id].ReportHash
 	s.mu.Unlock()
+	if hash != "" {
+		return reportETag(hash), nil
+	}
 	data, err := s.ReportBytes(id)
 	if err != nil {
 		return "", err
 	}
 	sum := sha256.Sum256(data)
-	tag := reportETag(hex.EncodeToString(sum[:]))
+	hash = hex.EncodeToString(sum[:])
 	s.mu.Lock()
-	s.etags[id] = tag
 	if rec, ok := s.jobs[id]; ok && rec.ReportHash == "" {
-		rec.ReportHash = hex.EncodeToString(sum[:])
+		rec.ReportHash = hash
 		s.jobs[id] = rec
 	}
 	s.mu.Unlock()
-	return tag, nil
+	return reportETag(hash), nil
 }
 
 // reportETag formats a report content hash as a strong HTTP ETag.

@@ -40,9 +40,11 @@ type WorkerConfig struct {
 	Coordinator string
 	// Name identifies this worker in lease bookkeeping; required.
 	Name string
-	// Dir holds the worker's shard checkpoints, one unit journal per
-	// (spec hash, unit range). Empty disables journalling (a re-leased
-	// shard then restarts from its first unit).
+	// Dir holds the worker's shard checkpoint: the unit journal of the
+	// range it is running, or of the last range it left unfinished, named
+	// by (spec hash, unit range). The worker owns the dir; each grant
+	// removes the checkpoints of other ranges. Empty disables journalling
+	// (a re-leased shard then restarts from its first unit).
 	Dir string
 	// Workers bounds the fan-out within one shard; zero selects GOMAXPROCS.
 	Workers int
@@ -117,7 +119,8 @@ func (w *Worker) Start() error {
 // Close stops the worker gracefully: the pull loop exits, an in-flight
 // shard is interrupted and failed back to the coordinator so its lease
 // releases immediately instead of waiting out the TTL. The shard journal
-// survives, so a future lease of the same range resumes the finished units.
+// survives, so a worker on the same dir whose next lease is that range
+// resumes the finished units.
 func (w *Worker) Close() error {
 	w.cancel()
 	w.wg.Wait()
@@ -247,10 +250,23 @@ func (w *Worker) removeJournal(g *ShardGrant) {
 }
 
 // executeUnits computes the granted unit range, checkpointing per unit.
+// The worker keeps one checkpoint, of the range it is running, so every
+// other journal under Dir is removed before the grant's opens: a range
+// the worker left unfinished is often never granted to it again (it
+// finished elsewhere, its job ended, or a re-plan moved its bounds).
+// Quarantined journals stay as evidence. A failed listing or removal
+// costs only space, so it is not reported.
 func (w *Worker) executeUnits(ctx context.Context, g *ShardGrant) ([]json.RawMessage, error) {
 	opt := shardOptions{Workers: w.cfg.Workers, Progress: w.cfg.Progress}
 	if w.cfg.Dir != "" {
-		journal, err := runner.OpenJournal(w.journalPath(g))
+		path := w.journalPath(g)
+		entries, _ := os.ReadDir(w.cfg.Dir)
+		for _, e := range entries {
+			if old := filepath.Join(w.cfg.Dir, e.Name()); old != path && filepath.Ext(old) == ".journal" {
+				os.Remove(old)
+			}
+		}
+		journal, err := runner.OpenJournal(path)
 		if err != nil {
 			return nil, err
 		}
@@ -421,12 +437,13 @@ func (w *Worker) fail(g *ShardGrant, cause error) error {
 }
 
 // complete uploads the shard's results with the payload hash the
-// coordinator verifies before storing. Retries get a full lease TTL:
-// completion needs a lease the coordinator granted for the shard, not the
-// live one, so even an upload that lands after expiry is accepted. A lease
-// from before a coordinator restart gets a 409, and a corrupt-in-transit
-// upload a 422; neither is retried (the checkpoint stays for a re-lease of
-// the range, and a suspect buffer is not sent twice).
+// coordinator verifies before storing. The upload is retried for a full
+// lease TTL: completion needs a lease the coordinator granted for the
+// shard, not the live one, so even an upload that lands after expiry is
+// accepted. A lease from before a coordinator restart gets a 409, and a
+// corrupt-in-transit upload a 422; neither is retried (the checkpoint
+// stays until the worker runs another range, and a suspect buffer is not
+// sent twice).
 func (w *Worker) complete(g *ShardGrant, units []json.RawMessage) error {
 	return w.postRetry("/v1/work/complete",
 		&ShardUpload{Job: g.Job, Shard: g.Shard, Lease: g.Lease,

@@ -3,7 +3,6 @@ package bankaware
 import (
 	"context"
 	"io"
-	"time"
 
 	"bankaware/internal/experiments"
 	"bankaware/internal/metrics"
@@ -38,8 +37,6 @@ const (
 	JobDone = runner.JobDone
 	// JobFailed fires when a job returns an error or panics.
 	JobFailed = runner.JobFailed
-	// JobRetried fires when a failed attempt is about to be retried.
-	JobRetried = runner.JobRetried
 )
 
 // ProgressPrinter returns a ProgressFunc rendering a throttled live
@@ -107,9 +104,6 @@ type Runner struct {
 	metrics    *metrics.Registry
 	reportW    io.Writer
 	faults     *FaultPlan
-	retries    int
-	backoff    time.Duration
-	jobTimeout time.Duration
 	checkpoint string
 	simWorkers int
 	fidelity   experiments.Fidelity
@@ -208,21 +202,6 @@ func WithFaultPlan(p *FaultPlan) RunnerOption {
 	return func(r *Runner) { r.faults = p }
 }
 
-// WithRetries grants every failed job n extra attempts before its error
-// fails the campaign, waiting backoff before the first retry and doubling
-// it per attempt (capped at 64x). Zero backoff retries immediately.
-// Cancellation is never retried. The default is fail-fast.
-func WithRetries(n int, backoff time.Duration) RunnerOption {
-	return func(r *Runner) { r.retries, r.backoff = n, backoff }
-}
-
-// WithJobTimeout bounds each job attempt with a per-job deadline; an
-// attempt exceeding it fails (and is retried when WithRetries allows).
-// Zero (the default) leaves jobs bounded only by the Runner's context.
-func WithJobTimeout(d time.Duration) RunnerOption {
-	return func(r *Runner) { r.jobTimeout = d }
-}
-
 // WithCheckpoint journals every completed Monte Carlo trial to path so a
 // killed campaign resumes where it stopped: rerunning with the same path
 // and configuration restores the recorded trials instead of recomputing
@@ -251,10 +230,7 @@ func (r *Runner) progressFunc() ProgressFunc {
 func (r *Runner) experimentOptions() experiments.Options {
 	opt := experiments.Options{
 		Workers: r.workers, Progress: r.progressFunc(), Observe: r.observe(),
-		Faults:  r.faults,
-		Retries: r.retries, RetryBackoff: r.backoff, JobTimeout: r.jobTimeout,
-		SimWorkers: r.simWorkers,
-		Fidelity:   r.fidelity,
+		Faults: r.faults, SimWorkers: r.simWorkers, Fidelity: r.fidelity,
 	}
 	if r.hasSeed {
 		opt.Seed = r.seed
@@ -275,12 +251,7 @@ func (r *Runner) RunMonteCarlo(cfg MonteCarloConfig) (*MonteCarloResults, error)
 	if r.hasSeed {
 		cfg.Seed = r.seed
 	}
-	opt := montecarlo.Options{
-		Workers:  r.workers,
-		Progress: r.progressFunc(),
-		Retries:  r.retries, RetryBackoff: r.backoff, JobTimeout: r.jobTimeout,
-		Faults: r.faults,
-	}
+	opt := montecarlo.Options{Workers: r.workers, Progress: r.progressFunc(), Faults: r.faults}
 	if r.checkpoint != "" {
 		j, err := runner.OpenJournal(r.checkpoint)
 		if err != nil {
