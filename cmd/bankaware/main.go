@@ -79,11 +79,11 @@ run "bankaware <command> -h" for the command's flags`
 // of them; a subcommand registers the ones it honours, and start runs the
 // setup they drive.
 type shared struct {
-	parallel, simWorkers int
-	timeout              time.Duration
-	progress             bool
-	report, pprof        string
-	faults, fidelity     string
+	parallel         int
+	timeout          time.Duration
+	progress         bool
+	report, pprof    string
+	faults, fidelity string
 }
 
 // register declares the named shared flags on fs.
@@ -92,8 +92,6 @@ func (s *shared) register(fs *flag.FlagSet, names ...string) {
 		switch name {
 		case "parallel":
 			fs.IntVar(&s.parallel, name, 0, "worker bound (0 = all cores); results do not depend on it")
-		case "sim-workers":
-			fs.IntVar(&s.simWorkers, name, 0, "execution lanes inside each simulation (0/1 = sequential); results do not depend on it")
 		case "timeout":
 			fs.DurationVar(&s.timeout, name, 0, "abort the run after this duration (0 = none)")
 		case "progress":
@@ -132,7 +130,7 @@ func (s *shared) start(unit string) (*session, error) {
 	if err != nil {
 		return nil, err
 	}
-	ss := &session{opt: experiments.Options{Workers: s.parallel, SimWorkers: s.simWorkers, Fidelity: fidelity}}
+	ss := &session{opt: experiments.Options{Workers: s.parallel, Fidelity: fidelity}}
 	if s.faults != "" {
 		if ss.opt.Faults, err = faults.Load(s.faults); err != nil {
 			return nil, err

@@ -33,7 +33,7 @@ func runSim(args []string) error {
 		csvPath   = fs.String("csv", "", "with -fig8: also write per-set rows to this CSV file")
 		sh        shared
 	)
-	sh.register(fs, "parallel", "sim-workers", "timeout", "progress", "report", "pprof", "faults", "fidelity")
+	sh.register(fs, "parallel", "timeout", "progress", "report", "pprof", "faults", "fidelity")
 	fs.Parse(args)
 	ss, err := sh.start("sims")
 	if err != nil {
@@ -139,7 +139,7 @@ func simRun(ss *session, rc *experiments.RunConfig, reportPath string, showAlloc
 	case reportPath != "":
 		rec = metrics.NewRecorder()
 	}
-	run, err := experiments.RunEngine(ss.ctx, sys, rc.Workloads, budget, ss.opt.SimWorkers, rec, nil)
+	run, err := experiments.RunEngine(ss.ctx, sys, rc.Workloads, budget, rec, nil)
 	if err != nil {
 		return err
 	}

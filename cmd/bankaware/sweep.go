@@ -20,7 +20,7 @@ func runSweep(args []string) error {
 		accesses    = fs.Int("accesses", experiments.SweepAccesses, "accesses for aggregation/profiler studies")
 		sh          shared
 	)
-	sh.register(fs, "parallel", "sim-workers", "timeout", "progress", "report", "pprof", "faults", "fidelity")
+	sh.register(fs, "parallel", "timeout", "progress", "report", "pprof", "faults", "fidelity")
 	fs.Parse(args)
 	if !*aggregation && *ablation == "" {
 		*aggregation = true

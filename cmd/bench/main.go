@@ -36,10 +36,10 @@ import (
 const Schema = "bankaware.bench/v1"
 
 // File is the serialised form of one harness run. The host-topology
-// fields (NumCPU, GOMAXPROCS, MaxLanes) make the runner's parallelism
+// fields (NumCPU, GOMAXPROCS) make the runner's parallelism
 // machine-readable: numbers from a single-CPU container (the BENCH_9
-// caveat) or from different lane capacities are not comparable, and a
-// gate can now detect that instead of guessing.
+// caveat) are not comparable with multi-CPU ones, and a gate can detect
+// that instead of guessing.
 type File struct {
 	Schema     string   `json:"schema"`
 	GoVersion  string   `json:"go_version"`
@@ -47,7 +47,6 @@ type File struct {
 	GOARCH     string   `json:"goarch"`
 	NumCPU     int      `json:"num_cpu"`
 	GOMAXPROCS int      `json:"gomaxprocs"`
-	MaxLanes   int      `json:"max_lanes"`
 	Count      int      `json:"count"`
 	Benchmarks []Result `json:"benchmarks"`
 }
@@ -76,9 +75,6 @@ var suite = []struct {
 	{"DirectoryAccess", benchmarks.DirectoryAccess},
 	{"MSHRFill", benchmarks.MSHRFill},
 	{"SystemStep", benchmarks.SystemStep},
-	{"SystemStepParallel2", benchmarks.SystemStepParallel2},
-	{"SystemStepParallel4", benchmarks.SystemStepParallel4},
-	{"SystemStepParallel8", benchmarks.SystemStepParallel8},
 	{"FastSetEvaluation", benchmarks.FastSetEvaluation},
 	{"ServiceSubmitThroughput", benchmarks.ServiceSubmitThroughput},
 	{"ServiceCachedSubmit", benchmarks.ServiceCachedSubmit},
@@ -112,14 +108,6 @@ func main() {
 		*count = 1
 	}
 
-	// MaxLanes is the effective lane capacity of the deepest parallel
-	// bench in the suite: SystemStepParallel8 asks for 8 lanes, but a
-	// smaller GOMAXPROCS means they time-share and its numbers measure
-	// scheduling, not speedup.
-	maxLanes := runtime.GOMAXPROCS(0)
-	if maxLanes > 8 {
-		maxLanes = 8
-	}
 	// Benchstat file-level configuration lines: benchstat groups files by
 	// these keys, so runs from hosts with different parallelism are never
 	// silently averaged together.
@@ -128,7 +116,6 @@ func main() {
 		fmt.Sprintf("goarch: %s", runtime.GOARCH),
 		fmt.Sprintf("num-cpu: %d", runtime.NumCPU()),
 		fmt.Sprintf("gomaxprocs: %d", runtime.GOMAXPROCS(0)),
-		fmt.Sprintf("max-lanes: %d", maxLanes),
 	}
 	file := File{
 		Schema:     Schema,
@@ -137,7 +124,6 @@ func main() {
 		GOARCH:     runtime.GOARCH,
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		MaxLanes:   maxLanes,
 		Count:      *count,
 	}
 	for _, b := range suite {

@@ -136,23 +136,3 @@ func TestGoldenRunReportWorkerInvariant(t *testing.T) {
 		t.Fatal("report bytes differ between 1 and 8 workers")
 	}
 }
-
-// TestGoldenRunReportSimWorkerInvariant: the exact bytes of the report must
-// not depend on the intra-simulation lane count either — the pipelined
-// executor (WithSimWorkers >= 2) must reproduce the sequential loop's
-// report bit for bit, pinned against the committed golden file.
-func TestGoldenRunReportSimWorkerInvariant(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full set evaluation in -short mode")
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "golden-set1-report.json"))
-	if err != nil {
-		t.Fatalf("reading golden file (regenerate with -update): %v", err)
-	}
-	for _, lanes := range []int{1, 2, 8} {
-		got := goldenReport(t, 1, bankaware.WithSimWorkers(lanes))
-		if !bytes.Equal(got, want) {
-			t.Fatalf("simWorkers=%d: report bytes differ from the golden file", lanes)
-		}
-	}
-}

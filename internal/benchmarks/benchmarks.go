@@ -109,20 +109,7 @@ func DirectoryAccess(b *testing.B) {
 // chunks on the Table III set-1 mix, and reports simulated cycles and
 // instructions per wall-clock second — the throughput numbers EXPERIMENTS.md
 // tracks.
-func SystemStep(b *testing.B) { systemStep(b, 0) }
-
-// SystemStepParallel2/4/8 run the same end-to-end loop under the pipelined
-// executor (sim.System.SetSimWorkers) with 2, 4 and 8 lanes. Results are
-// byte-identical to SystemStep by construction; only the throughput — and,
-// unlike the sequential loop, a small per-Run allocation budget for the
-// pipeline's channels and batch buffers — differs. Speedups require real
-// CPUs: on a single-core host the lanes time-slice and these report the
-// pipeline's overhead instead.
-func SystemStepParallel2(b *testing.B) { systemStep(b, 2) }
-func SystemStepParallel4(b *testing.B) { systemStep(b, 4) }
-func SystemStepParallel8(b *testing.B) { systemStep(b, 8) }
-
-func systemStep(b *testing.B, simWorkers int) {
+func SystemStep(b *testing.B) {
 	cfg := experiments.ScaleModel.Config()
 	specs := make([]trace.Spec, nuca.NumCores)
 	set := experiments.TableIIISets[0]
@@ -133,7 +120,6 @@ func systemStep(b *testing.B, simWorkers int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sys.SetSimWorkers(simWorkers)
 	const chunk = 100_000
 	b.ReportAllocs()
 	b.ResetTimer()

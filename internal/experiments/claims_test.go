@@ -398,7 +398,7 @@ var claims = []claim{
 			cpi := func(p core.Policy) float64 {
 				sys, err := NewEngine(FidelityDetailed, ScaleModel.Config(), p, specs)
 				fatalIf(t, err)
-				run, err := RunEngine(context.Background(), sys, mix, 1_200_000, 0, nil, nil)
+				run, err := RunEngine(context.Background(), sys, mix, 1_200_000, nil, nil)
 				fatalIf(t, err)
 				return run.Result.MeanCPI
 			}

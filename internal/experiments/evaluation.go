@@ -79,8 +79,7 @@ func (e *SetEvaluation) RunPolicy(ctx context.Context, policy int) (PolicyRun, e
 	if e.opt.Observe || e.opt.Sample != nil {
 		rec = metrics.NewRecorder()
 	}
-	return RunEngine(ctx, sys, e.workloads, e.instructions, e.opt.SimWorkers, rec,
-		e.opt.sampler(e.runPrefix+proto.Name()))
+	return RunEngine(ctx, sys, e.workloads, e.instructions, rec, e.opt.sampler(e.runPrefix+proto.Name()))
 }
 
 // engine builds one unit's engine: on the shared scope or over fresh tape

@@ -46,7 +46,7 @@ func soloUnits(t *testing.T, cfg sim.Config, sets [][]string, instructions uint6
 
 // RunSetContext's units share one evaluation's tapes (detailed) or scope
 // (fast); the report bytes must equal those of three solo units at every
-// worker and lane count.
+// worker count.
 func TestSharedSetMatchesSoloUnits(t *testing.T) {
 	cfg := ScaleModel.Config()
 	cfg.EpochCycles = 200_000
@@ -68,15 +68,13 @@ func TestSharedSetMatchesSoloUnits(t *testing.T) {
 		}
 		want := reportBytes(t, solo.Report())
 		for _, workers := range []int{1, 3} {
-			for _, simWorkers := range []int{0, 4} {
-				opt.Workers, opt.SimWorkers = workers, simWorkers
-				r, err := RunSetContext(context.Background(), cfg, 2, workloads, tc.instructions, opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(reportBytes(t, r.Report()), want) {
-					t.Errorf("%s: workers %d, sim workers %d: report differs from solo units", tc.fidelity, workers, simWorkers)
-				}
+			opt.Workers = workers
+			r, err := RunSetContext(context.Background(), cfg, 2, workloads, tc.instructions, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(reportBytes(t, r.Report()), want) {
+				t.Errorf("%s: workers %d: report differs from solo units", tc.fidelity, workers)
 			}
 		}
 	}
@@ -198,7 +196,7 @@ func TestFastSetUnitsShareOneScope(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		run, err := RunEngine(context.Background(), sys, workloads, e.instructions, 0, metrics.NewRecorder(), nil)
+		run, err := RunEngine(context.Background(), sys, workloads, e.instructions, metrics.NewRecorder(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

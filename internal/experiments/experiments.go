@@ -48,13 +48,6 @@ type Options struct {
 	// sim.Config.Faults): banks fail or slow down at the scheduled epochs
 	// and the policies re-partition around them. Nil runs healthy.
 	Faults *faults.Plan
-	// SimWorkers bounds the execution lanes *inside* each simulation (see
-	// sim.System.SetSimWorkers); 0 or 1 runs the classic sequential loop.
-	// Like Workers it is an execution knob: results are byte-identical for
-	// every value. Workers parallelises across simulations, SimWorkers
-	// within one — the two compose, so keep Workers*SimWorkers near the
-	// machine's core count.
-	SimWorkers int
 	// Fidelity selects the execution engine: FidelityDetailed (and the
 	// zero value) runs the cycle-accurate simulator, FidelityFast the
 	// interval-model fast path. Unlike the knobs above this *does* affect
@@ -211,8 +204,7 @@ type PolicyRun struct {
 // phase. A non-nil rec attaches the metrics layer and the run exports its
 // report covering the measurement window; sample, when non-nil, taps the
 // measured phase's epoch samples live.
-func RunEngine(ctx context.Context, sys Engine, workloads []string, instructions uint64, simWorkers int, rec *metrics.Recorder, sample func(metrics.EpochSample)) (PolicyRun, error) {
-	sys.SetSimWorkers(simWorkers)
+func RunEngine(ctx context.Context, sys Engine, workloads []string, instructions uint64, rec *metrics.Recorder, sample func(metrics.EpochSample)) (PolicyRun, error) {
 	if rec != nil {
 		sys.EnableMetrics(rec)
 	}

@@ -52,11 +52,10 @@ func Fidelities() []string {
 }
 
 // Engine is the simulation surface one run drives. sim.System and
-// fastsim.System both implement it, serving everything but RunContext and
-// SetSimWorkers from their shared sim.Accounting; which one backs a run is
-// decided by its fidelity.
+// fastsim.System both implement it, serving everything but RunContext from
+// their shared sim.Accounting; which one backs a run is decided by its
+// fidelity.
 type Engine interface {
-	SetSimWorkers(int)
 	EnableMetrics(rec *metrics.Recorder) *metrics.Recorder
 	RunContext(ctx context.Context, instructions uint64) error
 	ResetStats()

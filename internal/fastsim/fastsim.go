@@ -151,12 +151,6 @@ func New(cfg sim.Config, policy core.Policy, specs []trace.Spec) (*System, error
 	return sc.NewSystem(policy)
 }
 
-// SetSimWorkers mirrors sim.System.SetSimWorkers. The interval model has
-// no intra-run event loop to parallelise, so every lane count runs the same
-// closed-form advancement; the knob is accepted (and ignored) so callers
-// can thread one option through both engines.
-func (s *System) SetSimWorkers(int) {}
-
 // l2Active reports whether core c emits any L2 traffic — the cores the
 // resume snap applies to (see RunContext).
 func (s *System) l2Active(c int) bool {

@@ -14,12 +14,12 @@ import (
 // FuzzFastPathAccuracy drives randomized differential runs: a fuzzer-chosen
 // catalog workload mix, policy and seed runs under both engines, and the
 // fast path must (a) stay in a coarse accuracy corridor around the detailed
-// result, (b) be byte-identical across repeat runs with different
-// worker counts and (c) give the fuzzed unit the same bytes when the mix's
-// three units share one scope, so an incomplete window key shows up as a
-// mismatch. The corridor is deliberately loose — arbitrary mixes and
-// policies lack committed envelopes; the tight per-workload contract lives
-// in TestFastPathAccuracyHomogeneous.
+// result, (b) be byte-identical across repeat runs and (c) give the fuzzed
+// unit the same bytes when the mix's three units share one scope, so an
+// incomplete window key shows up as a mismatch. The corridor is
+// deliberately loose — arbitrary mixes and policies lack committed
+// envelopes; the tight per-workload contract lives in
+// TestFastPathAccuracyHomogeneous.
 func FuzzFastPathAccuracy(f *testing.F) {
 	f.Add(uint8(0), uint8(7), uint8(1), uint64(1))
 	f.Add(uint8(3), uint8(20), uint8(0), uint64(7))
@@ -46,8 +46,7 @@ func FuzzFastPathAccuracy(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Byte-stability: same spec, different execution knobs.
-		opt.SimWorkers = 4
+		// Byte-stability: the same spec run twice.
 		again, err := experiments.RunSetPolicyContext(ctx, accuracyConfig(), workloads, 300_000, pol, opt)
 		if err != nil {
 			t.Fatal(err)
@@ -61,7 +60,7 @@ func FuzzFastPathAccuracy(f *testing.F) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(b1, b2) {
-			t.Fatalf("fast report bytes diverge across worker counts (workloads %v policy %d seed %d)", workloads, pol, seed)
+			t.Fatalf("fast report bytes diverge across repeated runs (workloads %v policy %d seed %d)", workloads, pol, seed)
 		}
 		set, err := experiments.RunSetContext(ctx, accuracyConfig(), 0, workloads, 300_000,
 			experiments.Options{Seed: seed, Fidelity: experiments.FidelityFast, Observe: true, Workers: 3})
@@ -77,7 +76,6 @@ func FuzzFastPathAccuracy(f *testing.F) {
 		}
 
 		opt.Fidelity = experiments.FidelityDetailed
-		opt.SimWorkers = 0
 		det, err := experiments.RunSetPolicyContext(ctx, accuracyConfig(), workloads, 300_000, pol, opt)
 		if err != nil {
 			t.Fatal(err)

@@ -18,7 +18,7 @@ const specHashVersion = "bankaware.spec-hash/v1"
 
 // canonicalSpec is the hashed projection of a JobSpec: exactly the fields
 // that determine the report bytes, after defaulting. Execution knobs
-// (Label, Priority, Workers, SimWorkers, TimeoutMS) are deliberately absent — the
+// (Label, Priority, Workers, TimeoutMS) are deliberately absent — the
 // simulator's determinism contract guarantees they shape when and how fast
 // a job runs, never what it computes — so two submissions that differ only
 // in those knobs are the same cache entry.

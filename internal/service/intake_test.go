@@ -256,6 +256,44 @@ func TestIntakeTornTailRecovery(t *testing.T) {
 	}
 }
 
+// TestMissingJobLogReissuesNoID simulates a crash between moving the job
+// log aside and writing its replacement, as scrubLog's quarantine and a
+// damaged log's Rewrite both do: no job log is left. The reopened store
+// must answer for every job the ledger witnessed, with the spec hash the
+// ledger recorded, and never hand one of their IDs to a new submission.
+func TestMissingJobLogReissuesNoID(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The last transition is terminal, so the ledger syncs every entry.
+	history := writeTransitions(t, st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, jobLogName)
+	if err := os.Rename(path, path+".quarantine"); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	for _, recs := range history {
+		want := recs[len(recs)-1]
+		if got, ok := reopened.Get(want.ID); !ok || !got.lost() || got.SpecHash != want.SpecHash {
+			t.Fatalf("%s reopened as %+v (found %v), want failed as lost with spec hash %s", want.ID, got, ok, want.SpecHash)
+		}
+	}
+	spec := mcSpec(20, 0)
+	if next := reopened.AllocRecord(spec, SpecHash(spec), "", time.Now()); next.ID != "job-000004" {
+		t.Fatalf("next submission got %s, want job-000004", next.ID)
+	}
+}
+
 // logLines returns the job log's lines.
 func logLines(t *testing.T, dir string) []string {
 	t.Helper()

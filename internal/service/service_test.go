@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"bankaware/internal/atomicio"
 	"bankaware/internal/experiments"
 	"bankaware/internal/montecarlo"
 	"bankaware/internal/runner"
@@ -98,53 +99,41 @@ func TestSubmitRunsToByteIdenticalReport(t *testing.T) {
 	}
 }
 
-// TestSimWorkersIsExecutionKnob pins the two halves of the simWorkers
-// contract: the knob never reaches the content hash (two submissions
-// differing only there are the same cache entry), and a job served with the
-// pipelined executor writes byte-for-byte the report a direct sequential
-// library run produces.
-func TestSimWorkersIsExecutionKnob(t *testing.T) {
-	base := JobSpec{
-		Kind: KindSet, Observe: true,
-		Set: &SetSpec{Set: 1, EpochCycles: 100_000, Instructions: 120_000},
-	}
-	lanes := base
-	lanes.SimWorkers = 4
-	if hb, hl := SpecHash(base), SpecHash(lanes); hb != hl {
-		t.Fatalf("simWorkers leaked into the spec hash: %s vs %s", hb, hl)
+// TestRetiredSimWorkersField pins the wire contract of the simWorkers
+// field that daemons once accepted as an execution knob: a new submission
+// naming it gets the strict decoder's 400, and a job-log line written
+// while the field existed still opens with the spec hash it was stored
+// under, so the job keeps serving as that spec's cache entry.
+func TestRetiredSimWorkersField(t *testing.T) {
+	_, ts := startHTTP(t, Config{}, false)
+	if resp, _ := postJob(t, ts, `{"kind":"set","simWorkers":4,"set":{"set":1}}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("POST naming simWorkers -> %d, want 400", resp.StatusCode)
 	}
 
-	svc, err := New(Config{Dir: t.TempDir(), Workers: 1})
+	// TestSpecHashPinned's hash of {"kind":"set","set":{"set":1}}, which a
+	// daemon of that time computed with simWorkers left out.
+	const hash = "893233914fe22a0b75c0f0a29cfc6cc3da59f5d4227ab6a7d98e0fdeaaba74eb"
+	dir := t.TempDir()
+	jobLog, err := atomicio.OpenLog(filepath.Join(dir, jobLogName), func([]byte) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Start(); err != nil {
+	line := `{"id":"job-000001","seq":1,"spec":{"kind":"set","simWorkers":4,"set":{"set":1}},"state":"queued","specHash":"` + hash +
+		`","submittedAt":"2026-01-01T00:00:00Z","startedAt":"0001-01-01T00:00:00Z","finishedAt":"0001-01-01T00:00:00Z"}`
+	if err := jobLog.Append([][]byte{[]byte(line)}, true); err != nil {
 		t.Fatal(err)
 	}
-	defer svc.Close()
-	rec, err := svc.Submit(lanes)
+	jobLog.Close()
+	st, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitState(t, svc, rec.ID, StateDone)
-	got, err := svc.Store().ReportBytes(rec.ID)
-	if err != nil {
-		t.Fatal(err)
+	defer st.Close()
+	if rec, ok := st.Get("job-000001"); !ok || rec.lost() || rec.State != StateQueued || rec.SpecHash != hash {
+		t.Fatalf("stored simWorkers record reopened as %+v (found %v), want queued with spec hash %s", rec, ok, hash)
 	}
-
-	cfg := experiments.ScaleModel.Config()
-	cfg.EpochCycles = 100_000
-	res, err := experiments.RunSetContext(context.Background(), cfg, 1,
-		experiments.TableIIISets[0][:], 120_000, experiments.Options{Workers: 1, Observe: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := res.Report().WriteJSON(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("parallel-executor service report differs from direct sequential run:\nservice: %.200s\ndirect:  %.200s", got, want.Bytes())
+	if rec, ok := st.DedupLookup("spec:" + hash); !ok || rec.ID != "job-000001" {
+		t.Fatalf("spec-hash dedup -> %+v (found %v), want job-000001", rec, ok)
 	}
 }
 

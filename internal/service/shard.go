@@ -87,8 +87,7 @@ func executeShardUnits(ctx context.Context, spec JobSpec, from, to int, opt shar
 		return encodeUnits(opt.Journal, trials)
 	}
 	eopt := experiments.Options{
-		Seed: spec.Seed, Observe: spec.Observe, Sample: opt.Sample,
-		SimWorkers: spec.SimWorkers, Fidelity: fidelityFor(spec),
+		Seed: spec.Seed, Observe: spec.Observe, Sample: opt.Sample, Fidelity: fidelityFor(spec),
 	}
 	// The units the range computes share one evaluation scope, so each
 	// set's streams are generated once for all of them here; units the

@@ -24,7 +24,7 @@ func TestShardRangeMatchesSingleUnitRanges(t *testing.T) {
 		spec     JobSpec
 		from, to int
 	}{
-		{JobSpec{Kind: KindSet, Observe: true, SimWorkers: 2, Set: &SetSpec{Set: 2, EpochCycles: 200_000, Instructions: 150_000}}, 0, 3},
+		{JobSpec{Kind: KindSet, Observe: true, Set: &SetSpec{Set: 2, EpochCycles: 200_000, Instructions: 150_000}}, 0, 3},
 		{JobSpec{Kind: KindExperiments, Seed: 7, Experiments: &ExperimentsSpec{Instructions: 40_000}}, 2, 7},
 	} {
 		t.Run(fmt.Sprintf("%s[%d,%d)", tc.spec.Kind, tc.from, tc.to), func(t *testing.T) {

@@ -45,11 +45,6 @@ type JobSpec struct {
 	// Workers bounds the job's internal fan-out; zero selects the server's
 	// default. Results never depend on it.
 	Workers int `json:"workers,omitempty"`
-	// SimWorkers bounds the execution lanes inside each detailed simulation
-	// (see sim.System.SetSimWorkers); zero or one runs the classic
-	// sequential loop. Results never depend on it. Monte Carlo jobs ignore
-	// it.
-	SimWorkers int `json:"simWorkers,omitempty"`
 	// TimeoutMS deadlines the whole job; a job exceeding it fails. Zero
 	// means no per-job deadline.
 	TimeoutMS int64 `json:"timeoutMs,omitempty"`
@@ -156,9 +151,6 @@ func (s *JobSpec) Validate() error {
 	}
 	if s.Workers < 0 {
 		return fmt.Errorf("workers must be >= 0, got %d", s.Workers)
-	}
-	if s.SimWorkers < 0 {
-		return fmt.Errorf("simWorkers must be >= 0, got %d", s.SimWorkers)
 	}
 	fidelity, err := experiments.ParseFidelity(s.Fidelity)
 	if err != nil {

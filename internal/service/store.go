@@ -132,7 +132,9 @@ type orderRef struct {
 // acked) and imports the per-job files of older stores. A damaged log keeps
 // its verified lines and is quarantined, then every job the ledger
 // witnessed without a verified record is answered for (failLostRecords).
-// The log is rewritten only when damaged, after an import, or when due.
+// So is every such job when the log is missing, as a crash between a
+// quarantine rename and the rewrite leaves it. The log is rewritten only
+// when damaged, after an import, or when due.
 func OpenStore(dir string) (*Store, error) {
 	for _, sub := range []string{"reports", "journals"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
@@ -144,8 +146,10 @@ func OpenStore(dir string) (*Store, error) {
 		jobs:  make(map[string]JobRecord),
 		dedup: make(map[string]string),
 	}
-	var err error
-	st.wal, err = atomicio.OpenLog(filepath.Join(dir, jobLogName), func(line []byte) error {
+	logPath := filepath.Join(dir, jobLogName)
+	_, err := os.Stat(logPath)
+	missing := os.IsNotExist(err)
+	st.wal, err = atomicio.OpenLog(logPath, func(line []byte) error {
 		rec, err := decodeRecord(line)
 		if err == nil {
 			st.jobs[rec.ID] = rec
@@ -192,7 +196,7 @@ func OpenStore(dir string) (*Store, error) {
 	if err := st.openLedger(); err != nil {
 		return nil, err
 	}
-	if damaged || len(legacy) > 0 {
+	if damaged || missing || len(legacy) > 0 {
 		if err := st.failLostRecords(); err != nil {
 			return nil, err
 		}

@@ -194,16 +194,6 @@ type System struct {
 	survBanks  []int
 	lastCurves []core.MissCurve
 
-	// Parallel-execution state (see parallel.go): the configured lane
-	// bound, the run-scoped pipeline while a parallel Run is active, and
-	// the per-core trace events a stopped pipeline prefetched but the
-	// commit thread never consumed — the generators have already advanced
-	// past them, so the next Run must drain them first.
-	simWorkers int
-	par        *pipeline
-	spill      [nuca.NumCores][]trace.Event
-	spillPos   [nuca.NumCores]int
-
 	nextEpoch int64
 	nextCheck int64
 	// quarter-window miss volumes for the adaptive-epoch phase detector.
@@ -381,9 +371,6 @@ func (s *System) DRAMStats() mem.Stats { return s.dram.Stats() }
 // (zero for the initial allocation); Install samples the closing epoch
 // window and records the allocation diff before the new masks take effect.
 func (s *System) repartition(now int64) error {
-	// Parallel runs: settle every queued profiler access before the curves
-	// (and the decay below) read the profilers.
-	s.profBarrier()
 	epoch := s.epochs
 	snap := s.cfg.Faults.At(epoch)
 	// A newly failed bank loses its contents; the inclusive hierarchy
@@ -510,7 +497,7 @@ func hashBank(addr trace.Addr, n int) int {
 // step advances core c by one memory access. Returns the core's new local
 // time.
 func (s *System) step(c int) int64 {
-	ev := s.nextEvent(c)
+	ev := s.streams[c].Next()
 	cpuCore := s.cores[c]
 	issueAt := cpuCore.BeginAccess(ev.Gap)
 	addr := ev.Access.Addr
@@ -556,7 +543,7 @@ func (s *System) step(c int) int64 {
 	s.applyInvalidations(addr, resp.Invalidated)
 
 	// The profilers watch the L2 access stream (Section III.A).
-	s.profAccess(c, addr)
+	s.profs[c].Access(addr)
 
 	// Invalidations serialise on the critical path; a cache-to-cache
 	// transfer still traverses the same network/bank path in this model
@@ -692,13 +679,6 @@ func (s *System) RunContext(ctx context.Context, instructions uint64) error {
 	steps := 0
 	for c := range s.finished {
 		s.finished[c] = s.cores[c].Instructions() >= instructions
-	}
-	if s.simWorkers > 1 {
-		s.startPipeline()
-		// The shutdown settles all queued profiler work and spills
-		// prefetched trace events, so post-Run state — and any later Run at
-		// any worker setting — matches the sequential execution exactly.
-		defer s.stopPipeline()
 	}
 	for {
 		if steps++; steps >= pollEvery {

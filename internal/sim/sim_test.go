@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"bankaware/internal/core"
@@ -315,5 +316,43 @@ func TestMemoryBoundCPIHigherThanComputeBound(t *testing.T) {
 		[]string{"eon", "eon", "eon", "eon", "eon", "eon", "eon", "eon"}, 120_000)
 	if heavy.MeanCPI <= light.MeanCPI {
 		t.Fatalf("memory-bound CPI %.3f <= compute-bound %.3f", heavy.MeanCPI, light.MeanCPI)
+	}
+}
+
+// TestHashBankDistribution checks the static bank hash spreads a sequential
+// block sweep evenly for every bank count the simulator uses (16 healthy,
+// fewer under bank failures): a chi-squared statistic across banks must stay
+// far below the divergence a biased mix would produce.
+func TestHashBankDistribution(t *testing.T) {
+	const blocks = 1 << 16
+	for _, n := range []int{2, 3, 5, 7, 8, 11, 13, 15, 16} {
+		counts := make([]int, n)
+		for i := 0; i < blocks; i++ {
+			addr := trace.Addr(uint64(i) << trace.BlockBits)
+			b := hashBank(addr, n)
+			if b < 0 || b >= n {
+				t.Fatalf("n=%d: hashBank returned %d out of range", n, b)
+			}
+			counts[b]++
+		}
+		expected := float64(blocks) / float64(n)
+		chi2 := 0.0
+		for _, c := range counts {
+			d := float64(c) - expected
+			chi2 += d * d / expected
+		}
+		// 99.9th percentile of chi-squared with n-1 <= 15 degrees of freedom
+		// is ~37.7; a sequential sweep through a biased hash blows far past
+		// that (an identity mapping scores ~blocks). Use a generous fixed
+		// bound that still catches any structural bias.
+		if chi2 > 60 {
+			t.Fatalf("n=%d: chi-squared %.1f over %d banks (counts %v) — hash is biased", n, chi2, n, counts)
+		}
+		// No bank may deviate more than 10%% from the fair share.
+		for b, c := range counts {
+			if math.Abs(float64(c)-expected) > 0.10*expected {
+				t.Fatalf("n=%d: bank %d holds %d blocks, fair share %.0f", n, b, c, expected)
+			}
+		}
 	}
 }

@@ -105,7 +105,6 @@ type Runner struct {
 	reportW    io.Writer
 	faults     *FaultPlan
 	checkpoint string
-	simWorkers int
 	fidelity   experiments.Fidelity
 }
 
@@ -135,19 +134,6 @@ func WithContext(ctx context.Context) RunnerOption {
 // select GOMAXPROCS. Results do not depend on the worker count.
 func WithWorkers(n int) RunnerOption {
 	return func(r *Runner) { r.workers = n }
-}
-
-// WithSimWorkers bounds the execution lanes inside each detailed
-// simulation: 0 or 1 (the default) runs the classic sequential loop, n >= 2
-// pipelines trace generation and profiler bookkeeping onto n-1 extra lanes
-// feeding the simulation's commit thread. Like WithWorkers it is purely an
-// execution knob — results and reports are byte-identical for every value.
-// WithWorkers parallelises across a campaign's simulations, WithSimWorkers
-// within each one; they compose, so keep their product near the machine's
-// core count. Monte Carlo campaigns (analytic, no detailed simulation)
-// ignore it.
-func WithSimWorkers(n int) RunnerOption {
-	return func(r *Runner) { r.simWorkers = n }
 }
 
 // WithFidelity selects the execution engine behind the Runner's
@@ -230,7 +216,7 @@ func (r *Runner) progressFunc() ProgressFunc {
 func (r *Runner) experimentOptions() experiments.Options {
 	opt := experiments.Options{
 		Workers: r.workers, Progress: r.progressFunc(), Observe: r.observe(),
-		Faults: r.faults, SimWorkers: r.simWorkers, Fidelity: r.fidelity,
+		Faults: r.faults, Fidelity: r.fidelity,
 	}
 	if r.hasSeed {
 		opt.Seed = r.seed
