@@ -47,9 +47,9 @@ func newIntakeService(b *testing.B, start bool) (*service.Service, *httptest.Ser
 // allocation, group-commit WAL append with its shared fsync, and
 // priority-queue insert — with no executors attached, so the number is
 // pure intake cost. Submissions run concurrently with unique seeds (every
-// one is a cache miss), which is exactly the load the group-commit
-// batcher amortises: each batch's single fsync is shared by every
-// submission that arrived while the previous batch was syncing. The bench
+// one is a cache miss), which is exactly the load Store.Put's group commit
+// amortises: each commit's single fsync is shared by every submission
+// that queued while the previous commit was syncing. The bench
 // drives Service.SubmitDedup directly rather than POST /v1/jobs: the
 // intake redesign lives below the HTTP handler, and on a small CI runner
 // the HTTP client/server stack's per-request CPU would otherwise swamp

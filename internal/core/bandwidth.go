@@ -24,18 +24,17 @@ type FeedbackPolicy interface {
 // before running the unchanged Fig. 6 bank-aware allocator, preserving all
 // physical placement rules.
 type BandwidthAwarePolicy struct {
-	Config BankAwareConfig
-	// Hysteresis as in BankAwarePolicy.
-	Hysteresis float64
+	// BankAwarePolicy allocates the scaled curves: its Config, Hysteresis
+	// and remembered allocation are this policy's.
+	BankAwarePolicy
 
 	weights [nuca.NumCores]float64
-	prev    *Allocation
 }
 
 // NewBandwidthAwarePolicy returns the extension with the paper's allocator
 // parameters and neutral weights.
 func NewBandwidthAwarePolicy() *BandwidthAwarePolicy {
-	p := &BandwidthAwarePolicy{Config: DefaultBankAware(), Hysteresis: 0.03}
+	p := &BandwidthAwarePolicy{BankAwarePolicy: *NewBankAwarePolicy()}
 	for i := range p.weights {
 		p.weights[i] = 1
 	}
@@ -48,9 +47,10 @@ func (*BandwidthAwarePolicy) Name() string { return "Bandwidth-aware" }
 // Clone implements Cloner: parameters and current weights carry over, the
 // remembered allocation does not.
 func (p *BandwidthAwarePolicy) Clone() Policy {
-	c := &BandwidthAwarePolicy{Config: p.Config, Hysteresis: p.Hysteresis}
-	c.weights = p.weights
-	return c
+	return &BandwidthAwarePolicy{
+		BankAwarePolicy: BankAwarePolicy{Config: p.Config, Hysteresis: p.Hysteresis},
+		weights:         p.weights,
+	}
 }
 
 // SetFeedback implements FeedbackPolicy. Weights are clamped to [0.25, 4]
@@ -75,7 +75,7 @@ func (p *BandwidthAwarePolicy) SetFeedback(weights []float64) {
 // Weights returns the active per-core weights (for inspection/tests).
 func (p *BandwidthAwarePolicy) Weights() [nuca.NumCores]float64 { return p.weights }
 
-// Allocate implements Policy: scale, allocate, validate, hysteresis — the
+// Allocate implements Policy: scale, then the bank-aware allocation — the
 // healthy machine is the degraded path with an empty fault set.
 func (p *BandwidthAwarePolicy) Allocate(curves []MissCurve) (*Allocation, error) {
 	return p.AllocateDegraded(curves, 0)

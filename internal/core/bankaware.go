@@ -56,25 +56,20 @@ func BankAware(curves []MissCurve, cfg BankAwareConfig) (*Allocation, error) {
 	return bankAwareAlloc(curves, cfg, nil, 0)
 }
 
-// BankAwareWithPrev is BankAware with placement affinity to a previous
-// allocation: when the logical assignment gives a core Center banks, the
-// banks it already owned are reused before new ones are claimed, so an
-// epoch-to-epoch reallocation that keeps a core's way count does not move
-// (and thereby lose) its cached data. The logical way assignment itself is
-// unaffected.
-func BankAwareWithPrev(curves []MissCurve, cfg BankAwareConfig, prev *Allocation) (*Allocation, error) {
-	return bankAwareAlloc(curves, cfg, prev, 0)
-}
-
-// BankAwareDegraded is BankAwareWithPrev on a machine with failed banks: no
-// capacity is assigned in any bank of the failed set, and the Section III.B
-// rules are honoured on the surviving banks. A core whose Local bank failed
-// is served by pairing into an adjacent surviving Local bank or — when the
-// chain around it is dead — by a whole surviving Center bank; Rule 2 (a
-// Center owner holds its full Local bank) applies only to cores whose Local
-// bank survives. All surviving capacity is assigned: the per-core totals
-// sum to failed.SurvivingWays(). An error is returned only for fault sets
-// that leave some core physically unservable.
+// BankAwareDegraded is BankAware with placement affinity to a previous
+// allocation, on a machine with failed banks. Affinity: when the logical
+// assignment gives a core Center banks, the banks it already owned in prev
+// are reused before new ones are claimed, so an epoch-to-epoch
+// reallocation that keeps a core's way count does not move (and thereby
+// lose) its cached data; the logical way assignment itself is unaffected.
+// Faults: no capacity is assigned in any bank of the failed set, and the
+// Section III.B rules are honoured on the surviving banks. A core whose
+// Local bank failed is served by pairing into an adjacent surviving Local
+// bank or — when the chain around it is dead — by a whole surviving Center
+// bank; Rule 2 (a Center owner holds its full Local bank) applies only to
+// cores whose Local bank survives. All surviving capacity is assigned: the
+// per-core totals sum to failed.SurvivingWays(). An error is returned only
+// for fault sets that leave some core physically unservable.
 func BankAwareDegraded(curves []MissCurve, cfg BankAwareConfig, prev *Allocation, failed nuca.BankSet) (*Allocation, error) {
 	return bankAwareAlloc(curves, cfg, prev, failed)
 }

@@ -56,15 +56,12 @@ func (p *BankAwarePolicy) AllocateDegraded(curves []MissCurve, failed nuca.BankS
 	return a, nil
 }
 
-// AllocateDegraded implements DegradedPolicy: miss-cost scaling then the
-// degraded bank-aware allocation, with the same fault-set invalidation of
-// the remembered allocation as BankAwarePolicy.
+// AllocateDegraded implements DegradedPolicy: miss-cost scaling, then
+// BankAwarePolicy.AllocateDegraded on the scaled curves, so hysteresis
+// compares projected miss costs.
 func (p *BandwidthAwarePolicy) AllocateDegraded(curves []MissCurve, failed nuca.BankSet) (*Allocation, error) {
 	if len(curves) != nuca.NumCores {
 		return nil, fmt.Errorf("core: bandwidth-aware needs %d curves, got %d", nuca.NumCores, len(curves))
-	}
-	if p.prev != nil && p.prev.Failed != failed {
-		p.prev = nil
 	}
 	scaled := make([]MissCurve, len(curves))
 	for i, c := range curves {
@@ -74,22 +71,7 @@ func (p *BandwidthAwarePolicy) AllocateDegraded(curves []MissCurve, failed nuca.
 		}
 		scaled[i] = s
 	}
-	a, err := BankAwareDegraded(scaled, p.Config, p.prev, failed)
-	if err != nil {
-		return nil, err
-	}
-	if err := a.ValidateBankAware(); err != nil {
-		return nil, fmt.Errorf("core: bandwidth-aware produced invalid allocation: %w", err)
-	}
-	if p.prev != nil {
-		newM, err1 := ProjectTotalMisses(scaled, a.Ways[:])
-		oldM, err2 := ProjectTotalMisses(scaled, p.prev.Ways[:])
-		if err1 == nil && err2 == nil && oldM <= newM*(1+p.Hysteresis) {
-			return p.prev, nil
-		}
-	}
-	p.prev = a
-	return a, nil
+	return p.BankAwarePolicy.AllocateDegraded(scaled, failed)
 }
 
 // AllocateDegraded implements DegradedPolicy: the idealised allocator over

@@ -1,12 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"strconv"
 	"strings"
 
@@ -60,7 +60,9 @@ import (
 //	                           409 already terminal
 //	GET  /v1/diff?a=ID&b=ID    compare two stored reports
 //	                           -> 200 {identical, differences}; 400 missing
-//	                           params; 404 either job or report missing
+//	                           params; 404 either job unknown or not done;
+//	                           503 a report failed verification, as for
+//	                           /report
 //	GET  /healthz              liveness + drain state -> 200
 //	/debug/...                 pprof, expvar, service metrics
 //
@@ -419,14 +421,12 @@ func (s *Service) handleDiff(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "diff needs ?a=<job>&b=<job>")
 		return
 	}
-	ra, err := s.readReport(a)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+	ra, ok := s.readReport(w, a)
+	if !ok {
 		return
 	}
-	rb, err := s.readReport(b)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
+	rb, ok := s.readReport(w, b)
+	if !ok {
 		return
 	}
 	diffs := metrics.Diff(ra, rb)
@@ -438,20 +438,29 @@ func (s *Service) handleDiff(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *Service) readReport(id string) (*metrics.Report, error) {
+// readReport parses id's stored report, read through the same verification
+// as GET /report, or writes the error response and reports false.
+func (s *Service) readReport(w http.ResponseWriter, id string) (*metrics.Report, bool) {
 	rec, ok := s.store.Get(id)
 	if !ok {
-		return nil, fmt.Errorf("no job %q", id)
+		writeError(w, http.StatusNotFound, "no job %q", id)
+		return nil, false
 	}
 	if rec.State != StateDone {
-		return nil, fmt.Errorf("job %s has no report (state %s)", id, rec.State)
+		writeError(w, http.StatusNotFound, "job %s has no report (state %s)", id, rec.State)
+		return nil, false
 	}
-	f, err := os.Open(s.store.ReportPath(id))
+	data, err := s.store.ReportBytes(id)
 	if err != nil {
-		return nil, fmt.Errorf("reading report for %s: %w", id, err)
+		s.reportReadError(w, id, err)
+		return nil, false
 	}
-	defer f.Close()
-	return metrics.ReadReport(f)
+	rep, err := metrics.ReadReport(bytes.NewReader(data))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "parsing report for %s: %v", id, err)
+		return nil, false
+	}
+	return rep, true
 }
 
 func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -13,10 +14,10 @@ import (
 	"bankaware/internal/runner"
 )
 
-// TestGroupCommitDurability submits many distinct jobs concurrently through
-// the batcher and requires every acked one to survive a cold reopen of the
-// store — the group-commit contract — while committing no more batches,
-// one fsync each, than submissions (the point of batching).
+// TestGroupCommitDurability submits many distinct jobs concurrently and
+// requires every acked one to survive a cold reopen of the store — the
+// group-commit contract — while making no more job-log commits, one fsync
+// each, than submissions (the point of sharing them).
 func TestGroupCommitDurability(t *testing.T) {
 	dir := t.TempDir()
 	svc, err := New(Config{Dir: dir, QueueCap: 1024})
@@ -38,7 +39,7 @@ func TestGroupCommitDurability(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	batches := int(svc.Registry().Counter("service.intake_batches").Value())
+	commits := int(svc.Registry().Snapshot()["service.job_log_commits"])
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -47,10 +48,10 @@ func TestGroupCommitDurability(t *testing.T) {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
-	if batches < 1 || batches > n {
-		t.Fatalf("%d intake batches for %d submits", batches, n)
+	if commits < 1 || commits > n {
+		t.Fatalf("%d job-log commits for %d submits", commits, n)
 	}
-	t.Logf("%d submits committed in %d batches", n, batches)
+	t.Logf("%d submits committed in %d commits", n, commits)
 
 	reopened, err := OpenStore(dir)
 	if err != nil {
@@ -127,14 +128,15 @@ func TestIntakeCrashBeforeCommit(t *testing.T) {
 	dir := t.TempDir()
 	boom := errors.New("injected power loss")
 	var arm atomic.Bool
-	svc, err := New(Config{Dir: dir, IntakeHook: func(stage string, jobs int) error {
-		if stage == HookBeforeCommit && arm.Load() {
+	svc, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.store.crashAt = func(durable bool) error {
+		if !durable && arm.Load() {
 			return boom
 		}
 		return nil
-	}})
-	if err != nil {
-		t.Fatal(err)
 	}
 	ok, err := svc.Submit(mcSpec(10, 0))
 	if err != nil {
@@ -168,14 +170,15 @@ func TestIntakeCrashAfterCommit(t *testing.T) {
 	dir := t.TempDir()
 	boom := errors.New("injected crash after fsync")
 	var arm atomic.Bool
-	svc, err := New(Config{Dir: dir, IntakeHook: func(stage string, jobs int) error {
-		if stage == HookAfterCommit && arm.Load() {
+	svc, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.store.crashAt = func(durable bool) error {
+		if durable && arm.Load() {
 			return boom
 		}
 		return nil
-	}})
-	if err != nil {
-		t.Fatal(err)
 	}
 	arm.Store(true)
 	spec := mcSpec(10, 0)
@@ -206,6 +209,103 @@ func TestIntakeCrashAfterCommit(t *testing.T) {
 	}
 	defer svc2.Close()
 	waitState(t, svc2, rec.ID, StateDone)
+}
+
+// TestClosedStoreRefusesPut: a Put after Close fails and leaves the job
+// log's bytes as Close left them, instead of reopening the log.
+func TestClosedStoreRefusesPut(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := mcSpec(10, 0)
+	rec := st.AllocRecord(spec, SpecHash(spec), "", time.Now())
+	if err := st.Put(rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, jobLogName)
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec.State = StateRunning
+	if err := st.Put(rec); err == nil {
+		t.Fatal("Put after Close succeeded")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Fatalf("job log went from %d to %d bytes after Close", len(before), len(after))
+	}
+}
+
+// TestSubmitRacingCloseIsDraining: a submission whose commit finds the
+// store closed is refused with ErrDraining (HTTP 503), never another error.
+// It runs the window deterministically, with the store closed under a
+// live service, then lets submissions race Service.Close: every one is
+// acked and durable, or refused with ErrDraining.
+func TestSubmitRacingCloseIsDraining(t *testing.T) {
+	svc, err := New(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Submit(mcSpec(10, 0)); !errors.Is(err, ErrDraining) {
+		t.Fatalf("submit to a closed store: %v, want ErrDraining", err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	svc, err = New(Config{Dir: dir, QueueCap: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 64
+	var wg sync.WaitGroup
+	ids := make([]string, n)
+	errs := make([]error, n)
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			spec := mcSpec(10, 0)
+			spec.Seed = uint64(i + 1)
+			rec, err := svc.Submit(spec)
+			ids[i], errs[i] = rec.ID, err
+		}(i)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	reopened, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	acked := 0
+	for i, err := range errs {
+		switch {
+		case err == nil:
+			acked++
+			if _, ok := reopened.Get(ids[i]); !ok {
+				t.Fatalf("acked job %s (submit %d) missing after reopen", ids[i], i)
+			}
+		case !errors.Is(err, ErrDraining):
+			t.Fatalf("submit %d racing Close: %v, want ErrDraining", i, err)
+		}
+	}
+	t.Logf("%d of %d submits racing Close were acked", acked, n)
 }
 
 // TestIntakeTornTailRecovery simulates a crash mid-append: a WAL whose last

@@ -133,6 +133,90 @@ func TestCorruptReportServes503AndSelfHeals(t *testing.T) {
 	}
 }
 
+// bumpLastDigit rewrites the report at path with its last digit changed:
+// still a well-formed report, but not the bytes that were stored. It
+// returns the new bytes' SHA-256.
+func bumpLastDigit(t *testing.T, path string) string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := bytes.LastIndexAny(data, "0123456789")
+	data[i] = '0' + (data[i]-'0'+1)%10
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
+}
+
+// getCorrupt GETs path and requires the 503 report-corrupt answer that
+// re-queued the job.
+func getCorrupt(t *testing.T, ts *httptest.Server, path string) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Reason   string `json:"reason"`
+		Requeued bool   `json:"requeued"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusServiceUnavailable || body.Reason != "report-corrupt" || !body.Requeued {
+		t.Fatalf("GET %s -> %d %+v, want 503 report-corrupt and requeued", path, resp.StatusCode, body)
+	}
+}
+
+// TestHTTPDiffCorruptReport503: /v1/diff reads reports through the same
+// verification as /report, so a report with one digit changed is a 503
+// report-corrupt: quarantined, its job re-queued, and never diffed as if
+// it were the stored result.
+func TestHTTPDiffCorruptReport503(t *testing.T) {
+	svc, ts := startHTTP(t, Config{}, true)
+	a := runToDone(t, svc, 10)
+	b := runToDone(t, svc, 11)
+	bumpLastDigit(t, svc.Store().ReportPath(a.ID))
+
+	getCorrupt(t, ts, fmt.Sprintf("/v1/diff?a=%s&b=%s", a.ID, b.ID))
+	if _, err := os.Stat(svc.Store().ReportPath(a.ID) + ".quarantine"); err != nil {
+		t.Fatalf("corrupt report was not quarantined: %v", err)
+	}
+	if healed := waitState(t, svc, a.ID, StateDone); healed.Attempts != 2 {
+		t.Fatalf("job %s ran %d times, want a second, healing run", a.ID, healed.Attempts)
+	}
+}
+
+// TestReportVerifiedAgainstEveryWitness: a done job's report bytes and its
+// record hash replaced consistently, with the ledger untouched, are refused
+// by the read path and by the scrubber alike: the ledger's report entry is
+// a witness too, whether or not the record has a hash.
+func TestReportVerifiedAgainstEveryWitness(t *testing.T) {
+	svc, ts := startHTTP(t, Config{}, true)
+	rec := runToDone(t, svc, 10)
+	forge := func() {
+		t.Helper()
+		rec, _ = svc.Store().Get(rec.ID)
+		rec.ReportHash = bumpLastDigit(t, svc.Store().ReportPath(rec.ID))
+		if err := svc.Store().Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	forge()
+	getCorrupt(t, ts, "/v1/jobs/"+rec.ID+"/report")
+	waitState(t, svc, rec.ID, StateDone)
+
+	forge()
+	if stats := svc.Scrub(); stats.Corrupt != 1 || len(stats.Requeued) != 1 {
+		t.Fatalf("scrub over a forged record and report: %+v, want 1 corrupt and re-queued", stats)
+	}
+}
+
 // TestScrubDetectsQuarantinesAndRequeues pins the proactive half: a scrub
 // pass finds the flipped report without anyone reading it, quarantines it
 // and re-queues the job.

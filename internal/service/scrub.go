@@ -1,8 +1,6 @@
 package service
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -69,7 +67,7 @@ func (s *Store) Scrub(skip map[string]bool, requeue bool) ScrubStats {
 // scrubLog replays the job log read-only; an append racing the read leaves
 // at most a torn tail, which Replay ignores. The records in memory are what
 // the log last wrote, so a damaged log is quarantined and rewritten from
-// them under the write mutex: the store reopens with every record intact.
+// them under the commit token: the store reopens with every record intact.
 func (s *Store) scrubLog(stats *ScrubStats) {
 	stats.Checked++
 	path := filepath.Join(s.dir, jobLogName)
@@ -79,12 +77,12 @@ func (s *Store) scrubLog(stats *ScrubStats) {
 	})
 	if errors.Is(err, atomicio.ErrCorrupt) {
 		stats.Corrupt++
-		s.wmu.Lock()
+		s.token <- struct{}{}
 		if err = quarantineFile(path); err == nil {
 			stats.Quarantined = append(stats.Quarantined, jobLogName)
 			err = s.compact()
 		}
-		s.wmu.Unlock()
+		<-s.token
 	}
 	if err != nil {
 		stats.Errors = append(stats.Errors, fmt.Sprintf("job log: %v", err))
@@ -109,15 +107,7 @@ func (s *Store) scrubJob(rec JobRecord, requeue bool, stats *ScrubStats) {
 		stats.Errors = append(stats.Errors, fmt.Sprintf("report %s: %v", rec.ID, err))
 		return
 	}
-	sum := sha256.Sum256(data)
-	got := hex.EncodeToString(sum[:])
-	ok := rec.ReportHash == "" || got == rec.ReportHash
-	// Cross-check the ledger: the record file and the report could rot
-	// together; the ledger's synced report entry is an independent witness.
-	if e, found := s.led.LatestReport(rec.ID); found && got != e.Hash {
-		ok = false
-	}
-	if ok {
+	if s.verifyReport(rec.ID, rec.ReportHash, data) == "" {
 		return
 	}
 	stats.Corrupt++

@@ -49,11 +49,6 @@ type Config struct {
 	// (daemon logging, test instrumentation). Calls are serialised within a
 	// job but concurrent across jobs.
 	OnProgress func(jobID string, p runner.Progress)
-	// IntakeHook, when non-nil, is called around every intake group commit
-	// (HookBeforeCommit / HookAfterCommit) — the faults-style injection
-	// point the crash-recovery tests use to fail a batch on either side of
-	// its fsync. A returned error fails the batch's submissions.
-	IntakeHook func(stage string, jobs int) error
 	// Coordinator switches the daemon into coordinator mode: jobs are not
 	// executed locally but sharded into leased work units that worker
 	// daemons pull over /v1/work, with the uploaded units merged into a
@@ -127,12 +122,11 @@ func (jb *job) markCancel(reason string) bool {
 // Service is the daemon: store, queue, executors and the HTTP surface
 // (Handler). Safe for concurrent use.
 type Service struct {
-	cfg     Config
-	store   *Store
-	queue   *jobQueue
-	batcher *batcher
-	reg     *metrics.Registry
-	coord   *coordinator // nil unless cfg.Coordinator
+	cfg   Config
+	store *Store
+	queue *jobQueue
+	reg   *metrics.Registry
+	coord *coordinator // nil unless cfg.Coordinator
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -213,11 +207,11 @@ func New(cfg Config) (*Service, error) {
 	s.scrubRuns = s.reg.Counter("service.scrub_runs")
 	s.scrubCorrupt = s.reg.Counter("service.scrub_corrupt")
 	s.healed = s.reg.Counter("service.jobs_healed")
-	s.batcher = newBatcher(store, cfg.IntakeHook, s.reg)
 	if cfg.Coordinator {
 		s.coord = newCoordinator(s)
 	}
 	s.reg.RegisterFunc("service.queue_depth", func() float64 { return float64(s.queue.depth()) })
+	s.reg.RegisterFunc("service.job_log_commits", func() float64 { return float64(store.commits.Value()) })
 	s.reg.RegisterFunc("service.jobs_running", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -333,8 +327,9 @@ func (s *Service) Submit(spec JobSpec) (JobRecord, error) {
 // returns the existing record with hit=true and runs nothing: a queued or
 // running match coalesces the duplicate onto the one execution, a done
 // match is a content-addressed cache hit whose stored report serves the
-// response. Misses claim the key, then commit a queued record through the
-// group-commit batcher (durable before the ack) and enqueue it.
+// response. Misses claim the key, then commit a queued record through
+// Store.Put (durable before the ack, sharing its fsync with concurrent
+// submissions) and enqueue it.
 //
 // It fails with ErrDraining during shutdown and ErrQueueFull under
 // backpressure; both are decided before the durable write, so a rejected
@@ -397,8 +392,11 @@ func (s *Service) submitNew(spec JobSpec, hash, idemKey string) (JobRecord, erro
 		return JobRecord{}, ErrDraining
 	}
 	rec := s.store.AllocRecord(spec, hash, idemKey, time.Now())
-	if err := s.batcher.put(rec); err != nil {
+	if err := s.store.Put(rec); err != nil {
 		s.queue.release()
+		if errors.Is(err, errClosed) {
+			return JobRecord{}, ErrDraining
+		}
 		return JobRecord{}, err
 	}
 	// Durable from here: even if drain closes the queue in this window the
@@ -470,13 +468,12 @@ func (s *Service) Drain(ctx context.Context) {
 }
 
 // Close drains immediately (in-flight jobs are interrupted and requeued for
-// the next start), stops the intake batcher and the executor pool, and
-// releases the store.
+// the next start), stops the executor pool, and releases the store: a
+// submission that races Close fails with ErrDraining.
 func (s *Service) Close() error {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	s.Drain(ctx)
-	s.batcher.stop()
 	s.baseCancel()
 	s.wg.Wait()
 	return s.store.Close()

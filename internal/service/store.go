@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -94,8 +95,8 @@ var walCompactBytes int64 = 4 << 20
 // under journals/, and the run ledger. A coordinator keeps nothing else on
 // disk: it derives a job's shard plan from the spec and holds its leases in
 // memory. The job log is the only durable copy of job state: every
-// transition appends one checksummed JobRecord line (a batch of freshly
-// accepted jobs shares one fsync, see batcher.go), and a job's state is its
+// intake, transition and heal appends one checksummed JobRecord line
+// through Put (concurrent Puts share one fsync), and a job's state is its
 // last verified line.
 type Store struct {
 	dir string
@@ -104,15 +105,28 @@ type Store struct {
 	// root is the integrity commitment /healthz exposes.
 	led *ledger.Ledger
 
-	// wmu serialises job-log writes: a writer updates the in-memory view
-	// before releasing it, so memory order is log order, and readers take
-	// only mu, never waiting on an fsync.
-	wmu sync.Mutex
-	wal *atomicio.Log
+	// token is the one-slot commit token. Its holder alone writes the job
+	// log: a Put committing the queue, a scrub's quarantine and rewrite, or
+	// Close. The committer updates the in-memory view before it hands the
+	// token back, so memory order is log order, and readers take only mu,
+	// never waiting on an fsync.
+	token chan struct{}
+	wal   *atomicio.Log
+	// commits counts job-log commits, one fsync each.
+	commits metrics.Counter
+	// crashAt, when non-nil, runs at both edges of every commit: before any
+	// byte is written (durable false) and once the batch is synced and
+	// visible (durable true). An error fails every Put of the batch, as a
+	// crash at that point would. The crash-recovery tests set it.
+	crashAt func(durable bool) error
 
-	mu    sync.Mutex
-	jobs  map[string]JobRecord
-	order []orderRef // ascending Seq; backs pagination
+	mu sync.Mutex
+	// queue holds the Puts waiting for the next commit; closed refuses new
+	// ones.
+	queue  []*putReq
+	closed bool
+	jobs   map[string]JobRecord
+	order  []orderRef // ascending Seq; backs pagination
 	// dedup maps "spec:<hash>" and "idem:<key>" to the job ID that serves
 	// duplicates of that submission (the content-addressed result cache
 	// once the job is done). Failed and canceled jobs are evicted so a
@@ -143,6 +157,7 @@ func OpenStore(dir string) (*Store, error) {
 	}
 	st := &Store{
 		dir:   dir,
+		token: make(chan struct{}, 1),
 		jobs:  make(map[string]JobRecord),
 		dedup: make(map[string]string),
 	}
@@ -392,49 +407,114 @@ func (s *Store) AllocRecord(spec JobSpec, specHash, idemKey string, now time.Tim
 	}
 }
 
-// Put appends recs to the job log with one write and one fsync (a batch of
-// freshly accepted jobs from the batcher, or one transition), ledgers them,
-// and updates the in-memory view and dedup index. The ledger syncs only for
-// a terminal record, so a "done" a client acts on never vanishes from it;
-// queued entries ride along on the next synced append. On failure the view
-// is unchanged, and unsynced log bytes recover as a torn, unacked tail.
+// errClosed fails a Put on a closed store.
+var errClosed = errors.New("service: store closed")
+
+// putReq is one Put waiting for the commit that writes its records. err is
+// set before done closes.
+type putReq struct {
+	recs  []JobRecord
+	lines [][]byte
+	done  chan struct{}
+	err   error
+}
+
+// Put appends recs to the job log, ledgers them, and updates the in-memory
+// view and dedup index; it returns once they are durable. Concurrent Puts
+// share one commit: each queues its encoded records, and the caller that
+// wins the commit token writes the whole queue with one job-log write and
+// fsync and one ledger append, while the others wait for it. The ledger
+// syncs only when the batch holds a terminal record, so a "done" a client
+// acts on never vanishes from it; queued entries ride along on the next
+// synced append. On failure the view is unchanged, and unsynced log bytes
+// recover as a torn, unacked tail. A closed store refuses the write.
 func (s *Store) Put(recs ...JobRecord) error {
-	lines := make([][]byte, len(recs))
-	lrecs := make([]ledger.Record, len(recs))
-	terminal := false
+	req := &putReq{recs: recs, lines: make([][]byte, len(recs)), done: make(chan struct{})}
 	for i, rec := range recs {
 		line, err := json.Marshal(rec)
 		if err != nil {
 			return fmt.Errorf("service: encoding job record %s: %w", rec.ID, err)
 		}
-		lines[i] = line
-		lrecs[i] = ledger.Record{Type: ledger.TypeJob, Job: rec.ID, Data: rec.State, Hash: rec.SpecHash}
-		terminal = terminal || rec.Terminal()
+		req.lines[i] = line
 	}
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return errClosed
+	}
+	s.queue = append(s.queue, req)
+	s.mu.Unlock()
+	select {
+	case <-req.done:
+		return req.err
+	case s.token <- struct{}{}:
+	}
+	// Let every runnable Put queue before the batch is cut. Without the
+	// yield the first Put of a burst commits alone and the rest wait for a
+	// second fsync. One yield costs about a microsecond; an fsync costs
+	// hundreds.
+	runtime.Gosched()
+	s.mu.Lock()
+	batch := s.queue
+	s.queue = nil
+	s.mu.Unlock()
+	// Empty when an earlier commit took this Put's records.
+	if len(batch) > 0 {
+		err := s.commit(batch)
+		for _, r := range batch {
+			r.err = err
+			close(r.done)
+		}
+	}
+	<-s.token
+	return req.err
+}
+
+// commit writes one batch of queued Puts. The caller holds the token.
+func (s *Store) commit(batch []*putReq) error {
+	var lines [][]byte
+	var lrecs []ledger.Record
+	terminal := false
+	for _, req := range batch {
+		lines = append(lines, req.lines...)
+		for _, rec := range req.recs {
+			lrecs = append(lrecs, ledger.Record{Type: ledger.TypeJob, Job: rec.ID, Data: rec.State, Hash: rec.SpecHash})
+			terminal = terminal || rec.Terminal()
+		}
+	}
+	if s.crashAt != nil {
+		if err := s.crashAt(false); err != nil {
+			return err
+		}
+	}
 	if err := s.wal.Append(lines, true); err != nil {
 		return fmt.Errorf("service: appending to job log: %w", err)
 	}
+	s.commits.Inc()
 	if _, err := s.led.AppendBatch(lrecs, terminal); err != nil {
 		return err
 	}
 	s.mu.Lock()
-	for _, rec := range recs {
-		s.jobs[rec.ID] = rec
-		s.orderInsertLocked(rec.Seq, rec.ID)
-		s.indexLocked(rec)
+	for _, req := range batch {
+		for _, rec := range req.recs {
+			s.jobs[rec.ID] = rec
+			s.orderInsertLocked(rec.Seq, rec.ID)
+			s.indexLocked(rec)
+		}
 	}
 	s.mu.Unlock()
 	if s.wal.Due(walCompactBytes) {
 		// The records are durable; a failed compaction only costs space.
 		_ = s.compact()
 	}
+	if s.crashAt != nil {
+		return s.crashAt(true)
+	}
 	return nil
 }
 
 // compact rewrites the job log down to the latest record per job, in
-// submission order. Callers hold s.wmu (or, in OpenStore, the only
+// submission order. Callers hold the token (or, in OpenStore, the only
 // reference to the store).
 func (s *Store) compact() error {
 	recs := s.Jobs()
@@ -545,9 +625,7 @@ func (s *Store) SaveReport(id string, rep *metrics.Report) (string, error) {
 }
 
 // ReportBytes returns the stored report verbatim, with integrity
-// verification: the bytes are re-hashed against the job record's content
-// hash (falling back to the ledger's latest report entry for records
-// written before report hashing). A mismatch — bit-rot, truncation, a torn
+// verification (verifyReport). A mismatch — bit-rot, truncation, a torn
 // external copy — quarantines the file and returns ErrCorrupt, so corrupt
 // bytes are never served as valid.
 func (s *Store) ReportBytes(id string) ([]byte, error) {
@@ -561,29 +639,34 @@ func (s *Store) ReportBytes(id string) ([]byte, error) {
 		}
 		return nil, err
 	}
-	want := ""
 	s.mu.Lock()
-	if rec, ok := s.jobs[id]; ok {
-		want = rec.ReportHash
-	}
+	want := s.jobs[id].ReportHash
 	s.mu.Unlock()
-	if want == "" {
-		if e, ok := s.led.LatestReport(id); ok {
-			want = e.Hash
-		}
-	}
-	if want == "" {
-		return data, nil
-	}
-	sum := sha256.Sum256(data)
-	if got := hex.EncodeToString(sum[:]); got != want {
-		detail := fmt.Sprintf("report for %s hashes to %s, ledger/record say %s", id, got, want)
+	if detail := s.verifyReport(id, want, data); detail != "" {
 		if qerr := quarantineFile(s.ReportPath(id)); qerr != nil {
 			return nil, fmt.Errorf("%w: %s (quarantine failed: %v)", ErrCorrupt, detail, qerr)
 		}
 		return nil, fmt.Errorf("%w: %s (quarantined)", ErrCorrupt, detail)
 	}
 	return data, nil
+}
+
+// verifyReport checks data, job id's stored report, against every witness
+// that exists: recordHash (the job record's ReportHash) and the ledger's
+// latest report entry for the job. The record and the report could rot
+// together; the ledger is an independent witness. It returns what the
+// bytes contradict, or "" when they match every witness, or when neither
+// witness exists (a report stored before either did).
+func (s *Store) verifyReport(id, recordHash string, data []byte) string {
+	sum := sha256.Sum256(data)
+	got := hex.EncodeToString(sum[:])
+	if recordHash != "" && got != recordHash {
+		return fmt.Sprintf("report for %s hashes to %s, its record says %s", id, got, recordHash)
+	}
+	if e, ok := s.led.LatestReport(id); ok && got != e.Hash {
+		return fmt.Sprintf("report for %s hashes to %s, the ledger says %s", id, got, e.Hash)
+	}
+	return ""
 }
 
 // quarantineFile moves a corrupt artifact aside as <path>.quarantine —
@@ -622,15 +705,25 @@ func (s *Store) ReportETag(id string) (string, error) {
 // reportETag formats a report content hash as a strong HTTP ETag.
 func reportETag(hash string) string { return `"sha256-` + hash + `"` }
 
-// Close releases the job log handle and the run ledger (syncing any
-// buffered observational entries). Reports are plain files; nothing else
-// needs teardown.
+// Close waits for the commit in flight, fails the Puts still queued, and
+// releases the job log handle and the run ledger (syncing any buffered
+// observational entries). Every later Put fails, and a second Close does
+// nothing. Reports are plain files; nothing else needs teardown.
 func (s *Store) Close() error {
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	err := s.wal.Close()
-	if lerr := s.led.Close(); err == nil {
-		err = lerr
+	s.token <- struct{}{}
+	defer func() { <-s.token }()
+	s.mu.Lock()
+	wasClosed := s.closed
+	s.closed = true
+	queued := s.queue
+	s.queue = nil
+	s.mu.Unlock()
+	for _, req := range queued {
+		req.err = errClosed
+		close(req.done)
 	}
-	return err
+	if wasClosed {
+		return nil
+	}
+	return errors.Join(s.wal.Close(), s.led.Close())
 }

@@ -327,9 +327,9 @@ func (w *Worker) postRetry(path string, body any, out *bytes.Buffer, budget time
 		}
 		var err error
 		if out != nil {
-			err = w.post(path, body, out)
+			err = w.post(w.ctx, path, body, out)
 		} else {
-			err = w.post(path, body, nil)
+			err = w.post(w.ctx, path, body, nil)
 		}
 		if err == nil || !retryable(err) {
 			return err
@@ -349,15 +349,15 @@ func (w *Worker) postRetry(path string, body any, out *bytes.Buffer, budget time
 	}
 }
 
-// post sends one JSON body and decodes the response envelope. A non-2xx
-// status returns the server's error message as a statusError; failure to
-// reach the server returns a transportError.
-func (w *Worker) post(path string, body any, out io.Writer) error {
+// post sends one JSON body under ctx and decodes the response envelope. A
+// non-2xx status returns the server's error message as a statusError;
+// failure to reach the server returns a transportError.
+func (w *Worker) post(ctx context.Context, path string, body any, out io.Writer) error {
 	data, err := json.Marshal(body)
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequestWithContext(w.ctx, http.MethodPost,
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		w.cfg.Coordinator+path, bytes.NewReader(data))
 	if err != nil {
 		return err
@@ -412,28 +412,14 @@ func (w *Worker) renew(g *ShardGrant) error {
 		&ShardAck{Job: g.Job, Shard: g.Shard, Lease: g.Lease}, nil, ttl/4)
 }
 
+// fail hands the lease back after an error, once. The worker context may
+// already be cancelled (graceful Close); the farewell gets its own short
+// deadline so shutdown never hangs on it.
 func (w *Worker) fail(g *ShardGrant, cause error) error {
-	// The worker context may already be cancelled (graceful Close); the
-	// farewell gets its own short deadline so shutdown never hangs on it.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	ack := ShardAck{Job: g.Job, Shard: g.Shard, Lease: g.Lease, Error: cause.Error()}
-	data, err := json.Marshal(&ack)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		w.cfg.Coordinator+"/v1/work/fail", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := workerClient.Do(req)
-	if err != nil {
-		return &transportError{err}
-	}
-	resp.Body.Close()
-	return nil
+	return w.post(ctx, "/v1/work/fail",
+		&ShardAck{Job: g.Job, Shard: g.Shard, Lease: g.Lease, Error: cause.Error()}, nil)
 }
 
 // complete uploads the shard's results with the payload hash the
