@@ -191,9 +191,7 @@ func serve(args []string) error {
 			name = bound
 		}
 		worker, err = service.NewWorker(service.WorkerConfig{
-			Coordinator: base(*workerOf), Name: name,
-			Dir:     *dir + "/shard-journals",
-			Workers: *parallel,
+			Coordinator: base(*workerOf), Name: name, Workers: *parallel,
 		})
 		if err != nil {
 			return err
@@ -609,7 +607,7 @@ func scrub(args []string) error {
 			return err
 		}
 		defer st.Close()
-		stats := st.Scrub(nil, true)
+		stats := st.Scrub(nil)
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(stats)

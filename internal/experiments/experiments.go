@@ -304,12 +304,6 @@ type Fig8Fig9Result struct {
 	Fidelity string
 }
 
-// HasReports reports whether the campaign ran under Options.Observe (every
-// SetResult then carries its three run reports).
-func (r *Fig8Fig9Result) HasReports() bool {
-	return len(r.Sets) > 0 && len(r.Sets[0].Reports) > 0
-}
-
 // CampaignUnits is the number of independent simulations the full
 // Figs. 8/9 campaign flattens into (8 Table III sets x 3 policies) — the
 // units a distributed experiments job shards into.

@@ -100,10 +100,14 @@ func LeafHash(e Entry) ([32]byte, error) {
 	return leafHash(body), nil
 }
 
+// errClosed fails an append to a closed ledger.
+var errClosed = errors.New("ledger: closed")
+
 // Ledger is the open log. Safe for concurrent use.
 type Ledger struct {
 	mu      sync.Mutex
 	log     *atomicio.Log
+	closed  bool
 	entries []Entry
 	leaves  [][32]byte // decoded Entry.Leaf, by index
 	tree    tree
@@ -177,10 +181,14 @@ func (l *Ledger) Append(rec Record, sync bool) (Entry, error) {
 }
 
 // AppendBatch seals and persists recs in order with a single write (and, if
-// sync, a single fsync) — the ledger side of the intake group commit.
+// sync, a single fsync) — the ledger side of the intake group commit. A
+// closed ledger refuses the write, so nothing reopens its file.
 func (l *Ledger) AppendBatch(recs []Record, sync bool) ([]Entry, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.closed {
+		return nil, errClosed
+	}
 	lines := make([][]byte, 0, len(recs))
 	entries := make([]Entry, 0, len(recs))
 	// Seal against the would-be state: entries only admit after the write
@@ -275,8 +283,13 @@ func (l *Ledger) Prove(i int) (*Proof, error) {
 }
 
 // Close syncs the entries appended without sync and releases the file.
+// Every later append fails, and a second Close does nothing.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.closed {
+		return nil
+	}
+	l.closed = true
 	return errors.Join(l.log.Append(nil, true), l.log.Close())
 }

@@ -98,6 +98,35 @@ func TestProofsVerifyAtEveryIndex(t *testing.T) {
 	}
 }
 
+// TestClosedLedgerRefusesAppend: once closed, a ledger refuses Append and
+// AppendBatch and leaves its file as Close left it.
+func TestClosedLedgerRefusesAppend(t *testing.T) {
+	l, path := openTestLedger(t, 3)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Append(testRecord(3), true); err == nil {
+		t.Fatal("Append after Close succeeded")
+	}
+	if _, err := l.AppendBatch([]Record{testRecord(3), testRecord(4)}, true); err == nil {
+		t.Fatal("AppendBatch after Close succeeded")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, before) || l.Len() != 3 {
+		t.Fatalf("closed ledger went from %d to %d bytes and holds %d entries, want 3", len(before), len(after), l.Len())
+	}
+}
+
 func TestProofRejectsTampering(t *testing.T) {
 	l, _ := openTestLedger(t, 9)
 	defer l.Close()

@@ -218,19 +218,6 @@ func (r *Registry) RegisterFunc(name string, fn func() float64) {
 	r.entries[name] = fn
 }
 
-// Names returns every registered metric name, sorted. Histograms appear
-// once under their base name.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.entries))
-	for n := range r.entries {
-		names = append(names, n)
-	}
-	r.mu.Unlock()
-	sort.Strings(names)
-	return names
-}
-
 // formatBound renders a bucket bound for a flattened snapshot key.
 func formatBound(b float64) string {
 	return strconv.FormatFloat(b, 'g', -1, 64)

@@ -16,12 +16,6 @@ func (s BankSet) With(b int) BankSet {
 	return s | 1<<uint(b)
 }
 
-// Without returns the set with bank b removed.
-func (s BankSet) Without(b int) BankSet {
-	mustBank(b)
-	return s &^ (1 << uint(b))
-}
-
 // Has reports whether bank b is in the set.
 func (s BankSet) Has(b int) bool {
 	mustBank(b)
@@ -69,16 +63,4 @@ func (s BankSet) String() string {
 	}
 	sb.WriteByte('}')
 	return sb.String()
-}
-
-// BankSetOf builds a set from a bank list, rejecting out-of-range ids.
-func BankSetOf(banks ...int) (BankSet, error) {
-	var s BankSet
-	for _, b := range banks {
-		if b < 0 || b >= NumBanks {
-			return 0, fmt.Errorf("nuca: bank %d outside [0,%d)", b, NumBanks)
-		}
-		s = s.With(b)
-	}
-	return s, nil
 }

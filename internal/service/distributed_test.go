@@ -13,20 +13,16 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"bankaware/internal/runner"
 )
 
 // startWorker attaches one pulling worker to a coordinator test server.
 func startWorker(t *testing.T, ts *httptest.Server, name string, hook func(stage string, g *ShardGrant)) *Worker {
 	t.Helper()
-	w, err := NewWorker(WorkerConfig{
-		Coordinator: ts.URL, Name: name, Dir: t.TempDir(),
-		Workers: 2, Poll: 10 * time.Millisecond, OnShard: hook,
-	})
+	w, err := NewWorker(WorkerConfig{Coordinator: ts.URL, Name: name, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.poll, w.onShard = 10*time.Millisecond, hook
 	if err := w.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +258,7 @@ func TestDistributedChaosKillWorkerGolden(t *testing.T) {
 	}, true)
 
 	// Worker 0 is the victim: the moment it starts its first shard it is
-	// killed (from a goroutine — Kill waits for the pull loop, and the hook
+	// killed (from a goroutine — kill waits for the pull loop, and the hook
 	// runs on it). Workers 1 and 2 keep pulling.
 	var (
 		killOnce sync.Once
@@ -270,12 +266,12 @@ func TestDistributedChaosKillWorkerGolden(t *testing.T) {
 		victim   *Worker
 	)
 	victim = startWorker(t, ts, "victim", func(stage string, g *ShardGrant) {
-		if stage != WorkerShardStart {
+		if stage != workerShardStart {
 			return
 		}
 		killOnce.Do(func() {
 			go func() {
-				victim.Kill()
+				victim.kill()
 				close(killed)
 			}()
 		})
@@ -492,14 +488,12 @@ func TestLeaseFromBeforeRestartIsRejected(t *testing.T) {
 	}
 }
 
-// replanHalfFinishedJob restarts a coordinator with ShardUnits 8 over a
-// 40-trial job half finished under ShardUnits 5: the first plan's shards 0
-// and 2 are uploaded, and a worker starts with checkpoints of its shards 1
-// and 3, under the same job ID and shard indices as the new plan's shards
-// 1 and 3 but of other units, and a quarantined journal. It returns once
-// the job is done, with the worker's checkpoint dir.
-func replanHalfFinishedJob(t *testing.T) (svc *Service, id, workerDir string) {
-	t.Helper()
+// TestShardUnitsChangeReplansHalfFinishedJob restarts a coordinator with
+// ShardUnits 8 over a 40-trial job half finished under ShardUnits 5 (the
+// first plan's shards 0 and 2 uploaded): the new plan is derived from the
+// spec, the journaled units carry over, and the merged report equals the
+// direct run.
+func TestShardUnitsChangeReplansHalfFinishedJob(t *testing.T) {
 	const trials = 40
 	cfg := Config{Dir: t.TempDir(), Coordinator: true, LeaseTTL: time.Minute, ShardUnits: 5}
 	first, _ := startHTTP(t, cfg, true)
@@ -517,70 +511,10 @@ func replanHalfFinishedJob(t *testing.T) (svc *Service, id, workerDir string) {
 	if len(resumed) != trials/8 {
 		t.Fatalf("re-planned job shows %d shards, want %d", len(resumed), trials/8)
 	}
-	workerDir = t.TempDir()
-	w, err := NewWorker(WorkerConfig{
-		Coordinator: ts.URL, Name: "w0", Dir: workerDir, Workers: 2, Poll: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, g := range []*ShardGrant{old[1], old[3]} {
-		journal, err := runner.OpenJournal(w.journalPath(g))
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = executeShardUnits(context.Background(), g.Spec, g.From, g.To, shardOptions{Workers: 2, Journal: journal})
-		journal.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(workerDir, "damaged.journal.quarantine"), []byte("evidence\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { w.Close() })
+	startWorker(t, ts, "w0", nil)
 	waitState(t, svc, rec.ID, StateDone)
-	return svc, rec.ID, workerDir
-}
-
-// TestShardUnitsChangeReplansHalfFinishedJob: over replanHalfFinishedJob's
-// re-plan the new plan is derived from the spec, the journaled units carry
-// over, no checkpoint is restored into a range of other units, and the
-// merged report equals the direct run.
-func TestShardUnitsChangeReplansHalfFinishedJob(t *testing.T) {
-	svc, id, _ := replanHalfFinishedJob(t)
-	if got, want := reportBytes(t, svc, id), directMonteCarloBytes(t, 40, 2009); !bytes.Equal(got, want) {
+	if got, want := reportBytes(t, svc, rec.ID), directMonteCarloBytes(t, trials, 2009); !bytes.Equal(got, want) {
 		t.Fatalf("re-planned report (%d bytes) differs from the direct run (%d bytes)", len(got), len(want))
-	}
-}
-
-// TestWorkerKeepsOnlyTheRangeItRuns: a worker keeps one checkpoint, of the
-// range it is running. The old plan's checkpoints of replanHalfFinishedJob
-// cover ranges the worker is never granted again, so they go once it runs
-// another range, and each range it runs goes with its accepted upload:
-// once the job is done the worker's dir holds no checkpoint, only the
-// quarantined journal, which is evidence. The last removal follows the
-// upload's response, so the check waits for it.
-func TestWorkerKeepsOnlyTheRangeItRuns(t *testing.T) {
-	_, _, dir := replanHalfFinishedJob(t)
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var names []string
-		for _, e := range entries {
-			names = append(names, e.Name())
-		}
-		if len(names) == 1 && names[0] == "damaged.journal.quarantine" {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker dir holds %v after the job is done, want only damaged.journal.quarantine", names)
-		}
 	}
 }
 
@@ -785,47 +719,5 @@ func TestPlanShards(t *testing.T) {
 				t.Fatalf("planShards(%d, %d)[%d] = %+v, want %+v", c.n, c.size, i, span, c.want[i])
 			}
 		}
-	}
-}
-
-// TestWorkerCheckpointIsKeyedBySpecAndRange pins that a worker restores a
-// checkpoint only into a range whose units are the same bytes: a worker
-// whose dir holds an interrupted checkpoint of job-000001's shard 0, left
-// by an earlier coordinator store's seed-7 job, serves a fresh
-// coordinator's job-000001 of seed 2009, and the merged report equals the
-// direct run of its own spec.
-func TestWorkerCheckpointIsKeyedBySpecAndRange(t *testing.T) {
-	const trials = 8
-	svc, ts := startHTTP(t, Config{Coordinator: true, LeaseTTL: 2 * time.Second, ShardUnits: 8}, true)
-	w, err := NewWorker(WorkerConfig{
-		Coordinator: ts.URL, Name: "w0", Dir: t.TempDir(), Workers: 2, Poll: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The checkpoint an interrupted shard leaves: executeUnits journals
-	// every unit it computes, and the checkpoint stays until an accepted
-	// upload or a grant of another range removes it.
-	stale := mcSpec(trials, 0)
-	stale.Seed = 7
-	if _, err := w.executeUnits(context.Background(), &ShardGrant{
-		Job: "job-000001", Shard: 0, From: 0, To: trials, Units: trials, Spec: stale,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { w.Close() })
-	rec, err := svc.Submit(mcSpec(trials, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.ID != "job-000001" {
-		t.Fatalf("fresh coordinator's first job is %s, want job-000001", rec.ID)
-	}
-	waitState(t, svc, rec.ID, StateDone)
-	if got, want := reportBytes(t, svc, rec.ID), directMonteCarloBytes(t, trials, 2009); !bytes.Equal(got, want) {
-		t.Fatalf("merged report (%d bytes) differs from the direct run (%d bytes): a stale checkpoint was restored", len(got), len(want))
 	}
 }

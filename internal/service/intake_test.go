@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"bankaware/internal/metrics"
 	"bankaware/internal/runner"
 )
 
@@ -242,6 +243,27 @@ func TestClosedStoreRefusesPut(t *testing.T) {
 	}
 	if !bytes.Equal(after, before) {
 		t.Fatalf("job log went from %d to %d bytes after Close", len(before), len(after))
+	}
+}
+
+// TestClosedStoreRefusesSaveReport: a report saved to a closed store is
+// refused, and neither the report file nor the ledger appears.
+func TestClosedStoreRefusesSaveReport(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.SaveReport("job-000001", metrics.NewReport("montecarlo")); !errors.Is(err, errClosed) {
+		t.Fatalf("SaveReport after Close: %v, want errClosed", err)
+	}
+	for _, path := range []string{st.ReportPath("job-000001"), st.ledgerPath()} {
+		if info, err := os.Stat(path); err == nil && info.Size() > 0 {
+			t.Fatalf("SaveReport after Close wrote %s (%d bytes)", path, info.Size())
+		}
 	}
 }
 
@@ -506,7 +528,7 @@ func TestJobLogWritersRaceScrub(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5; i++ {
-			if stats := st.Scrub(nil, false); stats.Corrupt != 0 || len(stats.Errors) != 0 {
+			if stats := st.Scrub(nil); stats.Corrupt != 0 || len(stats.Errors) != 0 {
 				t.Errorf("scrub over live writers: %+v", stats)
 			}
 		}
@@ -536,7 +558,7 @@ func TestFailedJobReleasesDedupKey(t *testing.T) {
 	svc, err := New(Config{
 		Dir: t.TempDir(), Workers: 1,
 		// Keep each trial slow enough that a 1 ms deadline always lands.
-		OnProgress: func(id string, p runner.Progress) { time.Sleep(time.Millisecond) },
+		onProgress: func(id string, p runner.Progress) { time.Sleep(time.Millisecond) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -252,8 +252,8 @@ func TestScrubDetectsQuarantinesAndRequeues(t *testing.T) {
 }
 
 // TestOfflineScrubRequeuesForNextStart pins the `bankawared scrub -dir`
-// path: with no daemon running, Store.Scrub(requeue=true) flips the
-// damaged job back to queued durably, and the next daemon start re-runs it.
+// path: with no daemon running, Store.Scrub flips the damaged job back to
+// queued durably, and the next daemon start re-runs it.
 func TestOfflineScrubRequeuesForNextStart(t *testing.T) {
 	const trials = 8
 	want := directMonteCarloBytes(t, trials, 2009)
@@ -275,7 +275,7 @@ func TestOfflineScrubRequeuesForNextStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stats := st.Scrub(nil, true)
+	stats := st.Scrub(nil)
 	if stats.Corrupt != 1 || len(stats.Requeued) != 1 {
 		t.Fatalf("offline scrub stats %+v, want 1 corrupt / 1 requeued", stats)
 	}
@@ -291,6 +291,53 @@ func TestOfflineScrubRequeuesForNextStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc2.Close()
+	if err := svc2.Start(); err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, svc2, rec.ID, StateDone)
+	if got := reportBytes(t, svc2, rec.ID); !bytes.Equal(got, want) {
+		t.Fatal("report healed across restart differs from the original")
+	}
+}
+
+// TestCorruptReportWhileDrainingRequeuesDurably: a corrupt report read
+// while the service drains is a 503 like any other, and its job goes back
+// to queued in the store although the closed queue cannot take it. A
+// cancel of the job does not claim success without taking effect. The
+// reopened store holds the job queued before Start, and the next start
+// re-runs it to the original bytes.
+func TestCorruptReportWhileDrainingRequeuesDurably(t *testing.T) {
+	const trials = 10
+	want := directMonteCarloBytes(t, trials, 2009)
+	dir := t.TempDir()
+	svc, ts := startHTTP(t, Config{Dir: dir}, true)
+	rec := runToDone(t, svc, trials)
+	svc.Drain(context.Background())
+	bumpLastDigit(t, svc.Store().ReportPath(rec.ID))
+
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + rec.ID + "/report")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("corrupt report read while draining served %d, want 503", resp.StatusCode)
+	}
+	if got, ok := svc.Cancel(rec.ID); ok && got.State != StateCanceled {
+		t.Fatalf("Cancel of the re-queued job reported success and left it %s", got.State)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2, err := New(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close()
+	if got, _ := svc2.Store().Get(rec.ID); got.State != StateQueued {
+		t.Fatalf("job reopened %s after a corrupt read while draining, want queued", got.State)
+	}
 	if err := svc2.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -42,8 +42,8 @@ func (s *Service) progressFor(jb *job) runner.ProgressFunc {
 			ev.Error = p.Err.Error()
 		}
 		jb.hub.publish(EventProgress, ev)
-		if s.cfg.OnProgress != nil {
-			s.cfg.OnProgress(jb.id, p)
+		if s.cfg.onProgress != nil {
+			s.cfg.onProgress(jb.id, p)
 		}
 	})
 }

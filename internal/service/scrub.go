@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"time"
 
 	"bankaware/internal/atomicio"
@@ -43,13 +42,11 @@ type ScrubStats struct {
 }
 
 // Scrub verifies every stored artifact not named in skip (live jobs whose
-// files are in flux). requeue controls what happens to a finished job whose
-// report failed verification: when true the record transitions back to
-// StateQueued (the offline `bankawared scrub -dir` mode — the next daemon
-// start re-enqueues it); when false the record is left for the caller to
-// heal (the in-daemon path, which re-queues through the service so the job
-// re-executes immediately).
-func (s *Store) Scrub(skip map[string]bool, requeue bool) ScrubStats {
+// files are in flux). A finished job whose report is missing or failed
+// verification goes back to StateQueued durably (requeue): the offline
+// `bankawared scrub -dir` leaves it for the next daemon start to
+// re-enqueue, and Service.Scrub enqueues it at once.
+func (s *Store) Scrub(skip map[string]bool) ScrubStats {
 	start := time.Now()
 	stats := ScrubStats{StartedAt: start.UTC()}
 	s.scrubLog(&stats)
@@ -58,7 +55,7 @@ func (s *Store) Scrub(skip map[string]bool, requeue bool) ScrubStats {
 			stats.Skipped++
 			continue
 		}
-		s.scrubJob(rec, requeue, &stats)
+		s.scrubJob(rec, &stats)
 	}
 	stats.DurationMS = time.Since(start).Milliseconds()
 	return stats
@@ -89,54 +86,58 @@ func (s *Store) scrubLog(stats *ScrubStats) {
 	}
 }
 
-// scrubJob verifies one finished job's report.
-func (s *Store) scrubJob(rec JobRecord, requeue bool, stats *ScrubStats) {
+// scrubJob verifies one finished job's report. A report that fails
+// verification is quarantined, and a job whose report is quarantined or
+// missing re-queues.
+func (s *Store) scrubJob(rec JobRecord, stats *ScrubStats) {
 	if rec.State != StateDone {
 		return
 	}
 	stats.Checked++
-	data, err := os.ReadFile(s.ReportPath(rec.ID))
-	if err != nil {
-		if os.IsNotExist(err) {
-			// Lost or already-quarantined report: nothing to move aside, but
-			// the job must recompute it.
-			stats.Corrupt++
-			s.healReport(rec, requeue, stats)
-			return
-		}
+	path := s.ReportPath(rec.ID)
+	data, err := os.ReadFile(path)
+	switch {
+	case os.IsNotExist(err):
+		// Lost or already-quarantined report: nothing to move aside, but
+		// the job must recompute it.
+		stats.Corrupt++
+	case err != nil:
 		stats.Errors = append(stats.Errors, fmt.Sprintf("report %s: %v", rec.ID, err))
 		return
-	}
-	if s.verifyReport(rec.ID, rec.ReportHash, data) == "" {
+	case s.verifyReport(rec.ID, rec.ReportHash, data) == "":
 		return
+	default:
+		stats.Corrupt++
+		if err := quarantineFile(path); err != nil {
+			stats.Errors = append(stats.Errors, fmt.Sprintf("report %s: quarantine: %v", rec.ID, err))
+			return
+		}
+		stats.Quarantined = append(stats.Quarantined, filepath.Join("reports", rec.ID+".json"))
 	}
-	stats.Corrupt++
-	if qerr := quarantineFile(s.ReportPath(rec.ID)); qerr != nil {
-		stats.Errors = append(stats.Errors, fmt.Sprintf("report %s: quarantine: %v", rec.ID, qerr))
-		return
-	}
-	stats.Quarantined = append(stats.Quarantined, filepath.Join("reports", rec.ID+".json"))
-	s.healReport(rec, requeue, stats)
-}
-
-// healReport re-queues a job whose report was lost to corruption, when
-// asked to (the offline scrub path; the daemon re-queues via the service).
-func (s *Store) healReport(rec JobRecord, requeue bool, stats *ScrubStats) {
-	if !requeue {
-		return
-	}
-	rec.State = StateQueued
-	rec.ReportHash = ""
-	rec.Error = ""
-	if err := s.Put(rec); err != nil {
+	if err := s.requeue(rec.ID); err != nil {
 		stats.Errors = append(stats.Errors, fmt.Sprintf("job %s: re-queueing: %v", rec.ID, err))
 		return
 	}
 	stats.Requeued = append(stats.Requeued, rec.ID)
 }
 
+// requeue durably returns finished job id to StateQueued after its report
+// was lost to corruption, clearing the stale report hash and error: the
+// deterministic re-run replaces the quarantined bytes with identical ones.
+// It fails for a job that is unknown or not done.
+func (s *Store) requeue(id string) error {
+	rec, ok := s.Get(id)
+	if !ok || rec.State != StateDone {
+		return fmt.Errorf("service: job %s is not done", id)
+	}
+	rec.State = StateQueued
+	rec.ReportHash = ""
+	rec.Error = ""
+	return s.Put(rec)
+}
+
 // Scrub runs one scrub pass over the daemon's store, skipping live jobs,
-// and re-queues every finished job whose report failed verification so the
+// and enqueues every finished job whose report failed verification so the
 // fleet recomputes it. The pass is low-priority by construction: it only
 // reads and re-hashes, and the re-runs go through the ordinary queue.
 func (s *Service) Scrub() ScrubStats {
@@ -154,25 +155,9 @@ func (s *Service) Scrub() ScrubStats {
 		jb.mu.Unlock()
 	}
 	s.mu.Unlock()
-	stats := s.store.Scrub(skip, false)
-	for _, rel := range stats.Quarantined {
-		if job, ok := quarantinedReportJob(rel); ok {
-			if s.requeueCorruptLocked(job) {
-				stats.Requeued = append(stats.Requeued, job)
-			}
-		}
-	}
-	// Reports that vanished without a quarantine (already moved aside by a
-	// prior read-path detection) still need their jobs healed.
-	for _, rec := range s.store.Jobs() {
-		if rec.State != StateDone || skip[rec.ID] {
-			continue
-		}
-		if _, err := os.Stat(s.store.ReportPath(rec.ID)); os.IsNotExist(err) {
-			if s.requeueCorruptLocked(rec.ID) {
-				stats.Requeued = append(stats.Requeued, rec.ID)
-			}
-		}
+	stats := s.store.Scrub(skip)
+	for _, id := range stats.Requeued {
+		s.enqueueHealed(id)
 	}
 	s.scrubRuns.Inc()
 	s.scrubCorrupt.Add(uint64(stats.Corrupt))
@@ -182,56 +167,34 @@ func (s *Service) Scrub() ScrubStats {
 	return stats
 }
 
-// quarantinedReportJob extracts the job ID from a quarantined report's
-// store-relative path.
-func quarantinedReportJob(rel string) (string, bool) {
-	dir, file := filepath.Split(rel)
-	if filepath.Clean(dir) != "reports" {
-		return "", false
-	}
-	id, ok := strings.CutSuffix(file, ".json")
-	return id, ok
-}
-
 // RequeueCorrupt heals one finished job whose stored report was detected
-// corrupt: the record returns to StateQueued (clearing the stale report
-// hash) and re-enters the queue, so the deterministic re-run replaces the
-// quarantined bytes with fresh, identical ones. It reports whether the
-// job was re-queued (false: unknown, not done, draining, or queue full).
+// corrupt: the record returns to StateQueued durably and re-enters the
+// queue, so the deterministic re-run replaces the quarantined bytes with
+// fresh, identical ones. It reports whether the record was re-queued
+// (false: unknown or not done).
 func (s *Service) RequeueCorrupt(id string) bool {
 	s.healMu.Lock()
 	defer s.healMu.Unlock()
-	return s.requeueCorruptLocked(id)
+	if s.store.requeue(id) != nil {
+		return false
+	}
+	s.enqueueHealed(id)
+	return true
 }
 
-// requeueCorruptLocked is RequeueCorrupt under healMu.
-func (s *Service) requeueCorruptLocked(id string) bool {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
-		// Leave the record as-is; the next daemon's scrub heals it.
-		return false
+// enqueueHealed enqueues a job the store re-queued after corruption. When
+// the queue is full or closed (the service drains), the durably queued
+// record waits for the next start instead, with no runtime: one that no
+// executor will pop would accept a cancel that changes nothing.
+func (s *Service) enqueueHealed(id string) {
+	if s.queue.reserve() != nil {
+		return
 	}
-	rec, ok := s.store.Get(id)
-	if !ok || rec.State != StateDone {
-		return false
-	}
-	rec.State = StateQueued
-	rec.ReportHash = ""
-	rec.Error = ""
-	if err := s.store.Put(rec); err != nil {
-		return false
-	}
+	rec, _ := s.store.Get(id)
 	jb := s.newRuntime(rec)
-	if err := s.queue.push(jb); err != nil {
-		// Queue full or closed: the record is durably queued, so the next
-		// start picks it up; nothing more to do now.
-		return true
-	}
 	jb.hub.publish(EventState, stateEvent{State: StateQueued, Detail: "re-queued after corruption"})
+	s.queue.pushReserved(jb)
 	s.healed.Inc()
-	return true
 }
 
 // scrubLoop runs background scrub passes every interval until the service

@@ -45,10 +45,6 @@ type Config struct {
 	// Workers is the default per-job fan-out bound for specs that do not
 	// set their own; zero selects GOMAXPROCS.
 	Workers int
-	// OnProgress, when non-nil, observes every job's engine notifications
-	// (daemon logging, test instrumentation). Calls are serialised within a
-	// job but concurrent across jobs.
-	OnProgress func(jobID string, p runner.Progress)
 	// Coordinator switches the daemon into coordinator mode: jobs are not
 	// executed locally but sharded into leased work units that worker
 	// daemons pull over /v1/work, with the uploaded units merged into a
@@ -68,6 +64,11 @@ type Config struct {
 	// Service.Scrub). Zero disables the loop; POST /v1/scrub and
 	// `bankawared scrub` still run passes on demand.
 	ScrubEvery time.Duration
+
+	// onProgress, when non-nil, observes every job's engine notifications;
+	// the package's tests set it. Calls are serialised within a job but
+	// concurrent across jobs.
+	onProgress func(jobID string, p runner.Progress)
 }
 
 func (c Config) jobs() int {

@@ -249,7 +249,7 @@ func TestPriorityOrdersExecution(t *testing.T) {
 	seen := map[string]bool{}
 	svc, err := New(Config{
 		Dir: dir, Jobs: 1, Workers: 1,
-		OnProgress: func(id string, p runner.Progress) {
+		onProgress: func(id string, p runner.Progress) {
 			mu.Lock()
 			if !seen[id] {
 				seen[id] = true
@@ -301,7 +301,7 @@ func TestDrainCheckpointsAndResumeIsByteIdentical(t *testing.T) {
 	var once sync.Once
 	svc, err := New(Config{
 		Dir: dir, Workers: 2,
-		OnProgress: func(id string, p runner.Progress) {
+		onProgress: func(id string, p runner.Progress) {
 			if p.Kind != runner.JobDone {
 				return
 			}
@@ -398,7 +398,7 @@ func TestCancelRunningJob(t *testing.T) {
 	var once sync.Once
 	svc, err := New(Config{
 		Dir: dirForCancel(t), Workers: 1,
-		OnProgress: func(id string, p runner.Progress) {
+		onProgress: func(id string, p runner.Progress) {
 			once.Do(func() { close(started) })
 			time.Sleep(time.Millisecond)
 		},
@@ -430,7 +430,7 @@ func TestJobTimeoutFails(t *testing.T) {
 	svc, err := New(Config{
 		Dir: t.TempDir(), Workers: 1,
 		// Keep each trial slow enough that a 1 ms deadline always lands.
-		OnProgress: func(id string, p runner.Progress) { time.Sleep(time.Millisecond) },
+		onProgress: func(id string, p runner.Progress) { time.Sleep(time.Millisecond) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -461,7 +461,7 @@ func drainMidRun(t *testing.T, dir string, spec JobSpec, done int) (*Store, JobR
 	var once sync.Once
 	svc, err := New(Config{
 		Dir: dir, Workers: 2,
-		OnProgress: func(id string, p runner.Progress) {
+		onProgress: func(id string, p runner.Progress) {
 			if p.Kind != runner.JobDone {
 				return
 			}
@@ -529,7 +529,7 @@ func TestDrainedExperimentsJobResumesFromJournal(t *testing.T) {
 	restored, computed := map[int]bool{}, map[int]bool{}
 	svc2, err := New(Config{
 		Dir: dir, Workers: 2,
-		OnProgress: func(id string, p runner.Progress) {
+		onProgress: func(id string, p runner.Progress) {
 			if p.Kind != runner.JobDone {
 				return
 			}
@@ -590,7 +590,7 @@ func TestTerminalJobsDropUnitState(t *testing.T) {
 	// queued until it is withdrawn.
 	running := make(chan struct{})
 	var once sync.Once
-	svc2, err := New(Config{Dir: dir, Jobs: 1, Workers: 1, OnProgress: func(id string, p runner.Progress) {
+	svc2, err := New(Config{Dir: dir, Jobs: 1, Workers: 1, onProgress: func(id string, p runner.Progress) {
 		if p.Kind == runner.JobDone {
 			once.Do(func() { close(running) })
 		}

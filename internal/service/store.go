@@ -407,7 +407,7 @@ func (s *Store) AllocRecord(spec JobSpec, specHash, idemKey string, now time.Tim
 	}
 }
 
-// errClosed fails a Put on a closed store.
+// errClosed fails a Put or a SaveReport on a closed store.
 var errClosed = errors.New("service: store closed")
 
 // putReq is one Put waiting for the commit that writes its records. err is
@@ -604,7 +604,15 @@ func (s *Store) removeUnits(id string) {
 // SHA-256 of the stored bytes (JobRecord.ReportHash, the ETag source). The
 // stored bytes are exactly Report.WriteJSON's output, so fetching a report
 // returns the same bytes a direct bankaware.Runner run would have written.
+// A closed store refuses the write; one racing Close may leave the report
+// file, but its closed ledger takes no entry.
 func (s *Store) SaveReport(id string, rep *metrics.Report) (string, error) {
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return "", errClosed
+	}
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		return "", fmt.Errorf("service: rendering report for %s: %w", id, err)

@@ -9,30 +9,21 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"bankaware/internal/runner"
 )
 
-// Worker lifecycle hook stages (WorkerConfig.OnShard).
+// Worker lifecycle stages, observed through Worker.onShard.
 const (
-	// WorkerShardStart fires after a lease is granted, before execution.
-	WorkerShardStart = "start"
-	// WorkerShardUpload fires after the shard's unit results are accepted.
-	WorkerShardUpload = "upload"
-	// WorkerShardAbandon fires when the worker loses its lease (a renew was
+	// workerShardStart fires after a lease is granted, before execution.
+	workerShardStart = "start"
+	// workerShardUpload fires after the shard's unit results are accepted.
+	workerShardUpload = "upload"
+	// workerShardAbandon fires when the worker loses its lease (a renew was
 	// rejected) or fails the shard back to the coordinator.
-	WorkerShardAbandon = "abandon"
+	workerShardAbandon = "abandon"
 )
-
-// ErrLeaseLost is the error a shard execution unwinds with once the
-// coordinator rejects a renewal: the lease expired and the shard belongs
-// to someone else now.
-var ErrLeaseLost = errors.New("service: lease lost")
 
 // WorkerConfig parametrises a pulling Worker.
 type WorkerConfig struct {
@@ -40,42 +31,30 @@ type WorkerConfig struct {
 	Coordinator string
 	// Name identifies this worker in lease bookkeeping; required.
 	Name string
-	// Dir holds the worker's shard checkpoint: the unit journal of the
-	// range it is running, or of the last range it left unfinished, named
-	// by (spec hash, unit range). The worker owns the dir; each grant
-	// removes the checkpoints of other ranges. Empty disables journalling
-	// (a re-leased shard then restarts from its first unit).
-	Dir string
 	// Workers bounds the fan-out within one shard; zero selects GOMAXPROCS.
 	Workers int
-	// Poll is the idle sleep between lease attempts when the coordinator
-	// has no work. Default 250ms.
-	Poll time.Duration
-	// OnShard, when non-nil, observes shard lifecycle stages (logging,
-	// chaos-test instrumentation: the e2e kill test uses the start stage to
-	// SIGKILL a worker mid-shard).
-	OnShard func(stage string, g *ShardGrant)
-	// Progress, when non-nil, observes engine events of shard execution.
-	Progress runner.ProgressFunc
-}
-
-func (c WorkerConfig) poll() time.Duration {
-	if c.Poll > 0 {
-		return c.Poll
-	}
-	return 250 * time.Millisecond
 }
 
 // workerClient carries every worker request to the coordinator.
 var workerClient = &http.Client{Timeout: 5 * time.Minute}
 
 // Worker is one pulling execution daemon: it leases shards from a
-// coordinator, executes them unit by unit with a checkpoint journal,
-// renews its lease while computing, and uploads the unit results. Every
-// worker computes identical bytes for the same shard, so the coordinator
-// may hand any shard to any worker in any order.
+// coordinator, computes each granted range from (spec, from, to) alone,
+// renews its lease while computing, and uploads the unit results. It
+// writes nothing to disk: the coordinator's unit journal is the one
+// durable copy of uploaded units, and a shard the worker loses re-runs
+// from its first unit on whichever worker leases it next. Every worker
+// computes identical bytes for the same shard, so the coordinator may hand
+// any shard to any worker in any order.
 type Worker struct {
-	cfg    WorkerConfig
+	cfg WorkerConfig
+	// poll is the idle sleep between lease attempts when the coordinator
+	// has no work: 250ms, which the package's tests shorten.
+	poll time.Duration
+	// onShard, when non-nil, observes shard lifecycle stages. The chaos
+	// test uses the start stage to kill a worker mid-shard.
+	onShard func(stage string, g *ShardGrant)
+
 	ctx    context.Context
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -94,13 +73,8 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if cfg.Name == "" {
 		return nil, errors.New("service: worker needs a name")
 	}
-	if cfg.Dir != "" {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
-			return nil, fmt.Errorf("service: worker dir: %w", err)
-		}
-	}
 	ctx, cancel := context.WithCancel(context.Background())
-	return &Worker{cfg: cfg, ctx: ctx, cancel: cancel}, nil
+	return &Worker{cfg: cfg, poll: 250 * time.Millisecond, ctx: ctx, cancel: cancel}, nil
 }
 
 // Start launches the pull loop. It is an error to start twice.
@@ -118,24 +92,29 @@ func (w *Worker) Start() error {
 
 // Close stops the worker gracefully: the pull loop exits, an in-flight
 // shard is interrupted and failed back to the coordinator so its lease
-// releases immediately instead of waiting out the TTL. The shard journal
-// survives, so a worker on the same dir whose next lease is that range
-// resumes the finished units.
+// releases immediately instead of waiting out the TTL.
 func (w *Worker) Close() error {
 	w.cancel()
 	w.wg.Wait()
 	return nil
 }
 
-// Kill stops the worker abruptly — the in-process stand-in for SIGKILL
-// that the chaos tests rely on. The in-flight shard is abandoned without
+// kill stops the worker abruptly, the in-process stand-in for SIGKILL
+// that the chaos test relies on. The in-flight shard is abandoned without
 // any farewell to the coordinator: no fail, no upload, nothing. The
 // coordinator only learns of the death when the lease expires, at which
 // point the shard re-queues for another worker.
-func (w *Worker) Kill() {
+func (w *Worker) kill() {
 	w.killed.Store(true)
 	w.cancel()
 	w.wg.Wait()
+}
+
+// observe reports a shard lifecycle stage to onShard, when set.
+func (w *Worker) observe(stage string, g *ShardGrant) {
+	if w.onShard != nil {
+		w.onShard(stage, g)
+	}
 }
 
 // loop pulls shards until the worker stops.
@@ -153,7 +132,7 @@ func (w *Worker) loop() {
 			select {
 			case <-w.ctx.Done():
 				return
-			case <-time.After(w.cfg.poll()):
+			case <-time.After(w.poll):
 			}
 			continue
 		}
@@ -163,9 +142,7 @@ func (w *Worker) loop() {
 
 // runShard executes one granted shard end to end.
 func (w *Worker) runShard(g *ShardGrant) {
-	if w.cfg.OnShard != nil {
-		w.cfg.OnShard(WorkerShardStart, g)
-	}
+	w.observe(workerShardStart, g)
 	// The renewal heartbeat keeps the lease alive while units execute; it
 	// cancels shardCtx if the coordinator rejects a renewal (the lease
 	// expired — likely a long GC pause or partition — and the shard may
@@ -193,87 +170,34 @@ func (w *Worker) runShard(g *ShardGrant) {
 		}
 	}()
 
-	units, err := w.executeUnits(shardCtx, g)
+	units, err := executeShardUnits(shardCtx, g.Spec, g.From, g.To, shardOptions{Workers: w.cfg.Workers})
 	stopShard()
 	<-renewDone
 
 	switch {
 	case w.killed.Load():
-		// SIGKILL semantics: vanish. The lease expires on its own and the
-		// journal stays for whoever resumes the shard.
+		// SIGKILL semantics: vanish. The lease expires on its own.
 		return
 	case lost.Load():
 		// The coordinator disowned us; any upload would be redundant (the
 		// shard re-queued and determinism makes the next worker's bytes
-		// identical). Keep the journal: we may re-lease this very shard.
-		if w.cfg.OnShard != nil {
-			w.cfg.OnShard(WorkerShardAbandon, g)
-		}
+		// identical).
+		w.observe(workerShardAbandon, g)
 		return
 	case err != nil:
 		// Graceful failure (execution error or worker shutdown): hand the
 		// lease back so the shard re-queues without waiting out the TTL.
 		w.fail(g, err)
-		if w.cfg.OnShard != nil {
-			w.cfg.OnShard(WorkerShardAbandon, g)
-		}
+		w.observe(workerShardAbandon, g)
 		return
 	}
 	if err := w.complete(g, units); err != nil {
 		// Upload rejected or lost: the lease will expire and the shard will
-		// re-run elsewhere. The journal makes a local retry cheap.
-		if w.cfg.OnShard != nil {
-			w.cfg.OnShard(WorkerShardAbandon, g)
-		}
+		// re-run elsewhere.
+		w.observe(workerShardAbandon, g)
 		return
 	}
-	w.removeJournal(g)
-	if w.cfg.OnShard != nil {
-		w.cfg.OnShard(WorkerShardUpload, g)
-	}
-}
-
-// journalPath names the shard checkpoint by what it holds: units
-// [From, To) of the spec with g.Spec's content hash. A unit is a pure
-// function of (spec, index), so whatever lease, job ID, coordinator store
-// or shard plan granted the range, a checkpoint is restored only into a
-// range whose units are the same bytes, and a re-leased shard resumes its
-// predecessor attempt's completed units.
-func (w *Worker) journalPath(g *ShardGrant) string {
-	return filepath.Join(w.cfg.Dir, fmt.Sprintf("%s-%d-%d.journal", SpecHash(g.Spec), g.From, g.To))
-}
-
-func (w *Worker) removeJournal(g *ShardGrant) {
-	if w.cfg.Dir != "" {
-		os.Remove(w.journalPath(g))
-	}
-}
-
-// executeUnits computes the granted unit range, checkpointing per unit.
-// The worker keeps one checkpoint, of the range it is running, so every
-// other journal under Dir is removed before the grant's opens: a range
-// the worker left unfinished is often never granted to it again (it
-// finished elsewhere, its job ended, or a re-plan moved its bounds).
-// Quarantined journals stay as evidence. A failed listing or removal
-// costs only space, so it is not reported.
-func (w *Worker) executeUnits(ctx context.Context, g *ShardGrant) ([]json.RawMessage, error) {
-	opt := shardOptions{Workers: w.cfg.Workers, Progress: w.cfg.Progress}
-	if w.cfg.Dir != "" {
-		path := w.journalPath(g)
-		entries, _ := os.ReadDir(w.cfg.Dir)
-		for _, e := range entries {
-			if old := filepath.Join(w.cfg.Dir, e.Name()); old != path && filepath.Ext(old) == ".journal" {
-				os.Remove(old)
-			}
-		}
-		journal, err := runner.OpenJournal(path)
-		if err != nil {
-			return nil, err
-		}
-		defer journal.Close()
-		opt.Journal = journal
-	}
-	return executeShardUnits(ctx, g.Spec, g.From, g.To, opt)
+	w.observe(workerShardUpload, g)
 }
 
 // --- coordinator HTTP client ---
@@ -389,7 +313,7 @@ func (w *Worker) post(ctx context.Context, path string, body any, out io.Writer)
 // falls back to its poll sleep.
 func (w *Worker) lease() (*ShardGrant, bool, error) {
 	var buf bytes.Buffer
-	err := w.postRetry("/v1/work/lease", &LeaseRequest{Worker: w.cfg.Name}, &buf, 4*w.cfg.poll())
+	err := w.postRetry("/v1/work/lease", &LeaseRequest{Worker: w.cfg.Name}, &buf, 4*w.poll)
 	if err != nil {
 		return nil, false, err
 	}
@@ -427,9 +351,8 @@ func (w *Worker) fail(g *ShardGrant, cause error) error {
 // lease TTL: completion needs a lease the coordinator granted for the
 // shard, not the live one, so even an upload that lands after expiry is
 // accepted. A lease from before a coordinator restart gets a 409, and a
-// corrupt-in-transit upload a 422; neither is retried (the checkpoint
-// stays until the worker runs another range, and a suspect buffer is not
-// sent twice).
+// corrupt-in-transit upload a 422; neither is retried (a suspect buffer is
+// not sent twice).
 func (w *Worker) complete(g *ShardGrant, units []json.RawMessage) error {
 	return w.postRetry("/v1/work/complete",
 		&ShardUpload{Job: g.Job, Shard: g.Shard, Lease: g.Lease,
