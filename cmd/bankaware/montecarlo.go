@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"bankaware/internal/atomicio"
 	"bankaware/internal/montecarlo"
 	"bankaware/internal/runner"
 	"bankaware/internal/textplot"
@@ -83,7 +84,7 @@ func runMonteCarlo(args []string) error {
 	}
 
 	if *csvPath != "" {
-		if err := writeFile(*csvPath, func(w io.Writer) error { return writeTrialsCSV(w, res) }); err != nil {
+		if err := atomicio.WriteFile(*csvPath, func(w io.Writer) error { return writeTrialsCSV(w, res) }); err != nil {
 			return err
 		}
 		fmt.Printf("wrote %d rows to %s\n", len(res.Trials), *csvPath)

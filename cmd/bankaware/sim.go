@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"bankaware/internal/atomicio"
 	"bankaware/internal/experiments"
 	"bankaware/internal/metrics"
 	"bankaware/internal/trace"
@@ -104,7 +105,7 @@ func simFig8(ss *session, scale experiments.Scale, instructions uint64, reportPa
 		}
 	}
 	if csvPath != "" {
-		if err := writeFile(csvPath, func(w io.Writer) error { return experiments.WriteFig8CSV(w, r) }); err != nil {
+		if err := atomicio.WriteFile(csvPath, func(w io.Writer) error { return experiments.WriteFig8CSV(w, r) }); err != nil {
 			return err
 		}
 		fmt.Printf("wrote CSV to %s\n", csvPath)

@@ -258,40 +258,74 @@ func bankTag(b int) string {
 }
 
 // EqualAllocation builds the static even split the paper calls
-// Equal-partitions (private 2 MB per core): each core owns its Local bank
-// plus the nearest free Center bank — 16 ways each.
-func EqualAllocation() *Allocation {
-	a := &Allocation{}
+// Equal-partitions (private 2 MB per core) over the banks that survive
+// failed: each core keeps its surviving Local bank, then the surviving
+// Center banks are dealt whole, one at a time, to the currently
+// least-provisioned core (ties to the lower id, nearest free bank first).
+// On the healthy machine every core thus owns its Local bank plus the
+// nearest free Center bank — 16 ways each; around failed banks the split
+// stays as even as whole-bank granularity allows. Errors when some core
+// cannot be served (its Local bank dead and no Center bank left for it).
+func EqualAllocation(failed nuca.BankSet) (*Allocation, error) {
+	a := &Allocation{Failed: failed}
+	var ways [nuca.NumCores]int
 	for c := 0; c < nuca.NumCores; c++ {
 		lb := nuca.LocalBankOf(c)
+		if failed.Has(lb) {
+			continue
+		}
 		for w := 0; w < nuca.WaysPerBank; w++ {
 			a.WayOwners[lb][w] = cache.OwnerMask(0).With(c)
 		}
+		ways[c] = nuca.WaysPerBank
 	}
-	taken := [nuca.NumBanks]bool{}
-	for c := 0; c < nuca.NumCores; c++ {
-		b := nearestFreeCenter(c, &taken, 0)
-		taken[b] = true
-		for w := 0; w < nuca.WaysPerBank; w++ {
-			a.WayOwners[b][w] = cache.OwnerMask(0).With(c)
+	nCenter := 0
+	for b := nuca.NumCores; b < nuca.NumBanks; b++ {
+		if !failed.Has(b) {
+			nCenter++
 		}
 	}
+	taken := [nuca.NumBanks]bool{}
+	for k := 0; k < nCenter; k++ {
+		core := 0
+		for c := 1; c < nuca.NumCores; c++ {
+			if ways[c] < ways[core] {
+				core = c
+			}
+		}
+		b := nearestFreeCenter(core, &taken, failed)
+		taken[b] = true
+		for w := 0; w < nuca.WaysPerBank; w++ {
+			a.WayOwners[b][w] = cache.OwnerMask(0).With(core)
+		}
+		ways[core] += nuca.WaysPerBank
+	}
 	a.recount()
-	return a
+	if err := a.Validate(); err != nil {
+		return nil, fmt.Errorf("core: equal-partitions cannot serve fault set %v: %w", failed, err)
+	}
+	return a, nil
 }
 
-// NoPartitionAllocation builds the fully shared configuration: every way of
-// every bank is allocatable by every core (plain shared LRU).
-func NoPartitionAllocation() *Allocation {
-	a := &Allocation{Hashed: true}
+// NoPartitionAllocation builds the fully shared configuration over the
+// banks that survive failed: hashed placement across them, and every way
+// of every one allocatable by every core (plain shared LRU).
+func NoPartitionAllocation(failed nuca.BankSet) (*Allocation, error) {
+	if failed.Count() >= nuca.NumBanks {
+		return nil, fmt.Errorf("core: no surviving banks in %v", failed)
+	}
+	a := &Allocation{Hashed: true, Failed: failed}
 	all := cache.AllCores(nuca.NumCores)
 	for b := 0; b < nuca.NumBanks; b++ {
+		if failed.Has(b) {
+			continue
+		}
 		for w := 0; w < nuca.WaysPerBank; w++ {
 			a.WayOwners[b][w] = all
 		}
 	}
 	a.recount()
-	return a
+	return a, nil
 }
 
 // nearestFreeCenter returns the unclaimed surviving Center bank with the

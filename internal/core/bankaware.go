@@ -53,7 +53,7 @@ func (c BankAwareConfig) Validate() error {
 // complete. Pairing is deferred as long as possible, exactly as the paper
 // describes.
 func BankAware(curves []MissCurve, cfg BankAwareConfig) (*Allocation, error) {
-	return bankAwareAlloc(curves, cfg, nil, 0)
+	return BankAwareDegraded(curves, cfg, nil, 0)
 }
 
 // BankAwareDegraded is BankAware with placement affinity to a previous
@@ -69,16 +69,10 @@ func BankAware(curves []MissCurve, cfg BankAwareConfig) (*Allocation, error) {
 // bank; Rule 2 (a Center owner holds its full Local bank) applies only to
 // cores whose Local bank survives. All surviving capacity is assigned: the
 // per-core totals sum to failed.SurvivingWays(). An error is returned only
-// for fault sets that leave some core physically unservable.
+// for fault sets that leave some core physically unservable. With an
+// empty failed set it reduces exactly to the paper's algorithm (ownCap is a
+// full Local bank everywhere, every Center bank is distributable).
 func BankAwareDegraded(curves []MissCurve, cfg BankAwareConfig, prev *Allocation, failed nuca.BankSet) (*Allocation, error) {
-	return bankAwareAlloc(curves, cfg, prev, failed)
-}
-
-// bankAwareAlloc is the generalised Fig. 6 algorithm over the surviving
-// banks. With an empty failed set it reduces exactly to the paper's
-// algorithm (ownCap is a full Local bank everywhere, every Center bank is
-// distributable).
-func bankAwareAlloc(curves []MissCurve, cfg BankAwareConfig, prev *Allocation, failed nuca.BankSet) (*Allocation, error) {
 	if len(curves) != nuca.NumCores {
 		return nil, fmt.Errorf("core: bank-aware needs %d curves, got %d", nuca.NumCores, len(curves))
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"bankaware/internal/cache"
 	"bankaware/internal/nuca"
 )
 
@@ -22,12 +21,12 @@ type DegradedPolicy interface {
 // AllocateDegraded implements DegradedPolicy for the shared baseline: the
 // surviving banks stay one hashed shared pool.
 func (NoPartitionPolicy) AllocateDegraded(_ []MissCurve, failed nuca.BankSet) (*Allocation, error) {
-	return NoPartitionAllocationDegraded(failed)
+	return NoPartitionAllocation(failed)
 }
 
 // AllocateDegraded implements DegradedPolicy for the static even split.
 func (EqualPolicy) AllocateDegraded(_ []MissCurve, failed nuca.BankSet) (*Allocation, error) {
-	return EqualAllocationDegraded(failed)
+	return EqualAllocation(failed)
 }
 
 // AllocateDegraded implements DegradedPolicy: the Fig. 6 algorithm over the
@@ -93,7 +92,7 @@ func (p *UnrestrictedPolicy) AllocateDegraded(curves []MissCurve, failed nuca.Ba
 			return p.prev, nil
 		}
 	}
-	a, err := UnrestrictedAllocationDegraded(ways, failed)
+	a, err := UnrestrictedAllocation(ways, failed)
 	if err != nil {
 		return nil, err
 	}
@@ -111,78 +110,4 @@ func UnrestrictedDegraded(curves []MissCurve, cfg UnrestrictedConfig, failed nuc
 		}
 	}
 	return Unrestricted(curves, cfg)
-}
-
-// EqualAllocationDegraded is EqualAllocation around failed banks: each core
-// keeps its surviving Local bank, then the surviving Center banks are dealt
-// whole, one at a time, to the currently least-provisioned core (ties to
-// the lower id, nearest free bank first). The split stays as even as
-// whole-bank granularity allows. Errors when some core cannot be served
-// (its Local bank dead and no Center bank left for it).
-func EqualAllocationDegraded(failed nuca.BankSet) (*Allocation, error) {
-	if failed == 0 {
-		return EqualAllocation(), nil
-	}
-	a := &Allocation{Failed: failed}
-	var ways [nuca.NumCores]int
-	for c := 0; c < nuca.NumCores; c++ {
-		lb := nuca.LocalBankOf(c)
-		if failed.Has(lb) {
-			continue
-		}
-		for w := 0; w < nuca.WaysPerBank; w++ {
-			a.WayOwners[lb][w] = cache.OwnerMask(0).With(c)
-		}
-		ways[c] = nuca.WaysPerBank
-	}
-	nCenter := 0
-	for b := nuca.NumCores; b < nuca.NumBanks; b++ {
-		if !failed.Has(b) {
-			nCenter++
-		}
-	}
-	taken := [nuca.NumBanks]bool{}
-	for k := 0; k < nCenter; k++ {
-		core := 0
-		for c := 1; c < nuca.NumCores; c++ {
-			if ways[c] < ways[core] {
-				core = c
-			}
-		}
-		b := nearestFreeCenter(core, &taken, failed)
-		taken[b] = true
-		for w := 0; w < nuca.WaysPerBank; w++ {
-			a.WayOwners[b][w] = cache.OwnerMask(0).With(core)
-		}
-		ways[core] += nuca.WaysPerBank
-	}
-	a.recount()
-	if err := a.Validate(); err != nil {
-		return nil, fmt.Errorf("core: equal-partitions cannot serve fault set %v: %w", failed, err)
-	}
-	return a, nil
-}
-
-// NoPartitionAllocationDegraded is the fully shared configuration over the
-// surviving banks: hashed placement across them, every core allowed
-// everywhere.
-func NoPartitionAllocationDegraded(failed nuca.BankSet) (*Allocation, error) {
-	if failed == 0 {
-		return NoPartitionAllocation(), nil
-	}
-	if failed.Count() >= nuca.NumBanks {
-		return nil, fmt.Errorf("core: no surviving banks in %v", failed)
-	}
-	a := &Allocation{Hashed: true, Failed: failed}
-	all := cache.AllCores(nuca.NumCores)
-	for b := 0; b < nuca.NumBanks; b++ {
-		if failed.Has(b) {
-			continue
-		}
-		for w := 0; w < nuca.WaysPerBank; w++ {
-			a.WayOwners[b][w] = all
-		}
-	}
-	a.recount()
-	return a, nil
 }

@@ -171,20 +171,27 @@ func TestUnrestrictedDegradedClampsCapacity(t *testing.T) {
 }
 
 func TestEqualAllocationDegraded(t *testing.T) {
-	healthy, err := EqualAllocationDegraded(0)
+	healthy, err := EqualAllocation(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := EqualAllocation()
-	if !reflect.DeepEqual(healthy, want) {
-		t.Fatalf("healthy degraded equal split diverged:\n%s\nvs\n%s", healthy, want)
+	checkDegradedAllocation(t, healthy, 0)
+	// The healthy split: 16 ways per core, its Local bank plus the nearest
+	// Center bank still free when its turn comes.
+	center := [nuca.NumCores]int{8, 9, 10, 11, 12, 13, 15, 14}
+	for c := 0; c < nuca.NumCores; c++ {
+		want := []int{nuca.LocalBankOf(c), center[c]}
+		if got := healthy.BanksOf(c); healthy.Ways[c] != 16 || !reflect.DeepEqual(got, want) ||
+			healthy.WaysIn(c, want[0]) != nuca.WaysPerBank || healthy.WaysIn(c, want[1]) != nuca.WaysPerBank {
+			t.Fatalf("healthy equal split: core %d has %d ways in banks %v, want 16 in %v\n%s", c, healthy.Ways[c], got, want, healthy)
+		}
 	}
 	for _, failed := range []nuca.BankSet{
 		nuca.BankSet(0).With(9),
 		nuca.BankSet(0).With(3),
 		nuca.BankSet(0).With(0).With(8).With(15),
 	} {
-		a, err := EqualAllocationDegraded(failed)
+		a, err := EqualAllocation(failed)
 		if err != nil {
 			t.Fatalf("fault set %v: %v", failed, err)
 		}
@@ -194,7 +201,7 @@ func TestEqualAllocationDegraded(t *testing.T) {
 
 func TestNoPartitionAllocationDegraded(t *testing.T) {
 	failed := nuca.BankSet(0).With(2).With(11)
-	a, err := NoPartitionAllocationDegraded(failed)
+	a, err := NoPartitionAllocation(failed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -349,8 +349,16 @@ func TestBankAwareRejectsBadInput(t *testing.T) {
 	}
 }
 
+// mustAlloc returns a builder's allocation, panicking on its error.
+func mustAlloc(a *Allocation, err error) *Allocation {
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
+
 func TestEqualAllocation(t *testing.T) {
-	a := EqualAllocation()
+	a := mustAlloc(EqualAllocation(0))
 	if err := a.ValidateBankAware(); err != nil {
 		t.Fatalf("equal allocation violates bank rules: %v", err)
 	}
@@ -368,9 +376,12 @@ func TestEqualAllocation(t *testing.T) {
 }
 
 func TestNoPartitionAllocation(t *testing.T) {
-	a := NoPartitionAllocation()
+	a := mustAlloc(NoPartitionAllocation(0))
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
+	}
+	if !a.Hashed {
+		t.Fatal("shared allocation not hashed")
 	}
 	for b := 0; b < nuca.NumBanks; b++ {
 		for w := 0; w < nuca.WaysPerBank; w++ {
@@ -385,12 +396,12 @@ func TestNoPartitionAllocation(t *testing.T) {
 }
 
 func TestAllocationValidateCatchesHoles(t *testing.T) {
-	a := EqualAllocation()
+	a := mustAlloc(EqualAllocation(0))
 	a.WayOwners[0][0] = 0
 	if err := a.Validate(); err == nil {
 		t.Fatal("ownerless way accepted")
 	}
-	b := EqualAllocation()
+	b := mustAlloc(EqualAllocation(0))
 	b.Ways[0] = 99
 	if err := b.Validate(); err == nil {
 		t.Fatal("mismatched Ways accepted")
@@ -399,7 +410,7 @@ func TestAllocationValidateCatchesHoles(t *testing.T) {
 
 func TestValidateBankAwareCatchesRuleBreaks(t *testing.T) {
 	// Rule 1: split a Center bank between two cores.
-	a := EqualAllocation()
+	a := mustAlloc(EqualAllocation(0))
 	// Find the center bank of core 0 and hand one way to core 5.
 	for _, b := range a.BanksOf(0) {
 		if nuca.BankKind(b) == nuca.Center {
@@ -414,7 +425,7 @@ func TestValidateBankAwareCatchesRuleBreaks(t *testing.T) {
 	}
 
 	// Rule 3: non-adjacent sharing of a Local bank.
-	b := EqualAllocation()
+	b := mustAlloc(EqualAllocation(0))
 	b.WayOwners[nuca.LocalBankOf(0)][7] = 1 << 5
 	b.recount()
 	if err := b.ValidateBankAware(); err == nil {
@@ -422,7 +433,7 @@ func TestValidateBankAwareCatchesRuleBreaks(t *testing.T) {
 	}
 
 	// Multi-owner way.
-	c := EqualAllocation()
+	c := mustAlloc(EqualAllocation(0))
 	c.WayOwners[0][0] = c.WayOwners[0][0].With(1)
 	c.recount()
 	if err := c.ValidateBankAware(); err == nil {
@@ -431,7 +442,7 @@ func TestValidateBankAwareCatchesRuleBreaks(t *testing.T) {
 }
 
 func TestAllocationString(t *testing.T) {
-	s := EqualAllocation().String()
+	s := mustAlloc(EqualAllocation(0)).String()
 	if s == "" {
 		t.Fatal("empty rendering")
 	}

@@ -46,7 +46,7 @@ func (NoPartitionPolicy) Name() string { return "No-partitions" }
 
 // Allocate implements Policy.
 func (NoPartitionPolicy) Allocate([]MissCurve) (*Allocation, error) {
-	return NoPartitionAllocation(), nil
+	return NoPartitionAllocation(0)
 }
 
 // EqualPolicy is the paper's "Equal-partitions" baseline: a static, even,
@@ -58,7 +58,7 @@ func (EqualPolicy) Name() string { return "Equal-partitions" }
 
 // Allocate implements Policy.
 func (EqualPolicy) Allocate([]MissCurve) (*Allocation, error) {
-	return EqualAllocation(), nil
+	return EqualAllocation(0)
 }
 
 // BankAwarePolicy is the paper's contribution, wrapping the Fig. 6

@@ -43,17 +43,12 @@ func (p *UnrestrictedPolicy) Allocate(curves []MissCurve) (*Allocation, error) {
 	return p.AllocateDegraded(curves, 0)
 }
 
-// UnrestrictedAllocation packs arbitrary per-core way counts onto the 16
-// banks with no physical rules: each core first claims ways in its Local
-// bank, then in the nearest banks with free ways, splitting banks freely.
-func UnrestrictedAllocation(ways []int) (*Allocation, error) {
-	return UnrestrictedAllocationDegraded(ways, 0)
-}
-
-// UnrestrictedAllocationDegraded is UnrestrictedAllocation over the
-// surviving banks: failed banks offer no capacity, and the way counts must
-// sum to exactly the surviving ways.
-func UnrestrictedAllocationDegraded(ways []int, failed nuca.BankSet) (*Allocation, error) {
+// UnrestrictedAllocation packs arbitrary per-core way counts onto the banks
+// that survive failed with no physical rules: each core first claims ways
+// in its Local bank, then in the nearest banks with free ways, splitting
+// banks freely. Failed banks offer no capacity, and the way counts must sum
+// to exactly the surviving ways.
+func UnrestrictedAllocation(ways []int, failed nuca.BankSet) (*Allocation, error) {
 	if len(ways) != nuca.NumCores {
 		return nil, fmt.Errorf("core: need %d way counts, got %d", nuca.NumCores, len(ways))
 	}

@@ -9,7 +9,7 @@ import (
 
 func TestUnrestrictedAllocationPacksExactly(t *testing.T) {
 	ways := []int{48, 8, 8, 8, 8, 8, 8, 32}
-	a, err := UnrestrictedAllocation(ways)
+	a, err := UnrestrictedAllocation(ways, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,13 +28,13 @@ func TestUnrestrictedAllocationPacksExactly(t *testing.T) {
 }
 
 func TestUnrestrictedAllocationRejectsBadInput(t *testing.T) {
-	if _, err := UnrestrictedAllocation([]int{128}); err == nil {
+	if _, err := UnrestrictedAllocation([]int{128}, 0); err == nil {
 		t.Fatal("wrong core count accepted")
 	}
-	if _, err := UnrestrictedAllocation([]int{0, 18, 18, 18, 18, 18, 18, 20}); err == nil {
+	if _, err := UnrestrictedAllocation([]int{0, 18, 18, 18, 18, 18, 18, 20}, 0); err == nil {
 		t.Fatal("zero-way core accepted")
 	}
-	if _, err := UnrestrictedAllocation([]int{16, 16, 16, 16, 16, 16, 16, 15}); err == nil {
+	if _, err := UnrestrictedAllocation([]int{16, 16, 16, 16, 16, 16, 16, 15}, 0); err == nil {
 		t.Fatal("wrong total accepted")
 	}
 }
@@ -43,7 +43,7 @@ func TestUnrestrictedAllocationSplitsCenterBanks(t *testing.T) {
 	// Odd allocations must be packable even though they violate the
 	// bank-aware rules: banks end up split across non-adjacent cores.
 	ways := []int{13, 29, 7, 25, 9, 17, 11, 17}
-	a, err := UnrestrictedAllocation(ways)
+	a, err := UnrestrictedAllocation(ways, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

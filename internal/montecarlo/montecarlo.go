@@ -84,15 +84,15 @@ type Options struct {
 	Faults *faults.Plan
 }
 
-// plan is the deterministic up-front state every trial derives from: the
-// workload pool with projected miss curves, the serially drawn mixes for
-// every trial, and the (possibly degraded) even-split baseline. Because the
-// plan depends only on (Config, fault plan) it is identical on every
-// machine that prepares it — the property that lets a campaign shard across
-// a fleet with any trial→worker placement and still merge byte-identically.
-type plan struct {
+// Campaign is the deterministic up-front state every trial derives from:
+// the workload pool with projected miss curves, the serially drawn mixes
+// for every trial, and the (possibly degraded) even-split baseline. Because
+// it depends only on (Config, fault plan) it is identical on every machine
+// that prepares it — the property that lets a campaign shard across a fleet
+// with any trial→worker placement and still merge byte-identically.
+type Campaign struct {
 	cfg       Config
-	opt       Options
+	faults    *faults.Plan
 	pool      []trace.Spec
 	curves    []core.MissCurve
 	mixes     [][nuca.NumCores]int
@@ -100,8 +100,9 @@ type plan struct {
 	equalWays []int
 }
 
-// preparePlan validates the config and computes the shared trial inputs.
-func preparePlan(cfg Config, opt Options) (*plan, error) {
+// NewCampaign validates the config and computes the shared trial inputs.
+// plan, when non-nil, degrades every trial as Options.Faults describes.
+func NewCampaign(cfg Config, plan *faults.Plan) (*Campaign, error) {
 	if cfg.Trials < 1 {
 		return nil, fmt.Errorf("montecarlo: trials must be positive, got %d", cfg.Trials)
 	}
@@ -145,7 +146,7 @@ func preparePlan(cfg Config, opt Options) (*plan, error) {
 		}
 	}
 
-	snap := opt.Faults.At(0)
+	snap := plan.At(0)
 	equalWays := make([]int, nuca.NumCores)
 	for i := range equalWays {
 		if snap.Failed != 0 {
@@ -154,15 +155,16 @@ func preparePlan(cfg Config, opt Options) (*plan, error) {
 			equalWays[i] = cfg.Unrestricted.TotalWays / nuca.NumCores
 		}
 	}
-	return &plan{
-		cfg: cfg, opt: opt, pool: pool, curves: curves,
+	return &Campaign{
+		cfg: cfg, faults: plan, pool: pool, curves: curves,
 		mixes: mixes, snap: snap, equalWays: equalWays,
 	}, nil
 }
 
-// trial computes trial t from the plan. Pure in (plan, t): identical on
-// every worker that executes it.
-func (p *plan) trial(t int) (Trial, error) {
+// Trial computes trial t of the campaign, 0 <= t < Config.Trials. Pure in
+// (campaign, t): identical on every worker that executes it, so trials
+// computed anywhere assemble into the Results RunContext returns.
+func (p *Campaign) Trial(t int) (Trial, error) {
 	mix := make([]core.MissCurve, nuca.NumCores)
 	var tr Trial
 	for c, k := range p.mixes[t] {
@@ -177,7 +179,7 @@ func (p *plan) trial(t int) (Trial, error) {
 	if p.snap.NoiseAmplitude > 0 {
 		seen = make([]core.MissCurve, nuca.NumCores)
 		for c := range mix {
-			seen[c] = core.MissCurve(msa.NoisyCurve(mix[c], p.snap.NoiseAmplitude, p.opt.Faults.RNG(t, c)))
+			seen[c] = core.MissCurve(msa.NoisyCurve(mix[c], p.snap.NoiseAmplitude, p.faults.RNG(t, c)))
 		}
 	}
 	equalM, err := core.ProjectTotalMisses(mix, p.equalWays)
@@ -201,11 +203,6 @@ func (p *plan) trial(t int) (Trial, error) {
 	return tr, nil
 }
 
-// runnerConfig builds the engine configuration for one fan-out.
-func (o Options) runnerConfig() runner.Config {
-	return runner.Config{Workers: o.Workers, Progress: o.Progress, Journal: o.Journal}
-}
-
 // RunContext executes the experiment on a bounded worker pool. All workload
 // draws happen serially up front from the seeded RNG, and the per-trial
 // allocator runs (the expensive part) fan out with results stored by trial
@@ -213,39 +210,19 @@ func (o Options) runnerConfig() runner.Config {
 // Workers is 1 or 100. Cancellation or a deadline on ctx stops the fan-out
 // and returns the context's error.
 func RunContext(ctx context.Context, cfg Config, opt Options) (*Results, error) {
-	p, err := preparePlan(cfg, opt)
+	p, err := NewCampaign(cfg, opt.Faults)
 	if err != nil {
 		return nil, err
 	}
-	trials, err := runner.Map(ctx, opt.runnerConfig(),
-		cfg.Trials, func(_ context.Context, t int) (Trial, error) {
-			return p.trial(t)
-		})
+	trials, err := runner.Map(ctx, runner.Config{
+		Workers: opt.Workers, Progress: opt.Progress, Journal: opt.Journal,
+	}, cfg.Trials, func(_ context.Context, t int) (Trial, error) {
+		return p.Trial(t)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return Assemble(trials), nil
-}
-
-// RunShardContext executes trials [from, to) of the campaign and returns
-// them in trial order. The full plan (all cfg.Trials workload draws) is
-// still prepared serially up front, so a shard computes exactly the trials
-// a whole-campaign run would have computed at those indices: shards
-// executed on different machines merge (Assemble) into Results identical
-// to a single-node RunContext of the same Config. Options.Journal, when
-// set, checkpoints completed trials keyed by their offset within the shard.
-func RunShardContext(ctx context.Context, cfg Config, from, to int, opt Options) ([]Trial, error) {
-	if from < 0 || to > cfg.Trials || from >= to {
-		return nil, fmt.Errorf("montecarlo: shard [%d, %d) out of range for %d trials", from, to, cfg.Trials)
-	}
-	p, err := preparePlan(cfg, opt)
-	if err != nil {
-		return nil, err
-	}
-	return runner.Map(ctx, opt.runnerConfig(),
-		to-from, func(_ context.Context, t int) (Trial, error) {
-			return p.trial(from + t)
-		})
 }
 
 // Assemble folds a full campaign's trials (in trial order) into Results,

@@ -6,11 +6,11 @@ import (
 	"sync"
 )
 
-// ErrQueueFull is returned by push when the queue is at capacity — the
+// ErrQueueFull is returned by reserve when the queue is at capacity — the
 // signal the HTTP layer turns into 429 backpressure.
 var ErrQueueFull = errors.New("service: job queue full")
 
-// errQueueClosed is returned by push after the queue shut down.
+// errQueueClosed is returned by reserve after the queue shut down.
 var errQueueClosed = errors.New("service: job queue closed")
 
 // jobQueue is a bounded priority queue of jobs awaiting an executor:
@@ -26,32 +26,17 @@ type jobQueue struct {
 	// group commit is still in flight (reserve → pushReserved/release), so
 	// backpressure is decided before the fsync, not after.
 	reserved int
-	// inflight, when non-nil, is incremented under the lock for every job
-	// pop hands out, making the claim atomic with queue closure: after
-	// close() returns, inflight covers exactly the claimed-but-unfinished
-	// jobs (Drain waits on it with no claim window to race).
+	// inflight is incremented under the lock for every job pop hands out,
+	// making the claim atomic with queue closure: after close() returns,
+	// inflight covers exactly the claimed-but-unfinished jobs (Drain waits
+	// on it with no claim window to race).
 	inflight *sync.WaitGroup
 }
 
-func newJobQueue(capacity int) *jobQueue {
-	q := &jobQueue{cap: capacity}
+func newJobQueue(capacity int, inflight *sync.WaitGroup) *jobQueue {
+	q := &jobQueue{cap: capacity, inflight: inflight}
 	q.cond = sync.NewCond(&q.mu)
 	return q
-}
-
-// push enqueues jb, failing with ErrQueueFull at capacity.
-func (q *jobQueue) push(jb *job) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return errQueueClosed
-	}
-	if len(q.items)+q.reserved >= q.cap {
-		return ErrQueueFull
-	}
-	heap.Push(&q.items, jb)
-	q.cond.Signal()
-	return nil
 }
 
 // reserve claims one capacity slot ahead of a durable commit, failing fast
@@ -103,9 +88,7 @@ func (q *jobQueue) pop() *job {
 			return nil
 		}
 		if len(q.items) > 0 {
-			if q.inflight != nil {
-				q.inflight.Add(1)
-			}
+			q.inflight.Add(1)
 			return heap.Pop(&q.items).(*job)
 		}
 		q.cond.Wait()
@@ -133,7 +116,7 @@ func (q *jobQueue) depth() int {
 	return len(q.items)
 }
 
-// close wakes every blocked pop; subsequent pushes fail.
+// close wakes every blocked pop; subsequent reservations fail.
 func (q *jobQueue) close() {
 	q.mu.Lock()
 	q.closed = true

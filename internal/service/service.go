@@ -196,8 +196,7 @@ func New(cfg Config) (*Service, error) {
 		running:    make(map[string]*job),
 		pending:    make(map[string]*pendingSubmit),
 	}
-	s.queue = newJobQueue(cfg.queueCap())
-	s.queue.inflight = &s.inflight
+	s.queue = newJobQueue(cfg.queueCap(), &s.inflight)
 	s.submitted = s.reg.Counter("service.jobs_submitted")
 	s.rejects = s.reg.Counter("service.queue_rejects")
 	s.completed = s.reg.Counter("service.jobs_done")
@@ -253,13 +252,13 @@ func (s *Service) Start() error {
 				return err
 			}
 		}
-		jb := s.newRuntime(rec)
-		if err := s.queue.push(jb); err != nil {
+		if err := s.queue.reserve(); err != nil {
 			// More interrupted jobs than queue capacity: surface rather
 			// than silently drop (the operator sized the queue too small
 			// for the backlog).
 			return err
 		}
+		s.queue.pushReserved(s.newRuntime(rec))
 	}
 	for i := 0; i < s.cfg.jobs(); i++ {
 		s.wg.Add(1)

@@ -71,20 +71,12 @@ func (opt shardOptions) pending(from, to int) []int {
 // returns one JSON-encoded unit result per unit, in unit order. The
 // encoding is the wire form of ShardUpload.Units; mergeUnits decodes it
 // back. JSON round-trips float64 exactly, so shipping units through this
-// encoding cannot perturb the merged report.
+// encoding cannot perturb the merged report. A journal records each unit's
+// bytes as the unit finishes and hands recorded units back as they stand.
 func executeShardUnits(ctx context.Context, spec JobSpec, from, to int, opt shardOptions) ([]json.RawMessage, error) {
 	total := campaignUnits(spec)
 	if from < 0 || to > total || from >= to {
 		return nil, fmt.Errorf("service: shard [%d, %d) out of range for %d units", from, to, total)
-	}
-	if spec.Kind == KindMonteCarlo {
-		trials, err := montecarlo.RunShardContext(ctx, resolveMonteCarlo(spec), from, to, montecarlo.Options{
-			Workers: opt.Workers, Progress: opt.Progress, Journal: opt.Journal,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return encodeUnits(opt.Journal, trials)
 	}
 	eopt := experiments.Options{
 		Seed: spec.Seed, Observe: spec.Observe, Sample: opt.Sample, Fidelity: fidelityFor(spec),
@@ -93,46 +85,45 @@ func executeShardUnits(ctx context.Context, spec JobSpec, from, to int, opt shar
 	// set's streams are generated once for all of them here; units the
 	// journal restores take no share.
 	pending := opt.pending(from, to)
-	var unit func(ctx context.Context, u int) (experiments.PolicyRun, error)
-	if spec.Kind == KindSet {
+	var unit func(context.Context, int) (json.RawMessage, error)
+	switch spec.Kind {
+	case KindMonteCarlo:
+		campaign, err := montecarlo.NewCampaign(resolveMonteCarlo(spec), nil)
+		if err != nil {
+			return nil, err
+		}
+		unit = encoded(func(_ context.Context, t int) (montecarlo.Trial, error) { return campaign.Trial(t) })
+	case KindSet:
 		set := resolveSet(spec)
 		eval, err := experiments.NewSetEvaluation(set.config(), set.workloads(), set.Instructions, len(pending), eopt)
 		if err != nil {
 			return nil, err
 		}
-		unit = eval.RunPolicy
-	} else { // KindExperiments
+		unit = encoded(eval.RunPolicy)
+	default: // KindExperiments
 		exp := resolveExperiments(spec)
-		unit = experiments.NewCampaignEvaluation(scaleFor(exp.Scale), exp.Instructions, pending, eopt).RunUnit
+		unit = encoded(experiments.NewCampaignEvaluation(scaleFor(exp.Scale), exp.Instructions, pending, eopt).RunUnit)
 	}
-	runs, err := runner.Map(ctx, runner.Config{
+	return runner.Map(ctx, runner.Config{
 		Workers: opt.Workers, Progress: opt.Progress, Journal: opt.Journal,
-	}, to-from, func(ctx context.Context, u int) (experiments.PolicyRun, error) {
+	}, to-from, func(ctx context.Context, u int) (json.RawMessage, error) {
 		return unit(ctx, from+u)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return encodeUnits(opt.Journal, runs)
 }
 
-// encodeUnits returns a computed range's units in their wire form. A range
-// run with a journal holds each unit's encoding there already (Map records
-// every unit it computes, keyed by its offset in the range), so those bytes
-// are returned as they stand; otherwise each result is marshalled.
-func encodeUnits[T any](journal *runner.Journal, units []T) ([]json.RawMessage, error) {
-	if journal != nil {
-		return journal.Records(0, len(units))
-	}
-	out := make([]json.RawMessage, len(units))
-	for i, u := range units {
-		data, err := json.Marshal(u)
+// encoded wraps a typed unit function to return its result marshalled.
+func encoded[T any](unit func(context.Context, int) (T, error)) func(context.Context, int) (json.RawMessage, error) {
+	return func(ctx context.Context, u int) (json.RawMessage, error) {
+		res, err := unit(ctx, u)
 		if err != nil {
-			return nil, fmt.Errorf("service: encoding unit %d: %w", i, err)
+			return nil, err
 		}
-		out[i] = data
+		data, err := json.Marshal(res)
+		if err != nil {
+			return nil, fmt.Errorf("service: encoding unit %d: %w", u, err)
+		}
+		return data, nil
 	}
-	return out, nil
 }
 
 // decodeUnits unmarshals the wire units strictly back into their typed

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"bankaware/internal/atomicio"
 	"bankaware/internal/runner"
 )
 
@@ -99,11 +100,13 @@ func TestShardRangePendingUnits(t *testing.T) {
 	}
 }
 
-// A range run with a journal returns the journal's records of its units,
-// each encoded once, when Map recorded it. They must be the bytes a range
-// run without a journal returns (encodeUnits of Map's typed results), both
-// fresh and resumed from a journal that an interrupted run of the range's
-// first half filled: for a fast set range and a Monte Carlo range.
+// A range run with a journal returns the units' bytes as the journal
+// records or restores them. They must be the bytes a range run without a
+// journal returns, both fresh and resumed from a journal that an
+// interrupted run of the range's first half filled: for a fast set range
+// and a Monte Carlo range. Each journal record must be exactly
+// {"job":offset,"result":<the unit's bytes>}, so a unit journaled by any
+// version that writes that line resumes into the same bytes.
 func TestJournaledRangeReturnsRecordedUnits(t *testing.T) {
 	for _, tc := range []struct {
 		spec     JobSpec
@@ -126,21 +129,48 @@ func TestJournaledRangeReturnsRecordedUnits(t *testing.T) {
 				}
 				return units
 			}
-			open := func() *runner.Journal {
+			open := func() (*runner.Journal, string) {
 				t.Helper()
-				journal, err := runner.OpenJournal(filepath.Join(t.TempDir(), "units.journal"))
+				path := filepath.Join(t.TempDir(), "units.journal")
+				journal, err := runner.OpenJournal(path)
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { journal.Close() })
-				return journal
+				return journal, path
 			}
-			fresh := run(open(), tc.to)
+			freshJournal, freshPath := open()
+			fresh := run(freshJournal, tc.to)
 			// The journal keys units by their offset in the range, so a run
 			// of [from, half) fills the first half of [from, to).
-			half := open()
+			half, halfPath := open()
 			run(half, tc.from+(tc.to-tc.from)/2)
 			resumed := run(half, tc.to)
+			for path, units := range map[string][]json.RawMessage{freshPath: fresh, halfPath: resumed} {
+				recorded := make(map[int]bool)
+				err := atomicio.Replay(path, func(rec []byte) error {
+					var key struct {
+						Job int `json:"job"`
+					}
+					if err := json.Unmarshal(rec, &key); err != nil {
+						return err
+					}
+					if key.Job < 0 || key.Job >= len(units) || recorded[key.Job] {
+						return fmt.Errorf("unexpected journal record %s", rec)
+					}
+					recorded[key.Job] = true
+					if want := fmt.Sprintf(`{"job":%d,"result":%s}`, key.Job, units[key.Job]); string(rec) != want {
+						t.Errorf("journal record for unit %d\n got %.120s\nwant %.120s", tc.from+key.Job, rec, want)
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(recorded) != len(units) {
+					t.Errorf("journal holds %d records, want one per unit (%d)", len(recorded), len(units))
+				}
+			}
 			for name, got := range map[string][]json.RawMessage{"fresh": fresh, "resumed": resumed} {
 				if len(got) != len(want) {
 					t.Fatalf("%s range returned %d units, want %d", name, len(got), len(want))

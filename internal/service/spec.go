@@ -1,8 +1,6 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -107,24 +105,8 @@ const maxTrials = 1_000_000
 // unknown fields, no trailing data, bounded size — so a malformed
 // submission is always a clean error, never a panic or a half-built job.
 func DecodeJobSpec(r io.Reader) (*JobSpec, error) {
-	data, err := io.ReadAll(io.LimitReader(r, maxSpecBytes+1))
-	if err != nil {
-		return nil, fmt.Errorf("reading job spec: %w", err)
-	}
-	if len(data) > maxSpecBytes {
-		return nil, fmt.Errorf("job spec exceeds %d bytes", maxSpecBytes)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var spec JobSpec
-	if err := dec.Decode(&spec); err != nil {
-		return nil, fmt.Errorf("decoding job spec: %w", err)
-	}
-	var trailing json.RawMessage
-	if err := dec.Decode(&trailing); err != io.EOF {
-		return nil, fmt.Errorf("job spec has trailing data")
-	}
-	if err := spec.Validate(); err != nil {
+	if err := decodeStrict(r, maxSpecBytes, &spec); err != nil {
 		return nil, err
 	}
 	return &spec, nil

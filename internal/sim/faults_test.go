@@ -184,7 +184,7 @@ type rigidPolicy struct{}
 
 func (rigidPolicy) Name() string { return "rigid" }
 func (rigidPolicy) Allocate(curves []core.MissCurve) (*core.Allocation, error) {
-	return core.EqualAllocation(), nil
+	return core.EqualAllocation(0)
 }
 
 // TestFaultRequiresDegradedPolicy: a policy without a degraded path cannot

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"bankaware/internal/atomicio"
 )
 
 // Trace file format: the repository's interchange format for recorded
@@ -190,21 +192,16 @@ func (r *replayer) Next() Event {
 	return ev
 }
 
-// WriteTraceFile records n events of a stream to a gzip-compressed file.
+// WriteTraceFile records n events of a stream to a gzip-compressed file,
+// atomically: a failed recording leaves any previous file at path intact.
 func WriteTraceFile(path string, s Stream, n int) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	gz := gzip.NewWriter(f)
-	if err := RecordStream(s, n, gz); err != nil {
-		return err
-	}
-	if err := gz.Close(); err != nil {
-		return err
-	}
-	return f.Close()
+	return atomicio.WriteFile(path, func(w io.Writer) error {
+		gz := gzip.NewWriter(w)
+		if err := RecordStream(s, n, gz); err != nil {
+			return err
+		}
+		return gz.Close()
+	})
 }
 
 // ReadTraceFile loads a gzip-compressed trace file.

@@ -9,8 +9,6 @@ import (
 	"bankaware/internal/stats"
 )
 
-func osWriteFile(path string, data []byte) error { return os.WriteFile(path, data, 0o644) }
-
 func TestRecordReplayRoundTrip(t *testing.T) {
 	g := MustGenerator(MustSpec("gzip"), stats.NewRNG(7, 8), GeneratorConfig{BlocksPerWay: 64})
 	var want []Event
@@ -142,12 +140,34 @@ func TestTraceFileRoundTrip(t *testing.T) {
 	}
 }
 
+// A recording that fails part-way leaves the file it would have replaced
+// as it was, not truncated.
+func TestFailedTraceWriteKeepsPreviousFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "kept.trace.gz")
+	g := MustGenerator(MustSpec("gzip"), stats.NewRNG(4, 5), GeneratorConfig{BlocksPerWay: 64})
+	if err := WriteTraceFile(path, g, 10); err != nil {
+		t.Fatal(err)
+	}
+	// The second event sits 2^63 from the first, which Record rejects.
+	far := (&Trace{events: []Event{{Access: Access{Addr: 0}}, {Access: Access{Addr: 1 << 63}}}}).Stream()
+	if err := WriteTraceFile(path, far, 2); err == nil {
+		t.Fatal("recording an address 2^63 away succeeded")
+	}
+	tr, err := ReadTraceFile(path)
+	if err != nil {
+		t.Fatalf("the previous trace is gone after a failed write: %v", err)
+	}
+	if tr.Len() != 10 {
+		t.Fatalf("the previous trace reads back %d events, want 10", tr.Len())
+	}
+}
+
 func TestReadTraceFileErrors(t *testing.T) {
 	if _, err := ReadTraceFile(filepath.Join(t.TempDir(), "missing.gz")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 	path := filepath.Join(t.TempDir(), "plain.txt")
-	if err := writeFile(path, []byte("plain text")); err != nil {
+	if err := os.WriteFile(path, []byte("plain text"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadTraceFile(path); err == nil {
@@ -249,9 +269,4 @@ func TestDeltaEncodingCompact(t *testing.T) {
 	if perRecord > 3.5 {
 		t.Fatalf("%.2f bytes per sequential record; delta coding broken", perRecord)
 	}
-}
-
-// writeFile is a tiny test helper (os.WriteFile with 0644).
-func writeFile(path string, data []byte) error {
-	return osWriteFile(path, data)
 }
