@@ -1,246 +1,169 @@
-// Command bench is the machine-readable perf harness: it runs the hot-path
-// micro-benchmarks, the detailed engine's end-to-end system benchmark and
-// the fast tier's set evaluation through testing.Benchmark, emits a
-// BENCH_<n>.json trajectory file, and gates regressions against a
-// committed baseline.
+// Command bench gates a change's micro-benchmarks against its parent's. It
+// reads two `go test -bench -benchmem` outputs, the parent's and the
+// change's, recorded in alternating rounds on the same host, pairs each
+// benchmark's samples round by round, and fails (exit 1) when
 //
-// Typical uses:
+//   - a benchmark the parent runs allocation-free (median 0 allocs/op)
+//     allocates on the change: the inner simulation loop is required to
+//     stay allocation-free in steady state (DESIGN.md, "Performance
+//     model");
+//   - a benchmark with residual allocations grows its median allocs/op
+//     past 1.5x;
+//   - a benchmark's median ns/op is more than 10% slower (50% for
+//     Service*, whose fsyncs and HTTP round trips vary more) and the
+//     change is also slower in at least nine tenths of the pairs, so that
+//     a gap inside the host's run-to-run spread is not a regression.
 //
-//	go run ./cmd/bench -count 5 -out bench.json          # record a run
-//	go run ./cmd/bench -count 5 -compare BENCH_5.json    # CI regression gate
-//	go run ./cmd/bench -count 5 -text bench.txt          # benchstat samples
+// A benchmark present in only one file is skipped: the gate guards the
+// hot paths both commits measure. Usage:
 //
-// The gate fails (exit 1) when any benchmark's median-of-count ns/op exceeds
-// the baseline by more than -threshold percent, when a benchmark the
-// baseline holds allocation-free reports any allocs/op, or when a bench
-// with residual allocations grows them by more than 1.5x: the inner
-// simulation loop is required to stay allocation-free in steady state (see
-// DESIGN.md, "Performance model").
+//	go run ./cmd/bench parent.txt change.txt
 package main
 
 import (
-	"encoding/json"
-	"flag"
+	"bufio"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
-	"runtime"
 	"sort"
+	"strconv"
 	"strings"
-	"testing"
-
-	"bankaware/internal/benchmarks"
+	"text/tabwriter"
 )
 
-// Schema identifies the JSON layout of a trajectory file.
-const Schema = "bankaware.bench/v1"
-
-// File is the serialised form of one harness run. The host-topology
-// fields (NumCPU, GOMAXPROCS) make the runner's parallelism
-// machine-readable: numbers from a single-CPU container (the BENCH_9
-// caveat) are not comparable with multi-CPU ones, and a gate can detect
-// that instead of guessing.
-type File struct {
-	Schema     string   `json:"schema"`
-	GoVersion  string   `json:"go_version"`
-	GOOS       string   `json:"goos"`
-	GOARCH     string   `json:"goarch"`
-	NumCPU     int      `json:"num_cpu"`
-	GOMAXPROCS int      `json:"gomaxprocs"`
-	Count      int      `json:"count"`
-	Benchmarks []Result `json:"benchmarks"`
+// samples holds one benchmark's ns/op and allocs/op in file order.
+type samples struct {
+	ns, allocs []float64
 }
 
-// Result records the median-of-count outcome of one benchmark (median, not
-// best: the gate compares two median-of-count runs, and the median is far
-// less sensitive to scheduler noise than the minimum). Extra carries the
-// benchmark's ReportMetric values (e.g. simCycles/sec) from the run the
-// median ns/op came from.
-type Result struct {
-	Name        string             `json:"name"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op"`
-	Extra       map[string]float64 `json:"extra,omitempty"`
+// procSuffix is the -GOMAXPROCS suffix go test appends to a benchmark name.
+var procSuffix = regexp.MustCompile(`-[0-9]+$`)
+
+// parse reads the result lines of a `go test -bench -benchmem` output and
+// returns each benchmark's samples in file order, keyed by its name
+// without the Benchmark prefix and the -GOMAXPROCS suffix.
+func parse(r io.Reader) (map[string]*samples, error) {
+	out := map[string]*samples{}
+	sc := bufio.NewScanner(r)
+	for line := 1; sc.Scan(); line++ {
+		f := strings.Fields(sc.Text())
+		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
+			continue
+		}
+		if _, err := strconv.ParseUint(f[1], 10, 64); err != nil {
+			continue // not a result line, e.g. a failure message
+		}
+		ns, allocs := -1.0, -1.0
+		for i := 2; i+1 < len(f); i += 2 {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("line %d: bad value %q", line, f[i])
+			}
+			switch f[i+1] {
+			case "ns/op":
+				ns = v
+			case "allocs/op":
+				allocs = v
+			}
+		}
+		if ns < 0 || allocs < 0 {
+			return nil, fmt.Errorf("line %d: want ns/op and allocs/op (run go test with -benchmem): %s", line, sc.Text())
+		}
+		name := procSuffix.ReplaceAllString(strings.TrimPrefix(f[0], "Benchmark"), "")
+		s := out[name]
+		if s == nil {
+			s = &samples{}
+			out[name] = s
+		}
+		s.ns, s.allocs = append(s.ns, ns), append(s.allocs, allocs)
+	}
+	return out, sc.Err()
 }
 
-// suite lists every benchmark the harness runs, in output order.
-var suite = []struct {
-	name string
-	fn   func(*testing.B)
-}{
-	{"BankAccess", benchmarks.BankAccess},
-	{"ProfilerAccess", benchmarks.ProfilerAccess},
-	{"ProfilerAccessUnsampled", benchmarks.ProfilerAccessUnsampled},
-	{"DirectoryAccess", benchmarks.DirectoryAccess},
-	{"MSHRFill", benchmarks.MSHRFill},
-	{"SystemStep", benchmarks.SystemStep},
-	{"FastSetEvaluation", benchmarks.FastSetEvaluation},
-	{"ServiceSubmitThroughput", benchmarks.ServiceSubmitThroughput},
-	{"ServiceCachedSubmit", benchmarks.ServiceCachedSubmit},
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// gate writes one row per benchmark present in both outputs to w and
+// returns one message per regression.
+func gate(w io.Writer, parent, change map[string]*samples) []string {
+	var names []string
+	for name := range parent {
+		if _, ok := change[name]; ok {
+			names = append(names, name)
+		}
+	}
+	if len(names) == 0 {
+		return []string{"no benchmark appears in both outputs"}
+	}
+	sort.Strings(names)
+	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
+	fmt.Fprintln(tw, "benchmark\tparent ns/op\tchange ns/op\tdelta\tslower pairs\tparent allocs/op\tchange allocs/op")
+	var failures []string
+	for _, name := range names {
+		p, c := parent[name], change[name]
+		pairs := min(len(p.ns), len(c.ns))
+		slower := 0
+		for i := 0; i < pairs; i++ {
+			if c.ns[i] > p.ns[i] {
+				slower++
+			}
+		}
+		pn, cn, pa, ca := median(p.ns), median(c.ns), median(p.allocs), median(c.allocs)
+		delta := 100 * (cn/pn - 1)
+		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%+.1f%%\t%d/%d\t%g\t%g\n", name, pn, cn, delta, slower, pairs, pa, ca)
+
+		limit := 10.0
+		if strings.HasPrefix(name, "Service") {
+			limit = 50
+		}
+		if delta > limit && 10*slower >= 9*pairs {
+			failures = append(failures, fmt.Sprintf("%s: median %.2f ns/op vs parent %.2f (%+.1f%%, limit +%g%%), slower in %d of %d pairs",
+				name, cn, pn, delta, limit, slower, pairs))
+		}
+		switch {
+		case pa == 0 && ca > 0:
+			failures = append(failures, fmt.Sprintf("%s: %g allocs/op on a path the parent runs allocation-free", name, ca))
+		case pa > 0 && ca > 1.5*pa:
+			failures = append(failures, fmt.Sprintf("%s: %g allocs/op vs parent %g (>1.5x)", name, ca, pa))
+		}
+	}
+	tw.Flush()
+	return failures
+}
+
+func read(path string) map[string]*samples {
+	f, err := os.Open(path)
+	if err != nil {
+		fatalf("%v", err)
+	}
+	defer f.Close()
+	s, err := parse(f)
+	if err != nil {
+		fatalf("%s: %v", path, err)
+	}
+	return s
 }
 
 func main() {
-	var (
-		count     = flag.Int("count", 3, "runs per benchmark; the median ns/op is recorded")
-		outPath   = flag.String("out", "", "write results as a trajectory JSON file")
-		textPath  = flag.String("text", "", "write all samples in benchstat-compatible text form")
-		compare   = flag.String("compare", "", "baseline trajectory JSON to gate against")
-		threshold = flag.Float64("threshold", 10, "max ns/op regression percent before the gate fails")
-		benchtime = flag.String("benchtime", "", "per-sample benchtime (passed to the testing package, e.g. 200ms or 100x)")
-		runExpr   = flag.String("run", "", "only run benchmarks matching this regexp")
-	)
-	testing.Init()
-	flag.Parse()
-	if *benchtime != "" {
-		if err := flag.Set("test.benchtime", *benchtime); err != nil {
-			fatalf("bad -benchtime: %v", err)
-		}
+	if len(os.Args) != 3 {
+		fatalf("usage: go run ./cmd/bench parent.txt change.txt")
 	}
-	var filter *regexp.Regexp
-	if *runExpr != "" {
-		var err error
-		if filter, err = regexp.Compile(*runExpr); err != nil {
-			fatalf("bad -run: %v", err)
-		}
+	failures := gate(os.Stdout, read(os.Args[1]), read(os.Args[2]))
+	for _, f := range failures {
+		fmt.Fprintln(os.Stderr, "FAIL:", f)
 	}
-	if *count < 1 {
-		*count = 1
+	if len(failures) > 0 {
+		os.Exit(1)
 	}
-
-	// Benchstat file-level configuration lines: benchstat groups files by
-	// these keys, so runs from hosts with different parallelism are never
-	// silently averaged together.
-	text := []string{
-		fmt.Sprintf("goos: %s", runtime.GOOS),
-		fmt.Sprintf("goarch: %s", runtime.GOARCH),
-		fmt.Sprintf("num-cpu: %d", runtime.NumCPU()),
-		fmt.Sprintf("gomaxprocs: %d", runtime.GOMAXPROCS(0)),
-	}
-	file := File{
-		Schema:     Schema,
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Count:      *count,
-	}
-	for _, b := range suite {
-		if filter != nil && !filter.MatchString(b.name) {
-			continue
-		}
-		samples := make([]Result, 0, *count)
-		for i := 0; i < *count; i++ {
-			r := testing.Benchmark(b.fn)
-			if r.N == 0 {
-				fatalf("%s: benchmark did not run", b.name)
-			}
-			text = append(text, fmt.Sprintf("Benchmark%s%s%s", b.name, r.String(), r.MemString()))
-			s := Result{
-				Name:        b.name,
-				NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-				AllocsPerOp: r.AllocsPerOp(),
-				BytesPerOp:  r.AllocedBytesPerOp(),
-			}
-			for k, v := range r.Extra {
-				if s.Extra == nil {
-					s.Extra = map[string]float64{}
-				}
-				s.Extra[k] = v
-			}
-			samples = append(samples, s)
-		}
-		sort.Slice(samples, func(i, j int) bool { return samples[i].NsPerOp < samples[j].NsPerOp })
-		med := samples[(len(samples)-1)/2]
-		fmt.Printf("%-26s %12.2f ns/op %8d B/op %6d allocs/op", med.Name, med.NsPerOp, med.BytesPerOp, med.AllocsPerOp)
-		for k, v := range med.Extra {
-			fmt.Printf("  %12.0f %s", v, k)
-		}
-		fmt.Println()
-		file.Benchmarks = append(file.Benchmarks, med)
-	}
-
-	if *textPath != "" {
-		var buf []byte
-		for _, line := range text {
-			buf = append(buf, line...)
-			buf = append(buf, '\n')
-		}
-		if err := os.WriteFile(*textPath, buf, 0o644); err != nil {
-			fatalf("writing %s: %v", *textPath, err)
-		}
-	}
-	if *outPath != "" {
-		data, err := json.MarshalIndent(file, "", "  ")
-		if err != nil {
-			fatalf("encoding results: %v", err)
-		}
-		if err := os.WriteFile(*outPath, append(data, '\n'), 0o644); err != nil {
-			fatalf("writing %s: %v", *outPath, err)
-		}
-	}
-	if *compare != "" {
-		if failures := gate(file, *compare, *threshold); len(failures) > 0 {
-			for _, f := range failures {
-				fmt.Fprintln(os.Stderr, "REGRESSION:", f)
-			}
-			os.Exit(1)
-		}
-		fmt.Printf("gate passed: no ns/op regression >%g%% and no allocs/op growth vs %s\n", *threshold, *compare)
-	}
-}
-
-// gate compares results against the baseline file and returns one message
-// per regression. Benchmarks absent from either side are skipped: the gate
-// guards known hot paths, it does not force lockstep suite membership.
-func gate(got File, baselinePath string, threshold float64) []string {
-	data, err := os.ReadFile(baselinePath)
-	if err != nil {
-		fatalf("reading baseline: %v", err)
-	}
-	var base File
-	if err := json.Unmarshal(data, &base); err != nil {
-		fatalf("decoding baseline %s: %v", baselinePath, err)
-	}
-	if base.Schema != Schema {
-		fatalf("baseline %s has schema %q, want %q", baselinePath, base.Schema, Schema)
-	}
-	byName := map[string]Result{}
-	for _, r := range base.Benchmarks {
-		byName[r.Name] = r
-	}
-	var failures []string
-	for _, r := range got.Benchmarks {
-		b, ok := byName[r.Name]
-		if !ok {
-			continue
-		}
-		// Service* benches are fsync- and network-bound (durable job
-		// intake), an order of magnitude noisier across runners than the
-		// CPU-bound simulator paths; they gate at 5x the threshold.
-		pct := threshold
-		if strings.HasPrefix(r.Name, "Service") {
-			pct = threshold * 5
-		}
-		if limit := b.NsPerOp * (1 + pct/100); r.NsPerOp > limit {
-			failures = append(failures, fmt.Sprintf("%s: %.2f ns/op vs baseline %.2f (+%.1f%%, limit +%g%%)",
-				r.Name, r.NsPerOp, b.NsPerOp, 100*(r.NsPerOp/b.NsPerOp-1), pct))
-		}
-		// Allocation-free benches must stay allocation-free, exactly. A bench
-		// with residual allocations (e.g. SystemStep's working-set growth,
-		// whose per-op amortisation varies with the iteration count) only
-		// fails on gross growth.
-		switch {
-		case b.AllocsPerOp == 0 && r.AllocsPerOp > 0:
-			failures = append(failures, fmt.Sprintf("%s: %d allocs/op on a path the baseline holds allocation-free",
-				r.Name, r.AllocsPerOp))
-		case b.AllocsPerOp > 0 && r.AllocsPerOp > b.AllocsPerOp+b.AllocsPerOp/2:
-			failures = append(failures, fmt.Sprintf("%s: %d allocs/op vs baseline %d (>1.5x)",
-				r.Name, r.AllocsPerOp, b.AllocsPerOp))
-		}
-	}
-	return failures
+	fmt.Println("gate passed")
 }
 
 func fatalf(format string, args ...any) {

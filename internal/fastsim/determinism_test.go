@@ -9,7 +9,6 @@ import (
 	"context"
 	"testing"
 
-	"bankaware/internal/benchmarks"
 	"bankaware/internal/experiments"
 )
 
@@ -17,8 +16,8 @@ import (
 // worker count and returns the canonical report bytes.
 func fastSetReport(tb testing.TB, workers int) []byte {
 	tb.Helper()
-	res, err := experiments.RunSetContext(context.Background(), accuracyConfig(), 1,
-		experiments.TableIIISets[0], benchmarks.FidelityInstructions, experiments.Options{
+	res, err := experiments.RunSetContext(context.Background(), fidelityConfig(), 1,
+		experiments.TableIIISets[0], fidelityInstructions, experiments.Options{
 			Seed:     1,
 			Observe:  true,
 			Workers:  workers,
@@ -57,8 +56,8 @@ func TestFastPathByteStableAcrossWorkers(t *testing.T) {
 // report bytes are unchanged.
 func TestFastReportStampsFidelity(t *testing.T) {
 	ctx := context.Background()
-	fast, err := experiments.RunSetContext(ctx, accuracyConfig(), 1,
-		experiments.TableIIISets[0], benchmarks.FidelityInstructions,
+	fast, err := experiments.RunSetContext(ctx, fidelityConfig(), 1,
+		experiments.TableIIISets[0], fidelityInstructions,
 		experiments.Options{Seed: 1, Fidelity: experiments.FidelityFast})
 	if err != nil {
 		t.Fatal(err)
@@ -69,8 +68,8 @@ func TestFastReportStampsFidelity(t *testing.T) {
 	if rep := fast.Report(); rep.Fidelity != "fast" {
 		t.Errorf("fast report fidelity = %q, want %q", rep.Fidelity, "fast")
 	}
-	det, err := experiments.RunSetContext(ctx, accuracyConfig(), 1,
-		experiments.TableIIISets[0], benchmarks.FidelityInstructions,
+	det, err := experiments.RunSetContext(ctx, fidelityConfig(), 1,
+		experiments.TableIIISets[0], fidelityInstructions,
 		experiments.Options{Seed: 1, Fidelity: experiments.FidelityDetailed})
 	if err != nil {
 		t.Fatal(err)

@@ -42,12 +42,12 @@ func FuzzFastPathAccuracy(f *testing.F) {
 		ctx := context.Background()
 		pol := int(policy) % experiments.SetPolicies
 
-		fast, err := experiments.RunSetPolicyContext(ctx, accuracyConfig(), workloads, 300_000, pol, opt)
+		fast, err := experiments.RunSetPolicyContext(ctx, fidelityConfig(), workloads, 300_000, pol, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Byte-stability: the same spec run twice.
-		again, err := experiments.RunSetPolicyContext(ctx, accuracyConfig(), workloads, 300_000, pol, opt)
+		again, err := experiments.RunSetPolicyContext(ctx, fidelityConfig(), workloads, 300_000, pol, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func FuzzFastPathAccuracy(f *testing.F) {
 		if !bytes.Equal(b1, b2) {
 			t.Fatalf("fast report bytes diverge across repeated runs (workloads %v policy %d seed %d)", workloads, pol, seed)
 		}
-		set, err := experiments.RunSetContext(ctx, accuracyConfig(), 0, workloads, 300_000,
+		set, err := experiments.RunSetContext(ctx, fidelityConfig(), 0, workloads, 300_000,
 			experiments.Options{Seed: seed, Fidelity: experiments.FidelityFast, Observe: true, Workers: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -76,7 +76,7 @@ func FuzzFastPathAccuracy(f *testing.F) {
 		}
 
 		opt.Fidelity = experiments.FidelityDetailed
-		det, err := experiments.RunSetPolicyContext(ctx, accuracyConfig(), workloads, 300_000, pol, opt)
+		det, err := experiments.RunSetPolicyContext(ctx, fidelityConfig(), workloads, 300_000, pol, opt)
 		if err != nil {
 			t.Fatal(err)
 		}

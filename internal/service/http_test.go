@@ -17,7 +17,7 @@ import (
 
 // startHTTP boots a service (Start included unless told otherwise) behind
 // an httptest server.
-func startHTTP(t *testing.T, cfg Config, start bool) (*Service, *httptest.Server) {
+func startHTTP(t testing.TB, cfg Config, start bool) (*Service, *httptest.Server) {
 	t.Helper()
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
@@ -39,7 +39,7 @@ func startHTTP(t *testing.T, cfg Config, start bool) (*Service, *httptest.Server
 	return svc, ts
 }
 
-func postJob(t *testing.T, ts *httptest.Server, body string) (*http.Response, JobRecord) {
+func postJob(t testing.TB, ts *httptest.Server, body string) (*http.Response, JobRecord) {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {

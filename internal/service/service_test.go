@@ -51,7 +51,7 @@ func directMonteCarloBytes(t *testing.T, trials int, seed uint64) []byte {
 }
 
 // waitState polls until the job reaches the wanted state.
-func waitState(t *testing.T, s *Service, id, state string) JobRecord {
+func waitState(t testing.TB, s *Service, id, state string) JobRecord {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for time.Now().Before(deadline) {
