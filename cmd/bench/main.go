@@ -3,10 +3,12 @@
 // change's, recorded in alternating rounds on the same host, pairs each
 // benchmark's samples round by round, and fails (exit 1) when
 //
-//   - a benchmark the parent runs allocation-free (median 0 allocs/op)
-//     allocates on the change: the inner simulation loop is required to
-//     stay allocation-free in steady state (DESIGN.md, "Performance
-//     model");
+//   - a benchmark the parent runs allocation-free (median 0 allocs/op
+//     or 0 B/op) allocates on the change: the inner simulation loop is
+//     required to stay allocation-free in steady state (DESIGN.md,
+//     "Performance model"). go test rounds both counts down per op, so a
+//     32-byte allocation on three calls in four reads 0 allocs/op but
+//     24 B/op;
 //   - a benchmark with residual allocations grows its median allocs/op
 //     past 1.5x;
 //   - a benchmark's median ns/op is more than 10% slower (50% for
@@ -32,9 +34,9 @@ import (
 	"text/tabwriter"
 )
 
-// samples holds one benchmark's ns/op and allocs/op in file order.
+// samples holds one benchmark's ns/op, B/op and allocs/op in file order.
 type samples struct {
-	ns, allocs []float64
+	ns, bytes, allocs []float64
 }
 
 // procSuffix is the -GOMAXPROCS suffix go test appends to a benchmark name.
@@ -54,7 +56,7 @@ func parse(r io.Reader) (map[string]*samples, error) {
 		if _, err := strconv.ParseUint(f[1], 10, 64); err != nil {
 			continue // not a result line, e.g. a failure message
 		}
-		ns, allocs := -1.0, -1.0
+		ns, bytes, allocs := -1.0, -1.0, -1.0
 		for i := 2; i+1 < len(f); i += 2 {
 			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
@@ -63,12 +65,14 @@ func parse(r io.Reader) (map[string]*samples, error) {
 			switch f[i+1] {
 			case "ns/op":
 				ns = v
+			case "B/op":
+				bytes = v
 			case "allocs/op":
 				allocs = v
 			}
 		}
-		if ns < 0 || allocs < 0 {
-			return nil, fmt.Errorf("line %d: want ns/op and allocs/op (run go test with -benchmem): %s", line, sc.Text())
+		if ns < 0 || bytes < 0 || allocs < 0 {
+			return nil, fmt.Errorf("line %d: want ns/op, B/op and allocs/op (run go test with -benchmem): %s", line, sc.Text())
 		}
 		name := procSuffix.ReplaceAllString(strings.TrimPrefix(f[0], "Benchmark"), "")
 		s := out[name]
@@ -76,7 +80,7 @@ func parse(r io.Reader) (map[string]*samples, error) {
 			s = &samples{}
 			out[name] = s
 		}
-		s.ns, s.allocs = append(s.ns, ns), append(s.allocs, allocs)
+		s.ns, s.bytes, s.allocs = append(s.ns, ns), append(s.bytes, bytes), append(s.allocs, allocs)
 	}
 	return out, sc.Err()
 }
@@ -105,7 +109,7 @@ func gate(w io.Writer, parent, change map[string]*samples) []string {
 	}
 	sort.Strings(names)
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)
-	fmt.Fprintln(tw, "benchmark\tparent ns/op\tchange ns/op\tdelta\tslower pairs\tparent allocs/op\tchange allocs/op")
+	fmt.Fprintln(tw, "benchmark\tparent ns/op\tchange ns/op\tdelta\tslower pairs\tparent B/op\tchange B/op\tparent allocs/op\tchange allocs/op")
 	var failures []string
 	for _, name := range names {
 		p, c := parent[name], change[name]
@@ -116,9 +120,11 @@ func gate(w io.Writer, parent, change map[string]*samples) []string {
 				slower++
 			}
 		}
-		pn, cn, pa, ca := median(p.ns), median(c.ns), median(p.allocs), median(c.allocs)
+		pn, cn := median(p.ns), median(c.ns)
+		pb, cb := median(p.bytes), median(c.bytes)
+		pa, ca := median(p.allocs), median(c.allocs)
 		delta := 100 * (cn/pn - 1)
-		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%+.1f%%\t%d/%d\t%g\t%g\n", name, pn, cn, delta, slower, pairs, pa, ca)
+		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%+.1f%%\t%d/%d\t%g\t%g\t%g\t%g\n", name, pn, cn, delta, slower, pairs, pb, cb, pa, ca)
 
 		limit := 10.0
 		if strings.HasPrefix(name, "Service") {
@@ -131,6 +137,8 @@ func gate(w io.Writer, parent, change map[string]*samples) []string {
 		switch {
 		case pa == 0 && ca > 0:
 			failures = append(failures, fmt.Sprintf("%s: %g allocs/op on a path the parent runs allocation-free", name, ca))
+		case pb == 0 && cb > 0:
+			failures = append(failures, fmt.Sprintf("%s: %g B/op on a path the parent runs allocation-free", name, cb))
 		case pa > 0 && ca > 1.5*pa:
 			failures = append(failures, fmt.Sprintf("%s: %g allocs/op vs parent %g (>1.5x)", name, ca, pa))
 		}

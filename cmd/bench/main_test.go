@@ -7,18 +7,18 @@ import (
 )
 
 // Result lines as `go test -bench -benchmem` prints them at GOMAXPROCS 2,
-// custom units included, with ns/op and allocs/op left as verbs.
+// custom units included, with ns/op, B/op and allocs/op left as verbs.
 const (
-	bankAccess   = "BenchmarkBankAccess-2   \t46195698\t%12.2f ns/op\t       0 B/op\t%8d allocs/op\n"
-	systemStep   = "BenchmarkSystemStep-2   \t     276\t%12.0f ns/op\t  11907807 simCycles/sec\t  25819143 simInstr/sec\t   79497 B/op\t%8d allocs/op\n"
-	cachedSubmit = "BenchmarkServiceCachedSubmit-2   \t   13860\t%12.0f ns/op\t     10977 hits/sec\t   14985 B/op\t%8d allocs/op\n"
+	bankAccess   = "BenchmarkBankAccess-2   \t46195698\t%12.2f ns/op\t%8d B/op\t%8d allocs/op\n"
+	systemStep   = "BenchmarkSystemStep-2   \t     276\t%12.0f ns/op\t  11907807 simCycles/sec\t  25819143 simInstr/sec\t%8d B/op\t%8d allocs/op\n"
+	cachedSubmit = "BenchmarkServiceCachedSubmit-2   \t   13860\t%12.0f ns/op\t     10977 hits/sec\t%8d B/op\t%8d allocs/op\n"
 )
 
 // series is one benchmark's samples over the rounds of a run.
 type series struct {
-	line   string
-	ns     []float64
-	allocs int
+	line          string
+	ns            []float64
+	bytes, allocs int
 }
 
 // output renders the rounds as CI appends them to one file: each round is
@@ -28,7 +28,7 @@ func output(ss ...series) string {
 	for round := range ss[0].ns {
 		b.WriteString("goos: linux\ngoarch: amd64\npkg: bankaware/internal/cache\ncpu: Intel(R) Xeon(R) Processor\n")
 		for _, s := range ss {
-			fmt.Fprintf(&b, s.line, s.ns[round], s.allocs)
+			fmt.Fprintf(&b, s.line, s.ns[round], s.bytes, s.allocs)
 		}
 		b.WriteString("PASS\nok  \tbankaware/internal/cache\t12.345s\n")
 	}
@@ -62,23 +62,28 @@ func TestGate(t *testing.T) {
 		fail           bool
 	}{
 		{"12% slower in 10 of 10 pairs fails",
-			[]series{{bankAccess, rounds(25), 0}},
-			[]series{{bankAccess, scaled(rounds(25), 1.12), 0}}, true},
+			[]series{{bankAccess, rounds(25), 0, 0}},
+			[]series{{bankAccess, scaled(rounds(25), 1.12), 0, 0}}, true},
 		{"12% slower in 8 of 10 pairs passes",
-			[]series{{bankAccess, noisy, 0}},
-			[]series{{bankAccess, scaled(rounds(25), 1.12), 0}}, false},
+			[]series{{bankAccess, noisy, 0, 0}},
+			[]series{{bankAccess, scaled(rounds(25), 1.12), 0, 0}}, false},
 		{"Service* 40% slower in 10 of 10 pairs passes",
-			[]series{{cachedSubmit, rounds(60000), 136}},
-			[]series{{cachedSubmit, scaled(rounds(60000), 1.4), 136}}, false},
+			[]series{{cachedSubmit, rounds(60000), 14985, 136}},
+			[]series{{cachedSubmit, scaled(rounds(60000), 1.4), 14985, 136}}, false},
 		{"allocs from 0 to 1 fail",
-			[]series{{bankAccess, rounds(25), 0}},
-			[]series{{bankAccess, rounds(25), 1}}, true},
+			[]series{{bankAccess, rounds(25), 0, 0}},
+			[]series{{bankAccess, rounds(25), 32, 1}}, true},
+		// A 32-byte allocation on three calls in four: allocs/op rounds
+		// down to 0, B/op reads 24.
+		{"bytes from 0 to 24 at 0 allocs fail",
+			[]series{{bankAccess, rounds(25), 0, 0}},
+			[]series{{bankAccess, rounds(25), 24, 0}}, true},
 		{"allocs from 18 to 28 fail",
-			[]series{{systemStep, rounds(31e6), 18}},
-			[]series{{systemStep, rounds(31e6), 28}}, true},
+			[]series{{systemStep, rounds(31e6), 79497, 18}},
+			[]series{{systemStep, rounds(31e6), 79497, 28}}, true},
 		{"a benchmark on one side only is skipped",
-			[]series{{bankAccess, rounds(25), 0}, {systemStep, rounds(31e6), 18}},
-			[]series{{bankAccess, rounds(25), 0}, {cachedSubmit, rounds(60000), 136}}, false},
+			[]series{{bankAccess, rounds(25), 0, 0}, {systemStep, rounds(31e6), 79497, 18}},
+			[]series{{bankAccess, rounds(25), 0, 0}, {cachedSubmit, rounds(60000), 14985, 136}}, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			parent, err := parse(strings.NewReader(output(tc.parent...)))
@@ -109,6 +114,6 @@ func TestGate(t *testing.T) {
 func TestParseNeedsBenchmem(t *testing.T) {
 	line := "BenchmarkBankAccess-2   \t46195698\t        25.90 ns/op\n"
 	if _, err := parse(strings.NewReader(line)); err == nil {
-		t.Error("a result line without allocs/op parsed")
+		t.Error("a result line without B/op and allocs/op parsed")
 	}
 }

@@ -10,19 +10,20 @@
 //
 // The bank is on the simulator's per-access critical path, so its state is
 // laid out for the host cache rather than for readability of a textbook
-// structure (see DESIGN.md, "Performance model"). For banks of at most 8
-// ways the per-set lookup and replacement state is a pair of adjacent
-// 64-bit words (Bank.psr): a partial-tag word (a valid bit plus 7 tag bits
-// per way) and a rank word (the way's true-LRU stack depth per way). One
-// SWAR compare against the partial-tag word rejects a miss or yields the
-// candidate ways, and the LRU victim choice and move-to-MRU splice are
-// branchless register arithmetic on the rank word (O(1) touch and victim
-// selection, no per-hit copying); the full-tag array is read only to
-// confirm candidates (~1/128 false-positive rate per way) and to report the
-// evicted block. Wider banks fall back to a linear scan over packed full
-// tags with a byte-per-way rank vector. The steady-state access path
-// performs no heap allocation; a differential test checks both layouts
-// against a straightforward slice-shuffle LRU oracle.
+// structure (see DESIGN.md, "Performance model"). A bank has at most 8
+// ways, the paper's bank geometry, and the per-set lookup and replacement
+// state is a pair of adjacent 64-bit words (Bank.psr): a partial-tag word
+// (a valid bit plus 7 tag bits per way) and a rank word (the way's true-LRU
+// stack depth per way). One SWAR compare against the partial-tag word
+// rejects a miss or yields the candidate ways, and the LRU victim choice
+// and move-to-MRU splice are branchless register arithmetic on the rank
+// word (O(1) touch and victim selection, no per-hit copying); the full-tag
+// array is read only to confirm candidates (~1/128 false-positive rate per
+// way) and to report the evicted block. Every lookup is find's SWAR compare
+// (Access inlines its loop), and every fill takes its way from one victim
+// routine. The steady-state access path performs no heap allocation; a
+// differential test and its fuzz target check the bank against a
+// straightforward slice-shuffle LRU oracle.
 package cache
 
 import (
@@ -59,7 +60,7 @@ func (m OwnerMask) Count() int { return bits.OnesCount16(uint16(m)) }
 // Config describes one physical cache bank.
 type Config struct {
 	Sets int // number of sets; must be a power of two
-	Ways int // associativity
+	Ways int // associativity, at most maxWays
 	// Replacement selects the victim policy; the zero value is true LRU.
 	Replacement ReplacementPolicy
 	// StrictLookup restricts hits to the requester's own ways — the
@@ -79,8 +80,8 @@ func (c Config) Validate() error {
 	if c.Sets <= 0 || c.Sets&(c.Sets-1) != 0 {
 		return fmt.Errorf("cache: sets must be a positive power of two, got %d", c.Sets)
 	}
-	if c.Ways <= 0 || c.Ways > 255 {
-		return fmt.Errorf("cache: ways must be in [1,255], got %d", c.Ways)
+	if c.Ways <= 0 || c.Ways > maxWays {
+		return fmt.Errorf("cache: ways must be in [1,%d], got %d", maxWays, c.Ways)
 	}
 	switch c.Replacement {
 	case LRU:
@@ -93,6 +94,10 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// maxWays bounds a bank's associativity: a set's state words hold one byte
+// lane per way.
+const maxWays = 8
 
 // Blocks returns the bank's capacity in cache blocks.
 func (c Config) Blocks() int { return c.Sets * c.Ways }
@@ -120,8 +125,11 @@ const (
 // an invalid one.
 func partialOf(tag uint64) uint64 { return tag&0x7F | 0x80 }
 
-// zeroBytes returns 0x80 in each byte position of x that holds zero — the
-// exact bit-twiddling zero-byte detector.
+// zeroBytes flags with 0x80 each byte position of x that holds zero. The
+// subtraction's borrow can also flag a 0x01 byte above a zero byte, so only
+// the lowest flag is certain: find confirms every flagged lane against the
+// full tag, victim's rank-7 search takes the lowest flag, and a partial-tag
+// word, where victim looks for invalid lanes, has no 0x01 byte.
 func zeroBytes(x uint64) uint64 { return (x - swarOnes) &^ x & swarHighs }
 
 // byteMaskToWays packs a 0x80-per-byte mask into a way bitmask (bit w set
@@ -185,21 +193,17 @@ type Bank struct {
 	tags []uint64
 	// meta[set*ways+way] carries the dirty bit and the allocating core.
 	meta []uint8
-	// psr holds, for banks of at most 8 ways (nil for wider banks), the
-	// per-set state pair: psr[2*set] is the partial-tag word (lane w =
-	// partialOf(tag), 0 when invalid) and psr[2*set+1] is the rank word
-	// (lane w = the way's recency rank, 0 = MRU .. ways-1 = LRU). The two
-	// words are interleaved so one cache line serves both. Rank lanes of
-	// the first Ways lanes are always a permutation of 0..Ways-1; lanes
+	// psr holds the per-set state pair: psr[2*set] is the partial-tag word
+	// (lane w = partialOf(tag), 0 when invalid) and psr[2*set+1] is the rank
+	// word (lane w = the way's recency rank, 0 = MRU .. ways-1 = LRU). The
+	// two words are interleaved so one cache line serves both. Rank lanes
+	// of the first Ways lanes are always a permutation of 0..Ways-1; lanes
 	// beyond Ways are pinned to rank 7, which the SWAR arithmetic never
 	// disturbs (real ranks stay below 7 whenever Ways < 8). Invalidation
 	// clears a lane's partial byte but keeps its rank, so an invalidated
 	// way holds its position in the recency order exactly like the
 	// reference LRU, which left the slot in place.
-	psr []uint64
-	// rank[set*ways+way] is the recency rank for banks wider than 8 ways
-	// (nil otherwise), same ordering convention.
-	rank     []uint8
+	psr      []uint64
 	wayOwner []OwnerMask
 	// ownedBy[core] is the bitmask of ways core may allocate into — the
 	// transpose of wayOwner, kept so the access path tests ownership with
@@ -210,6 +214,9 @@ type Bank struct {
 	stats   Stats
 	plru    *plruState // non-nil when cfg.Replacement == TreePLRU
 }
+
+// allWays is the lookup mask that sees every way of a set.
+const allWays uint32 = 1<<maxWays - 1
 
 // rebuildOwnedBy recomputes the per-core way masks from wayOwner.
 func (b *Bank) rebuildOwnedBy() {
@@ -234,6 +241,7 @@ func NewBank(cfg Config) (*Bank, error) {
 		ways:     cfg.Ways,
 		tags:     make([]uint64, cfg.Sets*cfg.Ways),
 		meta:     make([]uint8, cfg.Sets*cfg.Ways),
+		psr:      make([]uint64, 2*cfg.Sets),
 		wayOwner: make([]OwnerMask, cfg.Ways),
 		setMask:  uint64(cfg.Sets - 1),
 		setBits:  uint(bits.TrailingZeros64(uint64(cfg.Sets))),
@@ -241,28 +249,18 @@ func NewBank(cfg Config) (*Bank, error) {
 	for i := range b.tags {
 		b.tags[i] = invalidTag
 	}
-	if cfg.Ways <= 8 {
-		// Initial recency order: way 0 MRU .. way Ways-1 LRU; unused
-		// lanes pinned to rank 7.
-		var init uint64
-		for w := 0; w < 8; w++ {
-			r := uint64(w)
-			if w >= cfg.Ways {
-				r = 7
-			}
-			init |= r << (8 * uint(w))
+	// Initial recency order: way 0 MRU .. way Ways-1 LRU; unused lanes
+	// pinned to rank 7.
+	var init uint64
+	for w := 0; w < maxWays; w++ {
+		r := uint64(w)
+		if w >= cfg.Ways {
+			r = 7
 		}
-		b.psr = make([]uint64, 2*cfg.Sets)
-		for si := 0; si < cfg.Sets; si++ {
-			b.psr[2*si+1] = init
-		}
-	} else {
-		b.rank = make([]uint8, cfg.Sets*cfg.Ways)
-		for si := 0; si < cfg.Sets; si++ {
-			for w := 0; w < cfg.Ways; w++ {
-				b.rank[si*cfg.Ways+w] = uint8(w)
-			}
-		}
+		init |= r << (8 * uint(w))
+	}
+	for si := 0; si < cfg.Sets; si++ {
+		b.psr[2*si+1] = init
 	}
 	all := AllCores(MaxCores)
 	for w := range b.wayOwner {
@@ -349,6 +347,82 @@ func (b *Bank) compose(set, tag uint64) trace.Addr {
 	return trace.Addr(blk << trace.BlockBits)
 }
 
+// find returns the way of set si that holds tag, looking only at the ways
+// in visible, or -1. One SWAR compare against the set's partial-tag word
+// rejects an absent block without reading the full tags, and only
+// candidate lanes (the real hit plus ~1/128-per-way false positives) are
+// confirmed against the full-tag array. A set never holds a tag twice, so
+// the first confirmed lane is the only one.
+func (b *Bank) find(si, tag uint64, visible uint32) int {
+	base := int(si) * b.ways
+	for c := zeroBytes(b.psr[2*si] ^ partialOf(tag)*swarOnes); c != 0; c &= c - 1 {
+		w := bits.TrailingZeros64(c) >> 3
+		if visible>>w&1 != 0 && b.tags[base+w] == tag {
+			return w
+		}
+	}
+	return -1
+}
+
+// victim returns the way of set si that a fill by core displaces: the
+// lowest-indexed invalid way core owns, exactly like the reference
+// implementation's linear free-slot scan; else the tree-PLRU victim; else
+// core's LRU way, which is the unique rank-7 lane when core owns all eight
+// ways and otherwise the deepest-ranked owned way. It panics if core owns
+// no ways — the partitioning layer must never let that happen.
+func (b *Bank) victim(si uint64, core int) int {
+	owned := b.ownedBy[core]
+	if m := byteMaskToWays(zeroBytes(b.psr[2*si])) & owned; m != 0 {
+		return bits.TrailingZeros32(m)
+	}
+	if owned == 0 {
+		panic(fmt.Sprintf("cache: core %d owns no ways in bank", core))
+	}
+	if b.plru != nil {
+		return b.plru.victim(int(si), core)
+	}
+	rv := b.psr[2*si+1]
+	if owned == allWays {
+		return bits.TrailingZeros64(zeroBytes(rv^7*swarOnes)) >> 3
+	}
+	return deepest(rv, owned)
+}
+
+// deepest returns the way in the non-empty way mask m that rank word rv
+// ranks deepest. Live ranks are distinct, so it is m's LRU way.
+func deepest(rv uint64, m uint32) int {
+	way, rank := -1, -1
+	for ; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros32(m)
+		if r := int(rv >> (8 * uint(w)) & 0xFF); r > rank {
+			way, rank = w, r
+		}
+	}
+	return way
+}
+
+// touch moves way w to the MRU position of its set with the branchless SWAR
+// splice of the rank word: no copying and no pointer chasing.
+func (b *Bank) touch(si uint64, w int) {
+	rv := b.psr[2*si+1]
+	sh := 8 * uint(w)
+	if r := rv >> sh & 0xFF; r != 0 {
+		b.psr[2*si+1] = rankMTF(rv, r, sh)
+	}
+}
+
+// drop invalidates way w of set si and reports whether its line was dirty.
+// The way keeps its rank, as the reference LRU left invalidated entries in
+// place.
+func (b *Bank) drop(si uint64, w int) (dirty bool) {
+	i := int(si)*b.ways + w
+	dirty = b.meta[i]&metaDirty != 0
+	b.tags[i] = invalidTag
+	b.meta[i] = 0
+	b.psr[2*si] &^= 0xFF << (8 * uint(w))
+	return dirty
+}
+
 // Access performs a read or write by core. On a hit the line moves to MRU
 // (and is dirtied on writes). On a miss the block is allocated into the
 // least recently used way owned by core, evicting its previous occupant.
@@ -361,19 +435,15 @@ func (b *Bank) Access(addr trace.Addr, core int, write bool) Result {
 	b.stats.PerCoreAccess[core]++
 	si, tag := b.decompose(addr)
 	owned := b.ownedBy[core]
-	if b.psr == nil {
-		return b.accessWide(si, tag, core, owned, write)
-	}
 	base := int(si) * b.ways
 
-	// Lookup: one SWAR compare against the set's partial-tag word yields
-	// the candidate ways; most misses match nothing and never read the
-	// full-tag array at all. Candidates (real hits plus rare partial
-	// collisions) are confirmed against the full tag. By default hits
-	// land anywhere (enforcement is on allocation only); in strict mode
-	// only the requester's ways are visible.
-	pw := b.psr[2*si]
-	cand := zeroBytes(pw ^ partialOf(tag)*swarOnes)
+	// Lookup: find's SWAR compare, inlined because a hit also reports
+	// whether it crossed partitions and a strict-mode miss reuses the
+	// candidate mask. Most misses match no partial tag and never read the
+	// full-tag array. By default hits land anywhere (enforcement is on
+	// allocation only); in strict mode only the requester's ways are
+	// visible.
+	cand := zeroBytes(b.psr[2*si] ^ partialOf(tag)*swarOnes)
 	for c := cand; c != 0; c &= c - 1 {
 		w := bits.TrailingZeros64(c) >> 3
 		if b.tags[base+w] != tag {
@@ -386,12 +456,7 @@ func (b *Bank) Access(addr trace.Addr, core int, write bool) Result {
 		if write {
 			b.meta[base+w] |= metaDirty
 		}
-		// In-register SWAR move-to-front on the rank word.
-		rv := b.psr[2*si+1]
-		sh := 8 * uint(w)
-		if r := rv >> sh & 0xFF; r != 0 {
-			b.psr[2*si+1] = rankMTF(rv, r, sh)
-		}
+		b.touch(si, w)
 		if b.plru != nil {
 			b.plru.touch(int(si), w)
 		}
@@ -405,50 +470,14 @@ func (b *Bank) Access(addr trace.Addr, core int, write bool) Result {
 	if b.cfg.StrictLookup && cand != 0 {
 		// Drop any stale copy in ways the requester cannot see, so the
 		// refill never duplicates the tag within the set.
-		for c := cand; c != 0; c &= c - 1 {
-			w := bits.TrailingZeros64(c) >> 3
-			if b.tags[base+w] == tag {
-				b.tags[base+w] = invalidTag
-				b.meta[base+w] = 0
-				b.psr[2*si] &^= 0xFF << (8 * uint(w))
-			}
-		}
-		pw = b.psr[2*si]
-	}
-	rv := b.psr[2*si+1]
-	victim := -1
-	if m := byteMaskToWays(zeroBytes(pw)) & owned; m != 0 {
-		// Lowest-indexed invalid way the core owns, exactly like the
-		// reference implementation's linear free-slot scan.
-		victim = bits.TrailingZeros32(m)
-	} else if b.plru != nil {
-		victim = b.plru.victim(int(si), core)
-	} else if owned == 0xFF {
-		// Full ownership of an 8-way set: the set-global LRU way is the
-		// unique lane holding rank 7.
-		victim = bits.TrailingZeros64(zeroBytes(rv^7*swarOnes)) >> 3
-	} else {
-		// Deepest-ranked owned way; live ranks are distinct, so the
-		// maximum over the owned subset is the core's LRU way.
-		bestRank := -1
-		for m := owned; m != 0; m &= m - 1 {
-			w := bits.TrailingZeros32(m)
-			if r := int(rv >> (8 * uint(w)) & 0xFF); r > bestRank {
-				victim, bestRank = w, r
-			}
+		if w := b.find(si, tag, allWays); w >= 0 {
+			b.drop(si, w)
 		}
 	}
-	if victim < 0 {
-		panic(fmt.Sprintf("cache: core %d owns no ways in bank", core))
-	}
-	// Move the victim to MRU and refresh its partial-tag lane, all on the
-	// register copies of the state words.
+	victim := b.victim(si, core)
 	sh := 8 * uint(victim)
-	if r := rv >> sh & 0xFF; r != 0 {
-		rv = rankMTF(rv, r, sh)
-	}
-	b.psr[2*si] = pw&^(0xFF<<sh) | partialOf(tag)<<sh
-	b.psr[2*si+1] = rv
+	b.psr[2*si] = b.psr[2*si]&^(0xFF<<sh) | partialOf(tag)<<sh
+	b.touch(si, victim)
 	if b.plru != nil {
 		b.plru.touch(int(si), victim)
 	}
@@ -480,165 +509,6 @@ func (b *Bank) Access(addr trace.Addr, core int, write bool) Result {
 	}
 }
 
-// accessWide is the Access path for banks wider than 8 ways, where no
-// per-set state words exist: a plain scan over the packed full tags with a
-// byte-per-way rank vector.
-func (b *Bank) accessWide(si, tag uint64, core int, owned uint32, write bool) Result {
-	base := int(si) * b.ways
-	tags := b.tags[base : base+b.ways : base+b.ways]
-	inv := uint32(0)
-	for w := range tags {
-		t := tags[w]
-		if t == tag {
-			cross := owned>>w&1 == 0
-			if cross && b.cfg.StrictLookup {
-				continue
-			}
-			if write {
-				b.meta[base+w] |= metaDirty
-			}
-			b.useWay(si, w)
-			if cross {
-				b.stats.CrossHits++
-			}
-			return Result{Hit: true, HitWay: w, CrossPartitionHit: cross}
-		}
-		if t == invalidTag {
-			inv |= 1 << w
-		}
-	}
-	b.stats.PerCoreMiss[core]++
-	if b.cfg.StrictLookup {
-		for w := range tags {
-			if tags[w] == tag {
-				tags[w] = invalidTag
-				b.meta[base+w] = 0
-				inv |= 1 << w
-			}
-		}
-	}
-	victim := -1
-	if m := inv & owned; m != 0 {
-		victim = bits.TrailingZeros32(m)
-	} else if b.plru != nil {
-		victim = b.plru.victim(int(si), core)
-	} else {
-		rk := b.rank[base : base+b.ways : base+b.ways]
-		bestRank := -1
-		for m := owned; m != 0; m &= m - 1 {
-			w := bits.TrailingZeros32(m)
-			if r := int(rk[w]); r > bestRank {
-				victim, bestRank = w, r
-			}
-		}
-	}
-	if victim < 0 {
-		panic(fmt.Sprintf("cache: core %d owns no ways in bank", core))
-	}
-	res := Result{}
-	b.fill(si, victim, tag, core, write, &res)
-	return res
-}
-
-// fill installs tag into way victim of set si on behalf of core, recording
-// any displaced valid line in res and moving the way to MRU. It is the
-// shared slow-path helper for Insert and wide banks; Access's fast path
-// inlines the same steps.
-func (b *Bank) fill(si uint64, victim int, tag uint64, core int, dirty bool, res *Result) {
-	vi := int(si)*b.ways + victim
-	if old := b.tags[vi]; old != invalidTag {
-		m := b.meta[vi]
-		b.stats.Evictions++
-		res.VictimValid = true
-		res.VictimAddr = b.compose(si, old)
-		res.VictimDirty = m&metaDirty != 0
-		res.VictimOwner = int(m >> metaOwnerShift)
-		if res.VictimDirty {
-			b.stats.Writebacks++
-		}
-	}
-	b.tags[vi] = tag
-	m := uint8(core) << metaOwnerShift
-	if dirty {
-		m |= metaDirty
-	}
-	b.meta[vi] = m
-	if b.psr != nil {
-		sh := 8 * uint(victim)
-		b.psr[2*si] = b.psr[2*si]&^(0xFF<<sh) | partialOf(tag)<<sh
-	}
-	b.useWay(si, victim)
-}
-
-// victimWay picks the way to fill for core: an invalid owned way if one
-// exists, otherwise the (pseudo-)least-recently-used owned way. Returns -1
-// when the core owns nothing.
-func (b *Bank) victimWay(si uint64, core int) int {
-	base := int(si) * b.ways
-	for w := 0; w < b.ways; w++ {
-		if b.tags[base+w] == invalidTag && b.wayOwner[w].Has(core) {
-			return w
-		}
-	}
-	if b.plru != nil {
-		return b.plru.victim(int(si), core)
-	}
-	best, bestRank := -1, -1
-	for w := 0; w < b.ways; w++ {
-		if !b.wayOwner[w].Has(core) {
-			continue
-		}
-		if r := b.rankOf(si, base, w); r > bestRank {
-			best, bestRank = w, r
-		}
-	}
-	return best
-}
-
-// rankOf returns way w's recency rank regardless of bank layout.
-func (b *Bank) rankOf(si uint64, base, w int) int {
-	if b.psr != nil {
-		return int(b.psr[2*si+1] >> (8 * uint(w)) & 0xFF)
-	}
-	return int(b.rank[base+w])
-}
-
-// useWay records a reference to way w of set si in the replacement state.
-func (b *Bank) useWay(si uint64, w int) {
-	b.touch(si, w)
-	if b.plru != nil {
-		b.plru.touch(int(si), w)
-	}
-}
-
-// touch moves way w to the MRU position of its set: every way above it in
-// the recency order sinks one rank, w's rank becomes 0. For psr banks the
-// update is a branchless SWAR sequence on the rank word; wide banks take a
-// short loop over the rank bytes. Either way the touch does no copying and
-// no pointer chasing.
-func (b *Bank) touch(si uint64, w int) {
-	if b.psr != nil {
-		rv := b.psr[2*si+1]
-		sh := 8 * uint(w)
-		if r := rv >> sh & 0xFF; r != 0 {
-			b.psr[2*si+1] = rankMTF(rv, r, sh)
-		}
-		return
-	}
-	base := int(si) * b.ways
-	r := b.rank[base+w]
-	if r == 0 {
-		return
-	}
-	rk := b.rank[base : base+b.ways]
-	for i, x := range rk {
-		if x < r {
-			rk[i] = x + 1
-		}
-	}
-	rk[w] = 0
-}
-
 // Insert allocates addr into core's partition as MRU without counting an
 // access — the data-movement primitive used by the aggregation schemes'
 // migration paths (cascade demotion, promotion fills). It returns eviction
@@ -647,78 +517,63 @@ func (b *Bank) touch(si uint64, w int) {
 func (b *Bank) Insert(addr trace.Addr, core int, dirty bool) Result {
 	si, tag := b.decompose(addr)
 	base := int(si) * b.ways
-	tags := b.tags[base : base+b.ways]
-	for w := range tags {
-		if tags[w] == tag {
-			if dirty {
-				b.meta[base+w] |= metaDirty
-			}
-			b.useWay(si, w)
-			return Result{Hit: true, HitWay: w}
+	w := b.find(si, tag, allWays)
+	hit := w >= 0
+	res := Result{Hit: hit}
+	if hit {
+		res.HitWay = w
+		if dirty {
+			b.meta[base+w] |= metaDirty
 		}
+	} else {
+		w = b.victim(si, core)
+		vi := base + w
+		if old := b.tags[vi]; old != invalidTag {
+			m := b.meta[vi]
+			b.stats.Evictions++
+			res.VictimValid = true
+			res.VictimAddr = b.compose(si, old)
+			res.VictimDirty = m&metaDirty != 0
+			res.VictimOwner = int(m >> metaOwnerShift)
+			if res.VictimDirty {
+				b.stats.Writebacks++
+			}
+		}
+		b.tags[vi] = tag
+		m := uint8(core) << metaOwnerShift
+		if dirty {
+			m |= metaDirty
+		}
+		b.meta[vi] = m
+		sh := 8 * uint(w)
+		b.psr[2*si] = b.psr[2*si]&^(0xFF<<sh) | partialOf(tag)<<sh
 	}
-	victim := b.victimWay(si, core)
-	if victim < 0 {
-		panic(fmt.Sprintf("cache: core %d owns no ways in bank", core))
+	b.touch(si, w)
+	if b.plru != nil {
+		b.plru.touch(int(si), w)
 	}
-	res := Result{}
-	b.fill(si, victim, tag, core, dirty, &res)
 	return res
 }
 
 // Probe reports whether addr is resident without perturbing LRU state or
 // statistics. The coherence directory and the Parallel aggregation scheme's
-// multi-bank lookup use it. For banks with per-set state words the set's
-// partial-tag word rejects an absent block with one SWAR compare — the
-// common case of the multi-bank probe loops and the writeback path — and
-// only candidate lanes (real hits plus ~1/128-per-way false positives) read
-// the full-tag array.
+// multi-bank lookup use it; find rejects an absent block, their common
+// case, with one SWAR compare.
 func (b *Bank) Probe(addr trace.Addr) bool {
 	si, tag := b.decompose(addr)
-	base := int(si) * b.ways
-	if b.psr != nil {
-		for c := zeroBytes(b.psr[2*si] ^ partialOf(tag)*swarOnes); c != 0; c &= c - 1 {
-			if b.tags[base+bits.TrailingZeros64(c)>>3] == tag {
-				return true
-			}
-		}
-		return false
-	}
-	tags := b.tags[base : base+b.ways]
-	for w := range tags {
-		if tags[w] == tag {
-			return true
-		}
-	}
-	return false
+	return b.find(si, tag, allWays) >= 0
 }
 
 // ProbeFor is Probe through core's eyes: under StrictLookup only the
 // requester's own ways are visible, matching what a subsequent Access by
 // the same core will see.
 func (b *Bank) ProbeFor(addr trace.Addr, core int) bool {
-	if !b.cfg.StrictLookup {
-		return b.Probe(addr)
+	visible := allWays
+	if b.cfg.StrictLookup {
+		visible = b.ownedBy[core]
 	}
 	si, tag := b.decompose(addr)
-	base := int(si) * b.ways
-	if b.psr != nil {
-		owned := b.ownedBy[core]
-		for c := zeroBytes(b.psr[2*si] ^ partialOf(tag)*swarOnes); c != 0; c &= c - 1 {
-			w := bits.TrailingZeros64(c) >> 3
-			if b.tags[base+w] == tag && owned>>w&1 != 0 {
-				return true
-			}
-		}
-		return false
-	}
-	tags := b.tags[base : base+b.ways]
-	for w := range tags {
-		if tags[w] == tag && b.wayOwner[w].Has(core) {
-			return true
-		}
-	}
-	return false
+	return b.find(si, tag, visible) >= 0
 }
 
 // Invalidate removes addr from the bank if present, returning whether it was
@@ -728,48 +583,31 @@ func (b *Bank) ProbeFor(addr trace.Addr, core int) bool {
 // in place.
 func (b *Bank) Invalidate(addr trace.Addr) (present, dirty bool) {
 	si, tag := b.decompose(addr)
-	base := int(si) * b.ways
-	tags := b.tags[base : base+b.ways]
-	for w := range tags {
-		if tags[w] == tag {
-			d := b.meta[base+w]&metaDirty != 0
-			tags[w] = invalidTag
-			b.meta[base+w] = 0
-			if b.psr != nil {
-				b.psr[2*si] &^= 0xFF << (8 * uint(w))
-			}
-			return true, d
-		}
+	w := b.find(si, tag, allWays)
+	if w < 0 {
+		return false, false
 	}
-	return false, false
+	return true, b.drop(si, w)
 }
 
 // ExtractLRUOf removes the least recently used valid line allocated by core
-// from the set that addr maps to, returning its address and dirtiness. The
-// Cascade aggregation scheme uses it to demote lines down the bank chain;
-// ok is false when the core has no valid lines in that set.
+// from the set that addr maps to, returning its address and dirtiness; ok
+// is false when the core has no valid lines in that set.
 func (b *Bank) ExtractLRUOf(addr trace.Addr, core int) (victim trace.Addr, dirty, ok bool) {
 	si, _ := b.decompose(addr)
 	base := int(si) * b.ways
-	best, bestRank := -1, -1
+	var mine uint32
 	for w := 0; w < b.ways; w++ {
 		if b.tags[base+w] != invalidTag && int(b.meta[base+w]>>metaOwnerShift) == core {
-			if r := b.rankOf(si, base, w); r > bestRank {
-				best, bestRank = w, r
-			}
+			mine |= 1 << w
 		}
 	}
-	if best < 0 {
+	if mine == 0 {
 		return 0, false, false
 	}
-	victim = b.compose(si, b.tags[base+best])
-	dirty = b.meta[base+best]&metaDirty != 0
-	b.tags[base+best] = invalidTag
-	b.meta[base+best] = 0
-	if b.psr != nil {
-		b.psr[2*si] &^= 0xFF << (8 * uint(best))
-	}
-	return victim, dirty, true
+	w := deepest(b.psr[2*si+1], mine)
+	victim = b.compose(si, b.tags[base+w])
+	return victim, b.drop(si, w), true
 }
 
 // Occupancy returns the number of valid lines currently owned by each core.

@@ -23,6 +23,8 @@ func TestConfigValidate(t *testing.T) {
 		{Sets: 63, Ways: 8},
 		{Sets: -4, Ways: 8},
 		{Sets: 64, Ways: 0},
+		{Sets: 64, Ways: 9},
+		{Sets: 64, Ways: 64},
 		{Sets: 64, Ways: 300},
 	} {
 		if err := c.Validate(); err == nil {

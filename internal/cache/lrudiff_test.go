@@ -10,10 +10,10 @@ import (
 
 // refBank is the pre-optimization reference implementation of the way-
 // partitioned LRU bank: per-set line structs plus a slice-shuffle recency
-// order (MRU at the front, `copy` on every touch). It is kept verbatim as a
-// test-only oracle for the intrusive array-linked LRU that replaced it —
-// the differential test below drives both over randomized access streams
-// and demands identical observable behaviour.
+// order (MRU at the front, `copy` on every touch). It is kept as a
+// test-only oracle for the SWAR set state that replaced it — diffStream
+// below drives both over randomized operation streams and demands
+// identical observable behaviour.
 type refLine struct {
 	tag   uint64
 	valid bool
@@ -90,7 +90,7 @@ func (b *refBank) setWayOwners(owners []OwnerMask) {
 	copy(b.wayOwner, owners)
 }
 
-func (b *refBank) victimWay(s *refSet, core int) int {
+func (b *refBank) victim(s *refSet, core int) int {
 	for w := range s.lines {
 		if !s.lines[w].valid && b.wayOwner[w].Has(core) {
 			return w
@@ -136,7 +136,7 @@ func (b *refBank) access(addr trace.Addr, core int, write bool) Result {
 			}
 		}
 	}
-	victim := b.victimWay(s, core)
+	victim := b.victim(s, core)
 	if victim < 0 {
 		panic("refBank: core owns no ways")
 	}
@@ -173,7 +173,7 @@ func (b *refBank) insert(addr trace.Addr, core int, dirty bool) Result {
 			return Result{Hit: true, HitWay: w}
 		}
 	}
-	victim := b.victimWay(s, core)
+	victim := b.victim(s, core)
 	if victim < 0 {
 		panic("refBank: core owns no ways")
 	}
@@ -213,6 +213,16 @@ func (b *refBank) probe(addr trace.Addr) bool {
 	si, tag := b.decompose(addr)
 	for _, ln := range b.sets[si].lines {
 		if ln.valid && ln.tag == tag {
+			return true
+		}
+	}
+	return false
+}
+
+func (b *refBank) probeFor(addr trace.Addr, core int) bool {
+	si, tag := b.decompose(addr)
+	for w, ln := range b.sets[si].lines {
+		if ln.valid && ln.tag == tag && (!b.cfg.StrictLookup || b.wayOwner[w].Has(core)) {
 			return true
 		}
 	}
@@ -262,10 +272,9 @@ func randomOwners(rng *rand.Rand, ways, nCores int) []OwnerMask {
 	}
 }
 
-// TestLRUDifferential drives the intrusive array-linked LRU against the
-// slice-shuffle reference over randomized streams: hits, misses, writes,
-// Insert refreshes, Invalidate, ExtractLRUOf and mid-stream way-ownership
-// changes, across strict and lazy lookup and degenerate geometries.
+// TestLRUDifferential drives the bank against the slice-shuffle reference
+// over randomized streams, across strict and lazy lookup and degenerate
+// geometries.
 func TestLRUDifferential(t *testing.T) {
 	configs := []Config{
 		{Sets: 4, Ways: 1},
@@ -273,92 +282,115 @@ func TestLRUDifferential(t *testing.T) {
 		{Sets: 16, Ways: 8},
 		{Sets: 4, Ways: 8, StrictLookup: true},
 		{Sets: 16, Ways: 5, StrictLookup: true},
-		// Wider than 8 ways: no partial-tag vector, full-scan lookup path.
-		{Sets: 8, Ways: 12},
-		{Sets: 4, Ways: 16, StrictLookup: true},
 	}
-	const nCores = 4
 	for _, cfg := range configs {
 		cfg := cfg
 		name := fmt.Sprintf("sets=%d,ways=%d,strict=%v", cfg.Sets, cfg.Ways, cfg.StrictLookup)
 		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(cfg.Sets*100 + cfg.Ways)))
-			fast := MustBank(cfg)
-			ref := newRefBank(cfg)
-			owners := make([]OwnerMask, cfg.Ways)
-			for w := range owners {
-				owners[w] = AllCores(nCores)
-			}
-			blocks := 4 * cfg.Sets * cfg.Ways
-			coreFor := func() int {
-				// Pick a core owning at least one way.
-				for {
-					c := rng.Intn(nCores)
-					for _, m := range owners {
-						if m.Has(c) {
-							return c
-						}
-					}
-				}
-			}
-			for op := 0; op < 20000; op++ {
-				addr := trace.Addr(rng.Intn(blocks)) << trace.BlockBits
-				switch r := rng.Intn(100); {
-				case r < 70:
-					c := coreFor()
-					write := rng.Intn(3) == 0
-					// Strict mode can legitimately leave a core's visible
-					// ways empty of allocatable space only if it owns no
-					// ways; coreFor prevents that.
-					got := fast.Access(addr, c, write)
-					want := ref.access(addr, c, write)
-					if got != want {
-						t.Fatalf("op %d: Access(%#x, core %d, write %v) = %+v, reference %+v",
-							op, addr, c, write, got, want)
-					}
-				case r < 80:
-					c := coreFor()
-					dirty := rng.Intn(2) == 0
-					got := fast.Insert(addr, c, dirty)
-					want := ref.insert(addr, c, dirty)
-					if got != want {
-						t.Fatalf("op %d: Insert = %+v, reference %+v", op, got, want)
-					}
-				case r < 88:
-					gp, gd := fast.Invalidate(addr)
-					wp, wd := ref.invalidate(addr)
-					if gp != wp || gd != wd {
-						t.Fatalf("op %d: Invalidate = (%v,%v), reference (%v,%v)", op, gp, gd, wp, wd)
-					}
-				case r < 93:
-					c := rng.Intn(nCores)
-					ga, gd, gok := fast.ExtractLRUOf(addr, c)
-					wa, wd, wok := ref.extractLRUOf(addr, c)
-					if ga != wa || gd != wd || gok != wok {
-						t.Fatalf("op %d: ExtractLRUOf = (%#x,%v,%v), reference (%#x,%v,%v)",
-							op, ga, gd, gok, wa, wd, wok)
-					}
-				case r < 98:
-					if fast.Probe(addr) != ref.probe(addr) {
-						t.Fatalf("op %d: Probe(%#x) disagrees", op, addr)
-					}
-				default:
-					owners = randomOwners(rng, cfg.Ways, nCores)
-					if err := fast.SetWayOwners(owners); err != nil {
-						t.Fatal(err)
-					}
-					ref.setWayOwners(owners)
-				}
-				if fast.ValidLines() != ref.validLines() {
-					t.Fatalf("op %d: ValidLines %d, reference %d", op, fast.ValidLines(), ref.validLines())
-				}
-			}
-			if fast.Stats() != ref.stats {
-				t.Fatalf("final stats diverge:\n got %+v\nwant %+v", fast.Stats(), ref.stats)
-			}
-			if fast.Occupancy() != ref.occupancy() {
-				t.Fatalf("final occupancy diverges: %v vs %v", fast.Occupancy(), ref.occupancy())
-			}
+			diffStream(t, cfg, int64(cfg.Sets*100+cfg.Ways), 20000)
 		})
+	}
+}
+
+// FuzzBankDifferential runs diffStream over fuzzed geometries: 1 to 16
+// sets, 1 to 8 ways, strict or lazy lookup, and the stream's seed.
+func FuzzBankDifferential(f *testing.F) {
+	f.Add(int64(1), uint8(2), uint8(7), false)
+	f.Add(int64(2), uint8(0), uint8(0), true)
+	f.Add(int64(3), uint8(4), uint8(4), true)
+	f.Fuzz(func(t *testing.T, seed int64, setsLog, ways uint8, strict bool) {
+		cfg := Config{Sets: 1 << (setsLog % 5), Ways: 1 + int(ways%maxWays), StrictLookup: strict}
+		diffStream(t, cfg, seed, 2000)
+	})
+}
+
+// diffStream drives a bank and the reference over ops randomized operations
+// seeded by seed: hits, misses, writes, Insert refreshes, Invalidate,
+// ExtractLRUOf, Probe and ProbeFor, and mid-stream way-ownership changes. It
+// demands identical results from every operation, identical valid-line
+// counts after each, and identical final stats and occupancy.
+func diffStream(t *testing.T, cfg Config, seed int64, ops int) {
+	const nCores = 4
+	rng := rand.New(rand.NewSource(seed))
+	fast := MustBank(cfg)
+	ref := newRefBank(cfg)
+	owners := make([]OwnerMask, cfg.Ways)
+	for w := range owners {
+		owners[w] = AllCores(nCores)
+	}
+	blocks := 4 * cfg.Sets * cfg.Ways
+	coreFor := func() int {
+		// Pick a core owning at least one way.
+		for {
+			c := rng.Intn(nCores)
+			for _, m := range owners {
+				if m.Has(c) {
+					return c
+				}
+			}
+		}
+	}
+	for op := 0; op < ops; op++ {
+		addr := trace.Addr(rng.Intn(blocks)) << trace.BlockBits
+		switch r := rng.Intn(100); {
+		case r < 70:
+			c := coreFor()
+			write := rng.Intn(3) == 0
+			// Strict mode can legitimately leave a core's visible
+			// ways empty of allocatable space only if it owns no
+			// ways; coreFor prevents that.
+			got := fast.Access(addr, c, write)
+			want := ref.access(addr, c, write)
+			if got != want {
+				t.Fatalf("op %d: Access(%#x, core %d, write %v) = %+v, reference %+v",
+					op, addr, c, write, got, want)
+			}
+		case r < 80:
+			c := coreFor()
+			dirty := rng.Intn(2) == 0
+			got := fast.Insert(addr, c, dirty)
+			want := ref.insert(addr, c, dirty)
+			if got != want {
+				t.Fatalf("op %d: Insert = %+v, reference %+v", op, got, want)
+			}
+		case r < 88:
+			gp, gd := fast.Invalidate(addr)
+			wp, wd := ref.invalidate(addr)
+			if gp != wp || gd != wd {
+				t.Fatalf("op %d: Invalidate = (%v,%v), reference (%v,%v)", op, gp, gd, wp, wd)
+			}
+		case r < 93:
+			c := rng.Intn(nCores)
+			ga, gd, gok := fast.ExtractLRUOf(addr, c)
+			wa, wd, wok := ref.extractLRUOf(addr, c)
+			if ga != wa || gd != wd || gok != wok {
+				t.Fatalf("op %d: ExtractLRUOf = (%#x,%v,%v), reference (%#x,%v,%v)",
+					op, ga, gd, gok, wa, wd, wok)
+			}
+		case r < 98:
+			if fast.Probe(addr) != ref.probe(addr) {
+				t.Fatalf("op %d: Probe(%#x) disagrees", op, addr)
+			}
+			// ProbeFor's core comes from the op count, not the RNG,
+			// so the check draws nothing from the stream.
+			if c := op % nCores; fast.ProbeFor(addr, c) != ref.probeFor(addr, c) {
+				t.Fatalf("op %d: ProbeFor(%#x, core %d) disagrees", op, addr, c)
+			}
+		default:
+			owners = randomOwners(rng, cfg.Ways, nCores)
+			if err := fast.SetWayOwners(owners); err != nil {
+				t.Fatal(err)
+			}
+			ref.setWayOwners(owners)
+		}
+		if fast.ValidLines() != ref.validLines() {
+			t.Fatalf("op %d: ValidLines %d, reference %d", op, fast.ValidLines(), ref.validLines())
+		}
+	}
+	if fast.Stats() != ref.stats {
+		t.Fatalf("final stats diverge:\n got %+v\nwant %+v", fast.Stats(), ref.stats)
+	}
+	if fast.Occupancy() != ref.occupancy() {
+		t.Fatalf("final occupancy diverges: %v vs %v", fast.Occupancy(), ref.occupancy())
 	}
 }

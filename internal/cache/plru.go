@@ -18,8 +18,8 @@ const (
 	// TreePLRU is binary-tree pseudo-LRU. Way partitioning is honoured by
 	// steering the tree walk away from subtrees that contain none of the
 	// requesting core's ways (the same mechanism hardware way-masking
-	// uses, e.g. Intel CAT on PLRU caches). Requires a power-of-two way
-	// count of at most 32.
+	// uses, e.g. Intel CAT on PLRU caches). Requires a way count of 2, 4
+	// or 8.
 	TreePLRU
 )
 
@@ -36,8 +36,8 @@ func (p ReplacementPolicy) String() string {
 
 // validatePLRU checks TreePLRU's structural requirements.
 func validatePLRU(ways int) error {
-	if ways < 2 || ways > 32 || ways&(ways-1) != 0 {
-		return fmt.Errorf("cache: TreePLRU needs a power-of-two way count in [2,32], got %d", ways)
+	if ways < 2 || ways&(ways-1) != 0 {
+		return fmt.Errorf("cache: TreePLRU needs a power-of-two way count of at least 2, got %d", ways)
 	}
 	return nil
 }

@@ -344,19 +344,12 @@ func (d *Directory) OnL1Evict(core int, addr trace.Addr) (writeback bool) {
 	return writeback
 }
 
-// OnL2Evict enforces inclusion: every L1 copy of addr is invalidated. It
-// returns the cores that lost a copy and whether dirty data must be written
-// back to memory. The returned slice is freshly allocated; hot paths should
-// prefer OnL2EvictAppend with a reused buffer.
-func (d *Directory) OnL2Evict(addr trace.Addr) (invalidated []int, writeback bool) {
-	return d.OnL2EvictAppend(addr, nil)
-}
-
-// OnL2EvictAppend is the allocation-free form of OnL2Evict: the invalidated
-// cores (owner first, then sharers in core order) are appended to dst,
-// which is returned. Passing a buffer truncated to zero length makes the
-// back-invalidation path allocation-free once the buffer has grown to the
-// sharer high-water mark.
+// OnL2EvictAppend enforces inclusion: every L1 copy of addr is
+// invalidated. It appends the cores that lost a copy (owner first, then
+// sharers in core order) to dst, returns it, and reports whether dirty data
+// must be written back to memory. Passing a buffer truncated to zero length
+// makes the back-invalidation path allocation-free once the buffer has
+// grown to the sharer high-water mark.
 func (d *Directory) OnL2EvictAppend(addr trace.Addr, dst []int) (invalidated []int, writeback bool) {
 	i, ok := d.find(addr)
 	if !ok {

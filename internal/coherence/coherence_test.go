@@ -171,7 +171,7 @@ func TestL2EvictBackInvalidates(t *testing.T) {
 	d.OnWriteMiss(0, blk)
 	d.OnReadMiss(1, blk)
 	d.OnReadMiss(2, blk)
-	inv, wb := d.OnL2Evict(blk)
+	inv, wb := d.OnL2EvictAppend(blk, nil)
 	if len(inv) != 3 {
 		t.Fatalf("invalidated %v, want 3 cores", inv)
 	}
@@ -181,7 +181,7 @@ func TestL2EvictBackInvalidates(t *testing.T) {
 	if d.Entries() != 0 {
 		t.Fatal("entry not removed")
 	}
-	inv, wb = d.OnL2Evict(blk)
+	inv, wb = d.OnL2EvictAppend(blk, nil)
 	if inv != nil || wb {
 		t.Fatal("evicting untracked block produced effects")
 	}

@@ -127,7 +127,7 @@ func TestDirectoryTableDifferential(t *testing.T) {
 			d.OnL1Evict(c, a)
 			ref.l1Evict(c, a)
 		default:
-			d.OnL2Evict(a)
+			d.OnL2EvictAppend(a, nil)
 			ref.l2Evict(a)
 		}
 		if op%17 == 0 {
@@ -138,7 +138,7 @@ func TestDirectoryTableDifferential(t *testing.T) {
 	// Drain fully through the backward-shift delete path and confirm the
 	// table empties without stranding unreachable entries.
 	for _, a := range blocks {
-		d.OnL2Evict(a)
+		d.OnL2EvictAppend(a, nil)
 		ref.l2Evict(a)
 	}
 	if d.Entries() != 0 {

@@ -14,9 +14,11 @@
 //     through a hook the CLIs render as live progress lines.
 //
 // Determinism is the engine's contract with the experiments: jobs receive
-// their index and must derive any randomness from it (seed-splitting via
-// stats.RNG.SplitN before the fan-out), and Map stores results by index, so
-// a run with Workers=8 is bit-identical to Workers=1.
+// their index and must derive any randomness from it and the run's seed
+// alone (the Monte Carlo campaign draws every trial's mix serially before
+// the fan-out; sim.Generators derives each core's stream from the seed, the
+// core's spec and its index), and Map stores results by index, so a run
+// with Workers=8 is bit-identical to Workers=1.
 package runner
 
 import (
@@ -169,14 +171,6 @@ func Map[T any](ctx context.Context, cfg Config, n int, fn func(ctx context.Cont
 		return results, ctx.Err()
 	}
 	return results, nil
-}
-
-// Run executes n independent jobs for their side effects only.
-func Run(ctx context.Context, cfg Config, n int, fn func(ctx context.Context, job int) error) error {
-	_, err := Map(ctx, cfg, n, func(ctx context.Context, job int) (struct{}, error) {
-		return struct{}{}, fn(ctx, job)
-	})
-	return err
 }
 
 // protect invokes fn with panic recovery.

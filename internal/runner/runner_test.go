@@ -113,11 +113,12 @@ func TestCancellationReturnsContextErrWithoutLeaks(t *testing.T) {
 	begun := make(chan struct{})
 	errc := make(chan error, 1)
 	go func() {
-		errc <- Run(ctx, Config{Workers: 2}, 500, func(ctx context.Context, job int) error {
+		_, err := Map(ctx, Config{Workers: 2}, 500, func(ctx context.Context, job int) (struct{}, error) {
 			startedOnce.Do(func() { close(begun) })
 			<-ctx.Done()
-			return ctx.Err()
+			return struct{}{}, ctx.Err()
 		})
+		errc <- err
 	}()
 	<-begun
 	cancel()
@@ -146,12 +147,12 @@ func TestCancellationReturnsContextErrWithoutLeaks(t *testing.T) {
 func TestDeadlinePropagates(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	err := Run(ctx, Config{Workers: 2}, 10_000, func(ctx context.Context, job int) error {
+	_, err := Map(ctx, Config{Workers: 2}, 10_000, func(ctx context.Context, job int) (struct{}, error) {
 		select {
 		case <-ctx.Done():
-			return ctx.Err()
+			return struct{}{}, ctx.Err()
 		case <-time.After(time.Millisecond):
-			return nil
+			return struct{}{}, nil
 		}
 	})
 	if !errors.Is(err, context.DeadlineExceeded) {
